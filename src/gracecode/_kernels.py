@@ -1,10 +1,6 @@
-"""Hot numerical kernels: numba-compiled loops with pure-numpy fallbacks.
+"""Hot numerical kernels in numpy and Python integers.
 
-The numba backend is used when numba is importable unless the environment
-variable ``GRACECODE_NUMBA`` is set to ``0``/``false``/``off``.  Both backends
-implement the same contracts and are cross-checked in the test suite:
-
-* word-parallel GF(2) column elimination with forced-coordinate detection,
+* GF(2) column elimination with forced-coordinate detection,
 * flooding belief-propagation message updates (majority and parity checks).
 
 Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``; finite
@@ -14,138 +10,33 @@ values saturate at +/-``LLR_CLAMP`` and certainty is the explicit value
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
+
+from .ensemble import MAJ
 
 LLR_CLAMP = 500.0
 
-KIND_MAJ = 0
-KIND_XOR = 1
-
-
-def _want_numba() -> bool:
-    flag = os.environ.get("GRACECODE_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-try:
-    if not _want_numba():
-        raise ImportError("numba disabled via GRACECODE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in tests
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-USING_NUMBA = HAS_NUMBA
+# Recorded by the benchmark's environment block; there is no compiled backend.
+USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # GF(2) elimination over bit-packed columns
 # ---------------------------------------------------------------------------
 #
-# Columns are vectors in F2^k packed into uint64 words (bit j of the column
-# lives in word j >> 6, bit j & 63).  The elimination maintains an echelon
-# basis keyed by lowest set bit ("pivot").  A coordinate j is *forced* iff the
-# unit vector e_j reduces to zero against the basis, i.e. e_j lies in the
-# column span.
+# Columns are vectors in F2^k held as Python-int bitsets (bit j of the column
+# is coordinate j).  The elimination maintains an echelon basis keyed by
+# lowest set bit ("pivot").  A coordinate j is *forced* iff the unit vector
+# e_j reduces to zero against the basis, i.e. e_j lies in the column span.
 
 
-@njit(cache=True)
-def _gf2_eliminate_nb(indptr, rowidx, keep, basis, pivot_of, v, nwords):
-    """Build an echelon basis from the kept columns; returns the rank."""
-    m = indptr.shape[0] - 1
-    rank = 0
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for c in range(m):
-        if keep[c] == 0:
-            continue
-        for w in range(nwords):
-            v[w] = zero
-        for e in range(indptr[c], indptr[c + 1]):
-            j = rowidx[e]
-            v[j >> 6] ^= one << np.uint64(j & 63)
-        while True:
-            p = -1
-            for w in range(nwords):
-                if v[w] != zero:
-                    x = v[w]
-                    b = 0
-                    while (x & one) == zero:
-                        x >>= one
-                        b += 1
-                    p = (w << 6) + b
-                    break
-            if p < 0:
-                break
-            r = pivot_of[p]
-            if r >= 0:
-                for w in range(nwords):
-                    v[w] ^= basis[r, w]
-            else:
-                for w in range(nwords):
-                    basis[rank, w] = v[w]
-                pivot_of[p] = rank
-                rank += 1
-                break
-    return rank
+def gf2_rank_forced(indptr, rowidx, keep, k):
+    """Rank of the kept columns and the forced-coordinate mask.
 
-
-@njit(cache=True)
-def _gf2_forced_nb(basis, pivot_of, k, v, forced, nwords):
-    """Mark coordinates j whose unit vector lies in the basis span."""
-    count = 0
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for j in range(k):
-        forced[j] = 0
-        r = pivot_of[j]
-        if r < 0:
-            continue
-        for w in range(nwords):
-            v[w] = basis[r, w]
-        v[j >> 6] ^= one << np.uint64(j & 63)
-        ok = True
-        while ok:
-            p = -1
-            for w in range(nwords):
-                if v[w] != zero:
-                    x = v[w]
-                    b = 0
-                    while (x & one) == zero:
-                        x >>= one
-                        b += 1
-                    p = (w << 6) + b
-                    break
-            if p < 0:
-                break
-            rr = pivot_of[p]
-            if rr < 0:
-                ok = False
-            else:
-                for w in range(nwords):
-                    v[w] ^= basis[rr, w]
-        if ok:
-            forced[j] = 1
-            count += 1
-    return count
-
-
-def _gf2_rank_forced_py(indptr, rowidx, keep, k, want_forced):
-    """Python-int bitset implementation of rank + forced coordinates."""
+    ``indptr``/``rowidx`` give the columns in compressed-sparse form; ``keep``
+    is a uint8 mask over columns.  Returns ``(rank, forced)`` with ``forced``
+    a uint8 array of length ``k``.
+    """
     pivot_of: dict[int, int] = {}
     for c in range(indptr.shape[0] - 1):
         if not keep[c]:
@@ -162,64 +53,21 @@ def _gf2_rank_forced_py(indptr, rowidx, keep, k, want_forced):
             v ^= b
     rank = len(pivot_of)
     forced = np.zeros(k, dtype=np.uint8)
-    if want_forced:
-        for j in range(k):
-            b = pivot_of.get(j)
-            if b is None:
-                continue
-            v = b ^ (1 << j)
-            ok = True
-            while v:
-                p = (v & -v).bit_length() - 1
-                b2 = pivot_of.get(p)
-                if b2 is None:
-                    ok = False
-                    break
-                v ^= b2
-            if ok:
-                forced[j] = 1
-    return rank, forced
-
-
-class Gf2Workspace:
-    """Reusable buffers for repeated eliminations over columns in F2^k."""
-
-    def __init__(self, k: int, max_rank: int):
-        self.k = int(k)
-        self.nwords = (self.k + 63) >> 6
-        self.basis = np.zeros((max(int(max_rank), 1), self.nwords), dtype=np.uint64)
-        self.pivot_of = np.full(self.k if self.k else 1, -1, dtype=np.int64)
-        self.v = np.zeros(max(self.nwords, 1), dtype=np.uint64)
-        self.forced = np.zeros(self.k if self.k else 1, dtype=np.uint8)
-
-    def reset(self) -> None:
-        self.pivot_of.fill(-1)
-
-
-def gf2_rank_forced(indptr, rowidx, keep, k, want_forced=True, workspace=None):
-    """Rank of the kept columns and the forced-coordinate mask.
-
-    ``indptr``/``rowidx`` give the columns in compressed-sparse form; ``keep``
-    is a uint8 mask over columns.  Returns ``(rank, forced)`` with ``forced``
-    a uint8 array of length ``k`` (all zeros when ``want_forced`` is false).
-    """
-    if k == 0:
-        return 0, np.zeros(0, dtype=np.uint8)
-    if not USING_NUMBA:
-        rank, forced = _gf2_rank_forced_py(indptr, rowidx, keep, k, want_forced)
-        return rank, forced
-    m = indptr.shape[0] - 1
-    ws = workspace
-    if ws is None:
-        ws = Gf2Workspace(k, min(k, m))
-    else:
-        ws.reset()
-    rank = _gf2_eliminate_nb(indptr, rowidx, keep, ws.basis, ws.pivot_of, ws.v, ws.nwords)
-    if want_forced:
-        _gf2_forced_nb(ws.basis, ws.pivot_of, k, ws.v, ws.forced, ws.nwords)
-        forced = ws.forced[:k].copy()
-    else:
-        forced = np.zeros(k, dtype=np.uint8)
+    for j in range(k):
+        b = pivot_of.get(j)
+        if b is None:
+            continue
+        v = b ^ (1 << j)
+        ok = True
+        while v:
+            p = (v & -v).bit_length() - 1
+            b2 = pivot_of.get(p)
+            if b2 is None:
+                ok = False
+                break
+            v ^= b2
+        if ok:
+            forced[j] = 1
     return rank, forced
 
 
@@ -228,63 +76,15 @@ def gf2_rank_forced(indptr, rowidx, keep, k, want_forced=True, workspace=None):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _bp_var_extrinsic_nb(evar, c2v, tot, npos, nneg, lam, clamp):
-    k = tot.shape[0]
-    for v in range(k):
-        tot[v] = 0.0
-        npos[v] = 0
-        nneg[v] = 0
-    ne = evar.shape[0]
-    for e in range(ne):
-        v = evar[e]
-        m = c2v[e]
-        if m == np.inf:
-            npos[v] += 1
-        elif m == -np.inf:
-            nneg[v] += 1
-        else:
-            tot[v] += m
-    contradiction = 0
-    for v in range(k):
-        if npos[v] > 0 and nneg[v] > 0:
-            contradiction = 1
-    for e in range(ne):
-        v = evar[e]
-        m = c2v[e]
-        pos = npos[v]
-        neg = nneg[v]
-        fin = tot[v]
-        if m == np.inf:
-            pos -= 1
-        elif m == -np.inf:
-            neg -= 1
-        else:
-            fin -= m
-        if pos > 0 and neg > 0:
-            contradiction = 1
-            lam[e] = 0.0
-        elif pos > 0:
-            lam[e] = np.inf
-        elif neg > 0:
-            lam[e] = -np.inf
-        else:
-            if fin > clamp:
-                fin = clamp
-            elif fin < -clamp:
-                fin = -clamp
-            lam[e] = fin
-    return contradiction
-
-
-def _bp_var_extrinsic_py(evar, c2v, tot, npos, nneg, lam, clamp):
-    k = tot.shape[0]
+def _bp_var_extrinsic(evar, c2v, k, lam, clamp):
+    """Write the variable-to-check messages into ``lam``; returns 1 on a
+    contradiction (a variable certain of both values), else 0."""
     pinf = c2v == np.inf
     ninf = c2v == -np.inf
     fin = np.where(np.isfinite(c2v), c2v, 0.0)
-    tot[:] = np.bincount(evar, weights=fin, minlength=k)
-    npos[:] = np.bincount(evar, weights=pinf, minlength=k).astype(np.int64)
-    nneg[:] = np.bincount(evar, weights=ninf, minlength=k).astype(np.int64)
+    tot = np.bincount(evar, weights=fin, minlength=k)
+    npos = np.bincount(evar, weights=pinf, minlength=k).astype(np.int64)
+    nneg = np.bincount(evar, weights=ninf, minlength=k).astype(np.int64)
     contradiction = bool(np.any((npos > 0) & (nneg > 0)))
     pos = npos[evar] - pinf
     neg = nneg[evar] - ninf
@@ -309,91 +109,7 @@ def _bp_var_extrinsic_py(evar, c2v, tot, npos, nneg, lam, clamp):
 # informative message only when every other neighbor is certain.
 
 
-@njit(cache=True)
-def _bp_check_update_nb(ptr, kind, obs, lam, c2v, fw, bwc, p1, clamp):
-    n = kind.shape[0]
-    contradiction = 0
-    for c in range(n):
-        e0 = ptr[c]
-        e1 = ptr[c + 1]
-        d = e1 - e0
-        if kind[c] == KIND_XOR:
-            n_unc = 0
-            unc_edge = -1
-            parity = obs[c]
-            for e in range(e0, e1):
-                m = lam[e]
-                if m == np.inf:
-                    pass
-                elif m == -np.inf:
-                    parity ^= 1
-                else:
-                    n_unc += 1
-                    unc_edge = e
-            if n_unc >= 2:
-                for e in range(e0, e1):
-                    c2v[e] = 0.0
-            elif n_unc == 1:
-                for e in range(e0, e1):
-                    c2v[e] = 0.0
-                c2v[unc_edge] = np.inf if parity == 0 else -np.inf
-            else:
-                for e in range(e0, e1):
-                    own = 1 if lam[e] == -np.inf else 0
-                    forced = parity ^ own
-                    c2v[e] = np.inf if forced == 0 else -np.inf
-            continue
-        # majority check
-        sign = -1.0 if obs[c] == 1 else 1.0
-        for i in range(d):
-            m = sign * lam[e0 + i]
-            if m == np.inf:
-                p1[i] = 0.0
-            elif m == -np.inf:
-                p1[i] = 1.0
-            else:
-                p1[i] = 1.0 / (1.0 + math.exp(m))
-        thr = (d - 1) // 2
-        # fw[i, t] = P(t ones among neighbors 0..i-1)
-        fw[0, 0] = 1.0
-        for i in range(d):
-            u = p1[i]
-            fw[i + 1, 0] = fw[i, 0] * (1.0 - u)
-            for t in range(1, i + 2):
-                fw[i + 1, t] = fw[i, t] * (1.0 - u) + fw[i, t - 1] * u
-        # bwc[i, t] = P(<= t ones among neighbors i..d-1)
-        bwc[d, 0] = 1.0
-        for t in range(1, d + 1):
-            bwc[d, t] = 1.0
-        for i in range(d - 1, -1, -1):
-            u = p1[i]
-            # running density among neighbors i..d-1 computed from bwc[i+1]
-            # via the cumulative recursion: cdf_i(t) = (1-u)*cdf_{i+1}(t) +
-            # u*cdf_{i+1}(t-1)
-            bwc[i, 0] = (1.0 - u) * bwc[i + 1, 0]
-            for t in range(1, d + 1):
-                bwc[i, t] = (1.0 - u) * bwc[i + 1, t] + u * bwc[i + 1, t - 1]
-        for i in range(d):
-            a_sum = 0.0
-            b_sum = 0.0
-            for t in range(0, min(i, thr) + 1):
-                a_sum += fw[i, t] * bwc[i + 1, thr - t]
-                if thr - t - 1 >= 0:
-                    b_sum += fw[i, t] * bwc[i + 1, thr - t - 1]
-            if a_sum <= 0.0:
-                contradiction = 1
-                c2v[e0 + i] = 0.0
-            elif b_sum <= 0.0:
-                c2v[e0 + i] = sign * np.inf
-            else:
-                msg = math.log(a_sum) - math.log(b_sum)
-                if msg > clamp:
-                    msg = clamp
-                c2v[e0 + i] = sign * msg
-    return contradiction
-
-
-def _maj_group_update_py(lam, obs, clamp):
+def _maj_group_update(lam, obs, clamp):
     """Vectorized majority update for a (C, d) block of incoming LLRs."""
     C, d = lam.shape
     sign = np.where(obs == 1, -1.0, 1.0)[:, None]
@@ -438,7 +154,7 @@ def _maj_group_update_py(lam, obs, clamp):
     return sign * out, contradiction
 
 
-def _xor_group_update_py(lam, obs):
+def _xor_group_update(lam, obs):
     C, d = lam.shape
     cert = np.isinf(lam)
     bits = cert & (lam < 0)
@@ -456,27 +172,25 @@ def _xor_group_update_py(lam, obs):
     return out
 
 
-def _bp_check_update_py(groups, obs, lam, c2v, clamp):
-    """Grouped numpy check update; ``groups`` maps (kind, d) -> edge index mat."""
+def _bp_check_update(groups, obs, lam, c2v, clamp):
+    """Grouped numpy check update; ``groups`` maps (kind, d) -> edge index mat.
+
+    Every kind other than MAJ (XOR and observed PARITY) takes the parity update.
+    """
     contradiction = False
     for (kind, d), (check_ids, emat) in groups.items():
         lam_g = lam[emat]
         obs_g = obs[check_ids]
-        if kind == KIND_MAJ:
-            out, bad = _maj_group_update_py(lam_g, obs_g, clamp)
+        if kind == MAJ:
+            out, bad = _maj_group_update(lam_g, obs_g, clamp)
             contradiction = contradiction or bad
         else:
-            out = _xor_group_update_py(lam_g, obs_g)
+            out = _xor_group_update(lam_g, obs_g)
         c2v[emat] = out
     return 1 if contradiction else 0
 
 
 __all__ = [
-    "HAS_NUMBA",
-    "USING_NUMBA",
     "LLR_CLAMP",
-    "KIND_MAJ",
-    "KIND_XOR",
-    "Gf2Workspace",
     "gf2_rank_forced",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import ERASED, ReceivedWord, h_b
-from .ensemble import CheckKind, FactorGraph
+from .ensemble import CheckKind, FactorGraph, _check_observations
 from .exactdec import ContradictionError
 
 _CLAMP = _kernels.LLR_CLAMP
@@ -93,36 +93,18 @@ def check_message(kind: CheckKind, observed: int, incoming) -> float:
 
 def _active_arrays(graph: FactorGraph, received: ReceivedWord):
     """Flat arrays for the observed checks (unerased emitted + PARITY)."""
-    ptr, evar, codes, arities = graph.flat
-    n = len(graph.checks)
-    obs_full = np.zeros(n, dtype=np.int8)
-    active = codes == 2  # PARITY always active, observed 0
-    emitted = graph.emitted_indices
-    if emitted.shape[0] != len(received):
-        raise ValueError("received length must match the emitted check count")
-    sym = received.symbols
-    obs_full[emitted] = np.where(sym == ERASED, 0, sym)
-    active_emitted = emitted[sym != ERASED]
-    active[active_emitted] = True
-    idx = np.nonzero(active)[0]
-    a_ar = arities[idx]
-    a_ptr = np.zeros(idx.shape[0] + 1, dtype=np.int64)
-    np.cumsum(a_ar, out=a_ptr[1:])
-    a_evar = np.empty(int(a_ptr[-1]), dtype=np.int64)
-    for out_i, ci in enumerate(idx):
-        a_evar[a_ptr[out_i] : a_ptr[out_i + 1]] = evar[ptr[ci] : ptr[ci + 1]]
-    a_kind = np.where(codes[idx] == 0, _kernels.KIND_MAJ, _kernels.KIND_XOR).astype(np.int8)
-    a_obs = obs_full[idx]
-    return a_ptr, a_evar, a_kind, a_obs, a_ar
+    obs = _check_observations(graph, received)
+    active = obs != ERASED
+    sub = graph.subgraph(active)
+    return sub.ptr, sub.evar, sub.kind, obs[active], sub.arity
 
 
 def _build_groups(a_ptr, a_kind, a_ar):
+    """Check ids and (C, d) edge-index matrices, one pair per (kind, arity)."""
     groups = {}
-    for key in {(int(k), int(d)) for k, d in zip(a_kind, a_ar)}:
-        kind, d = key
+    for kind, d in np.unique(np.stack([a_kind, a_ar], axis=1), axis=0).tolist():
         sel = np.nonzero((a_kind == kind) & (a_ar == d))[0]
-        emat = a_ptr[sel][:, None] + np.arange(d)[None, :]
-        groups[key] = (sel, emat)
+        groups[(kind, d)] = (sel, a_ptr[sel][:, None] + np.arange(d)[None, :])
     return groups
 
 
@@ -141,9 +123,15 @@ def _posterior(evar, c2v, k):
 
 
 def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResult:
-    """Flooding BP for ``iters`` iterations; traces have length iters + 1."""
+    """Flooding BP for ``iters`` iterations; traces have length iters + 1.
+
+    Only erasure (BEC) observations are modelled; other channels raise
+    ``ValueError``.
+    """
     if iters < 0:
         raise ValueError("iters must be >= 0")
+    if received.channel.kind != "BEC":
+        raise ValueError(f"run_bp decodes BEC observations only, not {received.channel.kind}")
     k = graph.k
     a_ptr, a_evar, a_kind, a_obs, a_ar = _active_arrays(graph, received)
     ne = int(a_ptr[-1])
@@ -161,25 +149,11 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     soft_trace.append(1.0 - float(np.mean(h_b(p0))))
     done = 0
     if not failed:
-        use_nb = _kernels.USING_NUMBA
-        tot = np.zeros(k)
-        npos = np.zeros(k, dtype=np.int64)
-        nneg = np.zeros(k, dtype=np.int64)
         lam = np.zeros(ne)
-        if use_nb:
-            maxd = int(a_ar.max()) if a_ar.shape[0] else 1
-            fw = np.zeros((maxd + 1, maxd + 1))
-            bwc = np.zeros((maxd + 1, maxd + 1))
-            p1buf = np.zeros(maxd)
-        else:
-            groups = _build_groups(a_ptr, a_kind, a_ar)
+        groups = _build_groups(a_ptr, a_kind, a_ar)
         for _ in range(iters):
-            if use_nb:
-                bad1 = _kernels._bp_var_extrinsic_nb(a_evar, c2v, tot, npos, nneg, lam, _CLAMP)
-                bad2 = _kernels._bp_check_update_nb(a_ptr, a_kind, a_obs, lam, c2v, fw, bwc, p1buf, _CLAMP)
-            else:
-                bad1 = _kernels._bp_var_extrinsic_py(a_evar, c2v, tot, npos, nneg, lam, _CLAMP)
-                bad2 = _kernels._bp_check_update_py(groups, a_obs, lam, c2v, _CLAMP)
+            bad1 = _kernels._bp_var_extrinsic(a_evar, c2v, k, lam, _CLAMP)
+            bad2 = _kernels._bp_check_update(groups, a_obs, lam, c2v, _CLAMP)
             p0, bad3 = _posterior(a_evar, c2v, k)
             done += 1
             ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))

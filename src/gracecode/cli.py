@@ -46,14 +46,6 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def thread_cap() -> int:
-    """Worker cap from GRACECODE_THREADS (default 1: fully serial runs)."""
-    try:
-        return max(1, int(os.environ.get("GRACECODE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _fmt(x) -> str:
     return format(float(x), ".12g")
 
@@ -104,7 +96,6 @@ def _write_manifest(out: str, args: argparse.Namespace, started: float, extra=No
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "walltime_s": round(time.time() - started, 3),
-        "threads": thread_cap(),
     }
     if extra:
         payload.update(extra)
@@ -113,25 +104,19 @@ def _write_manifest(out: str, args: argparse.Namespace, started: float, extra=No
         fh.write("\n")
 
 
-def _simulate_point(profile, args, alpha: float, eps: float):
-    bers, iotas = [], []
+def _trials(profile, args, alpha: float, eps: float, bins: int = 20):
+    """Yield ``measure``'s (ber, soft_info, histogram) for each seeded BEC(eps) trial at load ``alpha``."""
+    spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
     for t in range(args.trials):
         rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
-        spec = EnsembleSpec(
-            k=args.k,
-            rate=args.rate,
-            profile=profile,
-            systematic=args.systematic,
-            regular=args.regular,
-        )
         graph = sample_graph(spec, rng)
         source = rng.integers(0, 2, size=args.k).astype(np.int8)
-        coded = encode(graph, source)
-        received = transmit(coded, ChannelParam.bec(eps), rng)
-        result = run_bp(graph, received, args.bp_iters)
-        ber, iota, _ = measure(result, source)
-        bers.append(ber)
-        iotas.append(iota)
+        received = transmit(encode(graph, source), ChannelParam.bec(eps), rng)
+        yield measure(run_bp(graph, received, args.bp_iters), source, bins=bins)
+
+
+def _simulate_point(profile, args, alpha: float, eps: float):
+    bers, iotas, _ = zip(*_trials(profile, args, alpha, eps))
     ber = float(np.mean(bers))
     stderr = float(np.sqrt(max(ber * (1.0 - ber), 0.0) / (args.k * args.trials)))
     return ber, stderr, float(np.mean(iotas))
@@ -254,20 +239,7 @@ def _cmd_histogram(args) -> int:
     profile = _load_profile(args.ensemble)
     eps = min(max(1.0 - args.alpha * args.rate, 0.0), 1.0)
     counts = np.zeros(args.bins, dtype=np.int64)
-    for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, int(round(args.alpha * 1e9)), t])
-        spec = EnsembleSpec(
-            k=args.k,
-            rate=args.rate,
-            profile=profile,
-            systematic=args.systematic,
-            regular=args.regular,
-        )
-        graph = sample_graph(spec, rng)
-        source = rng.integers(0, 2, size=args.k).astype(np.int8)
-        received = transmit(encode(graph, source), ChannelParam.bec(eps), rng)
-        result = run_bp(graph, received, args.bp_iters)
-        _, _, hist = measure(result, source, bins=args.bins)
+    for _, _, hist in _trials(profile, args, args.alpha, eps, args.bins):
         counts += hist
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins)]
@@ -275,14 +247,29 @@ def _cmd_histogram(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(lo: int):
+    """argparse type for an integer >= ``lo``; a violation is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", required=True, help="builtin (rep, ldmc3, ldmc5, ldgmN) or profile file")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--systematic", action="store_true")
     p.add_argument("--regular", action="store_true")
-    p.add_argument("--bp-iters", type=int, default=10)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--bp-iters", type=_int_at_least(0), default=10)
+    p.add_argument("--trials", type=_int_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -343,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("histogram", help="posterior histogram at one load")
     _add_ensemble_args(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=_int_at_least(1), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_histogram)
     return parser

@@ -2,8 +2,9 @@
 
 A code instance is a :class:`FactorGraph`: ``k`` source variables and a list
 of checks, each a Boolean function (majority, parity, or an always-observed
-zero parity constraint) applied to a tuple of distinct variable indices.
-Systematic codes carry a prefix of ``k`` arity-1 identity checks.
+zero parity constraint) applied to distinct variable indices, stored as
+compressed sparse rows.  Systematic codes carry a prefix of ``k`` arity-1
+identity checks.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ERASED, ReceivedWord
+
+
+KIND_NAMES = ("MAJ", "XOR", "PARITY")  # position = kind code in FactorGraph.kind
+MAJ, XOR, PARITY = 0, 1, 2
 
 
 class InfeasibleSpecError(ValueError):
@@ -107,41 +112,89 @@ class EnsembleSpec:
         return int(round(self.k / self.rate))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorGraph:
-    """Bipartite variable/check structure with a Boolean function per check."""
+    """Bipartite variable/check structure in compressed sparse rows.
+
+    Check ``c`` applies the function with kind code ``kind[c]`` (0=MAJ, 1=XOR,
+    2=PARITY) to the variables ``evar[ptr[c]:ptr[c + 1]]``.  Hand-written
+    graphs are built with :meth:`from_checks`.
+    """
 
     k: int
-    checks: tuple
+    ptr: np.ndarray
+    evar: np.ndarray
+    kind: np.ndarray
     systematic_prefix: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "checks", tuple((kind, tuple(int(i) for i in idx)) for kind, idx in self.checks))
+        object.__setattr__(self, "ptr", np.asarray(self.ptr, dtype=np.int64))
+        object.__setattr__(self, "evar", np.asarray(self.evar, dtype=np.int64))
+        object.__setattr__(self, "kind", np.asarray(self.kind, dtype=np.int8))
+        if self.ptr.shape != (self.kind.shape[0] + 1,) or self.ptr[0] != 0 or self.ptr[-1] != self.evar.shape[0]:
+            raise ValueError("ptr must hold one offset per check plus len(evar), starting at 0")
+        if self.evar.size and (self.evar.min() < 0 or self.evar.max() >= self.k):
+            raise ValueError("variable index out of range")
+
+    @classmethod
+    def from_checks(cls, k: int, checks, systematic_prefix: int = 0) -> "FactorGraph":
+        """Build from ``(CheckKind, indices)`` pairs."""
+        checks = [(kind, [int(i) for i in idx]) for kind, idx in checks]
+        for kind, idx in checks:
+            if len(idx) != kind.arity:
+                raise ValueError(f"{kind.kind} check of arity {kind.arity} lists {len(idx)} variables")
+        arity = np.array([kind.arity for kind, _ in checks], dtype=np.int64)
+        evar = np.array([i for _, idx in checks for i in idx], dtype=np.int64)
+        return cls(k, _offsets(arity), evar, [KIND_NAMES.index(kind.kind) for kind, _ in checks], systematic_prefix)
+
+    @property
+    def n_checks(self) -> int:
+        return int(self.kind.shape[0])
+
+    @cached_property
+    def arity(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    @cached_property
+    def checks(self) -> tuple:
+        """``((CheckKind, indices), ...)`` view for small graphs, built on first use."""
+        ptr, evar = self.ptr.tolist(), self.evar.tolist()
+        return tuple(
+            (CheckKind(KIND_NAMES[code], ptr[c + 1] - ptr[c]), tuple(evar[ptr[c] : ptr[c + 1]]))
+            for c, code in enumerate(self.kind.tolist())
+        )
 
     @cached_property
     def emitted_indices(self) -> np.ndarray:
-        """Indices (into ``checks``) of checks that emit coded bits."""
-        return np.array([i for i, (kind, _) in enumerate(self.checks) if kind.emitted], dtype=np.int64)
+        """Indices of the checks that emit coded bits (all but PARITY)."""
+        return np.flatnonzero(self.kind != PARITY)
 
     @property
     def n_emitted(self) -> int:
         return int(self.emitted_indices.shape[0])
 
-    @cached_property
+    @property
     def flat(self):
-        """Flattened check arrays: (ptr, evar, kindcode, arity) with kind codes
-        0=MAJ, 1=XOR, 2=PARITY."""
-        n = len(self.checks)
-        arities = np.array([kind.arity for kind, _ in self.checks], dtype=np.int64)
-        codes = np.array(
-            [{"MAJ": 0, "XOR": 1, "PARITY": 2}[kind.kind] for kind, _ in self.checks], dtype=np.int8
+        """``(ptr, evar, kind, arity)`` with kind codes 0=MAJ, 1=XOR, 2=PARITY."""
+        return self.ptr, self.evar, self.kind, self.arity
+
+    def subgraph(self, keep) -> "FactorGraph":
+        """The checks selected by the boolean mask ``keep``, in their order."""
+        keep = np.asarray(keep, dtype=bool)
+        return FactorGraph(
+            self.k,
+            _offsets(self.arity[keep]),
+            self.evar[np.repeat(keep, self.arity)],
+            self.kind[keep],
+            int(keep[: self.systematic_prefix].sum()),
         )
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(arities, out=ptr[1:])
-        evar = np.empty(int(ptr[-1]), dtype=np.int64)
-        for i, (_, idx) in enumerate(self.checks):
-            evar[ptr[i] : ptr[i + 1]] = idx
-        return ptr, evar, codes, arities
+
+
+def _offsets(arity) -> np.ndarray:
+    """Row offsets ``ptr`` of checks with the given arities."""
+    ptr = np.zeros(len(arity) + 1, dtype=np.int64)
+    np.cumsum(arity, out=ptr[1:])
+    return ptr
 
 
 def _largest_remainder_counts(weights, total: int) -> np.ndarray:
@@ -173,29 +226,40 @@ def _sample_subsets(rng: np.random.Generator, count: int, d: int, k: int) -> np.
 
 
 def _sample_regular(rng: np.random.Generator, arities: np.ndarray, k: int, max_retries: int = 100) -> np.ndarray:
-    """Configuration-model pairing with per-check duplicate rejection."""
+    """Configuration-model pairing: each variable fills ``sum(arities) / k`` slots.
+
+    Returns the slot-to-variable array, check by check.  A slot repeating a
+    variable of its own check is swapped with a uniformly drawn slot of another
+    check, provided neither check then repeats a variable (edge switching).  A
+    switch keeps every variable degree and removes the repeat, so even a
+    single bad check is repaired, whatever the other checks hold.
+    """
     total = int(arities.sum())
     if total % k != 0:
         raise InfeasibleSpecError(f"regularity infeasible: {total} stubs over {k} variables")
-    var_deg = total // k
-    stubs = np.repeat(np.arange(k, dtype=np.int64), var_deg)
+    if arities.size and int(arities.max()) > k:
+        raise InfeasibleSpecError(f"arity {int(arities.max())} exceeds variable count {k}")
+    stubs = np.repeat(np.arange(k, dtype=np.int64), total // k)
     rng.shuffle(stubs)
-    ptr = np.zeros(arities.shape[0] + 1, dtype=np.int64)
-    np.cumsum(arities, out=ptr[1:])
+    ptr = _offsets(arities)
+    check_of = np.repeat(np.arange(arities.shape[0]), arities)
     for _ in range(max_retries):
-        bad_slots = []
-        ok = True
-        for c in range(arities.shape[0]):
-            seg = stubs[ptr[c] : ptr[c + 1]]
-            if np.unique(seg).shape[0] != seg.shape[0]:
-                ok = False
-                bad_slots.append(np.arange(ptr[c], ptr[c + 1]))
-        if ok:
-            return stubs, ptr
-        slots = np.concatenate(bad_slots)
-        vals = stubs[slots].copy()
-        rng.shuffle(vals)
-        stubs[slots] = vals
+        order = np.lexsort((stubs, check_of))
+        s, c = stubs[order], check_of[order]
+        bad = order[1:][(s[1:] == s[:-1]) & (c[1:] == c[:-1])]
+        if bad.size == 0:
+            return stubs
+        for slot in bad.tolist():
+            here = check_of[slot]
+            for other in rng.integers(0, total, size=64).tolist():
+                there = check_of[other]
+                if (
+                    there != here
+                    and stubs[other] not in stubs[ptr[here] : ptr[here + 1]]
+                    and stubs[slot] not in stubs[ptr[there] : ptr[there + 1]]
+                ):
+                    stubs[slot], stubs[other] = stubs[other], stubs[slot]
+                    break
     raise SamplingFailureError("configuration-model pairing failed within retry budget")
 
 
@@ -210,28 +274,18 @@ def sample_graph(spec: EnsembleSpec, rng: np.random.Generator | None = None) -> 
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     k = spec.k
-    checks: list = []
-    if spec.systematic:
-        ident = CheckKind.maj(1)
-        checks.extend((ident, (i,)) for i in range(k))
-    n_ns = spec.n - (k if spec.systematic else 0)
+    prefix = k if spec.systematic else 0
     kinds = [kind for kind, _ in spec.profile.entries]
-    counts = _largest_remainder_counts([w for _, w in spec.profile.entries], n_ns)
+    counts = _largest_remainder_counts([w for _, w in spec.profile.entries], spec.n - prefix)
+    per_check = [prefix, *counts]
+    codes = np.repeat(np.array([MAJ] + [KIND_NAMES.index(kind.kind) for kind in kinds], dtype=np.int8), per_check)
+    arity = np.repeat(np.array([1] + [kind.arity for kind in kinds], dtype=np.int64), per_check)
     if spec.regular:
-        arities = np.concatenate([np.full(c, kind.arity, dtype=np.int64) for kind, c in zip(kinds, counts)]) if kinds else np.zeros(0, dtype=np.int64)
-        stubs, ptr = _sample_regular(rng, arities, k)
-        pos = 0
-        for kind, c in zip(kinds, counts):
-            for _ in range(c):
-                checks.append((kind, tuple(stubs[ptr[pos] : ptr[pos + 1]])))
-                pos += 1
+        rows = [_sample_regular(rng, arity[prefix:], k)]
     else:
-        for kind, c in zip(kinds, counts):
-            if c == 0:
-                continue
-            idx = _sample_subsets(rng, int(c), kind.arity, k)
-            checks.extend((kind, tuple(row)) for row in idx)
-    return FactorGraph(k=k, checks=tuple(checks), systematic_prefix=k if spec.systematic else 0)
+        rows = [_sample_subsets(rng, int(c), kind.arity, k).ravel() for kind, c in zip(kinds, counts) if c]
+    evar = np.concatenate([np.arange(prefix, dtype=np.int64), *rows])
+    return FactorGraph(k, _offsets(arity), evar, codes, prefix)
 
 
 class ConstraintViolationError(ValueError):
@@ -251,10 +305,10 @@ def encode(graph: FactorGraph, source) -> np.ndarray:
     if evar.shape[0] == 0:
         return np.zeros(0, dtype=np.int8)
     sums = np.add.reduceat(s[evar], ptr[:-1])
-    vals = np.where(codes == 0, sums > arities // 2, sums % 2).astype(np.int8)
-    if np.any(vals[codes == 2] != 0):
+    vals = np.where(codes == MAJ, sums > arities // 2, sums % 2).astype(np.int8)
+    if np.any(vals[codes == PARITY] != 0):
         raise ConstraintViolationError("PARITY constraint violated by source")
-    return vals[codes != 2]
+    return vals[codes != PARITY]
 
 
 def degree_stats(graph: FactorGraph) -> np.ndarray:
@@ -263,32 +317,29 @@ def degree_stats(graph: FactorGraph) -> np.ndarray:
     Entry ``h[d]`` counts variables belonging to exactly ``d`` checks beyond
     the systematic prefix; the mean equals (sum of arities) / k.
     """
-    ptr, evar, _, _ = graph.flat
-    start = int(ptr[graph.systematic_prefix])
-    deg = np.bincount(evar[start:], minlength=graph.k)
+    start = int(graph.ptr[graph.systematic_prefix])
+    deg = np.bincount(graph.evar[start:], minlength=graph.k)
     return np.bincount(deg)
+
+
+def _check_observations(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
+    """Observed output of every check: the received symbol of an emitted check
+    (``ERASED`` when erased) and 0 for a PARITY check."""
+    if graph.n_emitted != len(received):
+        raise ValueError("received length must match the emitted check count")
+    obs = np.zeros(graph.n_checks, dtype=np.int8)
+    obs[graph.emitted_indices] = received.symbols
+    return obs
 
 
 def observed_subgraph(graph: FactorGraph, received: ReceivedWord) -> FactorGraph:
     """Sub-graph keeping PARITY checks and emitted checks with unerased output."""
-    emitted = graph.emitted_indices
-    keep = set()
-    for pos, ci in enumerate(emitted):
-        if received.symbols[pos] != ERASED:
-            keep.add(int(ci))
-    checks = []
-    sys_prefix = 0
-    for i, (kind, idx) in enumerate(graph.checks):
-        if not kind.emitted or i in keep:
-            checks.append((kind, idx))
-            if i < graph.systematic_prefix:
-                sys_prefix += 1
-    return FactorGraph(k=graph.k, checks=tuple(checks), systematic_prefix=sys_prefix)
+    return graph.subgraph(_check_observations(graph, received) != ERASED)
 
 
 def serialize_graph(graph: FactorGraph) -> str:
     """Line-oriented text form: header ``k n systematic`` then one check per line."""
-    lines = [f"{graph.k} {len(graph.checks)} {graph.systematic_prefix}"]
+    lines = [f"{graph.k} {graph.n_checks} {graph.systematic_prefix}"]
     for kind, idx in graph.checks:
         lines.append(" ".join([kind.kind, str(kind.arity)] + [str(i) for i in idx]))
     return "\n".join(lines) + "\n"
@@ -307,7 +358,7 @@ def parse_graph(text: str) -> FactorGraph:
         checks.append((kind, idx))
     if len(checks) != n:
         raise ValueError("check count does not match header")
-    return FactorGraph(k=k, checks=tuple(checks), systematic_prefix=sysprefix)
+    return FactorGraph.from_checks(k, checks, systematic_prefix=sysprefix)
 
 
 def serialize_profile(profile: DegreeProfile) -> str:

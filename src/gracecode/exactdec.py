@@ -1,7 +1,7 @@
 """Exact F2 decoding tools: rank/hrank, sub-sampling, and MAP oracles.
 
 A :class:`BitMatrix` is a k x m matrix over F2 stored column-sparse; rank and
-forced-coordinate computations run on bit-packed words through the kernels in
+forced-coordinate computations run on bitsets through the kernels in
 :mod:`gracecode._kernels`.  ``hrank`` counts coordinates forced to a unique
 value by the linear system — equivalently, standard basis vectors contained
 in the column span.
@@ -95,14 +95,14 @@ class HrankResult:
         return len(self.forced)
 
 
-def rank_hrank(A: BitMatrix, workspace: "_kernels.Gf2Workspace | None" = None) -> HrankResult:
+def rank_hrank(A: BitMatrix) -> HrankResult:
     """Gaussian-elimination rank and the set of forced coordinates.
 
     Coordinate ``j`` is forced iff ker(A) is contained in {x : x_j = 0},
     i.e. the unit vector e_j lies in the span of A's columns.
     """
     keep = np.ones(A.m, dtype=np.uint8)
-    rank, forced = _kernels.gf2_rank_forced(A.indptr, A.rowidx, keep, A.k, True, workspace)
+    rank, forced = _kernels.gf2_rank_forced(A.indptr, A.rowidx, keep, A.k)
     return HrankResult(rank=int(rank), forced=frozenset(np.nonzero(forced)[0].tolist()))
 
 
@@ -138,13 +138,10 @@ def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generat
         raise ValueError("eps must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ws = None
-    if _kernels.USING_NUMBA:
-        ws = _kernels.Gf2Workspace(G.k, min(G.k, G.m))
     total = 0.0
     for _ in range(trials):
         keep = (rng.random(G.m) >= eps).astype(np.uint8)
-        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k, True, ws)
+        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k)
         hr = int(forced.sum())
         total += (G.k - hr) / (2.0 * G.k)
     return total / trials

@@ -128,7 +128,7 @@ def exact_map_ber(G: BitMatrix, eps: float) -> float:
         p = (1.0 - eps) ** kept * eps ** (G.m - kept)
         if p == 0.0:
             continue
-        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k, True, None)
+        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k)
         total += p * (G.k - int(forced.sum())) / (2.0 * G.k)
     return total
 

@@ -90,14 +90,14 @@ def test_criterion_2_tree_oracles():
         for q in QS:
             dev = max(dev, abs(poly(float(q)) - float(maj_depth1_error(3, d, q))))
     maj1, maj3 = CheckKind.maj(1), CheckKind.maj(3)
-    star = FactorGraph(
+    star = FactorGraph.from_checks(
         k=7,
         checks=(
             (maj3, (0, 1, 2)), (maj3, (0, 3, 4)), (maj3, (0, 5, 6)),
             (maj1, (1,)), (maj1, (3,)), (maj1, (5,)), (maj1, (6,)),
         ),
     )
-    deep = FactorGraph(
+    deep = FactorGraph.from_checks(
         k=12,
         checks=(
             (maj3, (0, 1, 2)), (maj3, (0, 3, 4)), (maj3, (1, 5, 6)),
@@ -127,7 +127,7 @@ def test_criterion_3_repetition_law():
     t0 = time.time()
     k = 100_000
     checks = tuple((CheckKind.maj(1), (i,)) for i in range(k)) * 2
-    graph = FactorGraph(k=k, checks=checks)
+    graph = FactorGraph.from_checks(k=k, checks=checks)
     rng = np.random.default_rng(1)
     src = rng.integers(0, 2, size=k).astype(np.int8)
     G = BitMatrix.repetition(k, 2)

@@ -68,7 +68,7 @@ def _tree_graph_maj3():
         (MAJ1, (5,)),
         (MAJ1, (6,)),
     )
-    return FactorGraph(k=7, checks=checks)
+    return FactorGraph.from_checks(k=7, checks=checks)
 
 
 def _assert_bp_equals_brute_force(graph, symbols, iters=6):
@@ -98,7 +98,7 @@ def test_bp_exact_on_maj5_tree():
         (MAJ1, (2,)),
         (MAJ1, (5,)),
     )
-    graph = FactorGraph(k=9, checks=checks)
+    graph = FactorGraph.from_checks(k=9, checks=checks)
     for symbols in (
         [0, 0, 1, 0, 1],
         [1, ERASED, 1, 1, ERASED],
@@ -114,7 +114,7 @@ def test_bp_exact_on_mixed_tree_with_xor():
         (MAJ1, (1,)),
         (MAJ1, (2,)),
     )
-    graph = FactorGraph(k=4, checks=checks)
+    graph = FactorGraph.from_checks(k=4, checks=checks)
     for symbols in ([0, 0, 1, 0], [1, 1, 0, ERASED], [0, ERASED, 1, 1]):
         _assert_bp_equals_brute_force(graph, symbols)
 
@@ -172,10 +172,29 @@ def test_bp_deterministic():
 
 def test_bp_contradiction_flag():
     # two identity checks on the same variable with conflicting observations
-    graph = FactorGraph(k=1, checks=((MAJ1, (0,)), (MAJ1, (0,))))
+    graph = FactorGraph.from_checks(k=1, checks=((MAJ1, (0,)), (MAJ1, (0,))))
     received = ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bec(0.0))
     result = run_bp(graph, received, 2)
     assert result.failed
+
+
+def test_simulation_path_keeps_graph_as_arrays():
+    # the (CheckKind, indices) view is for small graphs; the simulate loop never builds it
+    spec = EnsembleSpec(k=300, rate=0.5, profile=DegreeProfile.single(MAJ3), systematic=True, seed=2)
+    graph = sample_graph(spec)
+    rng = np.random.default_rng(0)
+    src = rng.integers(0, 2, size=300).astype(np.int8)
+    received = transmit(encode(graph, src), ChannelParam.bec(0.5), rng)
+    measure(run_bp(graph, received, 3), src)
+    assert "checks" not in vars(graph)
+
+
+def test_run_bp_rejects_bsc():
+    # BP models erasures only; a BSC word must not be decoded as noiseless
+    graph = FactorGraph.from_checks(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
+    received = ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bsc(0.1))
+    with pytest.raises(ValueError, match="BEC"):
+        run_bp(graph, received, 2)
 
 
 def test_measure_and_histogram():
@@ -191,7 +210,7 @@ def test_measure_and_histogram():
 
 
 def test_measure_undecided_counts_half():
-    graph = FactorGraph(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
+    graph = FactorGraph.from_checks(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
     received = ReceivedWord(np.array([1, ERASED], dtype=np.int8), ChannelParam.bec(0.5))
     result = run_bp(graph, received, 1)
     ber, _, _ = measure(result, np.array([1, 0], dtype=np.int8))

@@ -28,10 +28,25 @@ def test_parse_grid():
         cli._parse_grid("1:2:0")
 
 
-def test_usage_exit_code():
+def test_usage_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required flags
     assert exc.value.code == EXIT_USAGE
+    # out-of-range counts are rejected at parse time, before any trial runs
+    base = ["--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--out", str(tmp_path / "x.csv")]
+    for command, flag, value in [
+        ("simulate", "--trials", "0"),
+        ("simulate", "--k", "0"),
+        ("simulate", "--bp-iters", "-1"),
+        ("histogram", "--bins", "0"),
+        ("histogram", "--trials", "two"),
+    ]:
+        extra = ["--alpha-grid", "1.0"] if command == "simulate" else ["--alpha", "1.0"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *base, *extra, flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_infeasible_exit_code(tmp_path):
@@ -72,7 +87,6 @@ def test_simulate_manifest(tmp_path):
     manifest = json.loads(_read(str(out) + ".manifest.json"))
     assert manifest["seed"] == 3
     assert manifest["trials"] == 1
-    assert manifest["threads"] >= 1
     assert "version" in manifest and "walltime_s" in manifest
 
 

@@ -93,12 +93,14 @@ def test_systematic_prefix():
 
 
 def test_regular_sampling_uniform_degrees():
-    spec = EnsembleSpec(k=60, rate=0.5, profile=LDMC3, regular=True, seed=2)
-    graph = sample_graph(spec)
-    ptr, evar, _, _ = graph.flat
-    deg = np.bincount(evar, minlength=60)
-    assert np.all(deg == deg[0])
-    assert deg[0] == 6  # 120 checks x arity 3 / 60 variables
+    # many seeds: a lone check repeating a variable must be repaired, not retried
+    for k in (60, 100, 1000, 5000):
+        for seed in range(50):
+            graph = sample_graph(EnsembleSpec(k=k, rate=0.5, profile=LDMC3, regular=True, seed=seed))
+            _, evar, _, arity = graph.flat
+            assert np.array_equal(np.bincount(evar, minlength=k), np.full(k, arity.sum() // k))
+            rows = np.sort(evar.reshape(-1, 3), axis=1)
+            assert np.all(rows[:, 1:] != rows[:, :-1])
 
 
 def test_regular_infeasible_stub_count():
@@ -119,7 +121,7 @@ def test_encode_matches_reference():
 
 
 def test_encode_parity_constraint():
-    graph = FactorGraph(k=3, checks=((CheckKind.parity(2), (0, 1)), (CheckKind.xor(3), (0, 1, 2))))
+    graph = FactorGraph.from_checks(k=3, checks=((CheckKind.parity(2), (0, 1)), (CheckKind.xor(3), (0, 1, 2))))
     out = encode(graph, [1, 1, 0])
     assert list(out) == [0]
     with pytest.raises(ConstraintViolationError):
@@ -142,7 +144,7 @@ def test_degree_stats_mean():
 
 
 def test_observed_subgraph():
-    graph = FactorGraph(
+    graph = FactorGraph.from_checks(
         k=4,
         checks=(
             (CheckKind.maj(3), (0, 1, 2)),
@@ -152,8 +154,21 @@ def test_observed_subgraph():
     )
     received = ReceivedWord(np.array([-1, 1], dtype=np.int8), ChannelParam.bec(0.5))
     sub = observed_subgraph(graph, received)
-    kinds = [kind.kind for kind, _ in sub.checks]
-    assert kinds == ["PARITY", "XOR"]  # erased MAJ dropped, PARITY kept
+    assert sub.checks == ((CheckKind.parity(2), (0, 3)), (CheckKind.xor(2), (1, 3)))  # erased MAJ dropped
+    with pytest.raises(ValueError):
+        observed_subgraph(graph, ReceivedWord(np.array([1], dtype=np.int8), ChannelParam.bec(0.5)))
+
+
+def test_from_checks_validation():
+    graph = FactorGraph.from_checks(4, ((CheckKind.maj(1), (2,)), (CheckKind.xor(3), (0, 1, 3))), systematic_prefix=1)
+    assert graph.ptr.tolist() == [0, 1, 4]
+    assert graph.evar.tolist() == [2, 0, 1, 3]
+    assert graph.kind.tolist() == [0, 1]
+    assert graph.arity.tolist() == [1, 3]
+    with pytest.raises(ValueError):
+        FactorGraph.from_checks(4, ((CheckKind.maj(3), (0, 1)),))  # arity 3, two indices
+    with pytest.raises(ValueError):
+        FactorGraph.from_checks(4, ((CheckKind.xor(2), (0, 4)),))  # index out of range
 
 
 def test_graph_serialization_roundtrip():

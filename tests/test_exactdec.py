@@ -183,14 +183,14 @@ def test_map_ber_repetition_law():
 
 
 def test_brute_force_single_maj3():
-    graph = FactorGraph(k=3, checks=((CheckKind.maj(3), (0, 1, 2)),))
+    graph = FactorGraph.from_checks(k=3, checks=((CheckKind.maj(3), (0, 1, 2)),))
     received = ReceivedWord(np.array([0], dtype=np.int8), ChannelParam.bec(0.0))
     marg = brute_force_marginals(graph, received)
     assert np.allclose(marg, 0.75)
 
 
 def test_brute_force_systematic_point_mass():
-    graph = FactorGraph(
+    graph = FactorGraph.from_checks(
         k=2,
         checks=((CheckKind.maj(1), (0,)), (CheckKind.maj(1), (1,))),
     )
@@ -203,7 +203,7 @@ def test_brute_force_linear_matches_forced_set():
     rng = np.random.default_rng(9)
     k = 6
     cols = [sorted(rng.choice(k, size=3, replace=False).tolist()) for _ in range(8)]
-    graph = FactorGraph(k=k, checks=tuple((CheckKind.xor(3), tuple(c)) for c in cols))
+    graph = FactorGraph.from_checks(k=k, checks=tuple((CheckKind.xor(3), tuple(c)) for c in cols))
     src = np.zeros(k, dtype=np.int8)
     received = ReceivedWord(np.zeros(8, dtype=np.int8), ChannelParam.bec(0.0))
     marg = brute_force_marginals(graph, received)
@@ -216,7 +216,7 @@ def test_brute_force_linear_matches_forced_set():
 
 
 def test_brute_force_k_limit():
-    graph = FactorGraph(k=25, checks=((CheckKind.maj(3), (0, 1, 2)),))
+    graph = FactorGraph.from_checks(k=25, checks=((CheckKind.maj(3), (0, 1, 2)),))
     received = ReceivedWord(np.array([0], dtype=np.int8), ChannelParam.bec(0.0))
     with pytest.raises(ValueError):
         brute_force_marginals(graph, received)
