@@ -76,25 +76,20 @@ def gf2_rank_forced(indptr, rowidx, keep, k):
 # ---------------------------------------------------------------------------
 
 
-def _bp_var_extrinsic(evar, c2v, k, lam, clamp):
-    """Write the variable-to-check messages into ``lam``; returns 1 on a
-    contradiction (a variable certain of both values), else 0."""
+def _bp_var_extrinsic(evar, c2v, totals, lam, clamp):
+    """Write the variable-to-check messages into ``lam``, given the posterior's
+    per-variable (finite sum, +inf count, -inf count) ``totals`` of ``c2v``.
+
+    The posterior stops BP at a variable certain of both values, so none occurs here.
+    """
+    tot, npos, nneg = totals
     pinf = c2v == np.inf
     ninf = c2v == -np.inf
     fin = np.where(np.isfinite(c2v), c2v, 0.0)
-    tot = np.bincount(evar, weights=fin, minlength=k)
-    npos = np.bincount(evar, weights=pinf, minlength=k).astype(np.int64)
-    nneg = np.bincount(evar, weights=ninf, minlength=k).astype(np.int64)
-    contradiction = bool(np.any((npos > 0) & (nneg > 0)))
     pos = npos[evar] - pinf
     neg = nneg[evar] - ninf
-    both = (pos > 0) & (neg > 0)
-    if np.any(both):
-        contradiction = True
     rest = np.clip(tot[evar] - fin, -clamp, clamp)
     lam[:] = np.where(pos > 0, np.inf, np.where(neg > 0, -np.inf, rest))
-    lam[both] = 0.0
-    return 1 if contradiction else 0
 
 
 # ---------------------------------------------------------------------------

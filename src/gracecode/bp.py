@@ -109,6 +109,7 @@ def _build_groups(a_ptr, a_kind, a_ar):
 
 
 def _posterior(evar, c2v, k):
+    """Beliefs, the contradiction flag and the per-variable totals of ``c2v``."""
     pinf = c2v == np.inf
     ninf = c2v == -np.inf
     fin = np.where(np.isfinite(c2v), c2v, 0.0)
@@ -119,7 +120,7 @@ def _posterior(evar, c2v, k):
     with np.errstate(over="ignore"):
         p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -_CLAMP, _CLAMP)))
     p0 = np.where(npos > 0, 1.0, np.where(nneg > 0, 0.0, p0))
-    return p0, contradiction
+    return p0, contradiction, (tot, npos, nneg)
 
 
 def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResult:
@@ -140,11 +141,9 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     unit = np.nonzero(a_ar == 1)[0]
     if unit.shape[0]:
         c2v[a_ptr[unit]] = np.where(a_obs[unit] == 0, np.inf, -np.inf)
-    failed = False
     ber_trace = []
     soft_trace = []
-    p0, bad = _posterior(a_evar, c2v, k)
-    failed = failed or bad
+    p0, failed, totals = _posterior(a_evar, c2v, k)
     ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
     soft_trace.append(1.0 - float(np.mean(h_b(p0))))
     done = 0
@@ -152,13 +151,13 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
         lam = np.zeros(ne)
         groups = _build_groups(a_ptr, a_kind, a_ar)
         for _ in range(iters):
-            bad1 = _kernels._bp_var_extrinsic(a_evar, c2v, k, lam, _CLAMP)
+            _kernels._bp_var_extrinsic(a_evar, c2v, totals, lam, _CLAMP)
             bad2 = _kernels._bp_check_update(groups, a_obs, lam, c2v, _CLAMP)
-            p0, bad3 = _posterior(a_evar, c2v, k)
+            p0, bad3, totals = _posterior(a_evar, c2v, k)
             done += 1
             ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
             soft_trace.append(1.0 - float(np.mean(h_b(p0))))
-            if bad1 or bad2 or bad3:
+            if bad2 or bad3:
                 failed = True
                 break
     hard = np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, -1)).astype(np.int8)

@@ -3,7 +3,8 @@
 Sub-commands: simulate, devo, converse, efun, optimize, histogram.  Every
 output CSV is deterministic given the command line (12 significant digits,
 '.' decimal separator) and is accompanied by ``<out>.manifest.json``
-recording the argv, seed, version and wall time.
+recording the argv, seed, version and wall time; ``simulate`` and
+``histogram`` add the trial count and the count of failed BP trials.
 """
 
 from __future__ import annotations
@@ -105,21 +106,23 @@ def _write_manifest(out: str, args: argparse.Namespace, started: float, extra=No
 
 
 def _trials(profile, args, alpha: float, eps: float, bins: int = 20):
-    """Yield ``measure``'s (ber, soft_info, histogram) for each seeded BEC(eps) trial at load ``alpha``."""
+    """Yield ``run_bp``'s failed flag and ``measure``'s (ber, soft_info, histogram)
+    for each seeded BEC(eps) trial at load ``alpha``."""
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
     for t in range(args.trials):
         rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
         graph = sample_graph(spec, rng)
         source = rng.integers(0, 2, size=args.k).astype(np.int8)
         received = transmit(encode(graph, source), ChannelParam.bec(eps), rng)
-        yield measure(run_bp(graph, received, args.bp_iters), source, bins=bins)
+        result = run_bp(graph, received, args.bp_iters)
+        yield (result.failed, *measure(result, source, bins=bins))
 
 
 def _simulate_point(profile, args, alpha: float, eps: float):
-    bers, iotas, _ = zip(*_trials(profile, args, alpha, eps))
+    failed, bers, iotas, _ = zip(*_trials(profile, args, alpha, eps))
     ber = float(np.mean(bers))
     stderr = float(np.sqrt(max(ber * (1.0 - ber), 0.0) / (args.k * args.trials)))
-    return ber, stderr, float(np.mean(iotas))
+    return ber, stderr, float(np.mean(iotas)), sum(failed)
 
 
 def _cmd_simulate(args) -> int:
@@ -129,9 +132,11 @@ def _cmd_simulate(args) -> int:
         eps_grid = _parse_grid(args.eps_grid)
         alphas = (1.0 - eps_grid) / args.rate
     rows = []
+    args.failed_trials = 0
     for alpha in alphas:
         eps = min(max(1.0 - alpha * args.rate, 0.0), 1.0)
-        ber, stderr, iota = _simulate_point(profile, args, float(alpha), eps)
+        ber, stderr, iota, failed = _simulate_point(profile, args, float(alpha), eps)
+        args.failed_trials += failed
         rows.append((alpha, eps, ber, stderr, iota, args.trials))
     _write_csv(args.out, ("alpha", "eps", "ber", "ber_stderr", "soft_info", "trials"), rows)
     return EXIT_OK
@@ -238,9 +243,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_histogram(args) -> int:
     profile = _load_profile(args.ensemble)
     eps = min(max(1.0 - args.alpha * args.rate, 0.0), 1.0)
-    counts = np.zeros(args.bins, dtype=np.int64)
-    for _, _, hist in _trials(profile, args, args.alpha, eps, args.bins):
-        counts += hist
+    failed, _, _, hists = zip(*_trials(profile, args, args.alpha, eps, args.bins))
+    args.failed_trials = sum(failed)
+    counts = np.sum(hists, axis=0)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins)]
     _write_csv(args.out, ("bin_lo", "bin_hi", "count"), rows)
@@ -346,7 +351,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if status == EXIT_OK and getattr(args, "out", None):
-        _write_manifest(args.out, args, started, extra={"trials": getattr(args, "trials", None)})
+        extra = {key: getattr(args, key) for key in ("trials", "failed_trials") if hasattr(args, key)}
+        _write_manifest(args.out, args, started, extra=extra)
     return status
 
 

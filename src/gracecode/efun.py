@@ -4,9 +4,16 @@ A degree-d variable sees d messages drawn from a :class:`MessageAlphabet`:
 likelihood-ratio magnitudes m >= 1 with q-dependent weights (events that fully
 determine the bit carry zero error and are dropped from the alphabet).  The
 d-th error polynomial E_d(q) averages a payoff of the posterior error over
-all message-type and agreement patterns; truncated ensemble averages over a
-degree law give the E-functions driving density evolution, alongside closed
-forms for LDGM, mixed, and systematic-regular ensembles.
+all message-type and agreement patterns.
+
+Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
+terms in the alphabet weights, and ``_average`` sums pmf[d] * E_d(q) over a
+degree pmf.  ``eval_degree`` is its one-degree case and ``EFunctionFamily``
+calls it with its degree law (on the BSC once per crossover, which sets the
+alphabet); ``closed_form_efun("sysregular")`` is a binomial-law family.
+``mixed_efun`` multiplies the LDGM closed form of the XOR components with the
+Poisson families of the MAJ components; ``closed_form_efun("mixed")`` and the
+profile optimizer call it.  ``error_poly`` expands ``_term_rep`` in powers of q.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 from scipy.stats import binom as _binom
-from scipy.stats import poisson as _poisson
 
 from .channels import h_b
 from .ensemble import DegreeProfile
@@ -77,8 +83,12 @@ class MessageAlphabet:
         object.__setattr__(self, "entries", tuple(ent))
 
 
+@lru_cache(maxsize=64)
 def f_alphabet(family: str, p: float | None = None) -> MessageAlphabet:
-    """Built-in message alphabets: LDMC3_BEC, LDMC5_BEC, LDMC3_BSC(p)."""
+    """Built-in message alphabets: LDMC3_BEC, LDMC5_BEC, LDMC3_BSC(p).
+
+    Alphabets are immutable, so each one is built once and then shared.
+    """
     tag = family.upper().replace("-", "_")
     if tag == "LDMC3_BEC":
         return MessageAlphabet(
@@ -194,26 +204,36 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     logp = logc + z @ col_logq
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
     vals = np.exp(logp) * _apply_payoff(e, payoff)
-    n = len(entries)
-    c_mat = np.zeros((z.shape[0], n), dtype=np.int16)
-    for col in range(col_entry.shape[0]):
-        c_mat[:, col_entry[col]] += z[:, col]
-    uniq, inv = np.unique(c_mat, axis=0, return_inverse=True)
-    coefs = np.bincount(inv, weights=vals, minlength=uniq.shape[0])
-    return uniq, coefs
+    # an entry's type count sums its columns; the counts of a row sum to d, so
+    # their base-(d+1) number orders the rows as np.unique(axis=0) would
+    radix = (d + 1) ** np.arange(len(entries) - 1, -1, -1)
+    keys, inv = np.unique(z @ radix[col_entry], return_inverse=True)
+    coefs = np.bincount(inv, weights=vals, minlength=keys.shape[0])
+    return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
+
+
+def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
+    """sum_d pmf[d] E_d(q) over the degrees of positive mass, at a 0-d or 1-d q.
+
+    The alphabet weights are evaluated once per q; each E_d goes through its
+    stable nonnegative term representation.  Returns a 1-d array.
+    """
+    qa = np.atleast_1d(np.asarray(q, dtype=float))
+    w = np.stack([wp(qa) for _, wp in alphabet.entries], axis=1)  # (nq, entries)
+    logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
+    tot = np.zeros(qa.shape[0])
+    for d in np.flatnonzero(pmf > 0.0):
+        uniq, coefs = _term_rep(alphabet, int(d), payoff)
+        tot = tot + pmf[d] * (coefs @ np.exp(uniq.astype(float) @ logw.T))
+    return tot
 
 
 def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray:
     """Evaluate E_d at q through the stable nonnegative term representation."""
-    uniq, coefs = _term_rep(alphabet, d, payoff)
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    w = np.array([[max(float(wp(v)), 0.0) for _, wp in alphabet.entries] for v in qa])
-    logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
-    expo = uniq.astype(float) @ logw.T  # (terms, nq)
-    out = coefs @ np.exp(expo)
-    if np.isscalar(q) or np.asarray(q).ndim == 0:
-        return float(out[0])
-    return out
+    pmf = np.zeros(d + 1)
+    pmf[d] = 1.0
+    out = _average(alphabet, payoff, pmf, q)
+    return float(out[0]) if np.ndim(q) == 0 else out
 
 
 @lru_cache(maxsize=512)
@@ -280,7 +300,8 @@ class DegreeLaw:
         ds = np.arange(D + 1)
         if self.kind == "poisson":
             mu = self.arity * alpha
-            return _poisson.pmf(ds, mu), float(_poisson.sf(D, mu))
+            pmf = np.exp(xlogy(ds, mu) - gammaln(ds + 1) - mu)
+            return pmf, max(1.0 - float(pmf.sum()), 0.0)
         if self.kind == "binomial":
             pr = alpha * self.rate
             if pr > 1.0 + 1e-12:
@@ -330,30 +351,15 @@ class EFunctionFamily:
 
     def evaluate(self, alpha: float, q):
         pmf, tail_p = self.law.probabilities(alpha, self.D)
-        if self.channel == "BEC":
-            qa = np.asarray(q, dtype=float)
-            alph = f_alphabet(f"{self.base}_bec")
-            tot = np.zeros_like(qa, dtype=float)
-            for d in range(self.D + 1):
-                if pmf[d] > 0.0:
-                    tot = tot + pmf[d] * np.asarray(eval_degree(alph, d, self.payoff, qa))
-            return float(tot) if np.isscalar(q) or np.asarray(q).ndim == 0 else tot
-        tail_val = 0.5 if self.payoff == "error" else 1.0
-
-        def one(p: float) -> float:
-            p = min(max(float(p), _BSC_MIN_P), 0.5)
-            alph = f_alphabet("ldmc3_bsc", p)
-            s = sum(
-                pmf[d] * eval_degree(alph, d, self.payoff, 0.0)
-                for d in range(self.D + 1)
-                if pmf[d] > 0.0
-            )
-            return s + tail_val * tail_p
-
         qa = np.asarray(q, dtype=float)
-        if qa.ndim == 0:
-            return one(float(qa))
-        return np.array([one(v) for v in qa.ravel()]).reshape(qa.shape)
+        if self.channel == "BEC":
+            out = _average(f_alphabet(f"{self.base}_bec"), self.payoff, pmf, qa)
+        else:
+            # the BSC alphabet is built at the crossover q itself
+            tail = (0.5 if self.payoff == "error" else 1.0) * tail_p
+            bsc = [f_alphabet("ldmc3_bsc", min(max(p, _BSC_MIN_P), 0.5)) for p in qa.ravel().tolist()]
+            out = np.array([_average(alph, self.payoff, pmf, 0.0)[0] + tail for alph in bsc])
+        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
 
 
 def build_family(
@@ -365,8 +371,6 @@ def build_family(
 ) -> EFunctionFamily:
     """Convenience constructor; the default law is Poisson(arity * alpha)."""
     base = base.lower().replace("-", "").replace("_", "")
-    if base not in ("ldmc3", "ldmc5"):
-        raise ValueError(f"unknown family base {base!r}")
     if law is None:
         law = DegreeLaw.poisson(3 if base == "ldmc3" else 5)
     return EFunctionFamily(base=base, channel=channel, payoff=payoff, D=D, law=law)
@@ -406,35 +410,36 @@ def closed_form_efun(
         m = round(m_real)
         if abs(m_real - m) > 1e-9:
             raise ValueError("SysRegular requires d(1-R)/R to be an integer")
-        pr = alpha * rate
-        if pr > 1.0 + 1e-12:
-            raise ValueError("SysRegular requires alpha*R <= 1")
-        pr = min(pr, 1.0)
-        alph = f_alphabet(f"ldmc{d}_bec")
-        pmf = _binom.pmf(np.arange(m + 1), m, pr)
-        tot = np.zeros_like(qa, dtype=float)
-        for i in range(m + 1):
-            if pmf[i] > 0.0:
-                tot = tot + pmf[i] * np.asarray(eval_degree(alph, i, "error", qa))
-        out = (1.0 - pr) * tot
+        family = build_family(f"ldmc{d}", D=m, law=DegreeLaw.binomial(m, rate))
+        out = (1.0 - min(alpha * rate, 1.0)) * family.evaluate(alpha, qa)
         return float(out) if scalar else out
     if tag == "mixed":
         if profile is None:
             raise ValueError("Mixed requires a degree profile")
-        acc = np.full_like(qa, 0.5, dtype=float)
-        for ck, lam in profile.entries:
-            if lam == 0.0:
-                continue
-            if ck.kind == "XOR":
-                factor = np.exp(-alpha * lam * ck.arity * qa ** (ck.arity - 1))
-            elif ck.kind == "MAJ":
-                fam = build_family(f"ldmc{ck.arity}", D=D)
-                factor = 2.0 * np.asarray(fam.evaluate(alpha * lam, qa), dtype=float)
-            else:
-                raise ValueError("Mixed profiles use XOR and MAJ components only")
-            acc = acc * factor
-        return float(acc) if scalar else acc
+        return mixed_efun([ck for ck, _ in profile.entries], [lam for _, lam in profile.entries], alpha, qa, D)
     raise ValueError(f"unknown closed form kind {kind!r}")
+
+
+def mixed_efun(components, weights, alpha: float, q, D: int):
+    """Mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) over the weights w_j > 0.
+
+    XOR components take the LDGM closed form and MAJ components the truncated
+    Poisson family.  The weights need not lie on the simplex: the profile
+    optimizer evaluates finite-difference points just off it.
+    """
+    qa = np.asarray(q, dtype=float)
+    acc = np.full_like(qa, 0.5)
+    for ck, lam in zip(components, weights):
+        if lam <= 0.0:
+            continue
+        if ck.kind == "XOR":
+            factor = 2.0 * closed_form_efun("ldgm", alpha * lam, qa, d=ck.arity)
+        elif ck.kind == "MAJ":
+            factor = 2.0 * build_family(f"ldmc{ck.arity}", D=D).evaluate(alpha * lam, qa)
+        else:
+            raise ValueError("Mixed profiles use XOR and MAJ components only")
+        acc = acc * factor
+    return float(acc) if qa.ndim == 0 else acc
 
 
 def d_function(family, alpha: float, q):

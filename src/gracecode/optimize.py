@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .efun import eval_degree, f_alphabet
+from .devo import fixed_point, iterate
+from .efun import mixed_efun
 from .ensemble import CheckKind, DegreeProfile
 
 _FD_STEP = 1e-5
 _BASE_STEP = 0.25
 _MAX_ITERS = 300
 _FP_TOL = 1e-11
-_FP_MAX = 100_000
 
 
 @dataclass(frozen=True)
@@ -81,43 +82,12 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-@lru_cache(maxsize=16)
-def _maj_alphabet(arity: int):
-    return f_alphabet(f"ldmc{arity}_bec")
-
-
-def _mixed_e(components, w, alpha: float, q: float, D: int) -> float:
-    """Mixture E-function 0.5 * prod_j (2 E_j(alpha w_j, q)) at a scalar q."""
-    acc = 0.5
-    for ck, lam in zip(components, w):
-        if lam <= 0.0:
-            continue
-        if ck.kind == "XOR":
-            acc *= math.exp(-alpha * lam * ck.arity * q ** (ck.arity - 1))
-        else:
-            mu = alpha * lam * ck.arity
-            alph = _maj_alphabet(ck.arity)
-            pmf = math.exp(-mu)
-            tot = 0.0
-            for d in range(D + 1):
-                tot += pmf * eval_degree(alph, d, "error", q)
-                pmf *= mu / (d + 1)
-            acc *= 2.0 * tot
-    return acc
-
-
 def _endpoint(components, w, alpha: float, ell: int | None, D: int) -> float:
-    q = 0.0
-    if ell is not None:
-        for _ in range(ell):
-            q = min(max(1.0 - 2.0 * _mixed_e(components, w, alpha, q, D), 0.0), 1.0)
-        return q
-    for _ in range(_FP_MAX):
-        nxt = min(max(1.0 - 2.0 * _mixed_e(components, w, alpha, q, D), 0.0), 1.0)
-        if abs(nxt - q) < _FP_TOL:
-            return nxt
-        q = nxt
-    return q
+    # raw weights, which leave the simplex at finite-difference points, so no DegreeProfile
+    family = SimpleNamespace(evaluate=partial(mixed_efun, components, w, D=D))
+    if ell is None:
+        return fixed_point(family, alpha, 0.0, tol=_FP_TOL)[0]
+    return iterate(family, alpha, 0.0, ell).final
 
 
 def _objective_raw(w, problem: OptProblem) -> float:

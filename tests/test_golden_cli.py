@@ -1,20 +1,25 @@
-"""Byte-for-byte guard on the CSVs of ``simulate`` and ``histogram``.
+"""Byte-for-byte guard on the outputs of the CLI subcommands.
 
-The committed files under ``tests/golden/`` were written by the CLI before the
-factor graph moved to a CSR-only representation; a refactor that keeps every
-rng draw and every floating-point operation in place keeps them identical.
-Regenerate them (only for an intended change of the numbers) with
-``PYTHONPATH=src python tests/test_golden_cli.py``.
+The committed files under ``tests/golden/`` were written by the CLI before a
+refactor; one that keeps every rng draw and every floating-point operation in
+place keeps them identical.  ``simulate`` and ``histogram`` pin the BP
+pipeline, ``devo``, ``efun`` and ``converse`` the analytic side.  The
+``optimize`` case compares its log byte for byte and its profile weights to
+1e-9, because a finite-difference ascent can move a weight in its last digits
+while every reported objective stays the same.  Regenerate them (only for an
+intended change of the numbers) with ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from gracecode.cli import EXIT_OK, main
+from gracecode.ensemble import parse_profile
 
 GOLDEN = Path(__file__).with_name("golden")
 MIXED_PROFILE = "MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"
@@ -26,6 +31,9 @@ HIST = ["histogram", *SWEEP, "--alpha", "1.0", "--bins", "20"]
 # variable in any check, so this case pins the regular sampler without its
 # repair step; the repair step is covered by the seed sweep in test_ensemble.
 REGULAR = ["--k", "2000", "--rate", "0.5", "--bp-iters", "10", "--trials", "1", "--seed", "654", "--regular"]
+DEVO = ["devo", "--alpha-grid", "0.25:1.5:0.25", "--ell", "10", "--dmax", "10"]
+AREA = ["converse", "--bound", "area", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta", "0.001", "--eps-grid", "0.4:0.95:0.05"]
+OPTIMIZE = ["optimize", "--components", "XOR:1,MAJ:3,XOR:3", "--targets", "0.9,1.1", "--ell", "5", "--multistart", "4"]
 
 CASES = {
     "simulate_ldmc3": [*SIM, "--ensemble", "ldmc3"],
@@ -40,28 +48,65 @@ CASES = {
     "histogram_mixed": [*HIST, "--ensemble", "{mixed}"],
     "histogram_ldmc3_systematic": [*HIST, "--ensemble", "ldmc3", "--systematic"],
     "histogram_ldmc3_regular": ["histogram", *REGULAR, "--ensemble", "ldmc3", "--alpha", "1.0"],
+    "devo_ldmc3_bec_error": [*DEVO, "--family", "ldmc3"],
+    "devo_ldmc5_bec_error": [*DEVO, "--family", "ldmc5"],
+    "devo_ldmc3_bsc_chi2": [*DEVO, "--family", "ldmc3", "--surrogate", "BSC", "--quantity", "chi2-soft", "--x0", "0.5"],
+    "devo_ldgm3": [*DEVO, "--family", "ldgm3"],
+    "devo_mixed": [*DEVO, "--family", "{mixed}"],
+    "efun_ldmc5_error": ["efun", "--family", "ldmc5-bec", "--payoff", "error"],
+    "efun_ldmc5_chi2": ["efun", "--family", "ldmc5-bec", "--payoff", "chi2"],
+    "converse_linear2": ["converse", "--bound", "linear2", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta", "0.05", "--eps-grid", "0.1:0.9:0.05"],
+    "converse_area_linear_systematic": [*AREA, "--mode", "linear_systematic"],
+    "converse_area_systematic": [*AREA, "--mode", "systematic"],
+    # the degraded side (eps >= anchor) only: the upgraded side scans a fine grid per point
+    "converse_general2_degraded": ["converse", "--bound", "general2", "--rate", "0.5", "--anchor-eps", "0.75", "--anchor-delta", "0.2501", "--eps-grid", "0.75:0.9:0.05"],
 }
+SUFFIX = {"optimize": ".profile"}
 
 
-def run_case(name: str, workdir: Path) -> bytes:
+def run_case(name: str, argv: list[str], workdir: Path) -> Path:
     mixed = workdir / "mixed.profile"
     mixed.write_text(MIXED_PROFILE, encoding="utf-8")
-    out = workdir / f"{name}.csv"
-    argv = [a.format(mixed=mixed) for a in CASES[name]] + ["--out", str(out)]
-    assert main(argv) == EXIT_OK
-    return out.read_bytes()
+    out = workdir / f"{name}{SUFFIX.get(name, '.csv')}"
+    assert main([a.format(mixed=mixed) for a in argv] + ["--out", str(out)]) == EXIT_OK
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_csv(name, tmp_path):
-    assert run_case(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+    out = run_case(name, CASES[name], tmp_path)
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_golden_optimize(tmp_path):
+    out = run_case("optimize", OPTIMIZE, tmp_path)
+    log = Path(f"{out}.log")
+    assert log.read_bytes() == (GOLDEN / log.name).read_bytes()
+    got = parse_profile(out.read_text(encoding="utf-8")).entries
+    want = parse_profile((GOLDEN / out.name).read_text(encoding="utf-8")).entries
+    assert [ck for ck, _ in got] == [ck for ck, _ in want]
+    assert [w for _, w in got] == pytest.approx([w for _, w in want], rel=0, abs=1e-9)
+
+
+def test_failed_trials_in_manifest(tmp_path):
+    # ldmc5 BP at k=2000 stops on a contradiction in about a fifth of the
+    # trials; the count goes to the manifest and leaves the CSV unchanged
+    for name, allowed in (("simulate_ldmc5", range(1, 5 * 2 + 1)), ("histogram_ldmc3", (0,))):
+        out = run_case(name, CASES[name], tmp_path)
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["failed_trials"] in allowed, name
 
 
 if __name__ == "__main__":
+    import shutil
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            (GOLDEN / f"{case}.csv").write_bytes(run_case(case, Path(tmp)))
-            print(f"wrote {case}.csv", file=sys.stderr)
+        for case, argv in sorted({**CASES, "optimize": OPTIMIZE}.items()):
+            out = run_case(case, argv, Path(tmp))
+            for path in (out, Path(f"{out}.log")):
+                if path.exists():
+                    shutil.copyfile(path, GOLDEN / path.name)
+                    print(f"wrote {path.name}", file=sys.stderr)

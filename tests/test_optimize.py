@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gracecode.devo import fixed_point, iterate
+from gracecode.efun import ClosedFormFamily
 from gracecode.ensemble import CheckKind, DegreeProfile
 from gracecode.optimize import OptProblem, objective, optimize_profile, project_simplex
 
@@ -115,3 +117,22 @@ def test_deterministic():
     b = optimize_profile(prob)
     assert a.objective == b.objective
     assert a.profile.entries == b.profile.entries
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ((CheckKind.xor(1), 0.2), (CheckKind.maj(3), 0.5), (CheckKind.xor(3), 0.3)),
+        ((CheckKind.maj(5), 0.6), (CheckKind.xor(2), 0.4)),
+        ((CheckKind.maj(3), 0.0), (CheckKind.xor(1), 0.3), (CheckKind.maj(5), 0.7)),
+    ],
+)
+def test_objective_is_density_evolution_endpoint(entries):
+    profile = DegreeProfile(entries)
+    comps = tuple(ck for ck, _ in entries)
+    targets = (0.6, 0.9, 1.1)
+    family = ClosedFormFamily("mixed", profile=profile, D=10)
+    traced = sum(iterate(family, a, 0.0, 5).final for a in targets)
+    assert objective(profile, OptProblem(comps, targets, ell=5)) == pytest.approx(traced, rel=0, abs=1e-12)
+    fixed = sum(fixed_point(family, a, 0.0, tol=1e-11)[0] for a in targets)
+    assert objective(profile, OptProblem(comps, targets, ell=None)) == pytest.approx(fixed, rel=0, abs=1e-12)
