@@ -68,8 +68,6 @@ from .devo import (
     large_d_bound,
 )
 from .converse import (
-    AnchorPoint,
-    BoundCurve,
     ExitResult,
     area_two_point,
     exit_tools,
@@ -111,7 +109,7 @@ __all__ = [
     "DETrace", "DEBounds", "iterate", "bounds_from_traces", "fixed_point",
     "large_d_bound",
     # converse
-    "AnchorPoint", "BoundCurve", "ExitResult", "shannon_single_point",
+    "ExitResult", "shannon_single_point",
     "linear_single_point", "linear_two_point", "general_two_point",
     "area_two_point", "repetition_domination", "exit_tools",
     "threshold_comparison",

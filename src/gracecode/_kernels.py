@@ -30,6 +30,20 @@ USING_NUMBA = False
 # e_j reduces to zero against the basis, i.e. e_j lies in the column span.
 
 
+def gf2_reduce(v: int, pivot_of: dict) -> int:
+    """Reduce the bitset ``v`` against the echelon basis ``pivot_of``.
+
+    Returns 0 when ``v`` lies in the span, else a residual whose lowest set
+    bit has no pivot yet; inserting it is ``pivot_of[low bit] = residual``.
+    """
+    while v:
+        b = pivot_of.get((v & -v).bit_length() - 1)
+        if b is None:
+            return v
+        v ^= b
+    return 0
+
+
 def gf2_rank_forced(indptr, rowidx, keep, k):
     """Rank of the kept columns and the forced-coordinate mask.
 
@@ -44,31 +58,11 @@ def gf2_rank_forced(indptr, rowidx, keep, k):
         v = 0
         for e in range(indptr[c], indptr[c + 1]):
             v |= 1 << int(rowidx[e])
-        while v:
-            p = (v & -v).bit_length() - 1
-            b = pivot_of.get(p)
-            if b is None:
-                pivot_of[p] = v
-                break
-            v ^= b
-    rank = len(pivot_of)
-    forced = np.zeros(k, dtype=np.uint8)
-    for j in range(k):
-        b = pivot_of.get(j)
-        if b is None:
-            continue
-        v = b ^ (1 << j)
-        ok = True
-        while v:
-            p = (v & -v).bit_length() - 1
-            b2 = pivot_of.get(p)
-            if b2 is None:
-                ok = False
-                break
-            v ^= b2
-        if ok:
-            forced[j] = 1
-    return rank, forced
+        v = gf2_reduce(v, pivot_of)
+        if v:
+            pivot_of[(v & -v).bit_length() - 1] = v
+    forced = np.array([gf2_reduce(1 << j, pivot_of) == 0 for j in range(k)], dtype=np.uint8)
+    return len(pivot_of), forced
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Sub-commands: simulate, devo, converse, efun, optimize, histogram.  Every
 output CSV is deterministic given the command line (12 significant digits,
 '.' decimal separator) and is accompanied by ``<out>.manifest.json``
-recording the argv, seed, version and wall time; ``simulate`` and
-``histogram`` add the trial count and the count of failed BP trials.
+recording the argv, version and wall time; ``simulate``, ``histogram`` and
+``optimize`` add their seed, and ``simulate`` and ``histogram`` the trial
+count and the count of failed BP trials.
 """
 
 from __future__ import annotations
@@ -91,15 +92,14 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: str, args: argparse.Namespace, started: float, extra=None) -> None:
+def _write_manifest(out: str, args: argparse.Namespace, started: float) -> None:
     payload = {
         "argv": sys.argv[1:],
-        "seed": getattr(args, "seed", None),
         "version": __version__,
         "walltime_s": round(time.time() - started, 3),
     }
-    if extra:
-        payload.update(extra)
+    # only the commands that take a seed or run trials record these
+    payload.update({key: getattr(args, key) for key in ("seed", "trials", "failed_trials") if hasattr(args, key)})
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surrogate", choices=("BEC", "BSC"), default="BEC")
     p.add_argument("--quantity", choices=("error", "chi2-soft", "capacity-soft"), default="error")
     p.add_argument("--dmax", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_devo)
 
@@ -309,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchor-delta", type=float, default=0.0)
     p.add_argument("--mode", choices=("linear_systematic", "systematic"), default="linear_systematic")
     p.add_argument("--eps-grid", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_converse)
 
@@ -317,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="ldmc3-bec")
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--payoff", choices=("error", "entropy", "chi2"), default="error")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_efun)
 
@@ -351,8 +348,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if status == EXIT_OK and getattr(args, "out", None):
-        extra = {key: getattr(args, key) for key in ("trials", "failed_trials") if hasattr(args, key)}
-        _write_manifest(args.out, args, started, extra=extra)
+        _write_manifest(args.out, args, started)
     return status
 
 

@@ -8,6 +8,7 @@ exhaustively-enumerable codes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import h_b, h_b_inv
+from ._kernels import gf2_reduce
 from .exactdec import BitMatrix
 
 _GRID = 2000
@@ -39,55 +41,25 @@ def _golden_max(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
     return max(fc, fd, f(0.5 * (a + b)))
 
 
-def _sup(f, lo: float, hi: float, n: int = _GRID, open_ends: bool = True) -> float:
-    """Grid scan + golden-section refinement; endpoints are approached but
-    never evaluated when ``open_ends`` (suprema may live at open endpoints)."""
-    xs = np.linspace(lo, hi, n + 2)
-    if open_ends:
-        xs = xs[1:-1]
-    vals = np.array([f(float(x)) for x in xs])
+def _sup(f, xs: np.ndarray, lo: float, hi: float) -> float:
+    """Max of ``f`` over the grid ``xs``, refined by golden section between the
+    grid neighbours of the best point (``lo``/``hi`` past either end).
+
+    ``f`` takes the grid as an array and the refinement's points as floats.
+    """
+    vals = f(xs)
     i = int(np.argmax(vals))
     a = float(xs[i - 1]) if i > 0 else lo
     b = float(xs[i + 1]) if i + 1 < xs.shape[0] else hi
-    return max(float(vals[i]), _golden_max(f, a, b))
+    return max(float(vals[i]), _golden_max(lambda x: float(f(x)), a, b))
 
 
-@dataclass(frozen=True)
-class AnchorPoint:
-    """Anchor: BER <= delta over BEC(eps) for a rate-R code."""
-
-    eps: float
-    delta: float
-    rate: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("anchor eps must lie in [0, 1]")
-        if not 0.0 <= self.delta <= 0.5:
-            raise ValueError("anchor delta must lie in [0, 1/2]")
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError("rate must lie in (0, 1]")
-
-    @property
-    def rho(self) -> float:
-        return 1.0 / self.rate
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """A lower-bound curve over an erasure (or load) grid."""
-
-    kind: str
-    xs: np.ndarray
-    values: np.ndarray
-    anchor: AnchorPoint | None = None
-    x_axis: str = "eps"
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.xs.shape != self.values.shape:
-            raise ValueError("xs and values must have matching shapes")
+def _check_anchor(delta: float, *eps: float) -> None:
+    """Reject erasure probabilities outside [0, 1] and an anchor BER outside [0, 1/2]."""
+    if not all(0.0 <= e <= 1.0 for e in eps):
+        raise ValueError("erasure probabilities must lie in [0, 1]")
+    if not 0.0 <= delta <= 0.5:
+        raise ValueError("anchor BER must lie in [0, 1/2]")
 
 
 def shannon_single_point(R: float, C: float) -> float:
@@ -114,6 +86,9 @@ def linear_two_point(rho: float, delta1: float, eps1: float, eps2: float) -> flo
     """Lower bound on BER(eps2) for a linear code with BER(eps1) <= delta1."""
     if rho < 1.0:
         raise ValueError("rho must be >= 1")
+    _check_anchor(delta1, eps1, eps2)
+    if eps1 == 1.0:
+        raise ValueError("anchor eps1 must be < 1")
     if delta1 > eps1 / 2.0 + 1e-12:
         raise ValueError("anchor requires delta1 <= eps1/2")
     if eps2 == eps1:
@@ -137,23 +112,13 @@ def _eta(delta_star: float, eps: float, tau: float, R: float) -> float:
     scale = (1.0 - tau) / (1.0 - eps) if eps < 1.0 else 0.0
     hd = float(h_b(delta_star))
 
-    def val(q: float) -> float:
-        if q >= 0.5 - 1e-9:
-            return -math.inf
+    def val(q):
         conv = q * (1.0 - delta_star) + (1.0 - q) * delta_star
-        arg = base + scale * (float(h_b(conv)) - hd)
-        arg = min(max(arg, 0.0), 1.0)
-        return (float(h_b_inv(arg)) - q) / (1.0 - 2.0 * q)
+        arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
+        # 1 - 2q vanishes at q = 1/2, where the ratio is no longer resolved
+        return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
 
-    # vectorized grid scan (h_b / h_b_inv broadcast), scalar golden refine
-    qs = np.linspace(0.0, 0.5, _GRID + 1)[:-1]
-    conv = qs * (1.0 - delta_star) + (1.0 - qs) * delta_star
-    arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
-    vals = (h_b_inv(arg) - qs) / (1.0 - 2.0 * qs)
-    i = int(np.argmax(vals))
-    a = float(qs[i - 1]) if i > 0 else 0.0
-    b = float(qs[i + 1]) if i + 1 < qs.shape[0] else 0.5
-    best = max(float(vals[i]), _golden_max(val, a, b))
+    best = _sup(val, np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
     return min(max(best, 0.0), 0.5)
 
 
@@ -166,45 +131,50 @@ def general_two_point(R: float, delta_a: float, eps_a: float, eps: float) -> flo
     """
     if not 0.0 < R <= 1.0:
         raise ValueError("R must lie in (0, 1]")
+    _check_anchor(delta_a, eps_a, eps)
     floor = shannon_single_point(R, 1.0 - eps_a)
     if delta_a < floor - 1e-9:
         raise ValueError("anchor lies below the Shannon limit at eps_a")
     if eps >= eps_a:
         return _eta(delta_a, eps_a, eps, R)
     ys = np.linspace(0.0, 0.5, _GRID + 1)
-    prev_y = None
-    for y in ys:
-        if _eta(float(y), eps, eps_a, R) <= delta_a + 1e-12:
-            if prev_y is None:
-                return float(y)
-            lo, hi = prev_y, float(y)
-            while hi - lo > _REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if _eta(mid, eps, eps_a, R) <= delta_a + 1e-12:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-        prev_y = float(y)
-    return 0.0
+
+    def feasible(y: float) -> bool:
+        return _eta(y, eps, eps_a, R) <= delta_a + 1e-12
+
+    # eta(y) does not increase with y on [0, 1/2), so the feasible points of
+    # ys[:-1] form a tail, found by bisection.  y = 1/2 (eta = 1/2 there by
+    # convention) is feasible only when y = 0 is, so an empty tail gives 0.
+    j = bisect.bisect_left(range(_GRID), True, key=lambda i: feasible(float(ys[i])))
+    if j in (0, _GRID):
+        return 0.0
+    lo, hi = float(ys[j - 1]), float(ys[j])
+    while hi - lo > _REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _zeta(x: float, eps2: float, eps1: float, R: float) -> float:
     """sup over eps0 in (0, eps2) of the area-theorem excess expression."""
+    if eps2 == 0.0:
+        return -math.inf  # the interval is empty
 
-    def val(e0: float) -> float:
-        if eps2 - e0 <= 0.0 or eps1 - e0 <= 0.0:
-            return -math.inf
+    def val(e0):
         term = R - (1.0 - eps1) - e0 * x * R / (eps2 - e0)
         return (term / (eps1 - e0) - 1.0 + R) / R
 
-    return _sup(val, 0.0, eps2)
+    return _sup(val, np.linspace(0.0, eps2, _GRID + 2)[1:-1], 0.0, eps2)
 
 
 def area_two_point(R: float, delta2: float, eps2: float, eps1: float, mode: str = "linear_systematic") -> float:
     """Area-theorem lower bound on BER(eps1) given BER(eps2) <= delta2 (eps2 < eps1)."""
     if not 0.0 < R <= 1.0:
         raise ValueError("R must lie in (0, 1]")
+    _check_anchor(delta2, eps2, eps1)
     if not eps2 < eps1:
         raise ValueError("requires eps2 < eps1")
     if mode == "linear_systematic":
@@ -299,29 +269,15 @@ def exit_tools(G: BitMatrix) -> ExitResult:
             for b, j in enumerate(others[i]):
                 if (mask >> b) & 1:
                     continue
-                v = cols[j]
-                while v:
-                    low = (v & -v).bit_length() - 1
-                    row = pivots.get(low)
-                    if row is None:
-                        pivots[low] = v
-                        break
-                    v ^= row
-            v = ci
-            while v:
-                low = (v & -v).bit_length() - 1
-                row = pivots.get(low)
-                if row is None:
-                    break
-                v ^= row
-            if v:
+                v = gf2_reduce(cols[j], pivots)
+                if v:
+                    pivots[(v & -v).bit_length() - 1] = v
+            if gf2_reduce(ci, pivots):
                 counts[i, bin(mask).count("1")] += 1
     return ExitResult(k=k, m=m, counts=counts)
 
 
 __all__ = [
-    "AnchorPoint",
-    "BoundCurve",
     "ExitResult",
     "shannon_single_point",
     "linear_single_point",

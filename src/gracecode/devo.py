@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .channels import h_b, h_b_inv
 
@@ -183,6 +182,8 @@ def large_d_bound(alpha: float, r: float) -> float:
     def integrand(z: float) -> float:
         phi = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return phi / (1.0 + math.exp(abs(a * z + b)))
+
+    from scipy.integrate import quad
 
     val, err = quad(integrand, -8.0, 8.0, epsabs=1e-8, epsrel=1e-8, limit=200)
     if not math.isfinite(val) or err > 1e-6:

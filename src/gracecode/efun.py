@@ -24,8 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln, xlogy
-from scipy.stats import binom as _binom
+from scipy.special import gammaln, xlog1py, xlogy
 
 from .channels import h_b
 from .ensemble import DegreeProfile
@@ -297,8 +296,8 @@ class DegreeLaw:
 
     def probabilities(self, alpha: float, D: int):
         """(pmf over degrees 0..D, P(Deg > D)) at load alpha."""
-        ds = np.arange(D + 1)
         if self.kind == "poisson":
+            ds = np.arange(D + 1)
             mu = self.arity * alpha
             pmf = np.exp(xlogy(ds, mu) - gammaln(ds + 1) - mu)
             return pmf, max(1.0 - float(pmf.sum()), 0.0)
@@ -306,9 +305,12 @@ class DegreeLaw:
             pr = alpha * self.rate
             if pr > 1.0 + 1e-12:
                 raise ValueError("binomial degree law needs alpha*rate <= 1")
-            pr = min(pr, 1.0)
-            return _binom.pmf(ds, self.trials, pr), float(_binom.sf(D, self.trials, pr))
-        w = np.array(self.weights)
+            n, pr = self.trials, min(pr, 1.0)
+            ks = np.arange(n + 1)
+            logc = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+            w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
+        else:
+            w = np.array(self.weights)
         pmf = np.zeros(D + 1)
         upto = min(D + 1, w.shape[0])
         pmf[:upto] = w[:upto]

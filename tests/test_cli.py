@@ -165,6 +165,39 @@ def test_converse_curves(tmp_path):
     assert abs(val - 0.1100278644385071) < 1e-9
 
 
+def test_converse_out_of_range_inputs(tmp_path):
+    out = tmp_path / "conv.csv"
+    for flags in [
+        ["--bound", "linear2", "--anchor-eps", "1.0", "--anchor-delta", "0.1", "--eps-grid", "0.5"],
+        ["--bound", "general2", "--anchor-eps", "0.75", "--anchor-delta", "0.2501", "--eps-grid", "0.9:1.2:0.1"],
+        ["--bound", "general2", "--anchor-eps", "0.75", "--anchor-delta", "0.7", "--eps-grid", "0.8"],
+        ["--bound", "area", "--anchor-eps", "0.4", "--anchor-delta", "0.001", "--eps-grid", "0.9:1.2:0.1"],
+    ]:
+        assert main(["converse", "--rate", "0.5", *flags, "--out", str(out)]) == EXIT_INFEASIBLE, flags
+        assert not out.exists()
+
+
+def test_manifest_seed_only_where_taken(tmp_path, capsys):
+    runs = {
+        "devo": ["devo", "--family", "ldgm3", "--alpha-grid", "1.0", "--ell", "2"],
+        "converse": ["converse", "--bound", "shannon", "--rate", "0.5", "--eps-grid", "0.75"],
+        "efun": ["efun", "--dmax", "2"],
+        "optimize": ["optimize", "--components", "XOR:1,XOR:2", "--targets", "1.0", "--ell", "2",
+                     "--multistart", "1", "--seed", "7"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert manifest.get("seed") == (7 if name == "optimize" else None), name
+        assert ("seed" in manifest) == (name == "optimize"), name
+        if name != "optimize":  # these commands draw no random numbers
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--seed", "1", "--out", str(out)])
+            assert exc.value.code == EXIT_USAGE
+            assert "--seed" in capsys.readouterr().err
+
+
 def test_converse_area_skips_below_anchor(tmp_path):
     out = tmp_path / "area.csv"
     argv = ["converse", "--bound", "area", "--rate", "0.5",

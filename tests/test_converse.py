@@ -10,8 +10,7 @@ import pytest
 from _oracles import exact_map_ber
 from gracecode.channels import h_b, h_b_inv
 from gracecode.converse import (
-    AnchorPoint,
-    BoundCurve,
+    _eta,
     area_two_point,
     exit_tools,
     general_two_point,
@@ -68,6 +67,16 @@ def test_linear_two_point_validation():
         linear_two_point(0.5, 0.1, 0.6, 0.4)
     with pytest.raises(ValueError):
         linear_two_point(2.0, 0.4, 0.6, 0.4)  # delta1 > eps1/2
+    for args in [
+        (2.0, 0.1, 1.0, 0.5),  # degenerate anchor at eps1 = 1
+        (2.0, 0.1, 1.0, 1.0),
+        (2.0, 0.1, 0.6, 1.1),  # eps2 outside [0, 1]
+        (2.0, 0.1, 0.6, -0.1),
+        (2.0, 0.1, 1.2, 0.5),  # eps1 outside [0, 1]
+        (2.0, -0.1, 0.6, 0.4),  # anchor BER outside [0, 1/2]
+    ]:
+        with pytest.raises(ValueError):
+            linear_two_point(*args)
 
 
 def test_general_two_point_reference_values():
@@ -85,6 +94,24 @@ def test_general_two_point_anchor_below_shannon():
     # BER 0.01 at eps = 0.75 is impossible for a rate-1/2 code
     with pytest.raises(ValueError):
         general_two_point(0.5, 0.01, 0.75, 0.9)
+    for args in [
+        (0.5, 0.15, 0.75, 1.1),  # eps outside [0, 1]
+        (0.5, 0.15, 0.75, -0.1),
+        (0.5, 0.15, 1.2, 0.9),  # anchor eps outside [0, 1]
+        (0.5, 0.6, 0.75, 0.9),  # anchor BER outside [0, 1/2]
+        (0.5, -0.1, 0.25, 0.9),
+    ]:
+        with pytest.raises(ValueError):
+            general_two_point(*args)
+
+
+@pytest.mark.parametrize("R, eps, tau", [(0.5, 0.7, 0.75), (0.25, 0.5, 0.9), (0.8, 0.2, 0.3)])
+def test_eta_nonincreasing_in_y(R, eps, tau):
+    # the upgraded side of general_two_point bisects over y on this property
+    vals = [_eta(float(y), eps, tau, R) for y in np.linspace(0.0, 0.5, 21)[:-1]]
+    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    assert vals[0] > vals[-1]
+    assert _eta(0.5, eps, tau, R) == 0.5  # by convention at y = 1/2
 
 
 def test_area_two_point_reference_value():
@@ -97,6 +124,15 @@ def test_area_two_point_validation_and_modes():
         area_two_point(0.5, 0.1, 0.6, 0.5)  # eps2 >= eps1
     with pytest.raises(ValueError):
         area_two_point(0.5, 0.1, 0.4, 0.6, "bogus")
+    for args in [
+        (0.5, 0.1, 0.4, 1.1),  # eps1 outside [0, 1]
+        (0.5, 0.1, -0.1, 0.6),  # eps2 outside [0, 1]
+        (0.5, 0.6, 0.4, 0.6),  # anchor BER outside [0, 1/2]
+        (0.5, -0.1, 0.4, 0.6),
+    ]:
+        with pytest.raises(ValueError):
+            area_two_point(*args)
+    assert area_two_point(0.5, 0.0, 0.0, 0.5) == 0.0  # anchor at eps 0 bounds nothing
     v1 = area_two_point(0.5, 0.0, 0.475, 0.6, "systematic")
     assert 0.0 <= v1 <= 0.5
 
@@ -179,20 +215,6 @@ def test_exit_slope_bounded_by_data_ber():
         ber0 = exact_map_ber(G, float(eps0))
         for eps in np.linspace(0.05, eps0 - 0.1, 7):
             assert res.h(float(eps)) <= 2.0 * R * ber0 / (eps0 - eps) + 1e-12
-
-
-def test_anchor_and_curve_containers():
-    a = AnchorPoint(eps=0.75, delta=0.2501, rate=0.5)
-    assert a.rho == 2.0
-    with pytest.raises(ValueError):
-        AnchorPoint(eps=1.5, delta=0.1, rate=0.5)
-    with pytest.raises(ValueError):
-        AnchorPoint(eps=0.5, delta=0.7, rate=0.5)
-    xs = np.linspace(0.5, 0.9, 5)
-    curve = BoundCurve("linear2", xs, np.zeros(5), anchor=a)
-    assert curve.values.shape == (5,)
-    with pytest.raises(ValueError):
-        BoundCurve("linear2", xs, np.zeros(4))
 
 
 def test_exit_fraction_area_cross_check():

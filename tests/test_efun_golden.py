@@ -177,6 +177,20 @@ def test_degree_law_probabilities():
     assert abs(tail - 0.25) < 1e-12
 
 
+def test_binomial_law_matches_scipy():
+    from scipy.stats import binom
+
+    for n in range(20):
+        for pr in (0.0, 1e-3, 0.1, 0.5, 0.7, 0.999, 1.0):
+            pmf, tail = DegreeLaw.binomial(n, 1.0).probabilities(pr, 10)
+            ref = binom.pmf(np.arange(11), n, pr)
+            assert pmf == pytest.approx(ref, rel=1e-12, abs=0.0), (n, pr)
+            if n <= 10:
+                assert tail == 0.0
+            else:
+                assert tail == pytest.approx(binom.sf(10, n, pr), rel=1e-12, abs=1e-15), (n, pr)
+
+
 def test_family_evaluate_is_degree_mixture():
     fam = build_family("ldmc3", D=10)
     alpha, q = 1.3, 0.4

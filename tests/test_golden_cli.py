@@ -33,6 +33,7 @@ HIST = ["histogram", *SWEEP, "--alpha", "1.0", "--bins", "20"]
 REGULAR = ["--k", "2000", "--rate", "0.5", "--bp-iters", "10", "--trials", "1", "--seed", "654", "--regular"]
 DEVO = ["devo", "--alpha-grid", "0.25:1.5:0.25", "--ell", "10", "--dmax", "10"]
 AREA = ["converse", "--bound", "area", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta", "0.001", "--eps-grid", "0.4:0.95:0.05"]
+GENERAL2 = ["converse", "--bound", "general2", "--rate", "0.5", "--anchor-eps", "0.75", "--anchor-delta", "0.2501"]
 OPTIMIZE = ["optimize", "--components", "XOR:1,MAJ:3,XOR:3", "--targets", "0.9,1.1", "--ell", "5", "--multistart", "4"]
 
 CASES = {
@@ -58,8 +59,10 @@ CASES = {
     "converse_linear2": ["converse", "--bound", "linear2", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta", "0.05", "--eps-grid", "0.1:0.9:0.05"],
     "converse_area_linear_systematic": [*AREA, "--mode", "linear_systematic"],
     "converse_area_systematic": [*AREA, "--mode", "systematic"],
-    # the degraded side (eps >= anchor) only: the upgraded side scans a fine grid per point
-    "converse_general2_degraded": ["converse", "--bound", "general2", "--rate", "0.5", "--anchor-eps", "0.75", "--anchor-delta", "0.2501", "--eps-grid", "0.75:0.9:0.05"],
+    # general2 on both sides of its anchor: eps >= 0.75 evaluates eta once per
+    # point, eps < 0.75 searches for the smallest feasible y
+    "converse_general2_degraded": [*GENERAL2, "--eps-grid", "0.75:0.9:0.05"],
+    "converse_general2_upgraded": [*GENERAL2, "--eps-grid", "0.6:0.7:0.05"],
 }
 SUFFIX = {"optimize": ".profile"}
 
