@@ -91,56 +91,50 @@ def _bp_var_extrinsic(evar, c2v, totals, lam, clamp):
 # ---------------------------------------------------------------------------
 #
 # Majority checks: the target-bit likelihood ratio for an observed 0 is
-# P(T <= (d-1)/2) / P(T <= (d-3)/2) where T counts ones among the other d-1
-# neighbors; the symmetric-sum convolution is evaluated once per check with a
-# forward/backward sweep (O(d^2) per check).  An observed 1 is the mirror
-# image (negate incoming and outgoing LLRs).  Parity checks send an
-# informative message only when every other neighbor is certain.
+# P(T <= thr) / P(T <= thr - 1), thr = (d-1)//2, where T counts ones among the
+# other d-1 neighbors.  A forward table (point masses of the count over the
+# first i neighbors) and a backward table (cumulative counts over neighbors
+# i..d-1) are swept once per block; each entry is a contiguous length-C row,
+# indexed [neighbor, count].  Only counts t <= thr are swept: the leave-one-out
+# sums read no other entry.  An observed 1 is the mirror image (negate
+# incoming and outgoing LLRs).  Parity checks send an informative message
+# only when every other neighbor is certain.
 
 
 def _maj_group_update(lam, obs, clamp):
     """Vectorized majority update for a (C, d) block of incoming LLRs."""
     C, d = lam.shape
-    sign = np.where(obs == 1, -1.0, 1.0)[:, None]
-    s = sign * lam
-    with np.errstate(over="ignore"):
-        p1 = np.where(
-            s == np.inf, 0.0, np.where(s == -np.inf, 1.0, 1.0 / (1.0 + np.exp(np.clip(s, -clamp, clamp))))
-        )
     thr = (d - 1) // 2
-    fw = np.zeros((d + 1, C, d + 1))
-    fw[0, :, 0] = 1.0
-    for i in range(d):
-        u = p1[:, i]
-        fw[i + 1, :, 0] = fw[i, :, 0] * (1.0 - u)
-        for t in range(1, i + 2):
-            fw[i + 1, :, t] = fw[i, :, t] * (1.0 - u) + fw[i, :, t - 1] * u
-    bwc = np.zeros((d + 1, C, d + 1))
-    bwc[d, :, :] = 1.0
-    for i in range(d - 1, -1, -1):
-        u = p1[:, i]
-        bwc[i, :, 0] = (1.0 - u) * bwc[i + 1, :, 0]
-        for t in range(1, d + 1):
-            bwc[i, :, t] = (1.0 - u) * bwc[i + 1, :, t] + u * bwc[i + 1, :, t - 1]
-    out = np.empty((C, d))
-    contradiction = False
-    for i in range(d):
-        a_sum = np.zeros(C)
-        b_sum = np.zeros(C)
-        for t in range(0, min(i, thr) + 1):
-            a_sum += fw[i, :, t] * bwc[i + 1, :, thr - t]
-            if thr - t - 1 >= 0:
-                b_sum += fw[i, :, t] * bwc[i + 1, :, thr - t - 1]
-        with np.errstate(divide="ignore"):
-            msg = np.where(
-                a_sum <= 0.0,
-                0.0,
-                np.where(b_sum <= 0.0, np.inf, np.minimum(np.log(np.maximum(a_sum, 1e-300)) - np.log(np.maximum(b_sum, 1e-300)), clamp)),
-            )
-        if np.any(a_sum <= 0.0):
-            contradiction = True
-        out[:, i] = msg
-    return sign * out, contradiction
+    sign = np.where(obs == 1, -1.0, 1.0)
+    s = np.multiply(lam.T, sign, order="C")
+    with np.errstate(over="ignore"):
+        u = np.where(s == np.inf, 0.0, np.where(s == -np.inf, 1.0, 1.0 / (1.0 + np.exp(np.clip(s, -clamp, clamp)))))
+    v = 1.0 - u
+    fw = np.zeros((d, thr + 1, C))
+    fw[0, 0] = 1.0
+    for i in range(d - 1):
+        m = min(i + 1, thr) + 1
+        np.multiply(fw[i, :m], v[i], out=fw[i + 1, :m])
+        fw[i + 1, 1:m] += fw[i, : m - 1] * u[i]
+    bw = np.empty((d + 1, thr + 1, C))
+    bw[d] = 1.0
+    for i in range(d - 1, 0, -1):
+        np.multiply(v[i], bw[i + 1], out=bw[i])
+        bw[i, 1:] += u[i] * bw[i + 1, :-1]
+    # leave neighbor i out: a = P(T <= thr), b = P(T <= thr - 1), summed over t
+    # in increasing order for every i at once
+    a_sum = np.zeros((d, C))
+    b_sum = np.zeros((d, C))
+    for t in range(thr + 1):
+        a_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t]
+        if t < thr:
+            b_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t - 1]
+    bad = a_sum <= 0.0
+    sure = b_sum <= 0.0
+    ratio = np.log(np.maximum(a_sum, 1e-300, out=a_sum), out=a_sum)
+    ratio -= np.log(np.maximum(b_sum, 1e-300, out=b_sum), out=b_sum)
+    msg = np.where(bad, 0.0, np.where(sure, np.inf, np.minimum(ratio, clamp, out=ratio)))
+    return sign[:, None] * msg.T, bool(bad.any())
 
 
 def _xor_group_update(lam, obs):

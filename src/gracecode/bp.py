@@ -102,8 +102,11 @@ def _active_arrays(graph: FactorGraph, received: ReceivedWord):
 def _build_groups(a_ptr, a_kind, a_ar):
     """Check ids and (C, d) edge-index matrices, one pair per (kind, arity)."""
     groups = {}
-    for kind, d in np.unique(np.stack([a_kind, a_ar], axis=1), axis=0).tolist():
-        sel = np.nonzero((a_kind == kind) & (a_ar == d))[0]
+    base = int(a_ar.max(initial=0)) + 1
+    keys = a_kind.astype(np.int64) * base + a_ar
+    for key in np.unique(keys).tolist():
+        kind, d = divmod(key, base)
+        sel = np.nonzero(keys == key)[0]
         groups[(kind, d)] = (sel, a_ptr[sel][:, None] + np.arange(d)[None, :])
     return groups
 

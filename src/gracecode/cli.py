@@ -3,9 +3,11 @@
 Sub-commands: simulate, devo, converse, efun, optimize, histogram.  Every
 output CSV is deterministic given the command line (12 significant digits,
 '.' decimal separator) and is accompanied by ``<out>.manifest.json``
-recording the argv, version and wall time; ``simulate``, ``histogram`` and
-``optimize`` add their seed, and ``simulate`` and ``histogram`` the trial
-count and the count of failed BP trials.
+recording the argv, the gracecode, python, numpy and scipy versions and the
+wall time; ``simulate``, ``histogram`` and ``optimize`` add their seed, and
+``simulate`` and ``histogram`` the trial count, the count of failed BP trials
+and the ``perf_counter`` seconds spent per phase (``graph``: sampling, source
+draw and encoding; ``channel``; ``run_bp``; ``measure``).
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bp import measure, run_bp
@@ -92,30 +97,50 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: str, args: argparse.Namespace, started: float) -> None:
+def _write_manifest(out: str, args: argparse.Namespace, argv: list, started: float) -> None:
     payload = {
-        "argv": sys.argv[1:],
+        "argv": argv,
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "walltime_s": round(time.time() - started, 3),
     }
     # only the commands that take a seed or run trials record these
-    payload.update({key: getattr(args, key) for key in ("seed", "trials", "failed_trials") if hasattr(args, key)})
+    keys = ("seed", "trials", "failed_trials", "phase_s")
+    payload.update({key: getattr(args, key) for key in keys if hasattr(args, key)})
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+@contextmanager
+def _phase(totals: dict, name: str):
+    """Add the ``perf_counter`` seconds spent in the block to ``totals[name]``."""
+    start = time.perf_counter()
+    yield
+    totals[name] = totals.get(name, 0.0) + time.perf_counter() - start
+
+
 def _trials(profile, args, alpha: float, eps: float, bins: int = 20):
     """Yield ``run_bp``'s failed flag and ``measure``'s (ber, soft_info, histogram)
-    for each seeded BEC(eps) trial at load ``alpha``."""
+    for each seeded BEC(eps) trial at load ``alpha``; each phase's seconds
+    accumulate in ``args.phase_s``."""
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
+    totals = vars(args).setdefault("phase_s", {})
     for t in range(args.trials):
-        rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
-        graph = sample_graph(spec, rng)
-        source = rng.integers(0, 2, size=args.k).astype(np.int8)
-        received = transmit(encode(graph, source), ChannelParam.bec(eps), rng)
-        result = run_bp(graph, received, args.bp_iters)
-        yield (result.failed, *measure(result, source, bins=bins))
+        with _phase(totals, "graph"):
+            rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
+            graph = sample_graph(spec, rng)
+            source = rng.integers(0, 2, size=args.k).astype(np.int8)
+            codeword = encode(graph, source)
+        with _phase(totals, "channel"):
+            received = transmit(codeword, ChannelParam.bec(eps), rng)
+        with _phase(totals, "run_bp"):
+            result = run_bp(graph, received, args.bp_iters)
+        with _phase(totals, "measure"):
+            measured = measure(result, source, bins=bins)
+        yield (result.failed, *measured)
 
 
 def _simulate_point(profile, args, alpha: float, eps: float):
@@ -339,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
@@ -348,7 +374,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if status == EXIT_OK and getattr(args, "out", None):
-        _write_manifest(args.out, args, started)
+        _write_manifest(args.out, args, argv, started)
     return status
 
 

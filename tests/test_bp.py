@@ -5,17 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gracecode import _kernels
 from gracecode.channels import ERASED, ChannelParam, ReceivedWord, transmit
-from gracecode.bp import check_message, measure, observed_degrees, run_bp
+from gracecode.bp import _build_groups, check_message, measure, observed_degrees, run_bp
 from gracecode.ensemble import (
     CheckKind,
     DegreeProfile,
     EnsembleSpec,
     FactorGraph,
     encode,
+    parse_profile,
     sample_graph,
 )
-from gracecode.exactdec import brute_force_marginals
+from gracecode.exactdec import ContradictionError, brute_force_marginals
 
 MAJ1, MAJ3, MAJ5 = CheckKind.maj(1), CheckKind.maj(3), CheckKind.maj(5)
 
@@ -32,8 +34,6 @@ def test_check_message_examples_maj3():
 
 
 def test_check_message_maj_contradiction():
-    from gracecode.exactdec import ContradictionError
-
     # both other inputs certainly 1 and output observed 0: impossible
     with pytest.raises(ContradictionError):
         check_message(MAJ3, 0, [0.0, 0.0])
@@ -54,6 +54,77 @@ def test_check_message_validation():
         check_message(MAJ3, 0, [1.0])
     with pytest.raises(ValueError):
         check_message(MAJ3, 0, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+@pytest.mark.parametrize("observed", [0, 1])
+def test_maj_kernel_matches_check_message(d, observed):
+    # incoming LLRs mix certainty (+/-inf), no information (0) and |llr| <= 3,
+    # small enough that the reference's ratio arithmetic loses no digits; the
+    # share of -inf varies by row so that some rows contradict an observed 0
+    rng = np.random.default_rng(100 * d + observed)
+    C = 60
+    lam = rng.uniform(-3.0, 3.0, size=(C, d))
+    pick = rng.random((C, d))
+    neg = 0.2 + rng.uniform(0.0, 0.6, size=(C, 1))
+    lam[pick < 0.1] = np.inf
+    lam[(pick >= 0.1) & (pick < 0.2)] = 0.0
+    lam[(pick >= 0.2) & (pick < neg)] = -np.inf
+    if observed == 1:  # the mirror image contradicts on +inf instead
+        lam = -lam
+    obs = np.full(C, observed, dtype=np.int8)
+    block, _ = _kernels._maj_group_update(lam, obs, _kernels.LLR_CLAMP)
+    kind = CheckKind.maj(d)
+    contradicted = 0
+    for c in range(C):
+        row, flag = _kernels._maj_group_update(lam[c : c + 1], obs[c : c + 1], _kernels.LLR_CLAMP)
+        assert np.array_equal(row, block[c : c + 1])
+        raised = False
+        for i in range(d):
+            ratios = np.exp(np.delete(lam[c], i))
+            try:
+                ref = check_message(kind, observed, ratios)
+            except ContradictionError:
+                raised = True
+                assert block[c, i] == 0.0
+                continue
+            with np.errstate(divide="ignore"):
+                llr = np.log(ref)
+            if np.isinf(llr):
+                assert block[c, i] == llr
+            else:
+                assert abs(block[c, i] - llr) <= 1e-12
+        assert flag == raised
+        contradicted += raised
+    if d >= 3:
+        assert 0 < contradicted < C
+
+
+def test_build_groups_partitions_active_checks():
+    profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
+    graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
+    ptr, kind, arity = graph.ptr, graph.kind, graph.arity
+    groups = _build_groups(ptr, kind, arity)
+    assert set(groups) == {(0, 3), (1, 3), (1, 1), (2, 4)}
+    seen = np.concatenate([sel for sel, _ in groups.values()])
+    assert np.array_equal(np.sort(seen), np.arange(graph.n_checks))
+    for (k, d), (sel, emat) in groups.items():
+        assert np.all(kind[sel] == k) and np.all(arity[sel] == d)
+        assert np.array_equal(emat, ptr[sel][:, None] + np.arange(d))
+    assert _build_groups(ptr[:1], kind[:0], arity[:0]) == {}
+
+
+def test_run_bp_without_active_checks():
+    # eps = 1 erases every emitted bit: no check is active, yet iterations run
+    spec = EnsembleSpec(k=50, rate=0.5, profile=DegreeProfile.single(MAJ3), seed=1)
+    graph = sample_graph(spec)
+    rng = np.random.default_rng(0)
+    received = transmit(encode(graph, np.zeros(50, dtype=np.int8)), ChannelParam.bec(1.0), rng)
+    result = run_bp(graph, received, 3)
+    assert not result.failed
+    assert result.beliefs.iteration == 3
+    assert np.all(result.beliefs.p0 == 0.5)
+    assert np.all(result.ber_trace == 0.5) and result.ber_trace.shape == (4,)
 
 
 def _tree_graph_maj3():

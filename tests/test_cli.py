@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from gracecode import cli
 from gracecode.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
@@ -85,9 +87,17 @@ def test_simulate_manifest(tmp_path):
     ]
     assert main(argv) == EXIT_OK
     manifest = json.loads(_read(str(out) + ".manifest.json"))
+    assert manifest["argv"] == argv  # the parsed argv, not the test runner's
     assert manifest["seed"] == 3
     assert manifest["trials"] == 1
     assert "version" in manifest and "walltime_s" in manifest
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy.__version__
+    phases = manifest["phase_s"]
+    assert set(phases) == {"graph", "channel", "run_bp", "measure"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["walltime_s"] + 0.01
 
 
 def test_simulate_eps_grid(tmp_path):
@@ -189,6 +199,8 @@ def test_manifest_seed_only_where_taken(tmp_path, capsys):
         out = tmp_path / f"{name}.out"
         assert main([*argv, "--out", str(out)]) == EXIT_OK
         manifest = json.loads(_read(str(out) + ".manifest.json"))
+        assert manifest["argv"] == [*argv, "--out", str(out)]
+        assert "phase_s" not in manifest, name
         assert manifest.get("seed") == (7 if name == "optimize" else None), name
         assert ("seed" in manifest) == (name == "optimize"), name
         if name != "optimize":  # these commands draw no random numbers
