@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import h_b, h_b_inv
-from ._kernels import gf2_reduce
+from ._kernels import gf2_columns, gf2_reduce
 from .exactdec import BitMatrix
 
 _GRID = 2000
@@ -250,30 +250,38 @@ class ExitResult:
 
 
 def exit_tools(G: BitMatrix) -> ExitResult:
-    """Exhaustive EXIT analysis of the code generated by ``G`` (m <= 20)."""
+    """Exhaustive EXIT analysis of the code generated by ``G`` (m <= 20).
+
+    ``counts[i, a]`` is the number of erasure patterns of the other m - 1
+    coordinates, with ``a`` of them erased, that leave coordinate i
+    undetermined: column i lies outside the span of the kept columns S, i.e.
+    rank(S + {i}) = rank(S) + 1.  The rank of every column subset comes from
+    one depth-first walk that extends a subset by one column at a time and
+    keeps one echelon basis per depth, so each subset costs one reduction.
+    """
     k, m = G.k, G.m
     if m > 20:
         raise ValueError("exhaustive EXIT analysis limited to m <= 20 coordinates")
-    cols = []
+    cols = gf2_columns(G.indptr, G.rowidx)
+    rank = np.zeros(1 << m, dtype=np.int8)  # rank[S]: bit j of S keeps column j
+
+    def walk(S: int, first: int, pivots: dict) -> None:
+        for j in range(first, m):
+            v = gf2_reduce(cols[j], pivots)
+            deeper = {**pivots, (v & -v).bit_length() - 1: v} if v else pivots
+            rank[S | 1 << j] = len(deeper)
+            walk(S | 1 << j, j + 1, deeper)
+
+    walk(0, 0, {})
+    subsets = np.arange(1 << m)
+    kept = np.zeros(1 << m, dtype=np.int64)
     for j in range(m):
-        v = 0
-        for r in G.column(j):
-            v |= 1 << int(r)
-        cols.append(v)
+        kept += (subsets >> j) & 1
     counts = np.zeros((m, m), dtype=np.int64)
-    others = [[j for j in range(m) if j != i] for i in range(m)]
     for i in range(m):
-        ci = cols[i]
-        for mask in range(1 << (m - 1)):
-            pivots: dict[int, int] = {}
-            for b, j in enumerate(others[i]):
-                if (mask >> b) & 1:
-                    continue
-                v = gf2_reduce(cols[j], pivots)
-                if v:
-                    pivots[(v & -v).bit_length() - 1] = v
-            if gf2_reduce(ci, pivots):
-                counts[i, bin(mask).count("1")] += 1
+        S = subsets[(subsets >> i) & 1 == 0]
+        free = rank[S | 1 << i] == rank[S] + 1
+        counts[i] = np.bincount((m - 1) - kept[S[free]], minlength=m)
     return ExitResult(k=k, m=m, counts=counts)
 
 

@@ -21,10 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .channels import h_b
 from .ensemble import DegreeProfile
@@ -137,11 +135,26 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
 
 
 _LATTICE_CACHE: dict = {}
-_LATTICE_CACHE_MAX_ROWS = 200_000
+# enough for the LDMC5 lattices (13 columns) up to the default truncation
+# D = 10: 646,646 rows at d = 10, about 39 MB for d = 0..10 together
+_LATTICE_CACHE_MAX_ROWS = 650_000
+
+
+def _with_first_part(blocks, t: int) -> np.ndarray:
+    """Rows [i | c] for i = 0..t and c a row of ``blocks[t - i]``, in that order."""
+    rest = blocks[t::-1]
+    first = np.repeat(np.arange(t + 1, dtype=np.int16), [b.shape[0] for b in rest])
+    return np.column_stack((first, np.concatenate(rest)))
 
 
 def _compositions(d: int, K: int):
-    """All weak compositions of d into K parts with log-multinomial weights."""
+    """All weak compositions of d into K parts with log-multinomial weights.
+
+    Rows come in lexicographic order (the order of the stars-and-bars
+    ``itertools.combinations`` enumeration).  They are built part by part:
+    the compositions of t into k parts stack, for i = 0..t, the block
+    ``[i | compositions of t - i into k - 1 parts]``.
+    """
     key = (d, K)
     hit = _LATTICE_CACHE.get(key)
     if hit is not None:
@@ -150,12 +163,16 @@ def _compositions(d: int, K: int):
         z = np.zeros((1, 0), dtype=np.int16)
         logc = np.zeros(1)
     else:
-        bars = np.array(list(combinations(range(d + K - 1), K - 1)), dtype=np.int64)
-        bars = bars.reshape(-1, K - 1)
-        left = np.full((bars.shape[0], 1), -1, dtype=np.int64)
-        right = np.full((bars.shape[0], 1), d + K - 1, dtype=np.int64)
-        z = (np.diff(np.hstack([left, bars, right]), axis=1) - 1).astype(np.int16)
-        logc = gammaln(d + 1) - gammaln(z.astype(np.float64) + 1.0).sum(axis=1)
+        from scipy.special import gammaln
+
+        # blocks[t]: the compositions of t into the parts built so far; the
+        # last part added needs only the total d
+        blocks = [np.full((1, 1), t, dtype=np.int16) for t in range(d + 1)]
+        for k in range(2, K + 1):
+            blocks = [_with_first_part(blocks, t) for t in (range(d + 1) if k < K else (d,))]
+        z = blocks[-1]
+        table = gammaln(np.arange(d + 1) + 1.0)
+        logc = gammaln(d + 1) - table[z].sum(axis=1)
     if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:
         _LATTICE_CACHE[key] = (z, logc)
     return z, logc
@@ -199,14 +216,16 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     entries = alphabet.entries
     col_l, col_logq, col_entry = _columns(entries)
     z, logc = _compositions(d, col_l.shape[0])
-    llr = z @ col_l
-    logp = logc + z @ col_logq
+    zf = z.astype(np.float64)
+    llr = zf @ col_l
+    logp = logc + zf @ col_logq
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
     vals = np.exp(logp) * _apply_payoff(e, payoff)
     # an entry's type count sums its columns; the counts of a row sum to d, so
-    # their base-(d+1) number orders the rows as np.unique(axis=0) would
+    # their base-(d+1) number orders the rows as np.unique(axis=0) would (the
+    # numbers stay below 2**53, so the float product is exact)
     radix = (d + 1) ** np.arange(len(entries) - 1, -1, -1)
-    keys, inv = np.unique(z @ radix[col_entry], return_inverse=True)
+    keys, inv = np.unique((zf @ radix[col_entry]).astype(np.int64), return_inverse=True)
     coefs = np.bincount(inv, weights=vals, minlength=keys.shape[0])
     return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
 
@@ -296,6 +315,8 @@ class DegreeLaw:
 
     def probabilities(self, alpha: float, D: int):
         """(pmf over degrees 0..D, P(Deg > D)) at load alpha."""
+        from scipy.special import gammaln, xlog1py, xlogy
+
         if self.kind == "poisson":
             ds = np.arange(D + 1)
             mu = self.arity * alpha

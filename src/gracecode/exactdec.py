@@ -102,7 +102,7 @@ def rank_hrank(A: BitMatrix) -> HrankResult:
     i.e. the unit vector e_j lies in the span of A's columns.
     """
     keep = np.ones(A.m, dtype=np.uint8)
-    rank, forced = _kernels.gf2_rank_forced(A.indptr, A.rowidx, keep, A.k)
+    rank, forced = _kernels.gf2_rank_forced(_kernels.gf2_columns(A.indptr, A.rowidx), keep, A.k)
     return HrankResult(rank=int(rank), forced=frozenset(np.nonzero(forced)[0].tolist()))
 
 
@@ -138,10 +138,11 @@ def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generat
         raise ValueError("eps must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    cols = _kernels.gf2_columns(G.indptr, G.rowidx)
     total = 0.0
     for _ in range(trials):
         keep = (rng.random(G.m) >= eps).astype(np.uint8)
-        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k)
+        _, forced = _kernels.gf2_rank_forced(cols, keep, G.k)
         hr = int(forced.sum())
         total += (G.k - hr) / (2.0 * G.k)
     return total / trials

@@ -8,11 +8,11 @@ agreement with the library is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
+from scipy.special import gammaln
 
-from gracecode import _kernels
 from gracecode.exactdec import BitMatrix
 
 
@@ -121,16 +121,73 @@ def forced_set_dense(mat: np.ndarray) -> set:
 
 def exact_map_ber(G: BitMatrix, eps: float) -> float:
     """Exact bit-MAP BER over the BEC by enumerating all 2^m erasure patterns."""
+    dense = G.to_dense()
     total = 0.0
     for mask in range(1 << G.m):
-        keep = np.array([(mask >> j) & 1 for j in range(G.m)], dtype=np.uint8)
+        keep = np.array([(mask >> j) & 1 for j in range(G.m)], dtype=bool)
         kept = int(keep.sum())
         p = (1.0 - eps) ** kept * eps ** (G.m - kept)
         if p == 0.0:
             continue
-        _, forced = _kernels.gf2_rank_forced(G.indptr, G.rowidx, keep, G.k)
-        total += p * (G.k - int(forced.sum())) / (2.0 * G.k)
+        total += p * (G.k - len(forced_set_dense(dense[:, keep]))) / (2.0 * G.k)
     return total
+
+
+def _reduce(v: int, pivot_of: dict) -> int:
+    """Residual of the bitset ``v`` against an echelon basis keyed by lowest bit."""
+    while v:
+        b = pivot_of.get((v & -v).bit_length() - 1)
+        if b is None:
+            return v
+        v ^= b
+    return 0
+
+
+def _bitsets(G: BitMatrix) -> list:
+    return [sum(1 << int(r) for r in G.column(j)) for j in range(G.m)]
+
+
+def rank_forced_per_coordinate(G: BitMatrix, keep) -> tuple:
+    """Rank of the kept columns and the forced mask, reducing every unit vector."""
+    pivot_of: dict = {}
+    for c, v in enumerate(_bitsets(G)):
+        if keep[c]:
+            v = _reduce(v, pivot_of)
+            if v:
+                pivot_of[(v & -v).bit_length() - 1] = v
+    forced = np.array([_reduce(1 << j, pivot_of) == 0 for j in range(G.k)], dtype=np.uint8)
+    return len(pivot_of), forced
+
+
+def exit_counts_per_pattern(G: BitMatrix) -> np.ndarray:
+    """EXIT counts with a fresh elimination per (coordinate, erasure pattern)."""
+    m = G.m
+    cols = _bitsets(G)
+    counts = np.zeros((m, m), dtype=np.int64)
+    for i in range(m):
+        others = [j for j in range(m) if j != i]
+        for mask in range(1 << (m - 1)):
+            pivots: dict = {}
+            for b, j in enumerate(others):
+                if not (mask >> b) & 1:
+                    v = _reduce(cols[j], pivots)
+                    if v:
+                        pivots[(v & -v).bit_length() - 1] = v
+            if _reduce(cols[i], pivots):
+                counts[i, bin(mask).count("1")] += 1
+    return counts
+
+
+def compositions_itertools(d: int, K: int) -> tuple:
+    """Weak compositions of d into K >= 1 parts from the stars-and-bars
+    ``combinations`` enumeration, with their log-multinomial weights."""
+    bars = list(combinations(range(d + K - 1), K - 1))
+    bars = np.array(bars, dtype=np.int64).reshape(len(bars), K - 1)
+    left = np.full((bars.shape[0], 1), -1, dtype=np.int64)
+    right = np.full((bars.shape[0], 1), d + K - 1, dtype=np.int64)
+    z = (np.diff(np.hstack([left, bars, right]), axis=1) - 1).astype(np.int16)
+    logc = gammaln(d + 1) - gammaln(z.astype(np.float64) + 1.0).sum(axis=1)
+    return z, logc
 
 
 def slow_encode(checks, source) -> list:

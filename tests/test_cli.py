@@ -260,3 +260,20 @@ def test_console_entry_point():
     import gracecode
 
     assert proc.stdout.strip() == gracecode.__version__
+
+
+def test_simulate_does_not_import_scipy_special(tmp_path):
+    # scipy.special is imported only by the degree laws and the composition
+    # lattice, which simulate never reaches
+    code = (
+        "import sys\n"
+        "import gracecode.cli\n"
+        "status = gracecode.cli.main(['simulate', '--ensemble', 'ldmc3', '--k', '50', '--rate', '0.5',"
+        " '--alpha-grid', '1.0', '--bp-iters', '2', '--trials', '1', '--out', sys.argv[1]])\n"
+        "assert status == 0, status\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "sim.csv")], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _oracles import exact_map_ber
+from _oracles import exact_map_ber, exit_counts_per_pattern
 from gracecode.channels import h_b, h_b_inv
 from gracecode.converse import (
     _eta,
@@ -231,3 +231,21 @@ def test_exit_fraction_area_cross_check():
             _math.factorial(a) * _math.factorial(m - 1 - a), _math.factorial(m)
         )
     assert float(total / m) == res.area
+
+
+def test_exit_counts_match_per_pattern_elimination():
+    rng = np.random.default_rng(31)
+    codes = list(_small_codes())
+    for _ in range(20):
+        k = int(rng.integers(1, 7))
+        m = int(rng.integers(k, 13))
+        r = (rng.random((k, m - k)) < rng.uniform(0.2, 0.8)).astype(np.uint8)
+        codes.append(BitMatrix.from_dense(np.hstack([np.eye(k, dtype=np.uint8), r])))
+    # the [I7 | R] generator of the benchmark's analytic workload at seed 1
+    state = np.random.SeedSequence(1).generate_state(64)
+    r = (np.random.default_rng(int(state[3])).random((7, 7)) < 0.5).astype(np.uint8)
+    codes.append(BitMatrix.from_dense(np.hstack([np.eye(7, dtype=np.uint8), r])))
+    for G in codes:
+        counts = exit_tools(G).counts
+        ref = exit_counts_per_pattern(G)
+        assert counts.dtype == ref.dtype and np.array_equal(counts, ref), (G.k, G.m)

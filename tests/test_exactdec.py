@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import exact_map_ber, forced_set_dense, gf2_rank_dense
+from _oracles import exact_map_ber, forced_set_dense, gf2_rank_dense, rank_forced_per_coordinate
+from gracecode import _kernels
 from gracecode.channels import ChannelParam, ReceivedWord
-from gracecode.ensemble import CheckKind, FactorGraph
+from gracecode.ensemble import CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, sample_graph
 from gracecode.exactdec import (
     BitMatrix,
     brute_force_marginals,
@@ -55,6 +56,37 @@ def test_rank_forced_matches_dense_oracle():
         res = rank_hrank(BitMatrix.from_dense(dense))
         assert res.rank == gf2_rank_dense(dense)
         assert res.forced == frozenset(forced_set_dense(dense))
+
+
+def test_rank_forced_kernel_matches_dense_oracle_with_masks():
+    # includes k = 0, m = 0 and the all-kept and none-kept masks
+    rng = np.random.default_rng(21)
+    for t in range(200):
+        k = int(rng.integers(0, 11))
+        m = int(rng.integers(0, 13))
+        dense = (rng.random((k, m)) < rng.uniform(0.1, 0.7)).astype(np.uint8)
+        keep = [rng.random(m) < 0.6, np.ones(m, dtype=bool), np.zeros(m, dtype=bool)][t % 3]
+        A = BitMatrix.from_dense(dense)
+        rank, forced = _kernels.gf2_rank_forced(_kernels.gf2_columns(A.indptr, A.rowidx), keep.astype(np.uint8), k)
+        assert rank == gf2_rank_dense(dense[:, keep]), (t, k, m)
+        assert set(np.flatnonzero(forced).tolist()) == forced_set_dense(dense[:, keep]), (t, k, m)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.4, 0.6])
+def test_rank_forced_kernel_matches_per_coordinate_reduction(eps):
+    # 67 seeded LDGM3 erasure trials per eps at k = 2000, rate 1/2, against
+    # the reduction of every unit vector (201 trials in all)
+    rng = np.random.default_rng(int(eps * 10))
+    spec = EnsembleSpec(k=2000, rate=0.5, profile=DegreeProfile.single(CheckKind.xor(3)))
+    for t in range(67):
+        if t % 17 == 0:
+            G = BitMatrix.from_columns([idx for _, idx in sample_graph(spec, rng).checks], spec.k)
+            cols = _kernels.gf2_columns(G.indptr, G.rowidx)
+        keep = (rng.random(G.m) >= eps).astype(np.uint8)
+        rank, forced = _kernels.gf2_rank_forced(cols, keep, G.k)
+        rank_ref, forced_ref = rank_forced_per_coordinate(G, keep)
+        assert rank == rank_ref, (eps, t)
+        assert np.array_equal(forced, forced_ref), (eps, t)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=12))
