@@ -1,10 +1,10 @@
 """Flooding belief propagation on factor graphs over erasure observations.
 
-Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)`` with
-explicit +/-inf for certainty; finite values saturate at +/-500 nats.  One
-iteration is a full variable-to-check then check-to-variable sweep.  The
-iteration-0 state is all-1/2 beliefs except variables clamped by observed
-arity-1 (identity) checks.
+Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``; finite
+values saturate at +/-``LLR_CLAMP`` nats and certainty is the explicit value
++/-inf.  One iteration is a full variable-to-check then check-to-variable
+sweep.  The iteration-0 state is all-1/2 beliefs except variables clamped by
+observed arity-1 (identity) checks.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .channels import ERASED, ReceivedWord, h_b
-from .ensemble import CheckKind, FactorGraph, _check_observations
+from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations
 from .exactdec import ContradictionError
 
-_CLAMP = _kernels.LLR_CLAMP
+LLR_CLAMP = 500.0
 
 
 @dataclass
@@ -99,16 +98,108 @@ def _active_arrays(graph: FactorGraph, received: ReceivedWord):
     return sub.ptr, sub.evar, sub.kind, obs[active], sub.arity
 
 
-def _build_groups(a_ptr, a_kind, a_ar):
-    """Check ids and (C, d) edge-index matrices, one pair per (kind, arity)."""
+def _build_groups(a_ptr, a_kind, a_ar, a_obs):
+    """One (C, d) edge-index matrix and its C observations per (kind, arity)."""
     groups = {}
     base = int(a_ar.max(initial=0)) + 1
     keys = a_kind.astype(np.int64) * base + a_ar
     for key in np.unique(keys).tolist():
         kind, d = divmod(key, base)
         sel = np.nonzero(keys == key)[0]
-        groups[(kind, d)] = (sel, a_ptr[sel][:, None] + np.arange(d)[None, :])
+        groups[(kind, d)] = (a_ptr[sel][:, None] + np.arange(d)[None, :], a_obs[sel])
     return groups
+
+
+def _var_extrinsic(evar, c2v, totals, lam):
+    """Write the variable-to-check messages into ``lam``, given the posterior's
+    per-variable (finite sum, +inf count, -inf count) ``totals`` of ``c2v``.
+
+    The posterior stops BP at a variable certain of both values, so none occurs here.
+    """
+    tot, npos, nneg = totals
+    pinf = c2v == np.inf
+    ninf = c2v == -np.inf
+    fin = np.where(np.isfinite(c2v), c2v, 0.0)
+    pos = npos[evar] - pinf
+    neg = nneg[evar] - ninf
+    rest = np.clip(tot[evar] - fin, -LLR_CLAMP, LLR_CLAMP)
+    lam[:] = np.where(pos > 0, np.inf, np.where(neg > 0, -np.inf, rest))
+
+
+# Majority checks: the target-bit likelihood ratio for an observed 0 is
+# P(T <= thr) / P(T <= thr - 1), thr = (d-1)//2, where T counts ones among the
+# other d-1 neighbors.  A forward table (point masses of the count over the
+# first i neighbors) and a backward table (cumulative counts over neighbors
+# i..d-1) are swept once per block; each entry is a contiguous length-C row,
+# indexed [neighbor, count].  Only counts t <= thr are swept: the leave-one-out
+# sums read no other entry.  An observed 1 is the mirror image (negate
+# incoming and outgoing LLRs).
+
+
+def _maj_group_update(lam, obs):
+    """Majority update for a (C, d) block of incoming LLRs; returns the
+    outgoing block and whether some check saw a contradiction."""
+    C, d = lam.shape
+    thr = (d - 1) // 2
+    sign = np.where(obs == 1, -1.0, 1.0)
+    s = np.multiply(lam.T, sign, order="C")
+    with np.errstate(over="ignore"):
+        u = np.where(s == np.inf, 0.0, np.where(s == -np.inf, 1.0, 1.0 / (1.0 + np.exp(np.clip(s, -LLR_CLAMP, LLR_CLAMP)))))
+    v = 1.0 - u
+    fw = np.zeros((d, thr + 1, C))
+    fw[0, 0] = 1.0
+    for i in range(d - 1):
+        m = min(i + 1, thr) + 1
+        np.multiply(fw[i, :m], v[i], out=fw[i + 1, :m])
+        fw[i + 1, 1:m] += fw[i, : m - 1] * u[i]
+    bw = np.empty((d + 1, thr + 1, C))
+    bw[d] = 1.0
+    for i in range(d - 1, 0, -1):
+        np.multiply(v[i], bw[i + 1], out=bw[i])
+        bw[i, 1:] += u[i] * bw[i + 1, :-1]
+    # leave neighbor i out: a = P(T <= thr), b = P(T <= thr - 1), summed over t
+    # in increasing order for every i at once
+    a_sum = np.zeros((d, C))
+    b_sum = np.zeros((d, C))
+    for t in range(thr + 1):
+        a_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t]
+        if t < thr:
+            b_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t - 1]
+    bad = a_sum <= 0.0
+    sure = b_sum <= 0.0
+    ratio = np.log(np.maximum(a_sum, 1e-300, out=a_sum), out=a_sum)
+    ratio -= np.log(np.maximum(b_sum, 1e-300, out=b_sum), out=b_sum)
+    msg = np.where(bad, 0.0, np.where(sure, np.inf, np.minimum(ratio, LLR_CLAMP, out=ratio)))
+    return sign[:, None] * msg.T, bool(bad.any())
+
+
+def _xor_group_update(lam, obs):
+    """Parity update for a (C, d) block of incoming LLRs.
+
+    Edge i is certain only when every other neighbor is; its bit is then the
+    parity of the observation and the other neighbors' bits.
+    """
+    ones = lam == -np.inf
+    unsure = ~np.isinf(lam)
+    others_unsure = unsure.sum(axis=1, keepdims=True) - unsure
+    bit = (ones.sum(axis=1, keepdims=True) - ones + obs[:, None]) % 2
+    return np.where(others_unsure == 0, np.where(bit == 0, np.inf, -np.inf), 0.0)
+
+
+def _check_update(groups, lam, c2v) -> bool:
+    """Write the check-to-variable messages into ``c2v``; True on a contradiction.
+
+    Every kind other than MAJ (XOR and observed PARITY) takes the parity update.
+    """
+    contradiction = False
+    for (kind, _), (emat, obs) in groups.items():
+        if kind == MAJ:
+            out, bad = _maj_group_update(lam[emat], obs)
+            contradiction = contradiction or bad
+        else:
+            out = _xor_group_update(lam[emat], obs)
+        c2v[emat] = out
+    return contradiction
 
 
 def _posterior(evar, c2v, k):
@@ -121,7 +212,7 @@ def _posterior(evar, c2v, k):
     nneg = np.bincount(evar, weights=ninf, minlength=k)
     contradiction = bool(np.any((npos > 0) & (nneg > 0)))
     with np.errstate(over="ignore"):
-        p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -_CLAMP, _CLAMP)))
+        p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -LLR_CLAMP, LLR_CLAMP)))
     p0 = np.where(npos > 0, 1.0, np.where(nneg > 0, 0.0, p0))
     return p0, contradiction, (tot, npos, nneg)
 
@@ -152,10 +243,10 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     done = 0
     if not failed:
         lam = np.zeros(ne)
-        groups = _build_groups(a_ptr, a_kind, a_ar)
+        groups = _build_groups(a_ptr, a_kind, a_ar, a_obs)
         for _ in range(iters):
-            _kernels._bp_var_extrinsic(a_evar, c2v, totals, lam, _CLAMP)
-            bad2 = _kernels._bp_check_update(groups, a_obs, lam, c2v, _CLAMP)
+            _var_extrinsic(a_evar, c2v, totals, lam)
+            bad2 = _check_update(groups, lam, c2v)
             p0, bad3, totals = _posterior(a_evar, c2v, k)
             done += 1
             ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))

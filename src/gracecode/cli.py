@@ -33,7 +33,7 @@ from .converse import (
     linear_two_point,
     shannon_single_point,
 )
-from .devo import iterate
+from .devo import _PAYOFF_FOR, iterate
 from .efun import ClosedFormFamily, build_family, error_poly, f_alphabet
 from .ensemble import (
     CheckKind,
@@ -168,9 +168,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _make_family(name: str, surrogate: str, quantity: str, D: int):
-    payoff = {"error": "error", "chi2-soft": "chi2", "capacity-soft": "entropy"}[quantity]
     if name in ("ldmc3", "ldmc5"):
-        return build_family(name, channel=surrogate, payoff=payoff, D=D)
+        return build_family(name, channel=surrogate, payoff=_PAYOFF_FOR[quantity], D=D)
     if name.startswith("ldgm") and name[4:].isdigit():
         if surrogate != "BEC" or quantity != "error":
             raise InfeasibleSpecError("closed-form LDGM families support BEC/error only")
@@ -234,14 +233,8 @@ def _cmd_efun(args) -> int:
 def _parse_components(text: str):
     comps = []
     for part in text.split(","):
-        kind, _, arity = part.strip().partition(":")
-        kind = kind.strip().upper()
-        if kind == "XOR":
-            comps.append(CheckKind.xor(int(arity)))
-        elif kind == "MAJ":
-            comps.append(CheckKind.maj(int(arity)))
-        else:
-            raise InfeasibleSpecError(f"unknown component kind {kind!r}")
+        kind, _, arity = part.partition(":")
+        comps.append(CheckKind(kind.strip().upper(), int(arity)))
     return tuple(comps)
 
 

@@ -52,7 +52,7 @@ class EPolynomial:
         return np.polynomial.polynomial.polyval(q, self.as_array())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MessageAlphabet:
     """Message types for one check seen from a variable: (magnitude, weight).
 
@@ -360,17 +360,11 @@ class EFunctionFamily:
             raise ValueError(f"unknown channel tag {self.channel!r}")
         if self.channel == "BSC" and self.base != "ldmc3":
             raise ValueError("BSC alphabets are available for ldmc3 only")
-        if self.D < 0:
-            raise ValueError("truncation D must be >= 0")
+        _check_degree(self.D)
 
     @property
     def arity(self) -> int:
         return 3 if self.base == "ldmc3" else 5
-
-    def degree_poly(self, d: int) -> EPolynomial:
-        if self.channel != "BEC":
-            raise ValueError("per-degree polynomials exist for BEC families only")
-        return error_poly(f_alphabet(f"{self.base}_bec"), d, self.payoff)
 
     def evaluate(self, alpha: float, q):
         pmf, tail_p = self.law.probabilities(alpha, self.D)

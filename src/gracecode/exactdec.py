@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import ERASED, ReceivedWord
-from .ensemble import FactorGraph
+from .ensemble import FactorGraph, _offsets
 
 
 class ContradictionError(RuntimeError):
@@ -40,25 +40,20 @@ class BitMatrix:
             raise ValueError("row index out of range")
 
     @classmethod
+    def _stack(cls, k: int, cols) -> "BitMatrix":
+        """Build from a list of row-index arrays, one per column."""
+        rowidx = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
+        return cls(k=k, m=len(cols), indptr=_offsets([c.shape[0] for c in cols]), rowidx=rowidx)
+
+    @classmethod
     def from_dense(cls, a) -> "BitMatrix":
         a = np.asarray(a)
-        k, m = a.shape
-        cols = [np.nonzero(a[:, j] % 2)[0] for j in range(m)]
-        lens = np.array([c.shape[0] for c in cols], dtype=np.int64)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        rowidx = np.concatenate(cols) if m else np.zeros(0, dtype=np.int64)
-        return cls(k=k, m=m, indptr=indptr, rowidx=rowidx)
+        return cls._stack(a.shape[0], [np.nonzero(a[:, j] % 2)[0] for j in range(a.shape[1])])
 
     @classmethod
     def from_columns(cls, columns, k: int) -> "BitMatrix":
         """Build from an iterable of row-index lists, one per column."""
-        cols = [np.asarray(sorted(set(int(i) for i in c)), dtype=np.int64) for c in columns]
-        lens = np.array([c.shape[0] for c in cols], dtype=np.int64)
-        indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-        np.cumsum(lens, out=indptr[1:])
-        rowidx = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-        return cls(k=k, m=len(cols), indptr=indptr, rowidx=rowidx)
+        return cls._stack(k, [np.asarray(sorted(set(int(i) for i in c)), dtype=np.int64) for c in columns])
 
     @classmethod
     def identity(cls, k: int) -> "BitMatrix":
@@ -118,12 +113,7 @@ def subsample(A: BitMatrix, p: float, q: float, rng: np.random.Generator) -> Bit
         rows = A.column(int(j))
         rows = rows[keep_rows[rows]]
         cols.append(newrow[rows])
-    k_new = int(keep_rows.sum())
-    lens = np.array([c.shape[0] for c in cols], dtype=np.int64)
-    indptr = np.zeros(len(cols) + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    rowidx = np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64)
-    return BitMatrix(k=k_new, m=len(cols), indptr=indptr, rowidx=rowidx)
+    return BitMatrix._stack(int(keep_rows.sum()), cols)
 
 
 def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generator) -> float:

@@ -5,9 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gracecode import _kernels
+from gracecode.bp import (
+    _build_groups,
+    _maj_group_update,
+    _xor_group_update,
+    check_message,
+    measure,
+    observed_degrees,
+    run_bp,
+)
 from gracecode.channels import ERASED, ChannelParam, ReceivedWord, transmit
-from gracecode.bp import _build_groups, check_message, measure, observed_degrees, run_bp
 from gracecode.ensemble import (
     CheckKind,
     DegreeProfile,
@@ -73,11 +80,11 @@ def test_maj_kernel_matches_check_message(d, observed):
     if observed == 1:  # the mirror image contradicts on +inf instead
         lam = -lam
     obs = np.full(C, observed, dtype=np.int8)
-    block, _ = _kernels._maj_group_update(lam, obs, _kernels.LLR_CLAMP)
+    block, _ = _maj_group_update(lam, obs)
     kind = CheckKind.maj(d)
     contradicted = 0
     for c in range(C):
-        row, flag = _kernels._maj_group_update(lam[c : c + 1], obs[c : c + 1], _kernels.LLR_CLAMP)
+        row, flag = _maj_group_update(lam[c : c + 1], obs[c : c + 1])
         assert np.array_equal(row, block[c : c + 1])
         raised = False
         for i in range(d):
@@ -100,18 +107,50 @@ def test_maj_kernel_matches_check_message(d, observed):
         assert 0 < contradicted < C
 
 
+@pytest.mark.parametrize(
+    "check",
+    [CheckKind.xor(d) for d in (1, 2, 3, 4, 6)] + [CheckKind.parity(d) for d in (2, 3, 4, 6)],
+    ids=lambda ck: f"{ck.kind}{ck.arity}",
+)
+@pytest.mark.parametrize("observed", [0, 1])
+def test_xor_kernel_matches_check_message(check, observed):
+    # row c has c % (d + 1) uncertain neighbors (finite LLRs, 0 among them);
+    # the certain ones are +/-inf at random, so the all-certain rows both
+    # satisfy and contradict the observed parity
+    d = check.arity
+    rng = np.random.default_rng(10 * d + observed)
+    C = 12 * (d + 1)
+    lam = np.where(rng.random((C, d)) < 0.5, np.inf, -np.inf)
+    n_unsure = np.arange(C) % (d + 1)
+    for c in range(C):
+        cols = rng.permutation(d)[: n_unsure[c]]
+        lam[c, cols] = rng.choice([0.0, -2.5, 1.5, 3.0], size=cols.shape[0])
+    obs = np.full(C, observed, dtype=np.int8)
+    block = _xor_group_update(lam, obs)
+    parity_ok = (np.sum(lam == -np.inf, axis=1) + observed) % 2 == 0
+    assert parity_ok[n_unsure == 0].any() and not parity_ok[n_unsure == 0].all()
+    for c in range(C):
+        for i in range(d):
+            ratio = check_message(check, observed, np.exp(np.delete(lam[c], i)))
+            with np.errstate(divide="ignore"):
+                assert block[c, i] == np.log(ratio)
+
+
 def test_build_groups_partitions_active_checks():
     profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
     graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
     ptr, kind, arity = graph.ptr, graph.kind, graph.arity
-    groups = _build_groups(ptr, kind, arity)
+    obs = np.arange(graph.n_checks) % 2
+    groups = _build_groups(ptr, kind, arity, obs)
     assert set(groups) == {(0, 3), (1, 3), (1, 1), (2, 4)}
-    seen = np.concatenate([sel for sel, _ in groups.values()])
-    assert np.array_equal(np.sort(seen), np.arange(graph.n_checks))
-    for (k, d), (sel, emat) in groups.items():
+    edges = np.concatenate([emat.ravel() for emat, _ in groups.values()])
+    assert np.array_equal(np.sort(edges), np.arange(ptr[-1]))
+    for (k, d), (emat, obs_g) in groups.items():
+        sel = np.searchsorted(ptr, emat[:, 0])
         assert np.all(kind[sel] == k) and np.all(arity[sel] == d)
         assert np.array_equal(emat, ptr[sel][:, None] + np.arange(d))
-    assert _build_groups(ptr[:1], kind[:0], arity[:0]) == {}
+        assert np.array_equal(obs_g, obs[sel])
+    assert _build_groups(ptr[:1], kind[:0], arity[:0], obs[:0]) == {}
 
 
 def test_run_bp_without_active_checks():

@@ -13,7 +13,7 @@ import scipy
 
 from gracecode import cli
 from gracecode.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
-from gracecode.efun import error_poly, f_alphabet
+from gracecode.efun import build_family, error_poly, f_alphabet
 
 
 def _read(path):
@@ -152,6 +152,21 @@ def test_devo_mixture_profile_file(tmp_path):
     assert abs((1.0 - final) / 2.0 - 0.06336) < 1e-3
 
 
+def test_degree_truncation_bound(tmp_path):
+    # D beyond the degree bound of error_poly is rejected before any lattice is
+    # built; ldmc5 comes last, since without the check it takes gigabytes
+    out = tmp_path / "devo.csv"
+    devo = ["devo", "--alpha-grid", "1.0", "--ell", "2", "--out", str(out)]
+    assert main(["optimize", "--components", "MAJ:3", "--targets", "1.0", "--dmax", "15",
+                 "--out", str(out)]) == EXIT_INFEASIBLE
+    assert main(["efun", "--dmax", "15", "--out", str(out)]) == EXIT_INFEASIBLE
+    assert main([*devo, "--family", "ldmc5", "--dmax", "15"]) == EXIT_INFEASIBLE
+    assert not out.exists()
+    build_family("ldmc5", D=14)  # ldmc5 at D = 14 builds a large lattice, so only construct it
+    assert main([*devo, "--family", "ldmc3", "--dmax", "14"]) == EXIT_OK
+    assert len(_read(str(out)).strip().split("\n")) == 4  # header and t = 0 .. 2
+
+
 def test_devo_bad_combination(tmp_path):
     out = tmp_path / "devo.csv"
     argv = ["devo", "--family", "ldgm3", "--alpha-grid", "1.0",
@@ -227,6 +242,9 @@ def test_optimize_outputs(tmp_path):
     out = tmp_path / "opt.profile"
     argv = ["optimize", "--components", "XOR:1,XOR:2", "--targets", "1.0",
             "--ell", "5", "--multistart", "2", "--seed", "0", "--out", str(out)]
+    for bad in ("FOO:3", "MAJ:2", "PARITY:3", "XOR"):
+        assert main([*argv[:2], bad, *argv[3:]]) == EXIT_INFEASIBLE, bad
+        assert not out.exists()
     assert main(argv) == EXIT_OK
     from gracecode.ensemble import parse_profile
 
