@@ -1,15 +1,18 @@
 """Flooding belief propagation on factor graphs over erasure observations.
 
-Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``; finite
-values saturate at +/-``LLR_CLAMP`` nats and certainty is the explicit value
-+/-inf.  One iteration is a full variable-to-check then check-to-variable
-sweep.  The iteration-0 state is all-1/2 beliefs except variables clamped by
-observed arity-1 (identity) checks.
+Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``;
+certainty is the explicit value +/-inf, and finite variable-side values
+saturate at +/-``LLR_CLAMP`` nats.  One iteration is a full variable-to-check
+then check-to-variable sweep.  The iteration-0 state is all-1/2 beliefs
+except variables clamped by observed arity-1 (identity) checks.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -18,6 +21,8 @@ from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations
 from .exactdec import ContradictionError
 
 LLR_CLAMP = 500.0
+_TINY = Fraction(math.ulp(0.0))
+_HUGE = Fraction(sys.float_info.max)
 
 
 @dataclass
@@ -53,6 +58,10 @@ def check_message(kind: CheckKind, observed: int, incoming) -> float:
     An erased observation returns 1 (no message).  For a majority check with
     observed 0 the result is P(T <= (d-1)/2) / P(T <= (d-3)/2) with T the
     count of ones among the other neighbors; observed 1 is the mirror image.
+    The count distribution is computed in exact rational arithmetic and
+    rounded once, into [smallest positive, largest finite] float unless the
+    exact ratio is 0 or inf, which needs an incoming ratio of 0 or inf.
+    ``ContradictionError`` means the observation is impossible.
     XOR/PARITY checks are informative only when every other neighbor is
     certain.
     """
@@ -65,24 +74,23 @@ def check_message(kind: CheckKind, observed: int, incoming) -> float:
         return 1.0
     obs = int(observed)
     if kind.kind == "MAJ":
-        with np.errstate(invalid="ignore"):
-            p1 = np.where(np.isinf(r), 0.0, 1.0 / (1.0 + r))
-        if obs == 1:
-            p1 = 1.0 - p1
-        d = kind.arity
-        thr = (d - 1) // 2
-        dist = np.array([1.0])
-        for u in p1:
-            nxt = np.zeros(dist.shape[0] + 1)
-            nxt[: dist.shape[0]] += dist * (1.0 - u)
-            nxt[1:] += dist * u
-            dist = nxt
-        a_sum = float(dist[: thr + 1].sum())
-        b_sum = float(dist[:thr].sum())
-        if a_sum <= 0.0:
+        thr = (kind.arity - 1) // 2
+        # point masses of T up to a common factor: a neighbor weighs (r, 1)
+        # for (zero, one), a certain zero (1, 0); observed 1 counts zeros
+        dist = [Fraction(1)]
+        for x in r.tolist():
+            p0, p1 = (Fraction(1), Fraction(0)) if x == np.inf else (Fraction(x), Fraction(1))
+            if obs == 1:
+                p0, p1 = p1, p0
+            dist = [a * p0 + b * p1 for a, b in zip(dist + [Fraction(0)], [Fraction(0)] + dist)]
+        a_sum = sum(dist[: thr + 1])
+        b_sum = sum(dist[:thr])
+        if a_sum == 0:
             raise ContradictionError("conflicting certain messages at a majority check")
-        ratio = np.inf if b_sum <= 0.0 else a_sum / b_sum
-        return ratio if obs == 0 else (0.0 if ratio == np.inf else 1.0 / ratio)
+        if b_sum == 0:
+            return np.inf if obs == 0 else 0.0
+        ratio = a_sum / b_sum if obs == 0 else b_sum / a_sum
+        return float(min(max(ratio, _TINY), _HUGE))
     certain = (r == 0.0) | np.isinf(r)
     if not np.all(certain):
         return 1.0
@@ -98,16 +106,27 @@ def _active_arrays(graph: FactorGraph, received: ReceivedWord):
     return sub.ptr, sub.evar, sub.kind, obs[active], sub.arity
 
 
-def _build_groups(a_ptr, a_kind, a_ar, a_obs):
-    """One (C, d) edge-index matrix and its C observations per (kind, arity)."""
+def _build_groups(a_ptr, a_evar, a_kind, a_obs, a_ar):
+    """Lay the active edges out group-major, given ``_active_arrays``' output.
+
+    The C checks of one (kind, arity d) group own one contiguous slice of the
+    edge arrays, read as a (d, C) block whose row i holds every check's i-th
+    edge.  Returns the permuted edge-variable array and, per (kind, d), the
+    slice and the C observations.
+    """
     groups = {}
+    evar = np.empty_like(a_evar)
     base = int(a_ar.max(initial=0)) + 1
     keys = a_kind.astype(np.int64) * base + a_ar
+    off = 0
     for key in np.unique(keys).tolist():
         kind, d = divmod(key, base)
         sel = np.nonzero(keys == key)[0]
-        groups[(kind, d)] = (a_ptr[sel][:, None] + np.arange(d)[None, :], a_obs[sel])
-    return groups
+        blk = slice(off, off + d * sel.shape[0])
+        evar[blk] = a_evar[a_ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
+        groups[(kind, d)] = (blk, a_obs[sel])
+        off = blk.stop
+    return evar, groups
 
 
 def _var_extrinsic(evar, c2v, totals, lam):
@@ -126,79 +145,149 @@ def _var_extrinsic(evar, c2v, totals, lam):
     lam[:] = np.where(pos > 0, np.inf, np.where(neg > 0, -np.inf, rest))
 
 
-# Majority checks: the target-bit likelihood ratio for an observed 0 is
-# P(T <= thr) / P(T <= thr - 1), thr = (d-1)//2, where T counts ones among the
-# other d-1 neighbors.  A forward table (point masses of the count over the
-# first i neighbors) and a backward table (cumulative counts over neighbors
-# i..d-1) are swept once per block; each entry is a contiguous length-C row,
-# indexed [neighbor, count].  Only counts t <= thr are swept: the leave-one-out
-# sums read no other entry.  An observed 1 is the mirror image (negate
-# incoming and outgoing LLRs).
+# Majority checks.  Mirror the incoming LLRs for an observed 1 (s = -lam) and
+# let w_j = e^{-s_j} = P(1)/P(0).  The count T of ones among the target's d-1
+# other neighbors has P(T = t) proportional to e_t(w), the elementary
+# symmetric sum over those others, so the target's ratio
+# P(T <= thr) / P(T <= thr-1), thr = (d-1)//2, is 1 + x with
+# x = e_thr / sum_{i<thr} e_i, and the message is log1p(x):
+#   MAJ3: x = w_j + w_k, at most 2 e^500 for |s| <= LLR_CLAMP.
+#   MAJ5: x = e2 / (1 + e1) over the four others, with e1 and e2 built from
+#     prefix and suffix sums of non-negative terms, so nothing cancels.  w is
+#     scaled by e^-250 (e2 itself would overflow), and
+#     x = e^250 e2' / (e^-250 + e1') stays below 4 e^500.
+#   Other degrees: the count distribution swept in the log domain.
+# Certainty: a certain 0 (s = +inf) is w = 0.  Each certain 1 (s = -inf) among
+# the others lowers thr by one, so thr' = 0 sends +inf and thr' < 0 is a
+# contradiction (message 0, flag set).  A message is +/-inf only if a +/-inf
+# came in.
+
+_HALF_CLAMP = LLR_CLAMP / 2
+_E_HALF_CLAMP = math.exp(_HALF_CLAMP)
 
 
-def _maj_group_update(lam, obs):
-    """Majority update for a (C, d) block of incoming LLRs; returns the
-    outgoing block and whether some check saw a contradiction."""
-    C, d = lam.shape
+def _maj_group_update(lam, obs, out) -> bool:
+    """Majority update of a (d, C) block of incoming LLRs into ``out``;
+    True if some check saw a contradiction."""
+    d = lam.shape[0]
     thr = (d - 1) // 2
     sign = np.where(obs == 1, -1.0, 1.0)
-    s = np.multiply(lam.T, sign, order="C")
-    with np.errstate(over="ignore"):
-        u = np.where(s == np.inf, 0.0, np.where(s == -np.inf, 1.0, 1.0 / (1.0 + np.exp(np.clip(s, -LLR_CLAMP, LLR_CLAMP)))))
-    v = 1.0 - u
-    fw = np.zeros((d, thr + 1, C))
-    fw[0, 0] = 1.0
+    if d in (3, 5):
+        bad = _maj_closed_form(lam * -sign, thr, out)  # -s
+    else:
+        bad = _maj_sweep(lam * sign, thr, out)  # s
+    out *= sign
+    return bad
+
+
+def _maj_closed_form(w, thr, out) -> bool:
+    """Write log1p(x) for MAJ3/MAJ5 (thr 1/2) into ``out`` from ``w`` = -s,
+    which it overwrites with the ratios w; True on a contradiction."""
+    if thr == 2:
+        w -= _HALF_CLAMP
+    np.exp(w, out=w)
+    ones = w == np.inf
+    certain = bool(ones.any())
+    if certain:
+        w[ones] = 0.0
+    if thr == 1:
+        np.add(w[1], w[2], out=out[0])
+        np.add(w[0], w[2], out=out[1])
+        np.add(w[0], w[1], out=out[2])
+    else:
+        e1 = _maj5_sums(w, out)
+        out /= e1 + 1.0 / _E_HALF_CLAMP
+        out *= _E_HALF_CLAMP
+    contradiction = False
+    if certain:
+        n1 = ones.sum(axis=0) - ones  # certain ones among the others
+        if thr == 2:
+            np.multiply(e1, _E_HALF_CLAMP, out=out, where=n1 == 1)
+        out[n1 == thr] = np.inf
+        bad = n1 > thr
+        out[bad] = 0.0
+        contradiction = bool(bad.any())
+    np.log1p(out, out=out)
+    return contradiction
+
+
+def _maj5_sums(w, e2):
+    """Leave-one-out e1 and e2 of five rows of ratios: e2 goes into ``e2``,
+    e1 is returned."""
+    w0, w1, w2, w3, w4 = w
+    p2 = w0 + w1  # prefix sums
+    p3 = p2 + w2
+    s3 = w3 + w4  # suffix sums
+    s2 = s3 + w2
+    q3 = w0 * w1 + p2 * w2  # e2(w0, w1, w2)
+    r2 = w3 * w4 + s3 * w2  # e2(w2, w3, w4)
+    e1 = np.empty_like(w)
+    np.add(s2, w1, out=e1[0])
+    np.add(s2, w0, out=e1[1])
+    np.add(p2, s3, out=e1[2])
+    np.add(p3, w4, out=e1[3])
+    np.add(p3, w3, out=e1[4])
+    np.add(r2, s2 * w1, out=e2[0])
+    np.add(r2, s2 * w0, out=e2[1])
+    np.add(w0 * w1 + p2 * s3, w3 * w4, out=e2[2])
+    np.add(q3, p3 * w4, out=e2[3])
+    np.add(q3, p3 * w3, out=e2[4])
+    return e1
+
+
+def _maj_sweep(s, thr, out) -> bool:
+    """log P(T <= thr) - log P(T <= thr-1) for any degree, by a forward table
+    of point masses and a backward table of cumulative counts, in logs."""
+    d, C = s.shape
+    lu = -np.logaddexp(0.0, s)  # log P(one)
+    lv = -np.logaddexp(0.0, -s)  # log P(zero)
+    # fw[i, t]: t ones among neighbors 0..i-1; bw[i, t]: at most t among i..d-1
+    fw = np.full((d, thr + 1, C), -np.inf)
+    fw[0, 0] = 0.0
     for i in range(d - 1):
-        m = min(i + 1, thr) + 1
-        np.multiply(fw[i, :m], v[i], out=fw[i + 1, :m])
-        fw[i + 1, 1:m] += fw[i, : m - 1] * u[i]
-    bw = np.empty((d + 1, thr + 1, C))
-    bw[d] = 1.0
+        np.add(fw[i], lv[i], out=fw[i + 1])
+        np.logaddexp(fw[i + 1, 1:], fw[i, :-1] + lu[i], out=fw[i + 1, 1:])
+    bw = np.zeros((d + 1, thr + 1, C))
     for i in range(d - 1, 0, -1):
-        np.multiply(v[i], bw[i + 1], out=bw[i])
-        bw[i, 1:] += u[i] * bw[i + 1, :-1]
-    # leave neighbor i out: a = P(T <= thr), b = P(T <= thr - 1), summed over t
-    # in increasing order for every i at once
-    a_sum = np.zeros((d, C))
-    b_sum = np.zeros((d, C))
-    for t in range(thr + 1):
-        a_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t]
-        if t < thr:
-            b_sum[t:] += fw[t:, t] * bw[t + 1 :, thr - t - 1]
-    bad = a_sum <= 0.0
-    sure = b_sum <= 0.0
-    ratio = np.log(np.maximum(a_sum, 1e-300, out=a_sum), out=a_sum)
-    ratio -= np.log(np.maximum(b_sum, 1e-300, out=b_sum), out=b_sum)
-    msg = np.where(bad, 0.0, np.where(sure, np.inf, np.minimum(ratio, LLR_CLAMP, out=ratio)))
-    return sign[:, None] * msg.T, bool(bad.any())
+        np.add(bw[i + 1], lv[i], out=bw[i])
+        np.logaddexp(bw[i, 1:], bw[i + 1, :-1] + lu[i], out=bw[i, 1:])
+    # leave neighbor i out: a = log P(T <= thr), b = log P(T <= thr - 1)
+    a = np.logaddexp.reduce([fw[:, t] + bw[1:, thr - t] for t in range(thr + 1)], axis=0)
+    b = np.logaddexp.reduce([fw[:, t] + bw[1:, thr - 1 - t] for t in range(thr)], axis=0)  # -inf if thr = 0
+    bad = a == -np.inf
+    with np.errstate(invalid="ignore"):
+        np.subtract(a, b, out=out)
+    out[bad] = 0.0
+    return bool(bad.any())
 
 
-def _xor_group_update(lam, obs):
-    """Parity update for a (C, d) block of incoming LLRs.
+def _xor_group_update(lam, obs, out) -> None:
+    """Parity update of a (d, C) block of incoming LLRs into ``out``.
 
     Edge i is certain only when every other neighbor is; its bit is then the
     parity of the observation and the other neighbors' bits.
     """
     ones = lam == -np.inf
     unsure = ~np.isinf(lam)
-    others_unsure = unsure.sum(axis=1, keepdims=True) - unsure
-    bit = (ones.sum(axis=1, keepdims=True) - ones + obs[:, None]) % 2
-    return np.where(others_unsure == 0, np.where(bit == 0, np.inf, -np.inf), 0.0)
+    others_unsure = unsure.sum(axis=0) - unsure
+    bit = (ones.sum(axis=0) - ones + obs) % 2
+    out[:] = np.where(others_unsure == 0, np.where(bit == 0, np.inf, -np.inf), 0.0)
 
 
 def _check_update(groups, lam, c2v) -> bool:
     """Write the check-to-variable messages into ``c2v``; True on a contradiction.
 
-    Every kind other than MAJ (XOR and observed PARITY) takes the parity update.
+    Each group's kernel reads its slice of ``lam`` and writes its slice of
+    ``c2v`` as (d, C) views.  Every kind other than MAJ (XOR and observed
+    PARITY) takes the parity update.
     """
     contradiction = False
-    for (kind, _), (emat, obs) in groups.items():
+    for (kind, d), (blk, obs) in groups.items():
+        shape = (d, obs.shape[0])
         if kind == MAJ:
-            out, bad = _maj_group_update(lam[emat], obs)
-            contradiction = contradiction or bad
+            contradiction |= _maj_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
         else:
-            out = _xor_group_update(lam[emat], obs)
-        c2v[emat] = out
+            _xor_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
     return contradiction
 
 
@@ -228,26 +317,24 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     if received.channel.kind != "BEC":
         raise ValueError(f"run_bp decodes BEC observations only, not {received.channel.kind}")
     k = graph.k
-    a_ptr, a_evar, a_kind, a_obs, a_ar = _active_arrays(graph, received)
-    ne = int(a_ptr[-1])
-    c2v = np.zeros(ne)
+    evar, groups = _build_groups(*_active_arrays(graph, received))
+    c2v = np.zeros(evar.shape[0])
     # iteration-0 clamps: observed arity-1 checks need no incoming information
-    unit = np.nonzero(a_ar == 1)[0]
-    if unit.shape[0]:
-        c2v[a_ptr[unit]] = np.where(a_obs[unit] == 0, np.inf, -np.inf)
+    for (_, d), (blk, obs) in groups.items():
+        if d == 1:
+            c2v[blk] = np.where(obs == 0, np.inf, -np.inf)
     ber_trace = []
     soft_trace = []
-    p0, failed, totals = _posterior(a_evar, c2v, k)
+    p0, failed, totals = _posterior(evar, c2v, k)
     ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
     soft_trace.append(1.0 - float(np.mean(h_b(p0))))
     done = 0
     if not failed:
-        lam = np.zeros(ne)
-        groups = _build_groups(a_ptr, a_kind, a_ar, a_obs)
+        lam = np.zeros(evar.shape[0])
         for _ in range(iters):
-            _var_extrinsic(a_evar, c2v, totals, lam)
+            _var_extrinsic(evar, c2v, totals, lam)
             bad2 = _check_update(groups, lam, c2v)
-            p0, bad3, totals = _posterior(a_evar, c2v, k)
+            p0, bad3, totals = _posterior(evar, c2v, k)
             done += 1
             ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
             soft_trace.append(1.0 - float(np.mean(h_b(p0))))

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
 from gracecode.bp import (
+    LLR_CLAMP,
     _build_groups,
     _maj_group_update,
     _xor_group_update,
@@ -56,6 +59,21 @@ def test_check_message_xor():
     assert check_message(xor3, 1, [0.0, np.inf]) == np.inf
 
 
+def test_check_message_exact_for_finite_ratios():
+    # float products of these ratios underflow; the rational count DP is exact
+    assert check_message(MAJ5, 0, [1e-200] * 4) == pytest.approx(1.5e200, rel=1e-15)
+    assert check_message(MAJ3, 0, [1e-20, 1.0]) == pytest.approx(1e20, rel=1e-15)
+    assert check_message(MAJ3, 1, [1e300, 1e300]) == pytest.approx(5e-301, rel=1e-15)
+    # finite ratios give a finite, nonzero message even beyond the float range
+    assert check_message(MAJ3, 0, [5e-324, 5e-324]) == sys.float_info.max
+    assert 0.0 < check_message(MAJ5, 1, [sys.float_info.max] * 4) < 1e-300
+    # 0 and inf come only from certain inputs
+    assert check_message(MAJ5, 0, [0.0, 0.0, 1e-300, 1e300]) == np.inf
+    assert check_message(MAJ5, 1, [np.inf, np.inf, 1e-300, 1e300]) == 0.0
+    with pytest.raises(ContradictionError):
+        check_message(MAJ5, 0, [0.0, 0.0, 0.0, 1e300])
+
+
 def test_check_message_validation():
     with pytest.raises(ValueError):
         check_message(MAJ3, 0, [1.0])
@@ -63,15 +81,23 @@ def test_check_message_validation():
         check_message(MAJ3, 0, [-1.0, 1.0])
 
 
+def _by_rows(update, lam, obs):
+    """Run a group kernel, which reads and writes (d, C) blocks, on C rows."""
+    out = np.empty(lam.shape[::-1])
+    flag = update(np.ascontiguousarray(lam.T), obs, out)
+    return out.T, flag
+
+
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 @pytest.mark.parametrize("observed", [0, 1])
 def test_maj_kernel_matches_check_message(d, observed):
-    # incoming LLRs mix certainty (+/-inf), no information (0) and |llr| <= 3,
-    # small enough that the reference's ratio arithmetic loses no digits; the
-    # share of -inf varies by row so that some rows contradict an observed 0
+    # incoming LLRs mix certainty (+/-inf), no information (0), |llr| <= 3 and
+    # |llr| up to LLR_CLAMP, where probability products underflow; the share
+    # of -inf varies by row so that some rows contradict an observed 0.  The
+    # reference is exact, so the kernel must match it to 1e-12 relative.
     rng = np.random.default_rng(100 * d + observed)
     C = 60
-    lam = rng.uniform(-3.0, 3.0, size=(C, d))
+    lam = np.where(rng.random((C, d)) < 0.5, rng.uniform(-3.0, 3.0, (C, d)), rng.uniform(-LLR_CLAMP, LLR_CLAMP, (C, d)))
     pick = rng.random((C, d))
     neg = 0.2 + rng.uniform(0.0, 0.6, size=(C, 1))
     lam[pick < 0.1] = np.inf
@@ -80,17 +106,16 @@ def test_maj_kernel_matches_check_message(d, observed):
     if observed == 1:  # the mirror image contradicts on +inf instead
         lam = -lam
     obs = np.full(C, observed, dtype=np.int8)
-    block, _ = _maj_group_update(lam, obs)
+    block, _ = _by_rows(_maj_group_update, lam, obs)
     kind = CheckKind.maj(d)
     contradicted = 0
     for c in range(C):
-        row, flag = _maj_group_update(lam[c : c + 1], obs[c : c + 1])
+        row, flag = _by_rows(_maj_group_update, lam[c : c + 1], obs[c : c + 1])
         assert np.array_equal(row, block[c : c + 1])
         raised = False
         for i in range(d):
-            ratios = np.exp(np.delete(lam[c], i))
             try:
-                ref = check_message(kind, observed, ratios)
+                ref = check_message(kind, observed, np.exp(np.delete(lam[c], i)))
             except ContradictionError:
                 raised = True
                 assert block[c, i] == 0.0
@@ -100,7 +125,8 @@ def test_maj_kernel_matches_check_message(d, observed):
             if np.isinf(llr):
                 assert block[c, i] == llr
             else:
-                assert abs(block[c, i] - llr) <= 1e-12
+                got, want = np.clip([block[c, i], llr], -LLR_CLAMP, LLR_CLAMP)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert flag == raised
         contradicted += raised
     if d >= 3:
@@ -126,7 +152,7 @@ def test_xor_kernel_matches_check_message(check, observed):
         cols = rng.permutation(d)[: n_unsure[c]]
         lam[c, cols] = rng.choice([0.0, -2.5, 1.5, 3.0], size=cols.shape[0])
     obs = np.full(C, observed, dtype=np.int8)
-    block = _xor_group_update(lam, obs)
+    block, _ = _by_rows(_xor_group_update, lam, obs)
     parity_ok = (np.sum(lam == -np.inf, axis=1) + observed) % 2 == 0
     assert parity_ok[n_unsure == 0].any() and not parity_ok[n_unsure == 0].all()
     for c in range(C):
@@ -139,18 +165,23 @@ def test_xor_kernel_matches_check_message(check, observed):
 def test_build_groups_partitions_active_checks():
     profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
     graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
-    ptr, kind, arity = graph.ptr, graph.kind, graph.arity
+    ptr, evar, kind, arity = graph.ptr, graph.evar, graph.kind, graph.arity
     obs = np.arange(graph.n_checks) % 2
-    groups = _build_groups(ptr, kind, arity, obs)
+    evar_g, groups = _build_groups(ptr, evar, kind, obs, arity)
     assert set(groups) == {(0, 3), (1, 3), (1, 1), (2, 4)}
-    edges = np.concatenate([emat.ravel() for emat, _ in groups.values()])
-    assert np.array_equal(np.sort(edges), np.arange(ptr[-1]))
-    for (k, d), (emat, obs_g) in groups.items():
-        sel = np.searchsorted(ptr, emat[:, 0])
-        assert np.all(kind[sel] == k) and np.all(arity[sel] == d)
-        assert np.array_equal(emat, ptr[sel][:, None] + np.arange(d))
+    # the slices tile the edge arrays in key order; row i of a group's (d, C)
+    # block holds the i-th edge of each of its checks, in check order
+    stop = 0
+    for (k, d), (blk, obs_g) in sorted(groups.items()):
+        sel = np.nonzero((kind == k) & (arity == d))[0]
+        assert blk.start == stop and blk.stop - blk.start == d * sel.shape[0]
+        stop = blk.stop
+        want = evar[ptr[sel][None, :] + np.arange(d)[:, None]]
+        assert np.array_equal(evar_g[blk].reshape(d, -1), want)
         assert np.array_equal(obs_g, obs[sel])
-    assert _build_groups(ptr[:1], kind[:0], arity[:0], obs[:0]) == {}
+    assert stop == ptr[-1] == evar_g.shape[0]
+    evar_g, groups = _build_groups(ptr[:1], evar[:0], kind[:0], obs[:0], arity[:0])
+    assert groups == {} and evar_g.shape == (0,)
 
 
 def test_run_bp_without_active_checks():
@@ -164,6 +195,20 @@ def test_run_bp_without_active_checks():
     assert result.beliefs.iteration == 3
     assert np.all(result.beliefs.p0 == 0.5)
     assert np.all(result.ber_trace == 0.5) and result.ber_trace.shape == (4,)
+
+
+def test_run_bp_ldmc5_never_fails():
+    # pure ldmc5 has no arity-1 check, so no message is ever certain and no
+    # trial may stop on a contradiction; seeded as the CLI seeds its trials
+    spec = EnsembleSpec(k=2000, rate=0.5, profile=DegreeProfile.single(MAJ5))
+    for alpha in (0.5, 0.75, 1.0, 1.25, 1.5):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 0])
+            graph = sample_graph(spec, rng)
+            source = rng.integers(0, 2, size=spec.k).astype(np.int8)
+            received = transmit(encode(graph, source), ChannelParam.bec(1.0 - alpha * spec.rate), rng)
+            result = run_bp(graph, received, 10)
+            assert not result.failed, (seed, alpha)
 
 
 def _tree_graph_maj3():
