@@ -2,9 +2,11 @@
 
 Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``;
 certainty is the explicit value +/-inf, and finite variable-side values
-saturate at +/-``LLR_CLAMP`` nats.  One iteration is a full variable-to-check
-then check-to-variable sweep.  The iteration-0 state is all-1/2 beliefs
-except variables clamped by observed arity-1 (identity) checks.
+saturate at +/-``LLR_CLAMP`` nats.  One iteration is a check update, then a
+variable step: the checks turn variable-to-check into check-to-variable
+messages, which the variable step sums into beliefs and the next
+variable-to-check messages.  Iteration 0 is the variable step alone, on zero
+messages except those of observed arity-1 (identity) checks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import ERASED, ReceivedWord, h_b
-from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations
+from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations, observed_subgraph
 from .exactdec import ContradictionError
 
 LLR_CLAMP = 500.0
@@ -98,22 +100,16 @@ def check_message(kind: CheckKind, observed: int, incoming) -> float:
     return np.inf if parity == 0 else 0.0
 
 
-def _active_arrays(graph: FactorGraph, received: ReceivedWord):
-    """Flat arrays for the observed checks (unerased emitted + PARITY)."""
-    obs = _check_observations(graph, received)
-    active = obs != ERASED
-    sub = graph.subgraph(active)
-    return sub.ptr, sub.evar, sub.kind, obs[active], sub.arity
-
-
-def _build_groups(a_ptr, a_evar, a_kind, a_obs, a_ar):
-    """Lay the active edges out group-major, given ``_active_arrays``' output.
+def _build_groups(sub: FactorGraph, obs):
+    """Lay the edges of the observed sub-graph ``sub`` out group-major, given
+    the observations ``obs`` of its checks.
 
     The C checks of one (kind, arity d) group own one contiguous slice of the
     edge arrays, read as a (d, C) block whose row i holds every check's i-th
     edge.  Returns the permuted edge-variable array and, per (kind, d), the
     slice and the C observations.
     """
+    ptr, a_evar, a_kind, a_ar = sub.flat
     groups = {}
     evar = np.empty_like(a_evar)
     base = int(a_ar.max(initial=0)) + 1
@@ -123,26 +119,10 @@ def _build_groups(a_ptr, a_evar, a_kind, a_obs, a_ar):
         kind, d = divmod(key, base)
         sel = np.nonzero(keys == key)[0]
         blk = slice(off, off + d * sel.shape[0])
-        evar[blk] = a_evar[a_ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
-        groups[(kind, d)] = (blk, a_obs[sel])
+        evar[blk] = a_evar[ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
+        groups[(kind, d)] = (blk, obs[sel])
         off = blk.stop
     return evar, groups
-
-
-def _var_extrinsic(evar, c2v, totals, lam):
-    """Write the variable-to-check messages into ``lam``, given the posterior's
-    per-variable (finite sum, +inf count, -inf count) ``totals`` of ``c2v``.
-
-    The posterior stops BP at a variable certain of both values, so none occurs here.
-    """
-    tot, npos, nneg = totals
-    pinf = c2v == np.inf
-    ninf = c2v == -np.inf
-    fin = np.where(np.isfinite(c2v), c2v, 0.0)
-    pos = npos[evar] - pinf
-    neg = nneg[evar] - ninf
-    rest = np.clip(tot[evar] - fin, -LLR_CLAMP, LLR_CLAMP)
-    lam[:] = np.where(pos > 0, np.inf, np.where(neg > 0, -np.inf, rest))
 
 
 # Majority checks.  Mirror the incoming LLRs for an observed 1 (s = -lam) and
@@ -291,19 +271,30 @@ def _check_update(groups, lam, c2v) -> bool:
     return contradiction
 
 
-def _posterior(evar, c2v, k):
-    """Beliefs, the contradiction flag and the per-variable totals of ``c2v``."""
+def _var_step(evar, c2v, k, lam=None):
+    """Beliefs p0 and the contradiction flag from the check-to-variable
+    messages ``c2v``; with ``lam`` given, also write the next
+    variable-to-check messages into it.
+
+    A variable's belief sums its messages, certain if one of them is; its
+    message to a check sums the others.  Both clip finite sums at
+    +/-``LLR_CLAMP``.  A variable certain of both values is a contradiction.
+    """
     pinf = c2v == np.inf
     ninf = c2v == -np.inf
     fin = np.where(np.isfinite(c2v), c2v, 0.0)
     tot = np.bincount(evar, weights=fin, minlength=k)
-    npos = np.bincount(evar, weights=pinf, minlength=k)
-    nneg = np.bincount(evar, weights=ninf, minlength=k)
+    npos = np.bincount(evar[pinf], minlength=k)
+    nneg = np.bincount(evar[ninf], minlength=k)
     contradiction = bool(np.any((npos > 0) & (nneg > 0)))
     with np.errstate(over="ignore"):
         p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -LLR_CLAMP, LLR_CLAMP)))
     p0 = np.where(npos > 0, 1.0, np.where(nneg > 0, 0.0, p0))
-    return p0, contradiction, (tot, npos, nneg)
+    if lam is not None:
+        np.clip(tot[evar] - fin, -LLR_CLAMP, LLR_CLAMP, out=lam)
+        lam[nneg[evar] > ninf] = -np.inf  # another message is certain
+        lam[npos[evar] > pinf] = np.inf
+    return p0, contradiction
 
 
 def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResult:
@@ -316,34 +307,28 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
         raise ValueError("iters must be >= 0")
     if received.channel.kind != "BEC":
         raise ValueError(f"run_bp decodes BEC observations only, not {received.channel.kind}")
-    k = graph.k
-    evar, groups = _build_groups(*_active_arrays(graph, received))
+    obs = _check_observations(graph, received)
+    active = obs != ERASED
+    evar, groups = _build_groups(graph.subgraph(active), obs[active])
     c2v = np.zeros(evar.shape[0])
     # iteration-0 clamps: observed arity-1 checks need no incoming information
-    for (_, d), (blk, obs) in groups.items():
+    for (_, d), (blk, bits) in groups.items():
         if d == 1:
-            c2v[blk] = np.where(obs == 0, np.inf, -np.inf)
+            c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
+    lam = np.empty(evar.shape[0])
     ber_trace = []
     soft_trace = []
-    p0, failed, totals = _posterior(evar, c2v, k)
-    ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
-    soft_trace.append(1.0 - float(np.mean(h_b(p0))))
-    done = 0
-    if not failed:
-        lam = np.zeros(evar.shape[0])
-        for _ in range(iters):
-            _var_extrinsic(evar, c2v, totals, lam)
-            bad2 = _check_update(groups, lam, c2v)
-            p0, bad3, totals = _posterior(evar, c2v, k)
-            done += 1
-            ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
-            soft_trace.append(1.0 - float(np.mean(h_b(p0))))
-            if bad2 or bad3:
-                failed = True
-                break
+    for t in range(iters + 1):
+        bad = t > 0 and _check_update(groups, lam, c2v)
+        p0, contradiction = _var_step(evar, c2v, graph.k, lam if t < iters else None)
+        ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
+        soft_trace.append(1.0 - float(np.mean(h_b(p0))))
+        failed = bad or contradiction
+        if failed:
+            break
     hard = np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, -1)).astype(np.int8)
     return DecodeResult(
-        beliefs=BeliefState(p0=p0, iteration=done),
+        beliefs=BeliefState(p0=p0, iteration=t),
         hard=hard,
         ber_trace=np.array(ber_trace),
         soft_trace=np.array(soft_trace),
@@ -359,16 +344,14 @@ def measure(result: DecodeResult, truth, bins: int = 20):
         raise ValueError("truth length must equal k")
     err = np.where(hard == -1, 0.5, (hard != truth).astype(float))
     ber = float(err.mean())
-    p0 = result.beliefs.p0
-    iota = 1.0 - float(np.mean(h_b(p0)))
-    hist, _ = np.histogram(p0, bins=bins, range=(0.0, 1.0))
+    iota = float(result.soft_trace[-1])
+    hist, _ = np.histogram(result.beliefs.p0, bins=bins, range=(0.0, 1.0))
     return ber, iota, hist
 
 
 def observed_degrees(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
     """Per-variable membership count over observed (active) checks."""
-    a_ptr, a_evar, _, _, _ = _active_arrays(graph, received)
-    return np.bincount(a_evar, minlength=graph.k)
+    return np.bincount(observed_subgraph(graph, received).evar, minlength=graph.k)
 
 
 __all__ = [

@@ -68,7 +68,16 @@ def _parse_grid(text: str) -> np.ndarray:
     if step <= 0:
         raise ValueError("grid step must be > 0")
     count = int(np.floor((b - a) / step + 1e-9)) + 1
+    if count < 1:
+        raise ValueError(f"grid {text!r} is empty (b < a)")
     return a + step * np.arange(count)
+
+
+def _check_range(name: str, values, lo: float, hi: float = np.inf) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` outside [lo, hi]."""
+    for value in np.atleast_1d(values).tolist():
+        if not lo <= value <= hi:
+            raise ValueError(f"{name} must lie in [{_fmt(lo)}, {_fmt(hi)}], got {_fmt(value)}")
 
 
 _BUILTIN_PROFILES = {
@@ -152,9 +161,12 @@ def _simulate_point(profile, args, alpha: float, eps: float):
 
 def _cmd_simulate(args) -> int:
     profile = _load_profile(args.ensemble)
-    alphas = _parse_grid(args.alpha_grid) if args.alpha_grid else None
-    if alphas is None:
+    if args.alpha_grid is not None:
+        alphas = _parse_grid(args.alpha_grid)
+        _check_range("alpha", alphas, 0.0)
+    else:
         eps_grid = _parse_grid(args.eps_grid)
+        _check_range("eps", eps_grid, 0.0, 1.0)
         alphas = (1.0 - eps_grid) / args.rate
     rows = []
     args.failed_trials = 0
@@ -260,6 +272,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_histogram(args) -> int:
     profile = _load_profile(args.ensemble)
+    _check_range("alpha", args.alpha, 0.0)
     eps = min(max(1.0 - args.alpha * args.rate, 0.0), 1.0)
     failed, _, _, hists = zip(*_trials(profile, args, args.alpha, eps, args.bins))
     args.failed_trials = sum(failed)
@@ -303,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte-Carlo BP sweep over a load grid")
     _add_ensemble_args(p)
-    p.add_argument("--alpha-grid", help="a:b:step over alpha = C/R")
-    p.add_argument("--eps-grid", help="a:b:step over erasure eps")
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--alpha-grid", help="a:b:step over alpha = C/R")
+    grid.add_argument("--eps-grid", help="a:b:step over erasure eps")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

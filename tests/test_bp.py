@@ -11,6 +11,7 @@ from gracecode.bp import (
     LLR_CLAMP,
     _build_groups,
     _maj_group_update,
+    _var_step,
     _xor_group_update,
     check_message,
     measure,
@@ -165,23 +166,71 @@ def test_xor_kernel_matches_check_message(check, observed):
 def test_build_groups_partitions_active_checks():
     profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
     graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
-    ptr, evar, kind, arity = graph.ptr, graph.evar, graph.kind, graph.arity
-    obs = np.arange(graph.n_checks) % 2
-    evar_g, groups = _build_groups(ptr, evar, kind, obs, arity)
+    ptr, evar, kind, arity = graph.flat
+    obs = (np.arange(graph.n_checks) % 3 - 1).astype(np.int8)  # every third check erased
+    active = obs != ERASED
+    evar_g, groups = _build_groups(graph.subgraph(active), obs[active])
     assert set(groups) == {(0, 3), (1, 3), (1, 1), (2, 4)}
     # the slices tile the edge arrays in key order; row i of a group's (d, C)
-    # block holds the i-th edge of each of its checks, in check order
+    # block holds the i-th edge of each of its active checks, in check order
     stop = 0
     for (k, d), (blk, obs_g) in sorted(groups.items()):
-        sel = np.nonzero((kind == k) & (arity == d))[0]
+        sel = np.nonzero(active & (kind == k) & (arity == d))[0]
         assert blk.start == stop and blk.stop - blk.start == d * sel.shape[0]
         stop = blk.stop
         want = evar[ptr[sel][None, :] + np.arange(d)[:, None]]
         assert np.array_equal(evar_g[blk].reshape(d, -1), want)
         assert np.array_equal(obs_g, obs[sel])
-    assert stop == ptr[-1] == evar_g.shape[0]
-    evar_g, groups = _build_groups(ptr[:1], evar[:0], kind[:0], obs[:0], arity[:0])
+    assert stop == arity[active].sum() == evar_g.shape[0] < ptr[-1]
+    none = np.zeros(graph.n_checks, dtype=bool)
+    evar_g, groups = _build_groups(graph.subgraph(none), obs[none])
     assert groups == {} and evar_g.shape == (0,)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_var_step_matches_per_variable_sums(seed):
+    rng = np.random.default_rng(seed)
+    k = 300
+    evar = rng.integers(0, k, size=1500)  # degrees 0 to about 15
+    # messages: certain 0 or 1, uninformative, small and up to the clamp
+    pick = rng.choice(5, size=evar.shape[0], p=[0.04, 0.04, 0.12, 0.4, 0.4])
+    c2v = np.select(
+        [pick == 0, pick == 1, pick == 2, pick == 3],
+        [np.inf, -np.inf, 0.0, rng.uniform(-3.0, 3.0, evar.shape[0])],
+        rng.uniform(-LLR_CLAMP, LLR_CLAMP, evar.shape[0]),
+    )
+    lam = np.full(evar.shape[0], np.nan)
+    p0, flag = _var_step(evar, c2v, k, lam)
+    p0_only, flag_only = _var_step(evar, c2v, k)
+    assert np.array_equal(p0, p0_only) and flag == flag_only
+    both = 0
+    for v in range(k):
+        edges = np.nonzero(evar == v)[0]
+        msgs = c2v[edges]
+        pos, neg = np.isposinf(msgs), np.isneginf(msgs)
+        if pos.any() and neg.any():
+            both += 1
+            assert p0[v] in (0.0, 1.0)
+            continue
+        total = np.clip(sum(msgs[~pos & ~neg].tolist(), 0.0), -LLR_CLAMP, LLR_CLAMP)
+        want = 1.0 if pos.any() else 0.0 if neg.any() else 1.0 / (1.0 + np.exp(-total))
+        assert p0[v] == want  # the same sum, in edge order
+        for j, e in enumerate(edges):
+            others = np.delete(msgs, j)
+            if np.isposinf(others).any():
+                assert lam[e] == np.inf
+            elif np.isneginf(others).any():
+                assert lam[e] == -np.inf
+            else:
+                # leave-one-out by subtraction from the total: the rounding
+                # error is a few ulps of the variable's summed magnitudes
+                scale = 1e-13 * (1.0 + np.abs(msgs[np.isfinite(msgs)]).sum())
+                rest = np.clip(sum(others.tolist(), 0.0), -LLR_CLAMP, LLR_CLAMP)
+                assert abs(lam[e] - rest) <= scale
+    assert flag and 0 < both < k // 10
+    # p0 is 1/2 exactly without messages, and a single +/-inf pair flags
+    p0, flag = _var_step(np.array([1, 1, 2]), np.array([np.inf, -np.inf, 0.0]), 3)
+    assert flag and p0[0] == 0.5 and p0[2] == 0.5
 
 
 def test_run_bp_without_active_checks():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ def test_parse_grid():
         cli._parse_grid("1:2")
     with pytest.raises(ValueError):
         cli._parse_grid("1:2:0")
+    for empty in ("1.5:1.0:0.1", "0.5:0.4:0.1"):  # b < a
+        with pytest.raises(ValueError, match="empty"):
+            cli._parse_grid(empty)
 
 
 def test_usage_exit_code(tmp_path, capsys):
@@ -48,10 +53,16 @@ def test_usage_exit_code(tmp_path, capsys):
             main([command, *base, *extra, flag, value])
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+    # simulate takes exactly one of the two grids
+    for grids in ([], ["--alpha-grid", "1.0", "--eps-grid", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *base, *grids])
+        assert exc.value.code == EXIT_USAGE
+        assert "--eps-grid" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_infeasible_exit_code(tmp_path):
+def test_infeasible_exit_code(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     status = main([
         "simulate", "--ensemble", "nosuchprofile", "--k", "10", "--rate", "0.5",
@@ -59,6 +70,19 @@ def test_infeasible_exit_code(tmp_path):
     ])
     assert status == EXIT_INFEASIBLE
     assert not out.exists()
+    # empty grids and out-of-range loads stop before any row is written
+    base = ["--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--out", str(out)]
+    for argv, message in [
+        (["devo", "--family", "ldmc3", "--alpha-grid", "1.5:1.0:0.1", "--out", str(out)], "'1.5:1.0:0.1' is empty"),
+        (["converse", "--bound", "shannon", "--rate", "0.5", "--eps-grid", "0.5:0.4:0.1", "--out", str(out)], "empty"),
+        (["histogram", *base, "--alpha", "-1"], "alpha must lie in [0, inf], got -1"),
+        (["simulate", *base, "--alpha-grid=-0.5:0.5:0.5"], "alpha must lie in [0, inf], got -0.5"),
+        (["simulate", *base, "--eps-grid", "1.2"], "eps must lie in [0, 1], got 1.2"),
+        (["simulate", *base, "--eps-grid=-0.1"], "eps must lie in [0, 1], got -0.1"),
+    ]:
+        assert main(argv) == EXIT_INFEASIBLE, argv
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -268,10 +292,18 @@ def test_histogram_counts(tmp_path):
     assert total == 200  # k * trials
 
 
+def _child_env():
+    """The environment with ``PYTHONPATH`` leading to this gracecode package."""
+    import gracecode
+
+    root = str(Path(gracecode.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gracecode.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
 
@@ -292,6 +324,7 @@ def test_simulate_does_not_import_scipy_special(tmp_path):
         "print('scipy.special' in sys.modules)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "sim.csv")], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path / "sim.csv")],
+        capture_output=True, text=True, check=True, env=_child_env(),
     )
     assert proc.stdout.strip() == "False"
