@@ -53,7 +53,6 @@ from .efun import (
     EPolynomial,
     MessageAlphabet,
     build_family,
-    closed_form_efun,
     d_function,
     error_poly,
     f_alphabet,
@@ -103,8 +102,7 @@ __all__ = [
     "BeliefState", "DecodeResult", "check_message", "run_bp", "measure",
     # efun
     "EPolynomial", "MessageAlphabet", "EFunctionFamily", "f_alphabet",
-    "error_poly", "build_family", "closed_form_efun", "d_function",
-    "first_zero",
+    "error_poly", "build_family", "d_function", "first_zero",
     # devo
     "DETrace", "DEBounds", "iterate", "bounds_from_traces", "fixed_point",
     "large_d_bound",

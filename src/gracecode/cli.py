@@ -57,20 +57,31 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(text: str) -> np.ndarray:
-    """Parse 'a:b:step' (inclusive of b up to rounding) or a single value."""
+    """Parse 'a:b:step' (inclusive of b up to rounding) or a single value.
+
+    Every number must be finite, and a grid holds at most 1e6 points.
+    """
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"grid must be 'a:b:step' or a single value, got {text!r}")
-    a, b, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid {text!r} has a non-finite number")
+    if len(values) == 1:
+        return np.array(values)
+    a, b, step = values
     if step <= 0:
         raise ValueError("grid step must be > 0")
-    count = int(np.floor((b - a) / step + 1e-9)) + 1
-    if count < 1:
+    last = np.floor((b - a) / step + 1e-9)  # a float: no int() or arange of a huge span
+    if last < 0:
         raise ValueError(f"grid {text!r} is empty (b < a)")
-    return a + step * np.arange(count)
+    if last >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    return a + step * np.arange(int(last) + 1)
 
 
 def _check_range(name: str, values, lo: float, hi: float = np.inf) -> None:
@@ -182,20 +193,18 @@ def _cmd_simulate(args) -> int:
 def _make_family(name: str, surrogate: str, quantity: str, D: int):
     if name in ("ldmc3", "ldmc5"):
         return build_family(name, channel=surrogate, payoff=_PAYOFF_FOR[quantity], D=D)
-    if name.startswith("ldgm") and name[4:].isdigit():
-        if surrogate != "BEC" or quantity != "error":
-            raise InfeasibleSpecError("closed-form LDGM families support BEC/error only")
-        return ClosedFormFamily("ldgm", d=int(name[4:]))
     profile = _load_profile(name)
     if surrogate != "BEC" or quantity != "error":
-        raise InfeasibleSpecError("mixed-profile families support BEC/error only")
+        raise InfeasibleSpecError("profile families (ldgmN, files) support BEC/error only")
     return ClosedFormFamily("mixed", profile=profile, D=D)
 
 
 def _cmd_devo(args) -> int:
     family = _make_family(args.family, args.surrogate, args.quantity, args.dmax)
+    alphas = _parse_grid(args.alpha_grid)
+    _check_range("alpha", alphas, 0.0)  # --ell 0 never evaluates the family
     rows = []
-    for alpha in _parse_grid(args.alpha_grid):
+    for alpha in alphas:
         trace = iterate(family, float(alpha), args.x0, args.ell, args.surrogate, args.quantity)
         for t, q in enumerate(trace.values):
             rows.append((alpha, t, q, args.quantity, args.surrogate, args.x0))

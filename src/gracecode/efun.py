@@ -10,10 +10,11 @@ Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
 terms in the alphabet weights, and ``_average`` sums pmf[d] * E_d(q) over a
 degree pmf.  ``eval_degree`` is its one-degree case and ``EFunctionFamily``
 calls it with its degree law (on the BSC once per crossover, which sets the
-alphabet); ``closed_form_efun("sysregular")`` is a binomial-law family.
-``mixed_efun`` multiplies the LDGM closed form of the XOR components with the
-Poisson families of the MAJ components; ``closed_form_efun("mixed")`` and the
-profile optimizer call it.  ``error_poly`` expands ``_term_rep`` in powers of q.
+alphabet).  ``mixed_efun`` multiplies the XOR closed form with the Poisson
+families of the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
+``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
+and the profile optimizer calls it directly.  ``error_poly`` expands
+``_term_rep`` in powers of q.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -200,6 +202,11 @@ def _columns(entries):
     return np.array(col_l), np.array(col_logq), np.array(col_entry, dtype=np.int64)
 
 
+def _check_load(alpha: float) -> None:
+    if not alpha >= 0.0:  # also false for NaN
+        raise ValueError(f"alpha must be >= 0, got {alpha}")
+
+
 def _check_degree(d: int) -> None:
     if not 0 <= d <= _MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}]")
@@ -288,17 +295,16 @@ def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPol
 
 @dataclass(frozen=True)
 class DegreeLaw:
-    """Degree distribution of a variable: Poisson(arity*alpha),
-    Binomial(trials, alpha*rate), or an explicit pmf over 0..len-1."""
+    """Degree distribution of a variable: Poisson(arity*alpha) or
+    Binomial(trials, alpha*rate)."""
 
     kind: str
     arity: int = 0
     trials: int = 0
     rate: float = 0.0
-    weights: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("poisson", "binomial", "explicit"):
+        if self.kind not in ("poisson", "binomial"):
             raise ValueError(f"unknown degree law {self.kind!r}")
 
     @classmethod
@@ -309,10 +315,6 @@ class DegreeLaw:
     def binomial(cls, trials: int, rate: float) -> "DegreeLaw":
         return cls("binomial", trials=int(trials), rate=float(rate))
 
-    @classmethod
-    def explicit(cls, weights) -> "DegreeLaw":
-        return cls("explicit", weights=tuple(float(w) for w in weights))
-
     def probabilities(self, alpha: float, D: int):
         """(pmf over degrees 0..D, P(Deg > D)) at load alpha."""
         from scipy.special import gammaln, xlog1py, xlogy
@@ -322,16 +324,13 @@ class DegreeLaw:
             mu = self.arity * alpha
             pmf = np.exp(xlogy(ds, mu) - gammaln(ds + 1) - mu)
             return pmf, max(1.0 - float(pmf.sum()), 0.0)
-        if self.kind == "binomial":
-            pr = alpha * self.rate
-            if pr > 1.0 + 1e-12:
-                raise ValueError("binomial degree law needs alpha*rate <= 1")
-            n, pr = self.trials, min(pr, 1.0)
-            ks = np.arange(n + 1)
-            logc = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-            w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
-        else:
-            w = np.array(self.weights)
+        pr = alpha * self.rate
+        if pr > 1.0 + 1e-12:
+            raise ValueError("binomial degree law needs alpha*rate <= 1")
+        n, pr = self.trials, min(pr, 1.0)
+        ks = np.arange(n + 1)
+        logc = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+        w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
         pmf = np.zeros(D + 1)
         upto = min(D + 1, w.shape[0])
         pmf[:upto] = w[:upto]
@@ -367,6 +366,7 @@ class EFunctionFamily:
         return 3 if self.base == "ldmc3" else 5
 
     def evaluate(self, alpha: float, q):
+        _check_load(alpha)
         pmf, tail_p = self.law.probabilities(alpha, self.D)
         qa = np.asarray(q, dtype=float)
         if self.channel == "BEC":
@@ -393,64 +393,22 @@ def build_family(
     return EFunctionFamily(base=base, channel=channel, payoff=payoff, D=D, law=law)
 
 
-def closed_form_efun(
-    kind: str,
-    alpha: float,
-    q,
-    *,
-    d: int | None = None,
-    profile: DegreeProfile | None = None,
-    rate: float | None = None,
-    D: int = 10,
-):
-    """Closed-form BEC error functions.
-
-    LDGM(d): (1/2) e^{-alpha d q^(d-1)}.  Mixed(profile): product form
-    (1/2) prod_j 2 E_j(alpha*lambda_j, q) with XOR components in closed form
-    and MAJ components through the truncated Poisson family.  SysRegular(d,
-    R): (1 - alpha R) * E[Bin(d(1-R)/R, alpha R)-degree error].
-    """
-    tag = kind.lower()
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    qa = np.asarray(q, dtype=float)
-    scalar = qa.ndim == 0
-    if tag == "ldgm":
-        if d is None or d < 1:
-            raise ValueError("LDGM requires an arity d >= 1")
-        out = 0.5 * np.exp(-alpha * d * qa ** (d - 1))
-        return float(out) if scalar else out
-    if tag == "sysregular":
-        if d is None or rate is None:
-            raise ValueError("SysRegular requires d and rate")
-        m_real = d * (1.0 - rate) / rate
-        m = round(m_real)
-        if abs(m_real - m) > 1e-9:
-            raise ValueError("SysRegular requires d(1-R)/R to be an integer")
-        family = build_family(f"ldmc{d}", D=m, law=DegreeLaw.binomial(m, rate))
-        out = (1.0 - min(alpha * rate, 1.0)) * family.evaluate(alpha, qa)
-        return float(out) if scalar else out
-    if tag == "mixed":
-        if profile is None:
-            raise ValueError("Mixed requires a degree profile")
-        return mixed_efun([ck for ck, _ in profile.entries], [lam for _, lam in profile.entries], alpha, qa, D)
-    raise ValueError(f"unknown closed form kind {kind!r}")
-
-
 def mixed_efun(components, weights, alpha: float, q, D: int):
     """Mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) over the weights w_j > 0.
 
-    XOR components take the LDGM closed form and MAJ components the truncated
-    Poisson family.  The weights need not lie on the simplex: the profile
-    optimizer evaluates finite-difference points just off it.
+    XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)} and MAJ
+    components the truncated Poisson family.  The weights need not lie on the
+    simplex: the profile optimizer evaluates finite-difference points just off
+    it.
     """
+    _check_load(alpha)
     qa = np.asarray(q, dtype=float)
     acc = np.full_like(qa, 0.5)
     for ck, lam in zip(components, weights):
         if lam <= 0.0:
             continue
         if ck.kind == "XOR":
-            factor = 2.0 * closed_form_efun("ldgm", alpha * lam, qa, d=ck.arity)
+            factor = np.exp(-(alpha * lam) * ck.arity * qa ** (ck.arity - 1))
         elif ck.kind == "MAJ":
             factor = 2.0 * build_family(f"ldmc{ck.arity}", D=D).evaluate(alpha * lam, qa)
         else:
@@ -491,20 +449,40 @@ def first_zero(family, alpha: float, grid: int = 2001, tol: float = 1e-10):
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """Adapter exposing a closed-form E-function as a family with evaluate()."""
+    """Closed-form BEC error function of a mixed or systematic-regular ensemble.
+
+    Mixed(profile): ``mixed_efun`` over the profile; LDGM(d) is the profile
+    ``XOR:d``.  SysRegular(d, R): (1 - alpha R) * E[Bin(d(1-R)/R, alpha R)-degree
+    error], with d(1-R)/R an integer.
+    """
+
+    channel: ClassVar[str] = "BEC"
+    payoff: ClassVar[str] = "error"
 
     kind: str
     d: int | None = None
     profile: DegreeProfile | None = None
     rate: float | None = None
     D: int = 10
-    channel: str = "BEC"
-    payoff: str = "error"
+
+    def __post_init__(self):
+        if self.kind not in ("mixed", "sysregular"):
+            raise ValueError(f"unknown closed form kind {self.kind!r}")
 
     def evaluate(self, alpha: float, q):
-        return closed_form_efun(
-            self.kind, alpha, q, d=self.d, profile=self.profile, rate=self.rate, D=self.D
-        )
+        if self.kind == "mixed":
+            if self.profile is None:
+                raise ValueError("mixed requires a degree profile")
+            comps, lams = zip(*self.profile.entries)
+            return mixed_efun(comps, lams, alpha, q, self.D)
+        if self.d is None or self.rate is None:
+            raise ValueError("sysregular requires d and rate")
+        m_real = self.d * (1.0 - self.rate) / self.rate
+        m = round(m_real)
+        if abs(m_real - m) > 1e-9:
+            raise ValueError("sysregular requires d(1-R)/R to be an integer")
+        family = build_family(f"ldmc{self.d}", D=m, law=DegreeLaw.binomial(m, self.rate))
+        return (1.0 - min(alpha * self.rate, 1.0)) * family.evaluate(alpha, q)
 
 
 __all__ = [
@@ -517,7 +495,6 @@ __all__ = [
     "error_poly",
     "eval_degree",
     "build_family",
-    "closed_form_efun",
     "d_function",
     "first_zero",
 ]

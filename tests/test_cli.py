@@ -33,6 +33,14 @@ def test_parse_grid():
     for empty in ("1.5:1.0:0.1", "0.5:0.4:0.1"):  # b < a
         with pytest.raises(ValueError, match="empty"):
             cli._parse_grid(empty)
+    for bad in ("nan", "inf", "-inf", "0:inf:1", "-inf:0:1", "0:1:nan", "0:1:inf", "nan:1:0.1"):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._parse_grid(bad)
+    # the point count is checked before anything is allocated
+    assert cli._parse_grid("0:999999:1").shape == (1_000_000,)
+    for huge in ("0:1000000:1", "0:1e9:1e-9", "-1e308:1e308:1", "0:1:1e-320"):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            cli._parse_grid(huge)
 
 
 def test_usage_exit_code(tmp_path, capsys):
@@ -79,10 +87,26 @@ def test_infeasible_exit_code(tmp_path, capsys):
         (["simulate", *base, "--alpha-grid=-0.5:0.5:0.5"], "alpha must lie in [0, inf], got -0.5"),
         (["simulate", *base, "--eps-grid", "1.2"], "eps must lie in [0, 1], got 1.2"),
         (["simulate", *base, "--eps-grid=-0.1"], "eps must lie in [0, 1], got -0.1"),
+        (["simulate", *base, "--alpha-grid", "0:1e9:1e-9"], "more than 1000000 points"),
+        (["devo", "--family", "ldmc3", "--alpha-grid", "0:inf:1", "--out", str(out)], "non-finite"),
+        (["devo", "--family", "ldmc3", "--alpha-grid", "nan", "--out", str(out)], "non-finite"),
+        (["devo", "--family", "ldmc3", "--alpha-grid", "inf", "--out", str(out)], "non-finite"),
+        (["converse", "--bound", "shannon", "--rate", "0.5", "--eps-grid", "0:inf:1", "--out", str(out)],
+         "non-finite"),
+        (["optimize", "--components", "XOR:1,XOR:2", "--targets=-1", "--out", str(out)], "alpha must be >= 0"),
     ]:
         assert main(argv) == EXIT_INFEASIBLE, argv
         assert message in capsys.readouterr().err
         assert not out.exists()
+    # a negative devo load is refused for every kind of family, also with --ell 0
+    prof = tmp_path / "mix.profile"
+    prof.write_text("XOR 1 0.5\nMAJ 3 0.5\n", encoding="utf-8")
+    for family in ("ldmc3", "ldgm3", str(prof)):
+        for ell in ("0", "3"):
+            argv = ["devo", "--family", family, "--alpha-grid=-1", "--ell", ell, "--out", str(out)]
+            assert main(argv) == EXIT_INFEASIBLE, argv
+            assert "alpha must lie in [0, inf], got -1" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_simulate_deterministic(tmp_path):

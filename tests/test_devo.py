@@ -51,7 +51,7 @@ def test_xor_mixture_reference_bers():
 
 
 def test_pure_ldgm_zero_stays_zero():
-    fam = ClosedFormFamily("ldgm", d=3)
+    fam = ClosedFormFamily("mixed", profile=DegreeProfile(((CheckKind.xor(3), 1.0),)))
     trace = iterate(fam, 1.2, 0.0, 20)
     # E(alpha, 0) = 1/2 for pure XOR(d>=2), so q stays pinned at 0
     assert np.all(trace.values == 0.0)
@@ -105,6 +105,11 @@ def test_tag_mismatch_errors():
         iterate(fam, 1.0, 0.2, -1)
     with pytest.raises(ValueError):
         fixed_point(fam, 1.0, 0.5, tol=0.0)
+    # closed forms are BEC/error families: a BSC run of one is refused
+    closed = ClosedFormFamily("mixed", profile=DegreeProfile(((CheckKind.xor(3), 1.0),)))
+    iterate(closed, 1.0, 0.25, 3)
+    with pytest.raises(ValueError, match="does not match surrogate"):
+        iterate(closed, 1.0, 0.25, 3, "BSC", "error")
 
 
 def test_capacity_soft_marked_conjectured():

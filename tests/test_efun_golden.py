@@ -7,17 +7,18 @@ import pytest
 
 from gracecode.channels import h_b
 from gracecode.efun import (
+    ClosedFormFamily,
     DegreeLaw,
     EPolynomial,
     MessageAlphabet,
     build_family,
-    closed_form_efun,
     d_function,
     error_poly,
     eval_degree,
     f_alphabet,
     first_zero,
 )
+from gracecode.ensemble import CheckKind, DegreeProfile
 
 # Reference coefficients (ascending powers of q) for the LDMC(3)/BEC
 # erasure polynomials E_d, d = 0..10.
@@ -172,9 +173,6 @@ def test_degree_law_probabilities():
     assert abs(pmf[3] - 0.3125) < 1e-12
     with pytest.raises(ValueError):
         DegreeLaw.binomial(6, 0.9).probabilities(1.2, 10)
-    expl = DegreeLaw.explicit([0.25, 0.5, 0.25])
-    pmf, tail = expl.probabilities(2.0, 1)
-    assert abs(tail - 0.25) < 1e-12
 
 
 def test_binomial_law_matches_scipy():
@@ -206,33 +204,59 @@ def test_family_channel_payoff_validation():
         build_family("ldmc7")
 
 
+def _xor(d):
+    return DegreeProfile(((CheckKind.xor(d), 1.0),))
+
+
 def test_closed_form_ldgm():
     q = 0.6
-    val = closed_form_efun("ldgm", 1.2, q, d=3)
+    val = ClosedFormFamily("mixed", profile=_xor(3)).evaluate(1.2, q)
     assert abs(val - 0.5 * np.exp(-1.2 * 3 * q * q)) < 1e-15
     with pytest.raises(ValueError):
-        closed_form_efun("ldgm", 1.0, 0.5)  # missing d
+        ClosedFormFamily("mixed").evaluate(1.0, 0.5)  # missing profile
+    with pytest.raises(ValueError):
+        ClosedFormFamily("ldgm", d=3)  # LDGM(d) is the profile XOR:d
 
 
 def test_closed_form_mixed_reduces_to_components():
-    from gracecode.ensemble import CheckKind, DegreeProfile
-
-    prof = DegreeProfile(((CheckKind.xor(3), 1.0),))
-    assert abs(
-        closed_form_efun("mixed", 0.9, 0.5, profile=prof)
-        - closed_form_efun("ldgm", 0.9, 0.5, d=3)
-    ) < 1e-15
+    # one XOR(d) component is the LDGM closed form (1/2) e^{-alpha d q^(d-1)}
+    fam = ClosedFormFamily("mixed", profile=_xor(3))
+    assert fam.evaluate(0.9, 0.5) == 0.5 * np.exp(-0.9 * 3 * 0.5**2)
+    qs = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(fam.evaluate(0.9, qs), 0.5 * np.exp(-0.9 * 3 * qs**2))
     prof = DegreeProfile(((CheckKind.maj(3), 1.0),))
-    fam = build_family("ldmc3", D=10)
-    assert abs(closed_form_efun("mixed", 0.9, 0.5, profile=prof, D=10) - fam.evaluate(0.9, 0.5)) < 1e-14
+    mixed = ClosedFormFamily("mixed", profile=prof, D=10)
+    assert abs(mixed.evaluate(0.9, 0.5) - build_family("ldmc3", D=10).evaluate(0.9, 0.5)) < 1e-14
 
 
 def test_closed_form_sysregular_validation():
     # d(1-R)/R must be an integer
     with pytest.raises(ValueError):
-        closed_form_efun("sysregular", 1.0, 0.5, d=3, rate=0.4)
-    val = closed_form_efun("sysregular", 1.0, 0.5, d=3, rate=0.5)
+        ClosedFormFamily("sysregular", d=3, rate=0.4).evaluate(1.0, 0.5)
+    val = ClosedFormFamily("sysregular", d=3, rate=0.5).evaluate(1.0, 0.5)
     assert 0.0 < val < 0.5
+
+
+def test_closed_form_channel_and_payoff_are_fixed():
+    fam = ClosedFormFamily("mixed", profile=_xor(3))
+    assert (fam.channel, fam.payoff) == ("BEC", "error")
+    with pytest.raises(TypeError):
+        ClosedFormFamily("mixed", profile=_xor(3), channel="BSC")
+
+
+def test_families_reject_negative_and_nan_loads():
+    families = [
+        build_family("ldmc3"),
+        build_family("ldmc3", channel="BSC"),
+        ClosedFormFamily("mixed", profile=_xor(3)),
+        ClosedFormFamily("mixed", profile=DegreeProfile(((CheckKind.maj(3), 1.0),))),
+        ClosedFormFamily("sysregular", d=3, rate=0.5),
+    ]
+    for fam in families:
+        assert fam.evaluate(0.0, 0.5) >= 0.0
+        for alpha in (-1.0, -1e-300, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                fam.evaluate(alpha, 0.5)
 
 
 def test_d_function_and_first_zero():
