@@ -13,23 +13,56 @@ import numpy as np
 ERASED = -1
 
 
+def _h_b_float(x: float) -> float:
+    """``h_b`` of one Python float, with the array path's ``np.log2`` and IEEE
+    operations in its order, so the two paths agree bit for bit."""
+    if not 0.0 < x < 1.0:
+        return 0.0
+    return -x * float(np.log2(x)) - (1.0 - x) * float(np.log2(1.0 - x))
+
+
 def h_b(x):
     """Binary entropy in bits; accepts scalars or arrays, h_b(0)=h_b(1)=0."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.ndim(x) == 0:
+        return _h_b_float(float(x))
+    arr = np.asarray(x, dtype=float)
     out = np.zeros_like(arr)
     mask = (arr > 0.0) & (arr < 1.0)
     xm = arr[mask]
     out[mask] = -xm * np.log2(xm) - (1.0 - xm) * np.log2(1.0 - xm)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
     return out
 
 
-def h_b_inv(y, tol: float = 1e-12):
-    """Inverse of binary entropy on [0, 1/2] by bisection to ``tol``."""
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if np.any(y_arr < -1e-9) or np.any(y_arr > 1.0 + 1e-9):
+def _check_entropy(y) -> None:
+    if not np.all((y >= -1e-9) & (y <= 1.0 + 1e-9)):  # also false for NaN
         raise ValueError("h_b_inv argument must lie in [0, 1]")
+
+
+def h_b_inv(y, tol: float = 1e-12):
+    """Inverse of binary entropy on [0, 1/2] by bisection to ``tol``.
+
+    A scalar takes a Python-float loop with the same bisection steps as the
+    array path, and returns the same bits.
+    """
+    if np.ndim(y) == 0:
+        yf = float(y)
+        _check_entropy(yf)
+        if yf >= 1.0:
+            return 0.5
+        if yf <= 0.0:
+            return 0.0
+        lo, hi = 0.0, 0.5
+        for _ in range(64):
+            if hi - lo <= tol:
+                break
+            mid = 0.5 * (lo + hi)
+            if _h_b_float(mid) < yf:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+    y_arr = np.asarray(y, dtype=float)
+    _check_entropy(y_arr)
     y_arr = np.clip(y_arr, 0.0, 1.0)
     lo = np.zeros_like(y_arr)
     hi = np.full_like(y_arr, 0.5)
@@ -42,10 +75,7 @@ def h_b_inv(y, tol: float = 1e-12):
         hi = np.where(below, hi, mid)
     out = 0.5 * (lo + hi)
     out = np.where(y_arr >= 1.0, 0.5, out)
-    out = np.where(y_arr <= 0.0, 0.0, out)
-    if np.isscalar(y) or np.asarray(y).ndim == 0:
-        return float(out[0])
-    return out
+    return np.where(y_arr <= 0.0, 0.0, out)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,13 @@ all message-type and agreement patterns.
 
 Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
 terms in the alphabet weights, and ``_average`` sums pmf[d] * E_d(q) over a
-degree pmf.  ``eval_degree`` is its one-degree case and ``EFunctionFamily``
-calls it with its degree law (on the BSC once per crossover, which sets the
-alphabet).  ``mixed_efun`` multiplies the XOR closed form with the Poisson
+degree pmf.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
+its types and each row's type, which depend only on d and on which entry owns
+each lattice column; the coefficients depend on the alphabet's magnitudes and
+the payoff and are cached on the alphabet itself.  ``eval_degree`` is the
+one-degree case of ``_average`` and ``EFunctionFamily`` calls it with its
+degree law (on the BSC once per crossover, which sets the alphabet).
+``mixed_efun`` multiplies the XOR closed form with the Poisson
 families of the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
 and the profile optimizer calls it directly.  ``error_poly`` expands
@@ -20,9 +24,9 @@ and the profile optimizer calls it directly.  ``error_poly`` expands
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -54,6 +58,29 @@ class EPolynomial:
         return np.polynomial.polynomial.polyval(q, self.as_array())
 
 
+def _columns(entries):
+    """Per-lattice-column scalars: log-ratio increment, branch log-prob, and
+    the tuple of the columns' owning entries.
+
+    Unit-magnitude entries occupy one column; larger magnitudes split into
+    agree/disagree columns with probabilities 1/(1+m) and m/(1+m).
+    """
+    col_l, col_logq, col_entry = [], [], []
+    for j, (m, _) in enumerate(entries):
+        if m == 1.0:
+            col_l.append(0.0)
+            col_logq.append(0.0)
+            col_entry.append(j)
+        else:
+            col_l.append(-math.log(m))
+            col_logq.append(math.log(1.0 / (1.0 + m)))
+            col_entry.append(j)
+            col_l.append(math.log(m))
+            col_logq.append(math.log(m / (1.0 + m)))
+            col_entry.append(j)
+    return np.array(col_l), np.array(col_logq), tuple(col_entry)
+
+
 @dataclass(frozen=True, eq=False)
 class MessageAlphabet:
     """Message types for one check seen from a variable: (magnitude, weight).
@@ -61,14 +88,23 @@ class MessageAlphabet:
     Magnitudes are likelihood ratios folded to m >= 1; weights are
     polynomials in q (constants for BSC alphabets built at a fixed crossover).
     Total retained mass may be < 1: the remainder is fully-determining events.
+
+    An alphabet caches its E_d term representations (``_term_rep``) and
+    evaluation plans (``_plan``), so they live exactly as long as it does.
     """
 
     channel: str
     entries: tuple
+    _horner: np.ndarray = field(init=False, repr=False)
+    _cols: tuple = field(init=False, repr=False)
+    _terms: dict = field(default_factory=dict, init=False, repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.channel not in ("BEC", "BSC"):
             raise ValueError(f"unknown channel tag {self.channel!r}")
+        if not self.entries:
+            raise ValueError("an alphabet needs at least one entry")
         if len(self.entries) > _MAX_ENTRIES:
             raise ValueError(f"alphabet limited to {_MAX_ENTRIES} entries")
         ent = []
@@ -80,49 +116,70 @@ class MessageAlphabet:
                 w = EPolynomial(tuple(np.atleast_1d(w)))
             ent.append((m, w))
         object.__setattr__(self, "entries", tuple(ent))
+        # the weight polynomials as rows of one matrix, highest power first and
+        # zero-padded on top, so that ``_average`` runs polyval's Horner steps
+        # on all entries at once
+        coeffs = [w.coeffs for _, w in ent]
+        horner = np.zeros((max(map(len, coeffs)), len(ent)))
+        for j, c in enumerate(coeffs):
+            horner[horner.shape[0] - len(c) :, j] = c[::-1]
+        horner.setflags(write=False)
+        object.__setattr__(self, "_horner", horner)
+        object.__setattr__(self, "_cols", _columns(ent))
+
+
+_BEC_ALPHABETS = {
+    "LDMC3_BEC": MessageAlphabet(
+        "BEC",
+        (
+            (1.0, EPolynomial((0.0, 0.0, 0.5))),
+            (2.0, EPolynomial((0.0, 1.5, -1.5))),
+            (3.0, EPolynomial((1.0, -2.0, 1.0))),
+        ),
+    ),
+    "LDMC5_BEC": MessageAlphabet(
+        "BEC",
+        (
+            (1.0, EPolynomial((0.0, 0.0, 0.0, 1.0, -0.375))),
+            (2.0, EPolynomial((0.0, 0.0, 0.0, 2.25, -2.25))),
+            (4.0 / 3.0, EPolynomial((0.0, 0.0, 2.625, -5.25, 2.625))),
+            (3.0, EPolynomial((0.0, 0.0, 3.0, -6.0, 3.0))),
+            (7.0 / 4.0, EPolynomial((0.0, 2.75, -8.25, 8.25, -2.75))),
+            (4.0, EPolynomial((0.0, 1.25, -3.75, 3.75, -1.25))),
+            (11.0 / 5.0, EPolynomial((1.0, -4.0, 6.0, -4.0, 1.0))),
+        ),
+    ),
+}
 
 
 @lru_cache(maxsize=64)
+def _ldmc3_bsc(p: float) -> MessageAlphabet:
+    rho = (1.0 - p) / p
+    return MessageAlphabet(
+        "BSC",
+        (
+            (1.0 + rho + 1.0 / rho, EPolynomial((0.5,))),
+            (1.0 + 2.0 * rho, EPolynomial((p / 2.0,))),
+            (1.0 + 2.0 / rho, EPolynomial(((1.0 - p) / 2.0,))),
+        ),
+    )
+
+
 def f_alphabet(family: str, p: float | None = None) -> MessageAlphabet:
     """Built-in message alphabets: LDMC3_BEC, LDMC5_BEC, LDMC3_BSC(p).
 
-    Alphabets are immutable, so each one is built once and then shared.
+    Alphabets are immutable, so each one is built once and then shared: the
+    BEC ones for the life of the process, the last 64 crossovers' BSC ones in
+    their own LRU, which a DE trace over many crossovers cycles without
+    evicting the BEC alphabets and the term representations they hold.
     """
     tag = family.upper().replace("-", "_")
-    if tag == "LDMC3_BEC":
-        return MessageAlphabet(
-            "BEC",
-            (
-                (1.0, EPolynomial((0.0, 0.0, 0.5))),
-                (2.0, EPolynomial((0.0, 1.5, -1.5))),
-                (3.0, EPolynomial((1.0, -2.0, 1.0))),
-            ),
-        )
-    if tag == "LDMC5_BEC":
-        return MessageAlphabet(
-            "BEC",
-            (
-                (1.0, EPolynomial((0.0, 0.0, 0.0, 1.0, -0.375))),
-                (2.0, EPolynomial((0.0, 0.0, 0.0, 2.25, -2.25))),
-                (4.0 / 3.0, EPolynomial((0.0, 0.0, 2.625, -5.25, 2.625))),
-                (3.0, EPolynomial((0.0, 0.0, 3.0, -6.0, 3.0))),
-                (7.0 / 4.0, EPolynomial((0.0, 2.75, -8.25, 8.25, -2.75))),
-                (4.0, EPolynomial((0.0, 1.25, -3.75, 3.75, -1.25))),
-                (11.0 / 5.0, EPolynomial((1.0, -4.0, 6.0, -4.0, 1.0))),
-            ),
-        )
+    if tag in _BEC_ALPHABETS:
+        return _BEC_ALPHABETS[tag]
     if tag == "LDMC3_BSC":
         if p is None or not 0.0 < p <= 0.5:
             raise ValueError("LDMC3_BSC requires a crossover p in (0, 1/2]")
-        rho = (1.0 - p) / p
-        return MessageAlphabet(
-            "BSC",
-            (
-                (1.0 + rho + 1.0 / rho, EPolynomial((0.5,))),
-                (1.0 + 2.0 * rho, EPolynomial((p / 2.0,))),
-                (1.0 + 2.0 / rho, EPolynomial(((1.0 - p) / 2.0,))),
-            ),
-        )
+        return _ldmc3_bsc(float(p))
     raise ValueError(f"unknown alphabet family {family!r}")
 
 
@@ -136,9 +193,9 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
     raise ValueError(f"unknown payoff {payoff!r}")
 
 
-_LATTICE_CACHE: dict = {}
+_STRUCTURE_CACHE: dict = {}
 # enough for the LDMC5 lattices (13 columns) up to the default truncation
-# D = 10: 646,646 rows at d = 10, about 39 MB for d = 0..10 together
+# D = 10: 646,646 rows at d = 10, about 42 MB for d = 0..10 together
 _LATTICE_CACHE_MAX_ROWS = 650_000
 
 
@@ -157,10 +214,6 @@ def _compositions(d: int, K: int):
     the compositions of t into k parts stack, for i = 0..t, the block
     ``[i | compositions of t - i into k - 1 parts]``.
     """
-    key = (d, K)
-    hit = _LATTICE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if K == 0:
         z = np.zeros((1, 0), dtype=np.int16)
         logc = np.zeros(1)
@@ -175,31 +228,7 @@ def _compositions(d: int, K: int):
         z = blocks[-1]
         table = gammaln(np.arange(d + 1) + 1.0)
         logc = gammaln(d + 1) - table[z].sum(axis=1)
-    if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:
-        _LATTICE_CACHE[key] = (z, logc)
     return z, logc
-
-
-def _columns(entries):
-    """Per-lattice-column scalars: log-ratio increment, branch log-prob, owner.
-
-    Unit-magnitude entries occupy one column; larger magnitudes split into
-    agree/disagree columns with probabilities 1/(1+m) and m/(1+m).
-    """
-    col_l, col_logq, col_entry = [], [], []
-    for j, (m, _) in enumerate(entries):
-        if m == 1.0:
-            col_l.append(0.0)
-            col_logq.append(0.0)
-            col_entry.append(j)
-        else:
-            col_l.append(-math.log(m))
-            col_logq.append(math.log(1.0 / (1.0 + m)))
-            col_entry.append(j)
-            col_l.append(math.log(m))
-            col_logq.append(math.log(m / (1.0 + m)))
-            col_entry.append(j)
-    return np.array(col_l), np.array(col_logq), np.array(col_entry, dtype=np.int64)
 
 
 def _check_load(alpha: float) -> None:
@@ -212,45 +241,115 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}]")
 
 
-@lru_cache(maxsize=512)
+class _Structure(NamedTuple):
+    """The part of E_d's term representation that no magnitude or payoff moves."""
+
+    z: np.ndarray  # the lattice, int16 (rows, columns)
+    logc: np.ndarray  # each row's log-multinomial weight
+    inv: np.ndarray  # each row's type: its row of ``types``
+    types: np.ndarray  # the entries' type counts as floats (types, entries)
+
+
+def _structure(d: int, owners: tuple) -> _Structure:
+    """The lattice of E_d's terms for an alphabet whose lattice column c
+    belongs to entry ``owners[c]``, with its types.
+
+    Cached per (d, owners) up to ``_LATTICE_CACHE_MAX_ROWS`` rows, so a second
+    payoff or another magnitude set with the same layout (a new BSC
+    crossover) reuses it.
+    """
+    key = (d, owners)
+    hit = _STRUCTURE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    z, logc = _compositions(d, len(owners))
+    # an entry's type count sums its columns; the counts of a row sum to d, so
+    # their base-(d+1) number orders the rows as np.unique(axis=0) would
+    radix = (d + 1) ** np.arange(owners[-1], -1, -1)  # owners[-1] + 1 entries
+    keys = np.zeros(z.shape[0], dtype=np.int64)
+    for c, j in enumerate(owners):
+        keys += z[:, c] * radix[j]
+    keys, inv = np.unique(keys, return_inverse=True)
+    types = (keys[:, None] // radix % (d + 1)).astype(np.float64)
+    out = _Structure(z, logc, inv.astype(np.min_scalar_type(keys.shape[0])), types)
+    for a in out:
+        a.setflags(write=False)
+    if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:
+        _STRUCTURE_CACHE[key] = out
+    return out
+
+
 def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
 
-    Returned as (type-count matrix, coefficients).  All coefficients are
-    >= 0, so evaluation through this form is free of the catastrophic
-    cancellation the expanded power basis exhibits at larger d.
+    Returned as (type-count matrix, coefficients), in float64, and cached on
+    the alphabet.  All coefficients are >= 0, so evaluation through
+    this form is free of the catastrophic cancellation the expanded power
+    basis exhibits at larger d.
     """
-    entries = alphabet.entries
-    col_l, col_logq, col_entry = _columns(entries)
-    z, logc = _compositions(d, col_l.shape[0])
-    zf = z.astype(np.float64)
+    key = (d, payoff)
+    hit = alphabet._terms.get(key)
+    if hit is not None:
+        return hit
+    col_l, col_logq, owners = alphabet._cols
+    s = _structure(d, owners)
+    zf = s.z.astype(np.float64)
     llr = zf @ col_l
-    logp = logc + zf @ col_logq
+    logp = s.logc + zf @ col_logq
+    del zf
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
     vals = np.exp(logp) * _apply_payoff(e, payoff)
-    # an entry's type count sums its columns; the counts of a row sum to d, so
-    # their base-(d+1) number orders the rows as np.unique(axis=0) would (the
-    # numbers stay below 2**53, so the float product is exact)
-    radix = (d + 1) ** np.arange(len(entries) - 1, -1, -1)
-    keys, inv = np.unique((zf @ radix[col_entry]).astype(np.int64), return_inverse=True)
-    coefs = np.bincount(inv, weights=vals, minlength=keys.shape[0])
-    return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
+    coefs = np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
+    coefs.setflags(write=False)
+    alphabet._terms[key] = out = (s.types, coefs)
+    return out
+
+
+def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
+    """The term representations of ``degrees`` and each one's rows in a stacked
+    exponent array, as (rows, [(type counts, coefficients, start, end)]);
+    cached on the alphabet."""
+    key = (payoff, degrees)
+    hit = alphabet._plans.get(key)
+    if hit is None:
+        parts, end = [], 0
+        for d in degrees:
+            types, coefs = _term_rep(alphabet, d, payoff)
+            parts.append((types, coefs, end, end + types.shape[0]))
+            end += types.shape[0]
+        alphabet._plans[key] = hit = (end, parts)
+    return hit
 
 
 def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
     """sum_d pmf[d] E_d(q) over the degrees of positive mass, at a 0-d or 1-d q.
 
     The alphabet weights are evaluated once per q; each E_d goes through its
-    stable nonnegative term representation.  Returns a 1-d array.
+    stable nonnegative term representation.  Returns a 1-d array.  Each
+    degree keeps its own two products, with the shapes of a one-degree call,
+    so that BLAS sums them in the same order; ``np.exp`` and the running sum
+    over the degrees work element by element, so they run once over all
+    degrees with the same values.
     """
-    qa = np.atleast_1d(np.asarray(q, dtype=float))
-    w = np.stack([wp(qa) for _, wp in alphabet.entries], axis=1)  # (nq, entries)
+    qa = np.asarray(q, dtype=float).ravel()
+    x = qa[:, None]
+    h = alphabet._horner
+    w = h[0] + x * 0  # polyval's steps and order, for every entry at once
+    for row in h[1:]:
+        w = row + w * x
     logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
-    tot = np.zeros(qa.shape[0])
-    for d in np.flatnonzero(pmf > 0.0):
-        uniq, coefs = _term_rep(alphabet, int(d), payoff)
-        tot = tot + pmf[d] * (coefs @ np.exp(uniq.astype(float) @ logw.T))
-    return tot
+    degrees = np.flatnonzero(pmf > 0.0)
+    rows, parts = _plan(alphabet, payoff, tuple(degrees.tolist()))
+    expo = np.empty((rows, qa.shape[0]))
+    for types, _, a, b in parts:
+        np.dot(types, logw.T, out=expo[a:b])
+    np.exp(expo, out=expo)
+    # row 0 stays 0, the start of the sum 0 + pmf[d0] E_d0 + pmf[d1] E_d1 + ...
+    terms = np.zeros((len(parts) + 1, qa.shape[0]))
+    for i, (_, coefs, a, b) in enumerate(parts, 1):
+        np.dot(coefs, expo[a:b], out=terms[i])
+    terms[1:] *= pmf[degrees][:, None]
+    return np.add.accumulate(terms)[-1]
 
 
 def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray:
@@ -293,6 +392,18 @@ def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPol
     return _error_poly_cached(alphabet, d, payoff)
 
 
+@lru_cache(maxsize=64)
+def _log_factorials(n: int):
+    """(k, log k!) for k = 0..n, as read-only arrays."""
+    from scipy.special import gammaln
+
+    ks = np.arange(n + 1)
+    log_fact = gammaln(ks + 1)
+    ks.setflags(write=False)
+    log_fact.setflags(write=False)
+    return ks, log_fact
+
+
 @dataclass(frozen=True)
 class DegreeLaw:
     """Degree distribution of a variable: Poisson(arity*alpha) or
@@ -317,19 +428,19 @@ class DegreeLaw:
 
     def probabilities(self, alpha: float, D: int):
         """(pmf over degrees 0..D, P(Deg > D)) at load alpha."""
-        from scipy.special import gammaln, xlog1py, xlogy
+        from scipy.special import xlog1py, xlogy
 
         if self.kind == "poisson":
-            ds = np.arange(D + 1)
+            ks, log_fact = _log_factorials(D)
             mu = self.arity * alpha
-            pmf = np.exp(xlogy(ds, mu) - gammaln(ds + 1) - mu)
+            pmf = np.exp(xlogy(ks, mu) - log_fact - mu)
             return pmf, max(1.0 - float(pmf.sum()), 0.0)
         pr = alpha * self.rate
         if pr > 1.0 + 1e-12:
             raise ValueError("binomial degree law needs alpha*rate <= 1")
         n, pr = self.trials, min(pr, 1.0)
-        ks = np.arange(n + 1)
-        logc = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+        ks, log_fact = _log_factorials(n)
+        logc = log_fact[n] - log_fact - log_fact[::-1]
         w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
         pmf = np.zeros(D + 1)
         upto = min(D + 1, w.shape[0])
@@ -396,10 +507,11 @@ def build_family(
 def mixed_efun(components, weights, alpha: float, q, D: int):
     """Mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) over the weights w_j > 0.
 
-    XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)} and MAJ
-    components the truncated Poisson family.  The weights need not lie on the
-    simplex: the profile optimizer evaluates finite-difference points just off
-    it.
+    XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
+    does MAJ(1), whose observed check is the bit itself; the other MAJ
+    components take the truncated Poisson family.  The weights need not lie on
+    the simplex: the profile optimizer evaluates finite-difference points just
+    off it.
     """
     _check_load(alpha)
     qa = np.asarray(q, dtype=float)
@@ -407,7 +519,7 @@ def mixed_efun(components, weights, alpha: float, q, D: int):
     for ck, lam in zip(components, weights):
         if lam <= 0.0:
             continue
-        if ck.kind == "XOR":
+        if ck.kind == "XOR" or (ck.kind == "MAJ" and ck.arity == 1):
             factor = np.exp(-(alpha * lam) * ck.arity * qa ** (ck.arity - 1))
         elif ck.kind == "MAJ":
             factor = 2.0 * build_family(f"ldmc{ck.arity}", D=D).evaluate(alpha * lam, qa)

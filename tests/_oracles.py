@@ -7,12 +7,17 @@ agreement with the library is meaningful.
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 
+from gracecode.channels import h_b, h_b_inv
+from gracecode.efun import _apply_payoff, _compositions, f_alphabet
 from gracecode.exactdec import BitMatrix
 
 
@@ -205,3 +210,163 @@ def slow_encode(checks, source) -> list:
         else:
             out.append(bit)
     return out
+
+
+# ---------------------------------------------------------------------------
+# E-function evaluation as it was before per-alphabet plans and the shared
+# lattice structure: one BLAS product pair, one exp and one vector add per
+# degree, a fresh np.unique per (alphabet, d, payoff).  The library must
+# return the same bits.
+# ---------------------------------------------------------------------------
+
+
+def _columns_plain(entries):
+    col_l, col_logq, col_entry = [], [], []
+    for j, (m, _) in enumerate(entries):
+        if m == 1.0:
+            col_l.append(0.0)
+            col_logq.append(0.0)
+            col_entry.append(j)
+        else:
+            col_l.append(-math.log(m))
+            col_logq.append(math.log(1.0 / (1.0 + m)))
+            col_entry.append(j)
+            col_l.append(math.log(m))
+            col_logq.append(math.log(m / (1.0 + m)))
+            col_entry.append(j)
+    return np.array(col_l), np.array(col_logq), np.array(col_entry, dtype=np.int64)
+
+
+@lru_cache(maxsize=512)
+def term_rep_plain(alphabet, d: int, payoff: str):
+    entries = alphabet.entries
+    col_l, col_logq, col_entry = _columns_plain(entries)
+    z, logc = _compositions(d, col_l.shape[0])
+    zf = z.astype(np.float64)
+    llr = zf @ col_l
+    logp = logc + zf @ col_logq
+    e = 1.0 / (1.0 + np.exp(np.abs(llr)))
+    vals = np.exp(logp) * _apply_payoff(e, payoff)
+    radix = (d + 1) ** np.arange(len(entries) - 1, -1, -1)
+    keys, inv = np.unique((zf @ radix[col_entry]).astype(np.int64), return_inverse=True)
+    coefs = np.bincount(inv, weights=vals, minlength=keys.shape[0])
+    return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
+
+
+def average_plain(alphabet, payoff: str, pmf, q) -> np.ndarray:
+    qa = np.atleast_1d(np.asarray(q, dtype=float))
+    w = np.stack([wp(qa) for _, wp in alphabet.entries], axis=1)  # (nq, entries)
+    logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
+    tot = np.zeros(qa.shape[0])
+    for d in np.flatnonzero(pmf > 0.0):
+        uniq, coefs = term_rep_plain(alphabet, int(d), payoff)
+        tot = tot + pmf[d] * (coefs @ np.exp(uniq.astype(float) @ logw.T))
+    return tot
+
+
+def probabilities_plain(law, alpha: float, D: int):
+    if law.kind == "poisson":
+        ds = np.arange(D + 1)
+        mu = law.arity * alpha
+        pmf = np.exp(xlogy(ds, mu) - gammaln(ds + 1) - mu)
+        return pmf, max(1.0 - float(pmf.sum()), 0.0)
+    pr = alpha * law.rate
+    if pr > 1.0 + 1e-12:
+        raise ValueError("binomial degree law needs alpha*rate <= 1")
+    n, pr = law.trials, min(pr, 1.0)
+    ks = np.arange(n + 1)
+    logc = gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+    w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
+    pmf = np.zeros(D + 1)
+    upto = min(D + 1, w.shape[0])
+    pmf[:upto] = w[:upto]
+    return pmf, float(w[D + 1 :].sum())
+
+
+def evaluate_plain(family, alpha: float, q):
+    """``EFunctionFamily.evaluate`` through the functions above."""
+    pmf, tail_p = probabilities_plain(family.law, alpha, family.D)
+    qa = np.asarray(q, dtype=float)
+    if family.channel == "BEC":
+        out = average_plain(f_alphabet(f"{family.base}_bec"), family.payoff, pmf, qa)
+    else:
+        tail = (0.5 if family.payoff == "error" else 1.0) * tail_p
+        bsc = [f_alphabet("ldmc3_bsc", min(max(p, 1e-12), 0.5)) for p in qa.ravel().tolist()]
+        out = np.array([average_plain(alph, family.payoff, pmf, 0.0)[0] + tail for alph in bsc])
+    return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+
+
+def mixed_efun_plain(components, weights, alpha: float, q, D: int):
+    """``mixed_efun`` through ``evaluate_plain`` (XOR and MAJ3/MAJ5 components)."""
+    from gracecode.efun import build_family
+
+    qa = np.asarray(q, dtype=float)
+    acc = np.full_like(qa, 0.5)
+    for ck, lam in zip(components, weights):
+        if lam <= 0.0:
+            continue
+        if ck.kind == "XOR":
+            factor = np.exp(-(alpha * lam) * ck.arity * qa ** (ck.arity - 1))
+        else:
+            factor = 2.0 * evaluate_plain(build_family(f"ldmc{ck.arity}", D=D), alpha * lam, qa)
+        acc = acc * factor
+    return float(acc) if qa.ndim == 0 else acc
+
+
+# ---------------------------------------------------------------------------
+# The general two-point converse with every h_b / h_b_inv call on a 1-element
+# array, as it ran before those functions had a Python-float path.
+# ---------------------------------------------------------------------------
+
+
+def _h_b_1(x) -> float:
+    return float(h_b(np.array([x], dtype=float))[0])
+
+
+def _h_b_inv_1(y) -> float:
+    return float(h_b_inv(np.array([y], dtype=float))[0])
+
+
+def _eta_plain(delta_star: float, eps: float, tau: float, R: float) -> float:
+    from gracecode.converse import _GRID, _sup
+
+    if delta_star >= 0.5:
+        return 0.5
+    base = 1.0 - (1.0 - tau) / R
+    scale = (1.0 - tau) / (1.0 - eps) if eps < 1.0 else 0.0
+    hd = _h_b_1(delta_star)
+
+    def val(q):
+        conv = q * (1.0 - delta_star) + (1.0 - q) * delta_star
+        if np.ndim(q) == 0:
+            arg = np.clip(base + scale * (_h_b_1(conv) - hd), 0.0, 1.0)
+            return np.where(q < 0.5 - 1e-9, (_h_b_inv_1(arg) - q) / (1.0 - 2.0 * q), -np.inf)
+        arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
+        return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
+
+    best = _sup(val, np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
+    return min(max(best, 0.0), 0.5)
+
+
+def general_two_point_plain(R: float, delta_a: float, eps_a: float, eps: float) -> float:
+    """``general_two_point`` for a valid anchor, through ``_eta_plain``."""
+    from gracecode.converse import _GRID, _REFINE_TOL
+
+    if eps >= eps_a:
+        return _eta_plain(delta_a, eps_a, eps, R)
+    ys = np.linspace(0.0, 0.5, _GRID + 1)
+
+    def feasible(y: float) -> bool:
+        return _eta_plain(y, eps, eps_a, R) <= delta_a + 1e-12
+
+    j = bisect.bisect_left(range(_GRID), True, key=lambda i: feasible(float(ys[i])))
+    if j in (0, _GRID):
+        return 0.0
+    lo, hi = float(ys[j - 1]), float(ys[j])
+    while hi - lo > _REFINE_TOL:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -152,6 +152,8 @@ def test_retained_mass_ldmc5():
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         MessageAlphabet("BEC", ((0.5, EPolynomial((1.0,))),))  # magnitude < 1
+    with pytest.raises(ValueError, match="at least one entry"):
+        MessageAlphabet("BEC", ())
     with pytest.raises(ValueError):
         f_alphabet("ldmc7_bec")
     with pytest.raises(ValueError):

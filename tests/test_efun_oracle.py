@@ -63,7 +63,6 @@ def test_oracle_dense_q_grid_arity3():
 def test_compositions_match_stars_and_bars():
     sizes = [(d, K) for d in range(15) for K in range(1, 14) if comb(d + K - 1, K - 1) <= 200_000]
     for d, K in sizes + [(10, 13)]:
-        efun._LATTICE_CACHE.pop((d, K), None)
         z, logc = efun._compositions(d, K)
         z_ref, logc_ref = compositions_itertools(d, K)
         assert z.dtype == z_ref.dtype and z.shape == z_ref.shape, (d, K)

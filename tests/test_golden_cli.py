@@ -56,6 +56,7 @@ CASES = {
     "devo_ldmc3_bsc_chi2": [*DEVO, "--family", "ldmc3", "--surrogate", "BSC", "--quantity", "chi2-soft", "--x0", "0.5"],
     "devo_ldgm3": [*DEVO, "--family", "ldgm3"],
     "devo_mixed": [*DEVO, "--family", "{mixed}"],
+    "devo_rep": [*DEVO, "--family", "rep"],
     "efun_ldmc5_error": ["efun", "--family", "ldmc5-bec", "--payoff", "error"],
     "efun_ldmc5_chi2": ["efun", "--family", "ldmc5-bec", "--payoff", "chi2"],
     "converse_linear2": ["converse", "--bound", "linear2", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta", "0.05", "--eps-grid", "0.1:0.9:0.05"],
@@ -81,6 +82,15 @@ def run_case(name: str, argv: list[str], workdir: Path) -> Path:
 def test_golden_csv(name, tmp_path):
     out = run_case(name, CASES[name], tmp_path)
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_devo_rep_is_the_xor1_profile(tmp_path):
+    # an observed MAJ1 check is the bit itself, the same check as XOR1
+    profile = tmp_path / "xor1.profile"
+    profile.write_text("XOR 1 1\n", encoding="utf-8")
+    out = tmp_path / "xor1.csv"
+    assert main([*DEVO, "--family", str(profile), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (GOLDEN / "devo_rep.csv").read_bytes()
 
 
 def test_golden_optimize(tmp_path):
