@@ -104,29 +104,21 @@ def linear_two_point(rho: float, delta1: float, eps1: float, eps2: float) -> flo
     return min(max(val, 0.0), 0.5)
 
 
-def _eta_ratio(q, delta_star: float, base: float, scale: float, hd: float):
-    """[h_b_inv(clamped excess-rate expression) - q] / (1 - 2q) at an array or a
-    float q; a float takes the same operations on floats, with the same bits."""
-    conv = q * (1.0 - delta_star) + (1.0 - q) * delta_star
-    # 1 - 2q vanishes at q = 1/2, where the ratio is no longer resolved
-    if isinstance(q, float):
-        if not q < 0.5 - 1e-9:
-            return -math.inf
-        arg = min(max(base + scale * (h_b(conv) - hd), 0.0), 1.0)
-        return (h_b_inv(arg) - q) / (1.0 - 2.0 * q)
-    arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
-    return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
-
-
 def _eta(delta_star: float, eps: float, tau: float, R: float) -> float:
-    """sup_q of ``_eta_ratio``: the grid as one array, the refinement in floats."""
+    """sup_q of [h_b_inv(clamped excess-rate expression) - q] / (1 - 2q)."""
     if delta_star >= 0.5:
         return 0.5
     base = 1.0 - (1.0 - tau) / R
     scale = (1.0 - tau) / (1.0 - eps) if eps < 1.0 else 0.0
-    hd = h_b(delta_star)
-    grid = np.linspace(0.0, 0.5, _GRID + 1)[:-1]
-    best = _sup(lambda q: _eta_ratio(q, delta_star, base, scale, hd), grid, 0.0, 0.5)
+    hd = float(h_b(delta_star))
+
+    def val(q):
+        conv = q * (1.0 - delta_star) + (1.0 - q) * delta_star
+        arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
+        # 1 - 2q vanishes at q = 1/2, where the ratio is no longer resolved
+        return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
+
+    best = _sup(val, np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
     return min(max(best, 0.0), 0.5)
 
 

@@ -89,8 +89,8 @@ class MessageAlphabet:
     polynomials in q (constants for BSC alphabets built at a fixed crossover).
     Total retained mass may be < 1: the remainder is fully-determining events.
 
-    An alphabet caches its E_d term representations (``_term_rep``) and
-    evaluation plans (``_plan``), so they live exactly as long as it does.
+    An alphabet caches its E_d term representations (``_term_rep``), so they
+    live exactly as long as it does.
     """
 
     channel: str
@@ -98,7 +98,6 @@ class MessageAlphabet:
     _horner: np.ndarray = field(init=False, repr=False)
     _cols: tuple = field(init=False, repr=False)
     _terms: dict = field(default_factory=dict, init=False, repr=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.channel not in ("BEC", "BSC"):
@@ -305,22 +304,6 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     return out
 
 
-def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
-    """The term representations of ``degrees`` and each one's rows in a stacked
-    exponent array, as (rows, [(type counts, coefficients, start, end)]);
-    cached on the alphabet."""
-    key = (payoff, degrees)
-    hit = alphabet._plans.get(key)
-    if hit is None:
-        parts, end = [], 0
-        for d in degrees:
-            types, coefs = _term_rep(alphabet, d, payoff)
-            parts.append((types, coefs, end, end + types.shape[0]))
-            end += types.shape[0]
-        alphabet._plans[key] = hit = (end, parts)
-    return hit
-
-
 def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
     """sum_d pmf[d] E_d(q) over the degrees of positive mass, at a 0-d or 1-d q.
 
@@ -339,7 +322,12 @@ def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
         w = row + w * x
     logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
     degrees = np.flatnonzero(pmf > 0.0)
-    rows, parts = _plan(alphabet, payoff, tuple(degrees.tolist()))
+    # each degree's term representation and its rows in the stacked exponents
+    parts, rows = [], 0
+    for d in degrees.tolist():
+        types, coefs = _term_rep(alphabet, d, payoff)
+        parts.append((types, coefs, rows, rows + types.shape[0]))
+        rows += types.shape[0]
     expo = np.empty((rows, qa.shape[0]))
     for types, _, a, b in parts:
         np.dot(types, logw.T, out=expo[a:b])

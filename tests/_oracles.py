@@ -213,7 +213,7 @@ def slow_encode(checks, source) -> list:
 
 
 # ---------------------------------------------------------------------------
-# E-function evaluation as it was before per-alphabet plans and the shared
+# E-function evaluation as it was before the per-alphabet caches and the shared
 # lattice structure: one BLAS product pair, one exp and one vector add per
 # degree, a fresh np.unique per (alphabet, d, payoff).  The library must
 # return the same bits.

@@ -15,7 +15,7 @@ from _oracles import average_plain, evaluate_plain, general_two_point_plain, mix
 
 from gracecode import efun
 from gracecode.channels import h_b, h_b_inv
-from gracecode.converse import _eta_ratio, general_two_point
+from gracecode.converse import general_two_point
 from gracecode.efun import (
     DegreeLaw,
     EPolynomial,
@@ -123,21 +123,6 @@ def test_h_b_inv_rejects_nan_and_out_of_range(bad):
         h_b_inv(bad)
     with pytest.raises(ValueError):
         h_b_inv(np.array([0.5, bad]))
-
-
-def test_eta_ratio_float_path_matches_array_path():
-    # the golden-section refinement of the two-point converse evaluates the
-    # ratio at floats, its grid at one array
-    rng = np.random.default_rng(15)
-    for _ in range(40):
-        delta_star, eps, R = rng.random() * 0.5, rng.random() * 0.9, 0.2 + 0.8 * rng.random()
-        tau = eps + (1.0 - eps) * rng.random()
-        base, scale, hd = 1.0 - (1.0 - tau) / R, (1.0 - tau) / (1.0 - eps), h_b(delta_star)
-        for q in [0.0, 0.25, 0.5 - 2e-9, 0.5, *(rng.random(10) * 0.5)]:
-            got = _eta_ratio(float(q), delta_star, base, scale, hd)
-            with np.errstate(divide="ignore", invalid="ignore"):  # the unused ratio at q = 1/2
-                want = float(_eta_ratio(np.array([q]), delta_star, base, scale, hd)[0])
-            assert type(got) is float and same(got, want), (q, delta_star, tau)
 
 
 @pytest.mark.parametrize(
