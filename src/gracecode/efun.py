@@ -98,6 +98,7 @@ class MessageAlphabet:
     _horner: np.ndarray = field(init=False, repr=False)
     _cols: tuple = field(init=False, repr=False)
     _terms: dict = field(default_factory=dict, init=False, repr=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.channel not in ("BEC", "BSC"):
@@ -304,40 +305,76 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     return out
 
 
-def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
-    """sum_d pmf[d] E_d(q) over the degrees of positive mass, at a 0-d or 1-d q.
+# lane-major exponents per block of lanes: 2^19 floats (4 MB), so a grid of
+# loads at a large D is evaluated in blocks of lanes
+_LANE_BLOCK = 1 << 19
 
-    The alphabet weights are evaluated once per q; each E_d goes through its
-    stable nonnegative term representation.  Returns a 1-d array.  Each
-    degree keeps its own two products, with the shapes of a one-degree call,
-    so that BLAS sums them in the same order; ``np.exp`` and the running sum
-    over the degrees work element by element, so they run once over all
-    degrees with the same values.
+
+def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
+    """The term representations of ``degrees`` stacked for ``_average``.
+
+    Returns (types, coefs, starts): the type counts as an (entries, rows)
+    matrix, each row's coefficient and each degree's first row.  Cached on
+    the alphabet per (payoff, degree set).
+    """
+    key = (payoff, degrees)
+    hit = alphabet._plans.get(key)
+    if hit is not None:
+        return hit
+    reps = [_term_rep(alphabet, d, payoff) for d in degrees]
+    types = np.ascontiguousarray(np.concatenate([t for t, _ in reps]).T)
+    coefs = np.concatenate([c for _, c in reps])
+    starts = np.cumsum([0] + [t.shape[0] for t, _ in reps[:-1]])
+    for a in (types, coefs, starts):
+        a.setflags(write=False)
+    alphabet._plans[key] = out = (types, coefs, starts)
+    return out
+
+
+def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
+    """sum_d pmf[d] E_d(q) over the degrees of positive mass, one value per lane.
+
+    ``q`` is a 0-d or 1-d array of L lanes.  ``pmf`` is one degree law of
+    shape (D+1,) for every lane or one per lane, of shape (D+1, L).  Every
+    step works element by element on lane-major arrays: the exponents sum
+    the entries in their order, each degree's terms are a reduction over a
+    contiguous row segment, and the degrees are added in increasing order.
+    A lane's value is therefore the same bits whatever the other lanes are.
     """
     qa = np.asarray(q, dtype=float).ravel()
-    x = qa[:, None]
-    h = alphabet._horner
-    w = h[0] + x * 0  # polyval's steps and order, for every entry at once
-    for row in h[1:]:
+    weights = np.asarray(pmf, dtype=float)
+    weights = weights.reshape(weights.shape[0], -1).T  # (1 or L, D+1)
+    degrees = np.flatnonzero((weights > 0.0).any(axis=0))
+    if not degrees.size:
+        return np.zeros(qa.shape[0])
+    types, coefs, starts = _plan(alphabet, payoff, tuple(degrees.tolist()))
+    weights = weights[:, degrees]
+    out = np.empty(qa.shape[0])
+    block = max(1, _LANE_BLOCK // types.shape[1])
+    for a in range(0, qa.shape[0], block):
+        lanes = slice(a, a + block)
+        w = weights if weights.shape[0] == 1 else weights[lanes]
+        out[lanes] = _average_block(alphabet._horner, types, coefs, starts, w, qa[lanes])
+    return out
+
+
+def _average_block(horner, types, coefs, starts, weights, q) -> np.ndarray:
+    x = q[:, None]
+    w = horner[0] + x * 0  # polyval's steps and order, for every entry at once
+    for row in horner[1:]:
         w = row + w * x
     logw = np.log(np.maximum(w, 1e-300))  # zero weights become ~exp(-690) ~ 0
-    degrees = np.flatnonzero(pmf > 0.0)
-    # each degree's term representation and its rows in the stacked exponents
-    parts, rows = [], 0
-    for d in degrees.tolist():
-        types, coefs = _term_rep(alphabet, d, payoff)
-        parts.append((types, coefs, rows, rows + types.shape[0]))
-        rows += types.shape[0]
-    expo = np.empty((rows, qa.shape[0]))
-    for types, _, a, b in parts:
-        np.dot(types, logw.T, out=expo[a:b])
+    expo = logw[:, :1] * types[0]  # (lanes, rows)
+    term = np.empty_like(expo)
+    for j in range(1, types.shape[0]):
+        np.multiply(logw[:, j : j + 1], types[j], out=term)
+        expo += term
     np.exp(expo, out=expo)
-    # row 0 stays 0, the start of the sum 0 + pmf[d0] E_d0 + pmf[d1] E_d1 + ...
-    terms = np.zeros((len(parts) + 1, qa.shape[0]))
-    for i, (_, coefs, a, b) in enumerate(parts, 1):
-        np.dot(coefs, expo[a:b], out=terms[i])
-    terms[1:] *= pmf[degrees][:, None]
-    return np.add.accumulate(terms)[-1]
+    expo *= coefs
+    sums = np.add.reduceat(expo, starts, axis=1)  # (lanes, degrees)
+    # a lane without mass at a degree adds exactly 0, as if it skipped it
+    terms = np.where(weights > 0.0, sums * weights, 0.0)
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray:

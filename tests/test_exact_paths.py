@@ -1,10 +1,15 @@
-"""The cached and scalar analytic paths return the same bits as the plain ones.
+"""The cached and scalar analytic paths agree with the plain ones.
 
 E-functions are compared with the pre-cache evaluation in ``_oracles`` (one
-BLAS product pair, one exp and one add per degree), ``h_b``/``h_b_inv`` on a
-float with the same call on a 1-element array, and ``general_two_point`` with
-a run whose every entropy call goes through such an array.  Every comparison
-is ``==`` on the bytes, not a tolerance.
+BLAS product pair, one exp and one add per degree).  The library sums each
+term's exponent over the alphabet entries in a fixed order instead of through
+BLAS, so it may differ from that oracle in the last bits: the comparison is
+to 1e-13 relative (the largest shift measured is 45 ulps, on
+single LDMC5 degrees 8-10 with thousands of terms).  Byte equality of
+E-functions is checked between lanes and one-lane calls in ``test_lanes``.
+``h_b``/``h_b_inv`` on a float are compared with the same call on a 1-element
+array, and ``general_two_point`` with a run whose every entropy call goes
+through such an array; those comparisons are ``==`` on the bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +44,13 @@ def same(a, b) -> bool:
     return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def near(a, b) -> bool:
+    """Same type and shape, and equal to 1e-13 relative."""
+    a_arr, b_arr = np.asarray(a), np.asarray(b)
+    close = np.abs(a_arr - b_arr) <= 1e-13 * np.abs(b_arr)
+    return type(a) is type(b) and a_arr.shape == b_arr.shape and bool(np.all(close))
+
+
 def grid(rng, n: int, hi: float = 1.0) -> np.ndarray:
     return np.concatenate([[0.0, hi, hi / 2], rng.random(n) * hi])
 
@@ -51,8 +63,8 @@ def test_evaluate_matches_uncached_evaluation(name):
     alphas = np.concatenate([[0.0, 1.0, 2.0], rng.random(4) * 2.0])  # the binomial law allows alpha <= 2
     for alpha in alphas.tolist():
         for q in qs.tolist():
-            assert same(family.evaluate(alpha, q), evaluate_plain(family, alpha, q)), (alpha, q)
-        assert same(family.evaluate(alpha, qs), evaluate_plain(family, alpha, qs)), alpha
+            assert near(family.evaluate(alpha, q), evaluate_plain(family, alpha, q)), (alpha, q)
+        assert near(family.evaluate(alpha, qs), evaluate_plain(family, alpha, qs)), alpha
 
 
 def test_eval_degree_matches_uncached_evaluation():
@@ -69,9 +81,9 @@ def test_eval_degree_matches_uncached_evaluation():
             pmf = np.zeros(d + 1)
             pmf[d] = 1.0
             for payoff in ("error", "chi2", "entropy"):
-                assert same(eval_degree(alphabet, d, payoff, qs), average_plain(alphabet, payoff, pmf, qs)), (d, payoff)
+                assert near(eval_degree(alphabet, d, payoff, qs), average_plain(alphabet, payoff, pmf, qs)), (d, payoff)
                 for q in qs[:4].tolist():
-                    assert eval_degree(alphabet, d, payoff, q) == average_plain(alphabet, payoff, pmf, q)[0]
+                    assert near(eval_degree(alphabet, d, payoff, q), float(average_plain(alphabet, payoff, pmf, q)[0]))
 
 
 def test_mixed_efun_matches_uncached_evaluation():
@@ -81,10 +93,10 @@ def test_mixed_efun_matches_uncached_evaluation():
     for _ in range(12):
         weights = rng.random(4) - 0.15  # some components off, as the optimizer's points can be
         alpha = float(rng.random() * 2.0)
-        assert same(mixed_efun(comps, weights, alpha, qs, 10), mixed_efun_plain(comps, weights, alpha, qs, 10))
+        assert near(mixed_efun(comps, weights, alpha, qs, 10), mixed_efun_plain(comps, weights, alpha, qs, 10))
         for q in qs[:5].tolist():
-            assert same(mixed_efun(comps, weights, alpha, q, 10), mixed_efun_plain(comps, weights, alpha, q, 10))
-    assert same(mixed_efun(comps, weights, 0.0, qs, 10), mixed_efun_plain(comps, weights, 0.0, qs, 10))
+            assert near(mixed_efun(comps, weights, alpha, q, 10), mixed_efun_plain(comps, weights, alpha, q, 10))
+    assert near(mixed_efun(comps, weights, 0.0, qs, 10), mixed_efun_plain(comps, weights, 0.0, qs, 10))
 
 
 def test_maj1_takes_the_xor1_factor():
