@@ -33,7 +33,7 @@ from .converse import (
     linear_two_point,
     shannon_single_point,
 )
-from .devo import _PAYOFF_FOR, iterate
+from .devo import _PAYOFF_FOR, _traces
 from .efun import ClosedFormFamily, build_family, error_poly, f_alphabet
 from .ensemble import (
     CheckKind,
@@ -203,10 +203,10 @@ def _cmd_devo(args) -> int:
     family = _make_family(args.family, args.surrogate, args.quantity, args.dmax)
     alphas = _parse_grid(args.alpha_grid)
     _check_range("alpha", alphas, 0.0)  # --ell 0 never evaluates the family
+    traces = _traces(family, alphas, args.x0, args.ell, args.surrogate, args.quantity)
     rows = []
-    for alpha in alphas:
-        trace = iterate(family, float(alpha), args.x0, args.ell, args.surrogate, args.quantity)
-        for t, q in enumerate(trace.values):
+    for i, alpha in enumerate(alphas):
+        for t, q in enumerate(traces[:, i]):
             rows.append((alpha, t, q, args.quantity, args.surrogate, args.x0))
     _write_csv(args.out, ("alpha", "t", "q", "quantity", "surrogate", "x0"), rows)
     return EXIT_OK

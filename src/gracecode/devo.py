@@ -4,18 +4,25 @@ A trace tracks a scalar surrogate-channel parameter through the tree
 recursion: BEC traces carry a reveal probability q in [0, 1], BSC traces a
 crossover in [0, 1/2].  Endpoint values convert into lower/upper bounds on
 the MAP and BP bit error rate and on the delivered soft information.
+
+``iterate`` and ``fixed_point`` are the one-lane cases of a lane recursion
+(``_trace``, ``_settle``): many independent recursions, for example one per
+load, step together through one E-function evaluation, and each lane gets the
+bits of its own one-lane run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .channels import h_b, h_b_inv
 
 _QUANTITIES = ("error", "chi2-soft", "capacity-soft")
+_MAX_STEPS = 100_000
 _PAYOFF_FOR = {"error": "error", "chi2-soft": "chi2", "capacity-soft": "entropy"}
 
 
@@ -72,34 +79,80 @@ def _check_tags(family, surrogate: str, quantity: str) -> None:
         raise ValueError(f"family payoff {fam_payoff!r} does not match quantity {quantity!r}")
 
 
-def _step(family, alpha: float, q: float, surrogate: str, quantity: str) -> float:
-    e = float(family.evaluate(alpha, q))
+def _next(e: np.ndarray, surrogate: str, quantity: str) -> np.ndarray:
+    """One step of the tagged recursion from the E-function values, lane by lane.
+
+    The clamps keep NaN, as the scalar min/max did.
+    """
     if quantity == "error":
         nxt = 1.0 - 2.0 * e if surrogate == "BEC" else e
     elif quantity == "chi2-soft":
-        if surrogate == "BEC":
-            nxt = 1.0 - e
-        else:
-            nxt = 0.5 - 0.5 * math.sqrt(max(1.0 - e, 0.0))
+        nxt = 1.0 - e if surrogate == "BEC" else 0.5 - 0.5 * np.sqrt(np.maximum(1.0 - e, 0.0))
     else:  # capacity-soft (conjectured)
-        nxt = 1.0 - e if surrogate == "BEC" else float(h_b_inv(min(max(e, 0.0), 1.0)))
-    return min(max(nxt, 0.0), _range_for(surrogate))
+        nxt = 1.0 - e if surrogate == "BEC" else h_b_inv(np.minimum(np.maximum(e, 0.0), 1.0))
+    return np.minimum(np.maximum(nxt, 0.0), _range_for(surrogate))
 
 
-def iterate(family, alpha: float, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> DETrace:
-    """Run the tagged recursion for ``ell`` steps from ``x0``."""
+def _trace(bind, x0: np.ndarray, ell: int, surrogate: str, quantity: str) -> np.ndarray:
+    """(ell + 1, L) values of L lanes of the recursion from the values x0.
+
+    ``bind(idx)`` gives the E-function of the lanes ``idx`` as a function of
+    their values q.
+    """
+    vals = np.empty((ell + 1, x0.shape[0]))
+    vals[0] = x0
+    efun = bind(np.arange(x0.shape[0]))
+    for t in range(ell):
+        vals[t + 1] = _next(np.asarray(efun(vals[t]), dtype=float), surrogate, quantity)
+    return vals
+
+
+def _settle(bind, x0: np.ndarray, tol: float, max_steps: int, surrogate: str, quantity: str):
+    """Lanes of the recursion run until each one's own step is below ``tol``.
+
+    A lane leaves the active set at its first step below ``tol``, so every
+    lane returns (q*, converged) as the one-lane loop does.
+    """
+    q = np.array(x0, dtype=float)
+    converged = np.zeros(q.shape[0], dtype=bool)
+    active, cur = np.arange(q.shape[0]), q.copy()
+    efun = bind(active)
+    for _ in range(max_steps if active.size else 0):
+        nxt = _next(np.asarray(efun(cur), dtype=float), surrogate, quantity)
+        done = np.abs(nxt - cur) < tol
+        if not np.count_nonzero(done):
+            cur = nxt
+            continue
+        q[active[done]] = nxt[done]
+        converged[active[done]] = True
+        active, cur = active[~done], nxt[~done]
+        if not active.size:
+            break
+        efun = bind(active)
+    q[active] = cur
+    return q, converged
+
+
+def _at_loads(family, alphas):
+    """``bind`` for the lanes of ``family`` at the loads ``alphas``."""
+    alphas = np.asarray(alphas, dtype=float)
+    return lambda idx: partial(family.evaluate, alphas[idx])
+
+
+def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> np.ndarray:
+    """The (ell + 1, L) traces of ``iterate`` at every load of ``alphas``, in one run."""
     _check_tags(family, surrogate, quantity)
     hi = _range_for(surrogate)
     if not 0.0 <= x0 <= hi:
         raise ValueError(f"x0 must lie in [0, {hi}] for a {surrogate} surrogate")
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    vals = np.empty(ell + 1)
-    vals[0] = x0
-    q = float(x0)
-    for t in range(ell):
-        q = _step(family, alpha, q, surrogate, quantity)
-        vals[t + 1] = q
+    return _trace(_at_loads(family, alphas), np.full(len(alphas), float(x0)), ell, surrogate, quantity)
+
+
+def iterate(family, alpha: float, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> DETrace:
+    """Run the tagged recursion for ``ell`` steps from ``x0``."""
+    vals = _traces(family, [alpha], x0, ell, surrogate, quantity)[:, 0]
     return DETrace(
         surrogate=surrogate,
         quantity=quantity,
@@ -149,19 +202,14 @@ def fixed_point(
     tol: float = 1e-10,
     surrogate: str = "BEC",
     quantity: str = "error",
-    max_steps: int = 100_000,
+    max_steps: int = _MAX_STEPS,
 ):
     """Iterate to |q_{t+1} - q_t| < tol; returns (q*, converged)."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     _check_tags(family, surrogate, quantity)
-    q = float(x0)
-    for _ in range(max_steps):
-        nxt = _step(family, alpha, q, surrogate, quantity)
-        if abs(nxt - q) < tol:
-            return nxt, True
-        q = nxt
-    return q, False
+    q, converged = _settle(_at_loads(family, [alpha]), np.array([float(x0)]), tol, max_steps, surrogate, quantity)
+    return float(q[0]), bool(converged[0])
 
 
 def large_d_bound(alpha: float, r: float) -> float:

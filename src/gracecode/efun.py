@@ -7,15 +7,19 @@ d-th error polynomial E_d(q) averages a payoff of the posterior error over
 all message-type and agreement patterns.
 
 Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
-terms in the alphabet weights, and ``_average`` sums pmf[d] * E_d(q) over a
-degree pmf.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
+terms in the alphabet weights, and ``_averager`` sums pmf[d] * E_d(q) over a
+degree pmf.  It evaluates many lanes at once, one q and optionally one degree
+law per lane, with element-by-element operations in a fixed order, so that a
+lane gets the same bits whatever the other lanes are.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
 its types and each row's type, which depend only on d and on which entry owns
 each lattice column; the coefficients depend on the alphabet's magnitudes and
 the payoff and are cached on the alphabet itself.  ``eval_degree`` is the
 one-degree case of ``_average`` and ``EFunctionFamily`` calls it with its
-degree law (on the BSC once per crossover, which sets the alphabet).
-``mixed_efun`` multiplies the XOR closed form with the Poisson
+degree law, one per load (on the BSC once per crossover, which sets the
+alphabet).  ``mixed_efun`` multiplies the XOR closed form with the Poisson
 families of the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
+``EFunctionFamily._at`` and ``_mixed_at`` set up what a fixed set of lanes
+needs once, for a recursion that evaluates them step after step.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
 and the profile optimizer calls it directly.  ``error_poly`` expands
 ``_term_rep`` in powers of q.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -231,9 +235,12 @@ def _compositions(d: int, K: int):
     return z, logc
 
 
-def _check_load(alpha: float) -> None:
-    if not alpha >= 0.0:  # also false for NaN
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+def _check_load(alpha) -> None:
+    """Reject a negative or NaN load, in any lane of an array of loads."""
+    a = np.asarray(alpha, dtype=float)
+    bad = ~(a >= 0.0)  # also true for NaN
+    if bad.any():
+        raise ValueError(f"alpha must be >= 0, got {a[bad].ravel()[0]}")
 
 
 def _check_degree(d: int) -> None:
@@ -305,9 +312,10 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     return out
 
 
-# lane-major exponents per block of lanes: 2^19 floats (4 MB), so a grid of
-# loads at a large D is evaluated in blocks of lanes
-_LANE_BLOCK = 1 << 19
+# lane-major exponents per block of lanes: at most 2^16 floats (512 kB), so
+# that the passes over them stay in cache and a long grid of loads at a large D
+# takes bounded memory; at least one lane per block
+_LANE_BLOCK = 1 << 16
 
 
 def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
@@ -331,31 +339,45 @@ def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
     return out
 
 
-def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
-    """sum_d pmf[d] E_d(q) over the degrees of positive mass, one value per lane.
+def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
+    """q -> sum_d pmf[d] E_d(q) over the degrees of positive mass, one value per lane.
 
-    ``q`` is a 0-d or 1-d array of L lanes.  ``pmf`` is one degree law of
-    shape (D+1,) for every lane or one per lane, of shape (D+1, L).  Every
-    step works element by element on lane-major arrays: the exponents sum
-    the entries in their order, each degree's terms are a reduction over a
-    contiguous row segment, and the degrees are added in increasing order.
-    A lane's value is therefore the same bits whatever the other lanes are.
+    ``pmf`` is one degree law of shape (D+1,) for every lane or one per lane,
+    of shape (D+1, L); the returned function takes a 0-d or 1-d q of L lanes.
+    The degrees and their stacked terms are looked up once, so a recursion
+    that evaluates the same lanes at step after step pays for them once.
+    Every step of an evaluation works element by element on lane-major
+    arrays: the exponents sum the entries in their order, each degree's
+    terms are a reduction over a contiguous row segment, and the degrees are
+    added in increasing order.  A lane's value is therefore the same bits
+    whatever the other lanes are.
     """
-    qa = np.asarray(q, dtype=float).ravel()
     weights = np.asarray(pmf, dtype=float)
     weights = weights.reshape(weights.shape[0], -1).T  # (1 or L, D+1)
     degrees = np.flatnonzero((weights > 0.0).any(axis=0))
     if not degrees.size:
-        return np.zeros(qa.shape[0])
+        return lambda q: np.zeros(np.size(q))
     types, coefs, starts = _plan(alphabet, payoff, tuple(degrees.tolist()))
     weights = weights[:, degrees]
-    out = np.empty(qa.shape[0])
     block = max(1, _LANE_BLOCK // types.shape[1])
-    for a in range(0, qa.shape[0], block):
-        lanes = slice(a, a + block)
-        w = weights if weights.shape[0] == 1 else weights[lanes]
-        out[lanes] = _average_block(alphabet._horner, types, coefs, starts, w, qa[lanes])
-    return out
+
+    def average(q) -> np.ndarray:
+        qa = np.asarray(q, dtype=float).ravel()
+        if qa.shape[0] <= block:
+            return _average_block(alphabet._horner, types, coefs, starts, weights, qa)
+        out = np.empty(qa.shape[0])
+        for a in range(0, qa.shape[0], block):
+            lanes = slice(a, a + block)
+            w = weights if weights.shape[0] == 1 else weights[lanes]
+            out[lanes] = _average_block(alphabet._horner, types, coefs, starts, w, qa[lanes])
+        return out
+
+    return average
+
+
+def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
+    """The value of ``_averager(alphabet, payoff, pmf)`` at q."""
+    return _averager(alphabet, payoff, pmf)(q)
 
 
 def _average_block(horner, types, coefs, starts, weights, q) -> np.ndarray:
@@ -451,26 +473,36 @@ class DegreeLaw:
     def binomial(cls, trials: int, rate: float) -> "DegreeLaw":
         return cls("binomial", trials=int(trials), rate=float(rate))
 
-    def probabilities(self, alpha: float, D: int):
-        """(pmf over degrees 0..D, P(Deg > D)) at load alpha."""
+    def probabilities(self, alpha, D: int):
+        """(pmf over degrees 0..D, P(Deg > D)) at load alpha.
+
+        An array of L loads gives one law per lane: a (D+1, L) pmf and L
+        tails, each the same bits as the law at that load alone.
+        """
         from scipy.special import xlog1py, xlogy
 
+        a = np.asarray(alpha, dtype=float)
+        lanes = a.reshape(-1, 1)  # lane-major: one row per load
         if self.kind == "poisson":
             ks, log_fact = _log_factorials(D)
-            mu = self.arity * alpha
+            mu = self.arity * lanes
             pmf = np.exp(xlogy(ks, mu) - log_fact - mu)
-            return pmf, max(1.0 - float(pmf.sum()), 0.0)
-        pr = alpha * self.rate
-        if pr > 1.0 + 1e-12:
-            raise ValueError("binomial degree law needs alpha*rate <= 1")
-        n, pr = self.trials, min(pr, 1.0)
-        ks, log_fact = _log_factorials(n)
-        logc = log_fact[n] - log_fact - log_fact[::-1]
-        w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
-        pmf = np.zeros(D + 1)
-        upto = min(D + 1, w.shape[0])
-        pmf[:upto] = w[:upto]
-        return pmf, float(w[D + 1 :].sum())
+            tail = np.maximum(1.0 - pmf.sum(axis=1), 0.0)
+        else:
+            pr = lanes * self.rate
+            if np.any(pr > 1.0 + 1e-12):
+                raise ValueError("binomial degree law needs alpha*rate <= 1")
+            n, pr = self.trials, np.minimum(pr, 1.0)
+            ks, log_fact = _log_factorials(n)
+            logc = log_fact[n] - log_fact - log_fact[::-1]
+            w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
+            pmf = np.zeros((w.shape[0], D + 1))
+            upto = min(D + 1, w.shape[1])
+            pmf[:, :upto] = w[:, :upto]
+            tail = w[:, D + 1 :].sum(axis=1)
+        if a.ndim == 0:
+            return pmf[0], float(tail[0])
+        return pmf.T, tail
 
 
 @dataclass(frozen=True)
@@ -501,18 +533,31 @@ class EFunctionFamily:
     def arity(self) -> int:
         return 3 if self.base == "ldmc3" else 5
 
-    def evaluate(self, alpha: float, q):
+    def evaluate(self, alpha, q):
+        """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
+        qa = np.asarray(q, dtype=float)
+        if np.ndim(alpha):
+            qa = np.broadcast_to(qa, np.shape(alpha))
+        out = self._at(alpha)(qa.ravel())
+        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+
+    def _at(self, alpha):
+        """q -> E(alpha, q) on a 1-d q, with the degree law at alpha computed once."""
         _check_load(alpha)
         pmf, tail_p = self.law.probabilities(alpha, self.D)
-        qa = np.asarray(q, dtype=float)
         if self.channel == "BEC":
-            out = _average(f_alphabet(f"{self.base}_bec"), self.payoff, pmf, qa)
-        else:
+            return _averager(f_alphabet(f"{self.base}_bec"), self.payoff, pmf)
+        tail = (0.5 if self.payoff == "error" else 1.0) * np.asarray(tail_p)
+        pmfs = pmf.T if pmf.ndim == 2 else None
+
+        def bsc(qa: np.ndarray) -> np.ndarray:
             # the BSC alphabet is built at the crossover q itself
-            tail = (0.5 if self.payoff == "error" else 1.0) * tail_p
-            bsc = [f_alphabet("ldmc3_bsc", min(max(p, _BSC_MIN_P), 0.5)) for p in qa.ravel().tolist()]
-            out = np.array([_average(alph, self.payoff, pmf, 0.0)[0] + tail for alph in bsc])
-        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+            crossovers = [min(max(p, _BSC_MIN_P), 0.5) for p in qa.tolist()]
+            laws = [pmf] * len(crossovers) if pmfs is None else pmfs
+            out = [_average(f_alphabet("ldmc3_bsc", p), self.payoff, w, 0.0)[0] for p, w in zip(crossovers, laws)]
+            return np.array(out, dtype=float) + tail
+
+        return bsc
 
 
 def build_family(
@@ -529,29 +574,73 @@ def build_family(
     return EFunctionFamily(base=base, channel=channel, payoff=payoff, D=D, law=law)
 
 
-def mixed_efun(components, weights, alpha: float, q, D: int):
+def mixed_efun(components, weights, alpha, q, D: int):
     """Mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) over the weights w_j > 0.
 
     XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
     does MAJ(1), whose observed check is the bit itself; the other MAJ
     components take the truncated Poisson family.  The weights need not lie on
     the simplex: the profile optimizer evaluates finite-difference points just
-    off it.
+    off it.  Lanes: an (L, n) weight matrix, L loads or L values of q pair up
+    lane by lane, and each lane gets the bits of its own one-lane call.
     """
-    _check_load(alpha)
+    w = np.asarray(weights, dtype=float)
     qa = np.asarray(q, dtype=float)
-    acc = np.full_like(qa, 0.5)
-    for ck, lam in zip(components, weights):
-        if lam <= 0.0:
+    shape = np.broadcast_shapes(w.shape[:-1], np.shape(alpha), qa.shape)
+    lanes = math.prod(shape)
+    w = np.broadcast_to(w, shape + w.shape[-1:]).reshape(lanes, w.shape[-1])
+    loads = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
+    out = _mixed_at(components, w, loads, D)(np.broadcast_to(qa, shape).ravel())
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
+    """q -> ``mixed_efun`` of the lanes with (L, n) weights and L loads, on a 1-d q.
+
+    What does not depend on q (each component's active lanes, its XOR
+    exponent factor or its Poisson laws) is set up once.
+    """
+    _check_load(loads)
+    start = np.full(weights.shape[0], 0.5)
+    factors = []
+    for j, ck in enumerate(components):
+        lam = weights[:, j]
+        on = lam > 0.0
+        if not on.any():
             continue
+        lanes = None if on.all() else np.flatnonzero(on)
+        load = loads * lam if lanes is None else loads[lanes] * lam[lanes]
         if ck.kind == "XOR" or (ck.kind == "MAJ" and ck.arity == 1):
-            factor = np.exp(-(alpha * lam) * ck.arity * qa ** (ck.arity - 1))
+            if ck.arity == 1 and not factors:
+                # q**0 == 1 for every q: a constant factor ahead of every
+                # q-dependent one multiplies the start value once
+                start[on] *= np.exp(-load * ck.arity)
+                continue
+            factor = partial(_xor_factor, -load * ck.arity, ck.arity - 1)
         elif ck.kind == "MAJ":
-            factor = 2.0 * build_family(f"ldmc{ck.arity}", D=D).evaluate(alpha * lam, qa)
+            factor = partial(_maj_factor, build_family(f"ldmc{ck.arity}", D=D)._at(load))
         else:
             raise ValueError("Mixed profiles use XOR and MAJ components only")
-        acc = acc * factor
-    return float(acc) if qa.ndim == 0 else acc
+        factors.append((lanes, factor))
+
+    def mixed(q: np.ndarray) -> np.ndarray:
+        acc = start.copy()
+        for lanes, factor in factors:
+            if lanes is None:
+                acc *= factor(q)
+            else:
+                acc[lanes] *= factor(q[lanes])
+        return acc
+
+    return mixed
+
+
+def _xor_factor(scale: np.ndarray, power: int, q: np.ndarray) -> np.ndarray:
+    return np.exp(scale * (q if power == 1 else q**power))  # q**1 == q
+
+
+def _maj_factor(efun, q: np.ndarray) -> np.ndarray:
+    return 2.0 * efun(q)
 
 
 def d_function(family, alpha: float, q):
@@ -619,7 +708,8 @@ class ClosedFormFamily:
         if abs(m_real - m) > 1e-9:
             raise ValueError("sysregular requires d(1-R)/R to be an integer")
         family = build_family(f"ldmc{self.d}", D=m, law=DegreeLaw.binomial(m, self.rate))
-        return (1.0 - min(alpha * self.rate, 1.0)) * family.evaluate(alpha, q)
+        out = (1.0 - np.minimum(np.multiply(alpha, self.rate), 1.0)) * family.evaluate(alpha, q)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 __all__ = [

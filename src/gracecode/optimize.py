@@ -2,25 +2,29 @@
 
 Maximizes density-evolution endpoints q^BEC_ell(0), summed over target loads,
 by multistart projected gradient ascent over the component-weight simplex.
+The points the search needs together (finite-difference points, screening
+points, line-search candidates, pattern moves) are evaluated in one lane run
+of the recursion, one lane per (weight vector, target); a lane's endpoint is
+the bits of its one-lane run, so the search path is the one-point one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
-from .devo import fixed_point, iterate
-from .efun import mixed_efun
+from .devo import _MAX_STEPS, _settle, _trace
+from .efun import _mixed_at
 from .ensemble import CheckKind, DegreeProfile
 
 _FD_STEP = 1e-5
 _BASE_STEP = 0.25
 _MAX_ITERS = 300
 _FP_TOL = 1e-11
+# the backtracking line search's step lengths: halved from _BASE_STEP while >= 1e-8
+_STEPS = tuple(_BASE_STEP * 0.5**k for k in range(64) if _BASE_STEP * 0.5**k >= 1e-8)
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class OptProblem:
         for ck in comps:
             if not isinstance(ck, CheckKind):
                 raise ValueError("components must be CheckKind instances")
-            if ck.kind == "MAJ" and ck.arity not in (3, 5):
-                raise ValueError("MAJ components require arity 3 or 5")
+            if ck.kind == "MAJ" and ck.arity not in (1, 3, 5):
+                raise ValueError("MAJ components require arity 1, 3 or 5")
             if ck.kind == "PARITY":
                 raise ValueError("PARITY components are not optimizable")
         object.__setattr__(self, "components", comps)
@@ -82,16 +86,36 @@ def project_simplex(v) -> np.ndarray:
     return np.maximum(v + theta, 0.0)
 
 
-def _endpoint(components, w, alpha: float, ell: int | None, D: int) -> float:
-    # raw weights, which leave the simplex at finite-difference points, so no DegreeProfile
-    family = SimpleNamespace(evaluate=partial(mixed_efun, components, w, D=D))
-    if ell is None:
-        return fixed_point(family, alpha, 0.0, tol=_FP_TOL)[0]
-    return iterate(family, alpha, 0.0, ell).final
+def _objectives(ws, problem: OptProblem) -> np.ndarray:
+    """The objective at every row of ``ws``, in one lane run.
+
+    Each (weight row, target load) pair is one lane of the DE recursion.  The
+    rows are raw weights, which leave the simplex at finite-difference points.
+    A lane returns the bits of its one-lane run, and each row sums its targets
+    in their order, so a row's objective does not depend on the other rows.
+    """
+    ws = np.asarray(ws, dtype=float)
+    T = len(problem.targets)
+    weights = np.repeat(ws, T, axis=0)  # lane p * T + t: row p at target t
+    loads = np.tile(problem.targets, ws.shape[0])
+
+    def bind(idx):
+        return _mixed_at(problem.components, weights[idx], loads[idx], problem.D)
+
+    x0 = np.zeros(loads.shape[0])
+    if problem.ell is None:
+        ends = _settle(bind, x0, _FP_TOL, _MAX_STEPS, "BEC", "error")[0]
+    else:
+        ends = _trace(bind, x0, problem.ell, "BEC", "error")[-1]
+    ends = ends.reshape(ws.shape[0], T)
+    total = np.zeros(ws.shape[0])
+    for t in range(T):
+        total = total + ends[:, t]
+    return total
 
 
 def _objective_raw(w, problem: OptProblem) -> float:
-    return sum(_endpoint(problem.components, w, a, problem.ell, problem.D) for a in problem.targets)
+    return float(_objectives(np.asarray(w, dtype=float)[None, :], problem)[0])
 
 
 def objective(profile, problem: OptProblem) -> float:
@@ -110,31 +134,44 @@ def objective(profile, problem: OptProblem) -> float:
     return _objective_raw(w, problem)
 
 
-def _ascend(x: np.ndarray, problem: OptProblem):
-    """Projected gradient ascent from ``x``; returns (point, value, history)."""
-    f = _objective_raw(x, problem)
+def _first_passing(cands, problem: OptProblem, passes, batch: int = 1):
+    """(index, objective) of the first of ``cands`` whose objective passes, or (None, None).
+
+    The candidates are evaluated in order, in lane runs of ``batch``
+    candidates and then of twice as many as the run before; none is
+    evaluated after the batch that holds the first one to pass.
+    """
+    a = 0
+    while a < len(cands):
+        fcs = _objectives(cands[a : a + batch], problem)
+        hit = np.flatnonzero(passes(fcs))
+        if hit.size:
+            return a + int(hit[0]), float(fcs[hit[0]])
+        a, batch = a + batch, 2 * batch
+    return None, None
+
+
+def _ascend(x: np.ndarray, f: float, problem: OptProblem):
+    """Projected gradient ascent from ``x`` (objective ``f``); returns (point, value, history)."""
     history = [f]
     n = x.shape[0]
     converged = False
     for _ in range(_MAX_ITERS):
-        g = np.empty(n)
-        for i in range(n):
-            up = x.copy()
-            dn = x.copy()
-            up[i] += _FD_STEP
-            dn[i] -= _FD_STEP
-            g[i] = (_objective_raw(up, problem) - _objective_raw(dn, problem)) / (2.0 * _FD_STEP)
-        step = _BASE_STEP
+        # the 2n finite-difference points x +- h e_i, in one lane run
+        pts = np.repeat(x[None, :], 2 * n, axis=0)
+        pts[0::2][np.arange(n), np.arange(n)] += _FD_STEP
+        pts[1::2][np.arange(n), np.arange(n)] -= _FD_STEP
+        fs = _objectives(pts, problem)
+        g = (fs[0::2] - fs[1::2]) / (2.0 * _FD_STEP)
+        # the backtracking line search: the first candidate, longest step
+        # first, that does not lose is taken
+        cands = [project_simplex(x + step * g) for step in _STEPS]
+        k, fc = _first_passing(cands, problem, lambda fcs: fcs >= f)
         improved = False
-        while step >= 1e-8:
-            cand = project_simplex(x + step * g)
-            fc = _objective_raw(cand, problem)
-            if fc >= f:
-                improved = fc > f + 1e-12
-                x, f = cand, fc
-                break
-            step *= 0.5
-        if not improved:
+        if k is not None:
+            improved = fc > f + 1e-12
+            x, f = cands[k], fc
+        else:
             # the endpoint can jump at threshold loads, stalling the gradient
             # step on a ridge; polish with simplex-coordinate pattern moves
             x, f, improved = _pattern_polish(x, f, problem)
@@ -146,21 +183,28 @@ def _ascend(x: np.ndarray, problem: OptProblem):
 
 
 def _pattern_polish(x: np.ndarray, f: float, problem: OptProblem):
-    """Try +-r (e_i - e_j) moves on the simplex at shrinking radii."""
+    """Try +-r (e_i - e_j) moves on the simplex at shrinking radii.
+
+    The moves of a pass go in (i, j) order and each starts from the point the
+    previous ones reached.  They are evaluated together from the current
+    point; after the first improving one, the rest are evaluated again from
+    the new point.
+    """
     n = x.shape[0]
+    moves = [(i, j) for i in range(n) for j in range(n) if i != j]
     improved = False
     r = 0.1
     while r >= 1e-4:
         moved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                cand = project_simplex(x + r * (np.eye(n)[i] - np.eye(n)[j]))
-                fc = _objective_raw(cand, problem)
-                if fc > f + 1e-12:
-                    x, f = cand, fc
-                    moved = improved = True
+        k = 0
+        while k < len(moves):
+            cands = [project_simplex(x + r * (np.eye(n)[i] - np.eye(n)[j])) for i, j in moves[k:]]
+            hit, fc = _first_passing(cands, problem, lambda fcs: fcs > f + 1e-12, len(cands))
+            if hit is None:
+                break
+            x, f = cands[hit], fc
+            moved = improved = True
+            k += hit + 1
         if not moved:
             r *= 0.5
     return x, f, improved
@@ -179,13 +223,16 @@ def optimize_profile(problem: OptProblem) -> OptResult:
     for s in range(problem.multistart):
         if s == 0:
             x0 = np.full(n, 1.0 / n)
+            f0 = _objective_raw(x0, problem)
         else:
             # the endpoint landscape has cliffs: screen a batch of random
             # simplex points and ascend from the best of them
             rng = np.random.default_rng((problem.seed, s))
             batch = rng.dirichlet(np.ones(n), size=16)
-            x0 = batch[int(np.argmax([_objective_raw(b, problem) for b in batch]))]
-        x, fv, hist, conv = _ascend(x0, problem)
+            fs = _objectives(batch, problem)
+            k = int(np.argmax(fs))
+            x0, f0 = batch[k], float(fs[k])
+        x, fv, hist, conv = _ascend(x0, f0, problem)
         trajectories.append(hist)
         all_conv = all_conv and conv
         if fv > best_f:

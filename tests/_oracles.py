@@ -18,7 +18,9 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 from gracecode.channels import h_b, h_b_inv
 from gracecode.efun import _apply_payoff, _compositions, f_alphabet
+from gracecode.ensemble import DegreeProfile
 from gracecode.exactdec import BitMatrix
+from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
 
 
 def maj_depth1_error(arity: int, d: int, q: Fraction, payoff: str = "error") -> Fraction:
@@ -370,3 +372,97 @@ def general_two_point_plain(R: float, delta_a: float, eps_a: float, eps: float) 
         else:
             lo = mid
     return hi
+
+
+# ---------------------------------------------------------------------------
+# The profile optimizer's search as it ran one point at a time: the gradient
+# ascent, the pattern polish and the multistart screening, verbatim but for
+# their names, driven by the library's one-row objective.  The batched search
+# must return the same bits.
+# ---------------------------------------------------------------------------
+
+
+def ascend_plain(x: np.ndarray, problem: OptProblem):
+    """Projected gradient ascent from ``x``; returns (point, value, history)."""
+    f = _objective_raw(x, problem)
+    history = [f]
+    n = x.shape[0]
+    converged = False
+    for _ in range(_MAX_ITERS):
+        g = np.empty(n)
+        for i in range(n):
+            up = x.copy()
+            dn = x.copy()
+            up[i] += _FD_STEP
+            dn[i] -= _FD_STEP
+            g[i] = (_objective_raw(up, problem) - _objective_raw(dn, problem)) / (2.0 * _FD_STEP)
+        step = _BASE_STEP
+        improved = False
+        while step >= 1e-8:
+            cand = project_simplex(x + step * g)
+            fc = _objective_raw(cand, problem)
+            if fc >= f:
+                improved = fc > f + 1e-12
+                x, f = cand, fc
+                break
+            step *= 0.5
+        if not improved:
+            # the endpoint can jump at threshold loads, stalling the gradient
+            # step on a ridge; polish with simplex-coordinate pattern moves
+            x, f, improved = pattern_polish_plain(x, f, problem)
+        history.append(f)
+        if not improved:
+            converged = True
+            break
+    return x, f, np.array(history), converged
+
+
+def pattern_polish_plain(x: np.ndarray, f: float, problem: OptProblem):
+    """Try +-r (e_i - e_j) moves on the simplex at shrinking radii."""
+    n = x.shape[0]
+    improved = False
+    r = 0.1
+    while r >= 1e-4:
+        moved = False
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                cand = project_simplex(x + r * (np.eye(n)[i] - np.eye(n)[j]))
+                fc = _objective_raw(cand, problem)
+                if fc > f + 1e-12:
+                    x, f = cand, fc
+                    moved = improved = True
+        if not moved:
+            r *= 0.5
+    return x, f, improved
+
+
+def optimize_profile_plain(problem: OptProblem) -> OptResult:
+    """Multistart projected gradient ascent; returns the best local optimum."""
+    n = len(problem.components)
+    if n == 1:
+        prof = DegreeProfile(((problem.components[0], 1.0),))
+        return OptResult(prof, _objective_raw(np.array([1.0]), problem), (np.zeros(1),), True)
+    best_x = None
+    best_f = -math.inf
+    all_conv = True
+    trajectories = []
+    for s in range(problem.multistart):
+        if s == 0:
+            x0 = np.full(n, 1.0 / n)
+        else:
+            # the endpoint landscape has cliffs: screen a batch of random
+            # simplex points and ascend from the best of them
+            rng = np.random.default_rng((problem.seed, s))
+            batch = rng.dirichlet(np.ones(n), size=16)
+            x0 = batch[int(np.argmax([_objective_raw(b, problem) for b in batch]))]
+        x, fv, hist, conv = ascend_plain(x0, problem)
+        trajectories.append(hist)
+        all_conv = all_conv and conv
+        if fv > best_f:
+            best_f, best_x = fv, x
+    # keep the exact iterate: renormalizing can step across a cliff
+    w = np.maximum(best_x, 0.0)
+    prof = DegreeProfile(tuple(zip(problem.components, w.tolist())))
+    return OptResult(prof, best_f, tuple(trajectories), all_conv)

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from _oracles import optimize_profile_plain
 
+from gracecode.cli import EXIT_OK, main
 from gracecode.devo import fixed_point, iterate
 from gracecode.efun import ClosedFormFamily
 from gracecode.ensemble import CheckKind, DegreeProfile
 from gracecode.optimize import OptProblem, objective, optimize_profile, project_simplex
 
 XORS = (CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3))
+X1, X2, X3, M3 = CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3), CheckKind.maj(3)
 
 
 def test_project_simplex_known_points():
@@ -136,3 +139,41 @@ def test_objective_is_density_evolution_endpoint(entries):
     assert objective(profile, OptProblem(comps, targets, ell=5)) == pytest.approx(traced, rel=0, abs=1e-12)
     fixed = sum(fixed_point(family, a, 0.0, tol=1e-11)[0] for a in targets)
     assert objective(profile, OptProblem(comps, targets, ell=None)) == pytest.approx(fixed, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "components, targets, ell, seed",
+    [
+        ((X1, X3), (0.8,), 5, 0),
+        ((X1, X3), (0.8,), 5, 1),
+        ((X1, X2), (0.6, 1.0), None, 2),
+        ((X1, M3, X3), (0.9, 1.1), 5, 0),
+        ((X1, M3, X3), (0.9, 1.1), 5, 1),
+        ((X1, X2, X3), (1.5,), None, 0),  # runs the pattern polish, which moves
+        ((X1, X2, X3, M3), (0.5,), 5, 3),
+        ((M3, X1, X2, X3), (0.6,), None, 3),
+        ((X2, X1, X3, M3), (1.2,), 5, 3),
+    ],
+)
+def test_batched_search_matches_one_point_search(components, targets, ell, seed):
+    # the same search, one objective evaluation at a time, in _oracles
+    problem = OptProblem(components, targets, ell=ell, multistart=2, seed=seed)
+    got, want = optimize_profile(problem), optimize_profile_plain(problem)
+    assert repr(got.objective) == repr(want.objective)
+    assert got.profile.entries == want.profile.entries
+    assert got.converged == want.converged
+    assert len(got.trajectories) == len(want.trajectories)
+    for a, b in zip(got.trajectories, want.trajectories):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_maj1_component_optimizes_as_xor1(tmp_path):
+    logs = []
+    for comps in ("XOR:3,MAJ:1", "XOR:3,XOR:1"):
+        out = tmp_path / f"{comps.replace(':', '').replace(',', '_')}.profile"
+        argv = ["optimize", "--components", comps, "--targets", "0.9,1.1", "--ell", "5", "--multistart", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        logs.append((tmp_path / (out.name + ".log")).read_bytes())
+    assert logs[0] == logs[1]
+    maj = objective([0.4, 0.6], OptProblem((X3, CheckKind.maj(1)), (0.9, 1.1)))
+    assert maj == objective([0.4, 0.6], OptProblem((X3, X1), (0.9, 1.1)))
