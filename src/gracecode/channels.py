@@ -6,6 +6,7 @@ All entropies are in bits (base-2 logarithms).  Erased symbols are encoded as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,16 +18,19 @@ def _h_b_float(x: float) -> float:
     """``h_b`` of one Python float, with the array path's ``np.log2`` and IEEE
     operations in its order, so the two paths agree bit for bit."""
     if not 0.0 < x < 1.0:
-        return 0.0
+        return x if math.isnan(x) else 0.0
     return -x * float(np.log2(x)) - (1.0 - x) * float(np.log2(1.0 - x))
 
 
 def h_b(x):
-    """Binary entropy in bits; accepts scalars or arrays, h_b(0)=h_b(1)=0."""
+    """Binary entropy in bits; accepts scalars or arrays, h_b(0)=h_b(1)=0.
+
+    NaN stays NaN: an undefined probability is not a certain bit.
+    """
     if np.ndim(x) == 0:
         return _h_b_float(float(x))
     arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
+    out = np.where(np.isnan(arr), arr, 0.0)
     mask = (arr > 0.0) & (arr < 1.0)
     xm = arr[mask]
     out[mask] = -xm * np.log2(xm) - (1.0 - xm) * np.log2(1.0 - xm)

@@ -34,6 +34,15 @@ def test_h_b_array():
     assert abs(out[1] - 0.8112781244591328) < 1e-12
 
 
+def test_h_b_keeps_nan():
+    # a NaN posterior is not a certain bit: it must not read as entropy 0
+    assert np.isnan(h_b(float("nan")))
+    assert np.isnan(h_b(np.float64("nan")))
+    out = h_b(np.array([np.nan, 0.3, 0.0, 1.0, -0.5]))
+    assert np.isnan(out[0]) and out[1] == h_b(0.3) and out[2:].tolist() == [0.0, 0.0, 0.0]
+    assert np.isnan(h_b(np.array([[0.25, np.nan]]))[0, 1])
+
+
 def test_h_b_inv_endpoints():
     assert h_b_inv(0.0) == 0.0
     assert h_b_inv(1.0) == 0.5
