@@ -198,6 +198,7 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
 
 
 _STRUCTURE_CACHE: dict = {}
+_STACKED_CACHE: dict = {}
 # enough for the LDMC5 lattices (13 columns) up to the default truncation
 # D = 10: 646,646 rows at d = 10, about 42 MB for d = 0..10 together
 _LATTICE_CACHE_MAX_ROWS = 650_000
@@ -323,19 +324,25 @@ def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
 
     Returns (types, coefs, starts): the type counts as an (entries, rows)
     matrix, each row's coefficient and each degree's first row.  Cached on
-    the alphabet per (payoff, degree set).
+    the alphabet per (payoff, degree set); the types and starts depend only
+    on the lattice layout, so every payoff and BSC crossover shares them.
     """
     key = (payoff, degrees)
     hit = alphabet._plans.get(key)
     if hit is not None:
         return hit
     reps = [_term_rep(alphabet, d, payoff) for d in degrees]
-    types = np.ascontiguousarray(np.concatenate([t for t, _ in reps]).T)
+    layout = (alphabet._cols[2], degrees)
+    stacked = _STACKED_CACHE.get(layout)
+    if stacked is None:
+        types = np.ascontiguousarray(np.concatenate([t for t, _ in reps]).T)
+        starts = np.cumsum([0] + [t.shape[0] for t, _ in reps[:-1]])
+        for a in (types, starts):
+            a.setflags(write=False)
+        _STACKED_CACHE[layout] = stacked = (types, starts)
     coefs = np.concatenate([c for _, c in reps])
-    starts = np.cumsum([0] + [t.shape[0] for t, _ in reps[:-1]])
-    for a in (types, coefs, starts):
-        a.setflags(write=False)
-    alphabet._plans[key] = out = (types, coefs, starts)
+    coefs.setflags(write=False)
+    alphabet._plans[key] = out = (stacked[0], coefs, stacked[1])
     return out
 
 
@@ -519,6 +526,7 @@ class EFunctionFamily:
     payoff: str
     D: int
     law: DegreeLaw
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base not in ("ldmc3", "ldmc5"):
@@ -535,11 +543,7 @@ class EFunctionFamily:
 
     def evaluate(self, alpha, q):
         """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
-        qa = np.asarray(q, dtype=float)
-        if np.ndim(alpha):
-            qa = np.broadcast_to(qa, np.shape(alpha))
-        out = self._at(alpha)(qa.ravel())
-        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+        return _evaluate(self, alpha, q)
 
     def _at(self, alpha):
         """q -> E(alpha, q) on a 1-d q, with the degree law at alpha computed once."""
@@ -548,16 +552,38 @@ class EFunctionFamily:
         if self.channel == "BEC":
             return _averager(f_alphabet(f"{self.base}_bec"), self.payoff, pmf)
         tail = (0.5 if self.payoff == "error" else 1.0) * np.asarray(tail_p)
-        pmfs = pmf.T if pmf.ndim == 2 else None
 
         def bsc(qa: np.ndarray) -> np.ndarray:
             # the BSC alphabet is built at the crossover q itself
             crossovers = [min(max(p, _BSC_MIN_P), 0.5) for p in qa.tolist()]
-            laws = [pmf] * len(crossovers) if pmfs is None else pmfs
-            out = [_average(f_alphabet("ldmc3_bsc", p), self.payoff, w, 0.0)[0] for p, w in zip(crossovers, laws)]
+            laws = [pmf] * len(crossovers) if pmf.ndim == 1 else pmf.T
+            out = [
+                _average(f_alphabet("ldmc3_bsc", p), self.payoff, w, 0.0)[0]
+                for p, w in zip(crossovers, laws, strict=True)
+            ]
             return np.array(out, dtype=float) + tail
 
         return bsc
+
+
+def _evaluate(family, alpha, q):
+    """``family.evaluate``: E at the load alpha, or at one load per lane of q."""
+    qa = np.asarray(q, dtype=float)
+    if np.ndim(alpha) and np.shape(alpha) != qa.shape:
+        qa = np.broadcast_to(qa, np.shape(alpha))
+    out = _bound(family, alpha)(qa.ravel())
+    return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+
+
+def _bound(family, alpha):
+    """``family._at(alpha)``, kept while the loads stay the same: a DE
+    recursion evaluates a family at the same loads step after step."""
+    a = np.asarray(alpha, dtype=float)
+    key = (a.shape, a.tobytes())
+    last = family._last
+    if last[0] != key:
+        last[:] = [key, family._at(a)]
+    return last[1]
 
 
 def build_family(
@@ -595,7 +621,8 @@ def mixed_efun(components, weights, alpha, q, D: int):
 
 
 def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
-    """q -> ``mixed_efun`` of the lanes with (L, n) weights and L loads, on a 1-d q.
+    """q -> ``mixed_efun`` of the lanes with (L, n) weights and L loads, on a 1-d q
+    of L lanes (of any length if L = 1).
 
     What does not depend on q (each component's active lanes, its XOR
     exponent factor or its Poisson laws) is set up once.
@@ -624,7 +651,8 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
         factors.append((lanes, factor))
 
     def mixed(q: np.ndarray) -> np.ndarray:
-        acc = start.copy()
+        acc = np.empty(q.shape)
+        acc[:] = start  # one lane serves every q
         for lanes, factor in factors:
             if lanes is None:
                 acc *= factor(q)
@@ -690,17 +718,25 @@ class ClosedFormFamily:
     profile: DegreeProfile | None = None
     rate: float | None = None
     D: int = 10
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("mixed", "sysregular"):
             raise ValueError(f"unknown closed form kind {self.kind!r}")
 
-    def evaluate(self, alpha: float, q):
+    def evaluate(self, alpha, q):
+        """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
+        return _evaluate(self, alpha, q)
+
+    def _at(self, alpha):
+        """q -> E(alpha, q) on a 1-d q, with what alpha fixes set up once."""
         if self.kind == "mixed":
             if self.profile is None:
                 raise ValueError("mixed requires a degree profile")
             comps, lams = zip(*self.profile.entries)
-            return mixed_efun(comps, lams, alpha, q, self.D)
+            loads = np.asarray(alpha, dtype=float).reshape(-1)
+            weights = np.broadcast_to(np.asarray(lams, dtype=float), (loads.shape[0], len(lams)))
+            return _mixed_at(comps, weights, loads, self.D)
         if self.d is None or self.rate is None:
             raise ValueError("sysregular requires d and rate")
         m_real = self.d * (1.0 - self.rate) / self.rate
@@ -708,8 +744,9 @@ class ClosedFormFamily:
         if abs(m_real - m) > 1e-9:
             raise ValueError("sysregular requires d(1-R)/R to be an integer")
         family = build_family(f"ldmc{self.d}", D=m, law=DegreeLaw.binomial(m, self.rate))
-        out = (1.0 - np.minimum(np.multiply(alpha, self.rate), 1.0)) * family.evaluate(alpha, q)
-        return float(out) if np.ndim(out) == 0 else out
+        scale = 1.0 - np.minimum(np.multiply(alpha, self.rate), 1.0)
+        efun = family._at(alpha)
+        return lambda q: scale * efun(q)
 
 
 __all__ = [

@@ -20,6 +20,8 @@ FAMILIES = {
     **{f"ldmc3-bsc-{p}": build_family("ldmc3", channel="BSC", payoff=p) for p in ("error", "chi2")},
     # the systematic-regular family of ClosedFormFamily("sysregular", d=3, rate=0.5)
     "sysregular": build_family("ldmc3", D=3, law=DegreeLaw.binomial(3, 0.5)),
+    "closed-sysregular": ClosedFormFamily("sysregular", d=3, rate=0.5),
+    "closed-mixed": ClosedFormFamily("mixed", profile=parse_profile("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n")),
 }
 MIXED = (CheckKind.xor(1), CheckKind.maj(3), CheckKind.xor(3), CheckKind.maj(5), CheckKind.maj(1))
 
