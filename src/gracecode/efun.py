@@ -8,21 +8,23 @@ all message-type and agreement patterns.
 
 Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
 terms in the alphabet weights, and ``_averager`` sums pmf[d] * E_d(q) over a
-degree pmf.  It evaluates many lanes at once, one q and optionally one degree
-law per lane, with element-by-element operations in a fixed order, so that a
-lane gets the same bits whatever the other lanes are.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
+degree pmf.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
 its types and each row's type, which depend only on d and on which entry owns
 each lattice column; the coefficients depend on the alphabet's magnitudes and
 the payoff and are cached on the alphabet itself.  ``eval_degree`` is the
 one-degree case of ``_average`` and ``EFunctionFamily`` calls it with its
-degree law, one per load (on the BSC once per crossover, which sets the
-alphabet).  ``mixed_efun`` multiplies the XOR closed form with the Poisson
-families of the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
-``EFunctionFamily._at`` and ``_mixed_at`` set up what a fixed set of lanes
-needs once, for a recursion that evaluates them step after step.
+degree law (on the BSC once per crossover, which sets the alphabet).
+``mixed_efun`` multiplies the XOR closed form with the Poisson families of
+the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
-and the profile optimizer calls it directly.  ``error_poly`` expands
+and the profile optimizer calls its ``_mixed_at``.  ``error_poly`` expands
 ``_term_rep`` in powers of q.
+
+An evaluation takes many lanes at once: one q and, for a family or a
+mixture, one load (so one degree law) per lane.  It works element by element
+in a fixed order, so a lane gets the same bits whatever the other lanes are.
+A family's ``_at`` and ``_mixed_at`` set up what a fixed set of loads needs
+once, for a DE recursion that evaluates them step after step.
 """
 
 from __future__ import annotations
@@ -370,8 +372,6 @@ def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
 
     def average(q) -> np.ndarray:
         qa = np.asarray(q, dtype=float).ravel()
-        if qa.shape[0] <= block:
-            return _average_block(alphabet._horner, types, coefs, starts, weights, qa)
         out = np.empty(qa.shape[0])
         for a in range(0, qa.shape[0], block):
             lanes = slice(a, a + block)
@@ -388,6 +388,7 @@ def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
 
 
 def _average_block(horner, types, coefs, starts, weights, q) -> np.ndarray:
+    """``_averager``'s values at the lanes q, with their (1 or L, degrees) weights."""
     x = q[:, None]
     w = horner[0] + x * 0  # polyval's steps and order, for every entry at once
     for row in horner[1:]:

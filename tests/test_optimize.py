@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from _oracles import optimize_profile_plain
+from _oracles import optimize_profile_plain, pattern_polish_plain
 
 from gracecode.cli import EXIT_OK, main
 from gracecode.devo import fixed_point, iterate
 from gracecode.efun import ClosedFormFamily
 from gracecode.ensemble import CheckKind, DegreeProfile
-from gracecode.optimize import OptProblem, objective, optimize_profile, project_simplex
+from gracecode.optimize import OptProblem, _objective_raw, _pattern_polish, objective, optimize_profile, project_simplex
 
 XORS = (CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3))
 X1, X2, X3, M3 = CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3), CheckKind.maj(3)
@@ -177,3 +177,17 @@ def test_maj1_component_optimizes_as_xor1(tmp_path):
     assert logs[0] == logs[1]
     maj = objective([0.4, 0.6], OptProblem((X3, CheckKind.maj(1)), (0.9, 1.1)))
     assert maj == objective([0.4, 0.6], OptProblem((X3, X1), (0.9, 1.1)))
+
+
+@pytest.mark.parametrize(
+    "components, targets, ell",
+    [((X1, M3, X3), (0.9, 1.1), 5), ((X1, M3, X3), (0.6,), None), ((X1, X2, X3), (1.5,), None)],
+)
+def test_batched_polish_matches_one_point_polish(components, targets, ell):
+    # from points far from an optimum the polish takes several moves per pass
+    problem = OptProblem(components, targets, ell=ell)
+    rng = np.random.default_rng(5)
+    for x in [np.array([1.0, 0.0, 0.0]), *rng.dirichlet(np.ones(3), size=2)]:
+        f = _objective_raw(x, problem)
+        got, want = _pattern_polish(x, f, problem), pattern_polish_plain(x, f, problem)
+        assert got[0].tobytes() == want[0].tobytes() and repr(got[1]) == repr(want[1]) and got[2] == want[2]
