@@ -513,6 +513,17 @@ class DegreeLaw:
         return pmf.T, tail
 
 
+class _Last(list):
+    """[key, evaluator] of a family's last loads (see ``_bound``); it pickles
+    empty, because the evaluator is a closure."""
+
+    def __init__(self):
+        super().__init__([None, None])
+
+    def __reduce__(self):
+        return (_Last, ())
+
+
 @dataclass(frozen=True)
 class EFunctionFamily:
     """Truncated ensemble E/H-function: degree-law average of E_d up to D.
@@ -527,7 +538,7 @@ class EFunctionFamily:
     payoff: str
     D: int
     law: DegreeLaw
-    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
+    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base not in ("ldmc3", "ldmc5"):
@@ -719,7 +730,7 @@ class ClosedFormFamily:
     profile: DegreeProfile | None = None
     rate: float | None = None
     D: int = 10
-    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
+    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("mixed", "sysregular"):

@@ -7,6 +7,8 @@ bytes.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -131,3 +133,10 @@ def test_fixed_point_lanes_stop_one_by_one():
             for i, a in enumerate(alphas.tolist()):
                 assert (float(q[i]), bool(converged[i])) == fixed_point(family, a, 0.0, tol=tol, max_steps=max_steps)
         assert converged.any() and not converged.all()
+
+
+def test_an_evaluated_family_pickles():
+    for family in FAMILIES.values():
+        family.evaluate(np.array([0.5, 1.0]), 0.25)  # keeps a bound evaluator
+        copy = pickle.loads(pickle.dumps(family))
+        assert copy == family and same(copy.evaluate(np.array([0.5, 1.0]), 0.25), family.evaluate(np.array([0.5, 1.0]), 0.25))
