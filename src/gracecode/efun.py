@@ -592,10 +592,11 @@ def _bound(family, alpha):
     recursion evaluates a family at the same loads step after step."""
     a = np.asarray(alpha, dtype=float)
     key = (a.shape, a.tobytes())
-    last = family._last
-    if last[0] != key:
-        last[:] = [key, family._at(a)]
-    return last[1]
+    last_key, efun = family._last  # one read, so another thread cannot mix two entries
+    if last_key != key:
+        efun = family._at(a)
+        family._last[:] = [key, efun]
+    return efun
 
 
 def build_family(
