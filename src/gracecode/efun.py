@@ -6,19 +6,20 @@ determine the bit carry zero error and are dropped from the alphabet).  The
 d-th error polynomial E_d(q) averages a payoff of the posterior error over
 all message-type and agreement patterns.
 
-Every E-function takes one path: ``_term_rep`` writes E_d as nonnegative
-terms in the alphabet weights, and ``_averager`` sums pmf[d] * E_d(q) over a
-degree pmf.  ``_term_rep`` splits in two: ``_structure`` holds the lattice,
-its types and each row's type, which depend only on d and on which entry owns
-each lattice column; the coefficients depend on the alphabet's magnitudes and
-the payoff and are cached on the alphabet itself.  ``eval_degree`` is the
-one-degree case of ``_average`` and ``EFunctionFamily`` calls it with its
-degree law (on the BSC once per crossover, which sets the alphabet).
+Every E-function takes one path: ``_table`` stacks the nonnegative term
+representations of E_0..E_D, in the alphabet weights, for one payoff, and
+``_averager`` sums pmf[d] * E_d(q) over a degree pmf from a slice of it.  A
+degree's terms come from ``_structure``, the lattice, its types and each
+row's type, which depend only on d and on which entry owns each lattice
+column, and from coefficients that depend on the alphabet's magnitudes and
+the payoff; the table is cached on the alphabet itself.  ``eval_degree`` is
+the one-degree case of ``_average`` and ``EFunctionFamily`` calls it with
+its degree law (on the BSC once per crossover, which sets the alphabet).
 ``mixed_efun`` multiplies the XOR closed form with the Poisson families of
 the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
 and the profile optimizer calls its ``_mixed_at``.  ``error_poly`` expands
-``_term_rep`` in powers of q.
+a degree of the table in powers of q.
 
 An evaluation takes many lanes at once: one q and, for a family or a
 mixture, one load (so one degree law) per lane.  It works element by element
@@ -95,16 +96,15 @@ class MessageAlphabet:
     polynomials in q (constants for BSC alphabets built at a fixed crossover).
     Total retained mass may be < 1: the remainder is fully-determining events.
 
-    An alphabet caches its E_d term representations (``_term_rep``), so they
-    live exactly as long as it does.
+    An alphabet caches its table of E_0..E_D terms per payoff (``_table``),
+    so the table lives exactly as long as it does.
     """
 
     channel: str
     entries: tuple
     _horner: np.ndarray = field(init=False, repr=False)
     _cols: tuple = field(init=False, repr=False)
-    _terms: dict = field(default_factory=dict, init=False, repr=False)
-    _plans: dict = field(default_factory=dict, init=False, repr=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.channel not in ("BEC", "BSC"):
@@ -200,7 +200,6 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
 
 
 _STRUCTURE_CACHE: dict = {}
-_STACKED_CACHE: dict = {}
 # enough for the LDMC5 lattices (13 columns) up to the default truncation
 # D = 10: 646,646 rows at d = 10, about 42 MB for d = 0..10 together
 _LATTICE_CACHE_MAX_ROWS = 650_000
@@ -289,18 +288,14 @@ def _structure(d: int, owners: tuple) -> _Structure:
     return out
 
 
-def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
+def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
     """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
 
-    Returned as (type-count matrix, coefficients), in float64, and cached on
-    the alphabet.  All coefficients are >= 0, so evaluation through
-    this form is free of the catastrophic cancellation the expanded power
-    basis exhibits at larger d.
+    Returned as (type-count matrix, coefficients), in float64, for
+    ``_table`` to stack; the float lattice and its row vectors go on return.
+    All coefficients are >= 0, so evaluation through this form is free of
+    the catastrophic cancellation the expanded power basis exhibits at larger d.
     """
-    key = (d, payoff)
-    hit = alphabet._terms.get(key)
-    if hit is not None:
-        return hit
     col_l, col_logq, owners = alphabet._cols
     s = _structure(d, owners)
     zf = s.z.astype(np.float64)
@@ -309,10 +304,30 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
     del zf
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
     vals = np.exp(logp) * _apply_payoff(e, payoff)
-    coefs = np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
-    coefs.setflags(write=False)
-    alphabet._terms[key] = out = (s.types, coefs)
-    return out
+    return s.types, np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
+
+
+def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
+    """The term representations of degrees 0..dmax (at least) stacked in
+    increasing degree order: (types, coefs, starts).
+
+    ``types`` holds the type counts as an (entries, rows) matrix, ``coefs``
+    each row's coefficient and ``starts`` each degree's first row, then the
+    row count.  Cached on the alphabet per payoff; a larger dmax appends the
+    missing degrees.
+    """
+    empty = (np.zeros((len(alphabet.entries), 0)), np.zeros(0), np.zeros(1, dtype=np.int64))
+    types, coefs, starts = table = alphabet._tables.get(payoff, empty)
+    if starts.shape[0] >= dmax + 2:
+        return table
+    new = [_degree_terms(alphabet, d, payoff) for d in range(starts.shape[0] - 1, dmax + 1)]
+    types = np.concatenate([types] + [t.T for t, _ in new], axis=1)
+    coefs = np.concatenate([coefs] + [c for _, c in new])
+    starts = np.concatenate([starts, starts[-1] + np.cumsum([t.shape[0] for t, _ in new])])
+    for a in (types, coefs, starts):
+        a.setflags(write=False)
+    alphabet._tables[payoff] = table = (types, coefs, starts)
+    return table
 
 
 # lane-major exponents per block of lanes: at most 2^16 floats (512 kB), so
@@ -321,53 +336,30 @@ def _term_rep(alphabet: MessageAlphabet, d: int, payoff: str):
 _LANE_BLOCK = 1 << 16
 
 
-def _plan(alphabet: MessageAlphabet, payoff: str, degrees: tuple):
-    """The term representations of ``degrees`` stacked for ``_average``.
-
-    Returns (types, coefs, starts): the type counts as an (entries, rows)
-    matrix, each row's coefficient and each degree's first row.  Cached on
-    the alphabet per (payoff, degree set); the types and starts depend only
-    on the lattice layout, so every payoff and BSC crossover shares them.
-    """
-    key = (payoff, degrees)
-    hit = alphabet._plans.get(key)
-    if hit is not None:
-        return hit
-    reps = [_term_rep(alphabet, d, payoff) for d in degrees]
-    layout = (alphabet._cols[2], degrees)
-    stacked = _STACKED_CACHE.get(layout)
-    if stacked is None:
-        types = np.ascontiguousarray(np.concatenate([t for t, _ in reps]).T)
-        starts = np.cumsum([0] + [t.shape[0] for t, _ in reps[:-1]])
-        for a in (types, starts):
-            a.setflags(write=False)
-        _STACKED_CACHE[layout] = stacked = (types, starts)
-    coefs = np.concatenate([c for _, c in reps])
-    coefs.setflags(write=False)
-    alphabet._plans[key] = out = (stacked[0], coefs, stacked[1])
-    return out
-
-
 def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
     """q -> sum_d pmf[d] E_d(q) over the degrees of positive mass, one value per lane.
 
     ``pmf`` is one degree law of shape (D+1,) for every lane or one per lane,
     of shape (D+1, L); the returned function takes a 0-d or 1-d q of L lanes.
-    The degrees and their stacked terms are looked up once, so a recursion
-    that evaluates the same lanes at step after step pays for them once.
-    Every step of an evaluation works element by element on lane-major
-    arrays: the exponents sum the entries in their order, each degree's
-    terms are a reduction over a contiguous row segment, and the degrees are
-    added in increasing order.  A lane's value is therefore the same bits
-    whatever the other lanes are.
+    The rows of the degrees lo..hi that hold the positive mass are sliced
+    from the alphabet's table once, so a recursion that evaluates the same
+    lanes at step after step pays for them once.  Every step of an evaluation
+    works element by element on lane-major arrays: the exponents sum the
+    entries in their order, each degree's terms are a reduction over a
+    contiguous row segment, and the degrees are added in increasing order (a
+    degree without mass adds exactly 0).  A lane's value is therefore the
+    same bits whatever the other lanes are.
     """
     weights = np.asarray(pmf, dtype=float)
     weights = weights.reshape(weights.shape[0], -1).T  # (1 or L, D+1)
     degrees = np.flatnonzero((weights > 0.0).any(axis=0))
     if not degrees.size:
         return lambda q: np.zeros(np.size(q))
-    types, coefs, starts = _plan(alphabet, payoff, tuple(degrees.tolist()))
-    weights = weights[:, degrees]
+    lo, hi = int(degrees[0]), int(degrees[-1])
+    types, coefs, starts = _table(alphabet, payoff, hi)
+    rows = slice(starts[lo], starts[hi + 1])
+    types, coefs, starts = types[:, rows], coefs[rows], starts[lo : hi + 1] - starts[lo]
+    weights = weights[:, lo : hi + 1]
     block = max(1, _LANE_BLOCK // types.shape[1])
 
     def average(q) -> np.ndarray:
@@ -415,11 +407,15 @@ def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray
     return float(out[0]) if np.ndim(q) == 0 else out
 
 
-@lru_cache(maxsize=512)
-def _error_poly_cached(alphabet: MessageAlphabet, d: int, payoff: str) -> EPolynomial:
+def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPolynomial:
+    """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2)."""
+    _check_degree(d)
+    if payoff not in ("error", "entropy", "chi2"):
+        raise ValueError(f"unknown payoff {payoff!r}")
+    types, coefs, starts = _table(alphabet, payoff, d)
+    rows = slice(starts[d], starts[d + 1])
     entries = alphabet.entries
     n = len(entries)
-    uniq, coefs = _term_rep(alphabet, d, payoff)
     powers = [[np.array([1.0]), entries[j][1].as_array()] for j in range(n)]
 
     def power(j: int, exp: int) -> np.ndarray:
@@ -428,7 +424,7 @@ def _error_poly_cached(alphabet: MessageAlphabet, d: int, payoff: str) -> EPolyn
         return powers[j][exp]
 
     total = np.zeros(1)
-    for row, cf in zip(uniq, coefs):
+    for row, cf in zip(types[:, rows].T, coefs[rows]):
         poly = np.array([cf])
         for j in range(n):
             if row[j]:
@@ -437,14 +433,6 @@ def _error_poly_cached(alphabet: MessageAlphabet, d: int, payoff: str) -> EPolyn
             total = np.concatenate([total, np.zeros(poly.shape[0] - total.shape[0])])
         total[: poly.shape[0]] += poly
     return EPolynomial(tuple(total))
-
-
-def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPolynomial:
-    """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2)."""
-    _check_degree(d)
-    if payoff not in ("error", "entropy", "chi2"):
-        raise ValueError(f"unknown payoff {payoff!r}")
-    return _error_poly_cached(alphabet, d, payoff)
 
 
 @lru_cache(maxsize=64)

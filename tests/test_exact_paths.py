@@ -153,10 +153,10 @@ def test_general_two_point_matches_array_entropy_calls(R, delta_a, eps_a, eps):
 
 def test_bsc_crossovers_keep_the_bec_term_reps():
     ldmc5 = f_alphabet("ldmc5_bec")
-    before = [efun._term_rep(ldmc5, d, "error") for d in range(11)]
+    before = efun._table(ldmc5, "error", 10)
     build_family("ldmc3", channel="BSC").evaluate(1.0, np.linspace(0.005, 0.5, 60))
     assert f_alphabet("ldmc5_bec") is ldmc5
-    assert all(a is b for a, b in zip(before, (efun._term_rep(ldmc5, d, "error") for d in range(11))))
+    assert efun._table(ldmc5, "error", 10) is before
 
 
 def test_lattice_structure_is_built_once_per_layout(monkeypatch):
@@ -164,16 +164,13 @@ def test_lattice_structure_is_built_once_per_layout(monkeypatch):
     compositions = efun._compositions
     monkeypatch.setattr(efun, "_compositions", lambda d, K: built.append((d, K)) or compositions(d, K))
     monkeypatch.setattr(efun, "_STRUCTURE_CACHE", {})
-    # fresh alphabets: their term representations are not cached yet
+    # fresh alphabets: their tables are not cached yet
     ldmc3 = MessageAlphabet("BEC", f_alphabet("ldmc3_bec").entries)
-    for d in range(11):
-        efun._term_rep(ldmc3, d, "error")
+    efun._table(ldmc3, "error", 10)
     assert built == [(d, 5) for d in range(11)]
-    for d in range(11):
-        efun._term_rep(ldmc3, d, "chi2")
+    efun._table(ldmc3, "chi2", 10)
     assert len(built) == 11  # the second payoff reuses the structure
     for p in (0.1, 0.2, 0.3):  # so do the BSC crossovers, after the first
         bsc = MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries)
-        for d in range(11):
-            efun._term_rep(bsc, d, "error")
+        efun._table(bsc, "error", 10)
     assert built[11:] == [(d, 6) for d in range(11)]
