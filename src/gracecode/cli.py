@@ -34,7 +34,7 @@ from .converse import (
     shannon_single_point,
 )
 from .devo import _PAYOFF_FOR, _traces
-from .efun import ClosedFormFamily, build_family, error_poly, f_alphabet
+from .efun import ClosedFormFamily, _check_degree, build_family, error_poly, f_alphabet
 from .ensemble import (
     CheckKind,
     DegreeProfile,
@@ -213,6 +213,8 @@ def _cmd_devo(args) -> int:
 
 
 def _cmd_converse(args) -> int:
+    if not 0.0 < args.rate <= 1.0:
+        raise ValueError(f"rate must lie in (0, 1], got {_fmt(args.rate)}")
     rows = []
     rho = 1.0 / args.rate
     for eps in _parse_grid(args.eps_grid):
@@ -240,6 +242,7 @@ def _cmd_converse(args) -> int:
 
 def _cmd_efun(args) -> int:
     alph = f_alphabet(args.family)
+    _check_degree(args.dmax)
     polys = [error_poly(alph, d, args.payoff) for d in range(args.dmax + 1)]
     width = max(p.degree for p in polys) + 1
     header = ["d"] + [f"c{i}" for i in range(width)]

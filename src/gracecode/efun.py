@@ -238,11 +238,11 @@ def _compositions(d: int, K: int):
 
 
 def _check_load(alpha) -> None:
-    """Reject a negative or NaN load, in any lane of an array of loads."""
+    """Reject a negative, infinite or NaN load, in any lane of an array of loads."""
     a = np.asarray(alpha, dtype=float)
-    bad = ~(a >= 0.0)  # also true for NaN
+    bad = ~((a >= 0.0) & (a < np.inf))  # also true for NaN
     if bad.any():
-        raise ValueError(f"alpha must be >= 0, got {a[bad].ravel()[0]}")
+        raise ValueError(f"alpha must be >= 0 and finite, got {a[bad].ravel()[0]}")
 
 
 def _check_degree(d: int) -> None:
@@ -722,8 +722,23 @@ class ClosedFormFamily:
     _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("mixed", "sysregular"):
+        if self.kind == "mixed":
+            if self.profile is None:
+                raise ValueError("mixed requires a degree profile")
+        elif self.kind == "sysregular":
+            if self.d not in (3, 5) or self.rate is None or not 0.0 < self.rate <= 1.0:
+                raise ValueError("sysregular requires d in {3, 5} and a rate in (0, 1]")
+            m_real = self.d * (1.0 - self.rate) / self.rate
+            _check_degree(m_real)
+            if abs(m_real - self._trials) > 1e-9:
+                raise ValueError("sysregular requires d(1-R)/R to be an integer")
+        else:
             raise ValueError(f"unknown closed form kind {self.kind!r}")
+
+    @property
+    def _trials(self) -> int:
+        """The nearest integer to d(1-R)/R: a sysregular degree law's trials."""
+        return round(self.d * (1.0 - self.rate) / self.rate)
 
     def evaluate(self, alpha, q):
         """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
@@ -732,18 +747,11 @@ class ClosedFormFamily:
     def _at(self, alpha):
         """q -> E(alpha, q) on a 1-d q, with what alpha fixes set up once."""
         if self.kind == "mixed":
-            if self.profile is None:
-                raise ValueError("mixed requires a degree profile")
             comps, lams = zip(*self.profile.entries)
             loads = np.asarray(alpha, dtype=float).reshape(-1)
             weights = np.broadcast_to(np.asarray(lams, dtype=float), (loads.shape[0], len(lams)))
             return _mixed_at(comps, weights, loads, self.D)
-        if self.d is None or self.rate is None:
-            raise ValueError("sysregular requires d and rate")
-        m_real = self.d * (1.0 - self.rate) / self.rate
-        m = round(m_real)
-        if abs(m_real - m) > 1e-9:
-            raise ValueError("sysregular requires d(1-R)/R to be an integer")
+        m = self._trials
         family = build_family(f"ldmc{self.d}", D=m, law=DegreeLaw.binomial(m, self.rate))
         scale = 1.0 - np.minimum(np.multiply(alpha, self.rate), 1.0)
         efun = family._at(alpha)

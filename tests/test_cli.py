@@ -94,6 +94,13 @@ def test_infeasible_exit_code(tmp_path, capsys):
         (["converse", "--bound", "shannon", "--rate", "0.5", "--eps-grid", "0:inf:1", "--out", str(out)],
          "non-finite"),
         (["optimize", "--components", "XOR:1,XOR:2", "--targets=-1", "--out", str(out)], "alpha must be >= 0"),
+        (["optimize", "--components", "XOR:1,MAJ:3", "--targets", "inf", "--ell", "2", "--multistart", "1",
+          "--out", str(out)], "alpha must be >= 0 and finite, got inf"),
+        *[(["converse", "--bound", bound, "--rate", "0", "--eps-grid", "0.5", "--out", str(out)],
+           "rate must lie in (0, 1], got 0") for bound in ("shannon", "linear1", "general2")],
+        (["converse", "--bound", "linear1", "--rate", "nan", "--eps-grid", "0.5", "--out", str(out)],
+         "rate must lie in (0, 1], got nan"),
+        (["efun", "--dmax", "-1", "--out", str(out)], "degree must lie in [0, 14]"),
     ]:
         assert main(argv) == EXIT_INFEASIBLE, argv
         assert message in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,25 @@ def test_closed_form_sysregular_validation():
     assert 0.0 < val < 0.5
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "mixed"}, "mixed requires a degree profile"),
+        ({"kind": "sysregular", "d": 3, "rate": 0.4}, "d(1-R)/R to be an integer"),
+        ({"kind": "sysregular", "d": 7, "rate": 0.5}, "d in {3, 5}"),
+        ({"kind": "sysregular", "d": 3}, "a rate in (0, 1]"),
+        ({"kind": "sysregular", "d": 3, "rate": 0.0}, "a rate in (0, 1]"),
+        ({"kind": "sysregular", "d": 3, "rate": 1.5}, "a rate in (0, 1]"),
+        ({"kind": "sysregular", "d": 3, "rate": float("nan")}, "a rate in (0, 1]"),
+        ({"kind": "sysregular", "d": 3, "rate": 0.1}, "degree must lie in [0, 14]"),
+        ({"kind": "ldgm"}, "unknown closed form kind"),
+    ],
+)
+def test_closed_form_validates_at_construction(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ClosedFormFamily(**kwargs)
+
+
 def test_closed_form_channel_and_payoff_are_fixed():
     fam = ClosedFormFamily("mixed", profile=_xor(3))
     assert (fam.channel, fam.payoff) == ("BEC", "error")
@@ -256,7 +277,7 @@ def test_families_reject_negative_and_nan_loads():
     ]
     for fam in families:
         assert fam.evaluate(0.0, 0.5) >= 0.0
-        for alpha in (-1.0, -1e-300, float("nan")):
+        for alpha in (-1.0, -1e-300, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 fam.evaluate(alpha, 0.5)
 

@@ -174,3 +174,41 @@ def test_lattice_structure_is_built_once_per_layout(monkeypatch):
         bsc = MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries)
         efun._table(bsc, "error", 10)
     assert built[11:] == [(d, 6) for d in range(11)]
+
+
+@pytest.mark.parametrize("payoff", ["error", "chi2"])
+@pytest.mark.parametrize("name", ["ldmc3_bec", "ldmc5_bec"])
+def test_an_extended_table_equals_one_built_at_once(name, payoff):
+    entries = f_alphabet(name).entries
+    grown, fresh = MessageAlphabet("BEC", entries), MessageAlphabet("BEC", entries)
+    small = efun._table(grown, payoff, 3)
+    assert small[2].shape[0] == 5
+    extended = efun._table(grown, payoff, 10)
+    assert extended is not small and efun._table(grown, payoff, 7) is extended
+    for a, b in zip(extended, efun._table(fresh, payoff, 10), strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# _average of the pmf 0.1, 0.4, 0.3, 0.2 at degrees 0, 3, 7, 10 and q = 0, 1/4,
+# 1/2, 3/4, 1, as evaluated when only the degrees with mass were stacked
+GAP_PMF_VALUES = {
+    "ldmc3_bec": ["0x1.25ca666666668p-3", "0x1.e483af062051ep-4", "0x1.93d5b59c5999ap-4",
+                  "0x1.57457bf9e8a3ap-4", "0x1.3866666666667p-4"],
+    "ldmc5_bec": ["0x1.ab31303166666p-3", "0x1.82dcad42b5f59p-3", "0x1.44d448a299678p-3",
+                  "0x1.02b2fca4de672p-3", "0x1.af69d96cccccdp-4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAP_PMF_VALUES))
+def test_degrees_without_mass_add_exactly_zero(name):
+    alphabet = f_alphabet(name)
+    pmf = np.zeros(11)
+    pmf[[0, 3, 7, 10]] = [0.1, 0.4, 0.3, 0.2]
+    qs = np.linspace(0.0, 1.0, 5)
+    got = efun._average(alphabet, "error", pmf, qs)
+    assert [x.hex() for x in got.tolist()] == GAP_PMF_VALUES[name]
+    # the same sum, degree by degree in increasing order
+    want = np.zeros(qs.shape)
+    for d in (0, 3, 7, 10):
+        want = want + pmf[d] * eval_degree(alphabet, d, "error", qs)
+    assert same(got, want)

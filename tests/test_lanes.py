@@ -87,7 +87,7 @@ def test_mixed_efun_lanes_match_one_lane_calls(L):
     assert same(mixed_efun(MIXED, weights[-1], float(alphas[-1]), qs, 10), one)
 
 
-@pytest.mark.parametrize("bad", [np.nan, -0.5])
+@pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
 def test_a_bad_load_in_any_lane_raises(bad):
     alphas = np.array([0.5, 1.0, 1.5, 2.0])
     for lane in range(alphas.shape[0]):
