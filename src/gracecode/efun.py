@@ -730,15 +730,10 @@ class ClosedFormFamily:
                 raise ValueError("sysregular requires d in {3, 5} and a rate in (0, 1]")
             m_real = self.d * (1.0 - self.rate) / self.rate
             _check_degree(m_real)
-            if abs(m_real - self._trials) > 1e-9:
+            if abs(m_real - round(m_real)) > 1e-9:
                 raise ValueError("sysregular requires d(1-R)/R to be an integer")
         else:
             raise ValueError(f"unknown closed form kind {self.kind!r}")
-
-    @property
-    def _trials(self) -> int:
-        """The nearest integer to d(1-R)/R: a sysregular degree law's trials."""
-        return round(self.d * (1.0 - self.rate) / self.rate)
 
     def evaluate(self, alpha, q):
         """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
@@ -751,7 +746,7 @@ class ClosedFormFamily:
             loads = np.asarray(alpha, dtype=float).reshape(-1)
             weights = np.broadcast_to(np.asarray(lams, dtype=float), (loads.shape[0], len(lams)))
             return _mixed_at(comps, weights, loads, self.D)
-        m = self._trials
+        m = round(self.d * (1.0 - self.rate) / self.rate)
         family = build_family(f"ldmc{self.d}", D=m, law=DegreeLaw.binomial(m, self.rate))
         scale = 1.0 - np.minimum(np.multiply(alpha, self.rate), 1.0)
         efun = family._at(alpha)
