@@ -9,10 +9,11 @@ all message-type and agreement patterns.
 Every E-function takes one path: ``_table`` stacks the nonnegative term
 representations of E_0..E_D, in the alphabet weights, for one payoff, and
 ``_averager`` sums pmf[d] * E_d(q) over a degree pmf from a slice of it.  A
-degree's terms come from ``_structure``, the lattice, its types and each
-row's type, which depend only on d and on which entry owns each lattice
-column, and from coefficients that depend on the alphabet's magnitudes and
-the payoff; the table is cached on the alphabet itself.  ``eval_degree`` is
+degree's terms come from ``_lattice_chunks``, which streams the lattice, each
+row's weight and each row's type in fixed chunks (they depend only on d and
+on which entry owns each lattice column), and from coefficients that depend
+on the alphabet's magnitudes and the payoff; one pass fills every payoff's
+table, which is cached on the alphabet itself.  ``eval_degree`` is
 the one-degree case of ``_average`` and ``EFunctionFamily`` calls it with
 its degree law (on the BSC once per crossover, which sets the alphabet).
 ``mixed_efun`` multiplies the XOR closed form with the Poisson families of
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -199,10 +200,13 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
     raise ValueError(f"unknown payoff {payoff!r}")
 
 
-_STRUCTURE_CACHE: dict = {}
-# enough for the LDMC5 lattices (13 columns) up to the default truncation
-# D = 10: 646,646 rows at d = 10, about 42 MB for d = 0..10 together
-_LATTICE_CACHE_MAX_ROWS = 650_000
+_PAYOFFS = ("error", "chi2", "entropy")
+# E_d's lattice streams in chunks of this many rows, at offsets that are its
+# multiples: a BLAS matrix-vector product gives a row the bits it has in the
+# whole lattice only if the row's block starts where the whole lattice's does
+_CHUNK_ROWS = 1 << 16
+# (d, owners) -> (rows, logc, rank) of a lattice of at most _CHUNK_ROWS rows
+_LATTICE_CACHE: dict = {}
 
 
 def _with_first_part(blocks, t: int) -> np.ndarray:
@@ -212,29 +216,30 @@ def _with_first_part(blocks, t: int) -> np.ndarray:
     return np.column_stack((first, np.concatenate(rest)))
 
 
-def _compositions(d: int, K: int):
-    """All weak compositions of d into K parts with log-multinomial weights.
+@lru_cache(maxsize=256)
+def _lattice(d: int, K: int) -> np.ndarray:
+    """All weak compositions of d into K >= 1 parts, as read-only int16 rows.
 
     Rows come in lexicographic order (the order of the stars-and-bars
     ``itertools.combinations`` enumeration).  They are built part by part:
     the compositions of t into k parts stack, for i = 0..t, the block
     ``[i | compositions of t - i into k - 1 parts]``.
     """
-    if K == 0:
-        z = np.zeros((1, 0), dtype=np.int16)
-        logc = np.zeros(1)
-    else:
-        from scipy.special import gammaln
+    # blocks[t]: the compositions of t into the parts built so far; the last
+    # part added needs only the total d
+    blocks = [np.full((1, 1), t, dtype=np.int16) for t in range(d + 1)]
+    for k in range(2, K + 1):
+        blocks = [_with_first_part(blocks, t) for t in (range(d + 1) if k < K else (d,))]
+    blocks[-1].setflags(write=False)
+    return blocks[-1]
 
-        # blocks[t]: the compositions of t into the parts built so far; the
-        # last part added needs only the total d
-        blocks = [np.full((1, 1), t, dtype=np.int16) for t in range(d + 1)]
-        for k in range(2, K + 1):
-            blocks = [_with_first_part(blocks, t) for t in (range(d + 1) if k < K else (d,))]
-        z = blocks[-1]
-        table = gammaln(np.arange(d + 1) + 1.0)
-        logc = gammaln(d + 1) - table[z].sum(axis=1)
-    return z, logc
+
+def _log_multinomial(d: int, z: np.ndarray) -> np.ndarray:
+    """Each row's log-multinomial weight log(d! / prod_c z_c!)."""
+    from scipy.special import gammaln
+
+    table = gammaln(np.arange(d + 1) + 1.0)
+    return gammaln(d + 1) - table[z].sum(axis=1)
 
 
 def _check_load(alpha) -> None:
@@ -250,61 +255,96 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}]")
 
 
-class _Structure(NamedTuple):
-    """The part of E_d's term representation that no magnitude or payoff moves."""
+def _rank(counts: np.ndarray, total, d: int, parts: int) -> np.ndarray:
+    """How many compositions of ``total`` (at most d) into ``parts`` parts
+    precede, in lexicographic order, those that start with a row of ``counts``."""
+    after = total - np.cumsum(counts, axis=1)  # what the later parts share
+    j = np.arange(counts.shape[1])
+    # below[j, s]: the compositions of s into parts - j parts; those whose
+    # first part is at least c are the compositions of s - c
+    below = np.array([[math.comb(s + parts - 1 - i, s) for s in range(d + 1)] for i in j], dtype=np.int64)
+    below = below.reshape(j.shape[0], d + 1)  # also with no parts left
+    return (below[j, after + counts] - below[j, after]).sum(axis=1)
 
-    z: np.ndarray  # the lattice, int16 (rows, columns)
-    logc: np.ndarray  # each row's log-multinomial weight
-    inv: np.ndarray  # each row's type: its row of ``types``
-    types: np.ndarray  # the entries' type counts as floats (types, entries)
 
+def _lattice_chunks(d: int, owners: tuple):
+    """E_d's lattice for an alphabet whose lattice column c belongs to entry
+    ``owners[c]``, in lexicographic row order, as chunks (int16 rows, their
+    log-multinomial weights, each row's type as a row of ``_lattice(d,
+    entries)``) of ``_CHUNK_ROWS`` rows, the last one shorter.
 
-def _structure(d: int, owners: tuple) -> _Structure:
-    """The lattice of E_d's terms for an alphabet whose lattice column c
-    belongs to entry ``owners[c]``, with its types.
-
-    Cached per (d, owners) up to ``_LATTICE_CACHE_MAX_ROWS`` rows, so a second
-    payoff or another magnitude set with the same layout (a new BSC
-    crossover) reuses it.
+    A chunk gathers its rows [head | tail] from the heads, the first P columns
+    (whole entries), and the tails, the compositions of what a head leaves; a
+    row's rank is its head's plus its tail's.  Only a lattice of one chunk is
+    cached, per (d, owners): a new BSC crossover reuses it.
     """
-    key = (d, owners)
-    hit = _STRUCTURE_CACHE.get(key)
+    hit = _LATTICE_CACHE.get((d, owners))
     if hit is not None:
-        return hit
-    z, logc = _compositions(d, len(owners))
-    # an entry's type count sums its columns; the counts of a row sum to d, so
-    # their base-(d+1) number orders the rows as np.unique(axis=0) would
-    radix = (d + 1) ** np.arange(owners[-1], -1, -1)  # owners[-1] + 1 entries
-    keys = np.zeros(z.shape[0], dtype=np.int64)
-    for c, j in enumerate(owners):
-        keys += z[:, c] * radix[j]
-    keys, inv = np.unique(keys, return_inverse=True)
-    types = (keys[:, None] // radix % (d + 1)).astype(np.float64)
-    out = _Structure(z, logc, inv.astype(np.min_scalar_type(keys.shape[0])), types)
-    for a in out:
-        a.setflags(write=False)
-    if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:
-        _STRUCTURE_CACHE[key] = out
-    return out
+        yield hit
+        return
+    K, n = len(owners), owners[-1] + 1
+    P = owners.index(owners[K // 2 - 1]) + owners.count(owners[K // 2 - 1])
+    e = owners[P - 1] + 1
+    of_entry = np.equal.outer(owners, np.arange(n)).astype(np.int64)  # (K, n)
+    heads = _lattice(d, P + 1)  # the head, then the total t it leaves
+    head_rank = _rank(heads[:, :P] @ of_entry[:P, :e], d, d, n)
+    tails = _lattice(d, K - P + 1)  # [d - t | a tail of t], t = d, d-1, .., 0
+    left = d - tails[:, :1].astype(np.int64)
+    tails = tails[:, 1:]
+    tail_rank = _rank(tails @ of_entry[P:, e:], left, d, n - e)
+    sizes = np.bincount(left[:, 0], minlength=d + 1)  # the tails of each t
+    first = np.cumsum(sizes[::-1])[::-1] - sizes  # where the tails of t start
+    ends = np.cumsum(sizes[heads[:, P]])
+    rows = int(ends[-1])
+    for a in range(0, rows, _CHUNK_ROWS):
+        g = np.arange(a, min(a + _CHUNK_ROWS, rows))
+        h = np.searchsorted(ends, g, side="right")
+        t = heads[h, P]
+        i = first[t] + g - (ends[h] - sizes[t])
+        z = np.empty((g.shape[0], K), dtype=np.int16)
+        z[:, :P] = heads[h, :P]
+        z[:, P:] = tails[i]
+        chunk = (z, _log_multinomial(d, z), head_rank[h] + tail_rank[i])
+        if rows <= _CHUNK_ROWS:
+            for x in chunk:
+                x.setflags(write=False)
+            _LATTICE_CACHE[(d, owners)] = chunk
+        yield chunk
 
 
-def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
-    """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
+def _degree_terms(alphabet: MessageAlphabet, degrees):
+    """Nonnegative term representations E_d(q) = sum_c coef_c prod_j w_j(q)^c_j
+    of the degrees: (each degree's type-count matrix, {payoff: coefficients
+    stacked in increasing degree order}), in float64.
 
-    Returned as (type-count matrix, coefficients), in float64, for
-    ``_table`` to stack; the float lattice and its row vectors go on return.
-    All coefficients are >= 0, so evaluation through this form is free of
-    the catastrophic cancellation the expanded power basis exhibits at larger d.
+    A lattice chunk's LLRs and log-probabilities are BLAS matrix-vector
+    products of their own; the payoffs run on batches of chunks of at least
+    ``_CHUNK_ROWS`` rows, and each term adds to its type's coefficient in row
+    order, as one ``np.bincount`` over a degree's whole lattice adds them.
+    All coefficients are >= 0, so evaluation through this form is free of the
+    catastrophic cancellation the expanded power basis exhibits at larger d.
     """
     col_l, col_logq, owners = alphabet._cols
-    s = _structure(d, owners)
-    zf = s.z.astype(np.float64)
-    llr = zf @ col_l
-    logp = s.logc + zf @ col_logq
-    del zf
-    e = 1.0 / (1.0 + np.exp(np.abs(llr)))
-    vals = np.exp(logp) * _apply_payoff(e, payoff)
-    return s.types, np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
+    types = [_lattice(d, len(alphabet.entries)).astype(np.float64) for d in degrees]
+    firsts = np.cumsum([0] + [t.shape[0] for t in types])
+    coefs = {payoff: np.zeros(firsts[-1]) for payoff in _PAYOFFS}
+    batch = []
+
+    def add_batch():
+        e, p, rank = map(np.concatenate, zip(*batch))
+        for payoff, c in coefs.items():
+            np.add.at(c, rank, p * _apply_payoff(e, payoff))
+        batch.clear()
+
+    for d, first in zip(degrees, firsts):
+        for z, logc, rank in _lattice_chunks(d, owners):
+            zf = z.astype(np.float64)
+            batch.append((1.0 / (1.0 + np.exp(np.abs(zf @ col_l))), np.exp(logc + zf @ col_logq), first + rank))
+            if sum(e.shape[0] for e, _, _ in batch) >= _CHUNK_ROWS:
+                add_batch()
+    if batch:
+        add_batch()
+    return types, coefs
 
 
 def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
@@ -313,21 +353,25 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
 
     ``types`` holds the type counts as an (entries, rows) matrix, ``coefs``
     each row's coefficient and ``starts`` each degree's first row, then the
-    row count.  Cached on the alphabet per payoff; a larger dmax appends the
-    missing degrees.
+    row count.  Cached on the alphabet per payoff; a build fills every
+    payoff, and a larger dmax appends the missing degrees.
     """
+    if payoff not in _PAYOFFS:
+        raise ValueError(f"unknown payoff {payoff!r}")
+    tables = alphabet._tables
     empty = (np.zeros((len(alphabet.entries), 0)), np.zeros(0), np.zeros(1, dtype=np.int64))
-    types, coefs, starts = table = alphabet._tables.get(payoff, empty)
+    types, _, starts = tables.get(payoff, empty)
     if starts.shape[0] >= dmax + 2:
-        return table
-    new = [_degree_terms(alphabet, d, payoff) for d in range(starts.shape[0] - 1, dmax + 1)]
-    types = np.concatenate([types] + [t.T for t, _ in new], axis=1)
-    coefs = np.concatenate([coefs] + [c for _, c in new])
-    starts = np.concatenate([starts, starts[-1] + np.cumsum([t.shape[0] for t, _ in new])])
-    for a in (types, coefs, starts):
-        a.setflags(write=False)
-    alphabet._tables[payoff] = table = (types, coefs, starts)
-    return table
+        return tables[payoff]
+    new, coefs = _degree_terms(alphabet, range(starts.shape[0] - 1, dmax + 1))
+    types = np.concatenate([types] + [t.T for t in new], axis=1)
+    starts = np.concatenate([starts, starts[-1] + np.cumsum([t.shape[0] for t in new])])
+    for p in _PAYOFFS:
+        coefs[p] = np.concatenate([tables.get(p, empty)[1], coefs[p]])
+        for a in (types, coefs[p], starts):
+            a.setflags(write=False)
+        tables[p] = (types, coefs[p], starts)
+    return tables[payoff]
 
 
 # lane-major exponents per block of lanes: at most 2^16 floats (512 kB), so
@@ -401,6 +445,7 @@ def _average_block(horner, types, coefs, starts, weights, q) -> np.ndarray:
 
 def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray:
     """Evaluate E_d at q through the stable nonnegative term representation."""
+    _check_degree(d)
     pmf = np.zeros(d + 1)
     pmf[d] = 1.0
     out = _average(alphabet, payoff, pmf, q)
@@ -410,8 +455,6 @@ def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray
 def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPolynomial:
     """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2)."""
     _check_degree(d)
-    if payoff not in ("error", "entropy", "chi2"):
-        raise ValueError(f"unknown payoff {payoff!r}")
     types, coefs, starts = _table(alphabet, payoff, d)
     rows = slice(starts[d], starts[d + 1])
     entries = alphabet.entries

@@ -12,12 +12,13 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from gracecode.channels import h_b, h_b_inv
-from gracecode.efun import _apply_payoff, _compositions, f_alphabet
+from gracecode.efun import _apply_payoff, _with_first_part, f_alphabet
 from gracecode.ensemble import DegreeProfile
 from gracecode.exactdec import BitMatrix
 from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
@@ -253,6 +254,98 @@ def term_rep_plain(alphabet, d: int, payoff: str):
     keys, inv = np.unique((zf @ radix[col_entry]).astype(np.int64), return_inverse=True)
     coefs = np.bincount(inv, weights=vals, minlength=keys.shape[0])
     return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
+
+
+# The whole-lattice term build that the chunked stream of ``efun._degree_terms``
+# replaced, verbatim: one lattice, its types from ``np.unique`` and one
+# ``np.bincount`` per payoff.  The library's coefficients must match it bit
+# for bit.
+def _compositions(d: int, K: int):
+    """All weak compositions of d into K parts with log-multinomial weights.
+
+    Rows come in lexicographic order (the order of the stars-and-bars
+    ``itertools.combinations`` enumeration).  They are built part by part:
+    the compositions of t into k parts stack, for i = 0..t, the block
+    ``[i | compositions of t - i into k - 1 parts]``.
+    """
+    if K == 0:
+        z = np.zeros((1, 0), dtype=np.int16)
+        logc = np.zeros(1)
+    else:
+        from scipy.special import gammaln
+
+        # blocks[t]: the compositions of t into the parts built so far; the
+        # last part added needs only the total d
+        blocks = [np.full((1, 1), t, dtype=np.int16) for t in range(d + 1)]
+        for k in range(2, K + 1):
+            blocks = [_with_first_part(blocks, t) for t in (range(d + 1) if k < K else (d,))]
+        z = blocks[-1]
+        table = gammaln(np.arange(d + 1) + 1.0)
+        logc = gammaln(d + 1) - table[z].sum(axis=1)
+    return z, logc
+
+
+_STRUCTURE_CACHE: dict = {}
+# enough for the LDMC5 lattices (13 columns) up to the default truncation
+# D = 10: 646,646 rows at d = 10, about 42 MB for d = 0..10 together
+_LATTICE_CACHE_MAX_ROWS = 650_000
+
+
+class _Structure(NamedTuple):
+    """The part of E_d's term representation that no magnitude or payoff moves."""
+
+    z: np.ndarray  # the lattice, int16 (rows, columns)
+    logc: np.ndarray  # each row's log-multinomial weight
+    inv: np.ndarray  # each row's type: its row of ``types``
+    types: np.ndarray  # the entries' type counts as floats (types, entries)
+
+
+def _structure(d: int, owners: tuple) -> _Structure:
+    """The lattice of E_d's terms for an alphabet whose lattice column c
+    belongs to entry ``owners[c]``, with its types.
+
+    Cached per (d, owners) up to ``_LATTICE_CACHE_MAX_ROWS`` rows, so a second
+    payoff or another magnitude set with the same layout (a new BSC
+    crossover) reuses it.
+    """
+    key = (d, owners)
+    hit = _STRUCTURE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    z, logc = _compositions(d, len(owners))
+    # an entry's type count sums its columns; the counts of a row sum to d, so
+    # their base-(d+1) number orders the rows as np.unique(axis=0) would
+    radix = (d + 1) ** np.arange(owners[-1], -1, -1)  # owners[-1] + 1 entries
+    keys = np.zeros(z.shape[0], dtype=np.int64)
+    for c, j in enumerate(owners):
+        keys += z[:, c] * radix[j]
+    keys, inv = np.unique(keys, return_inverse=True)
+    types = (keys[:, None] // radix % (d + 1)).astype(np.float64)
+    out = _Structure(z, logc, inv.astype(np.min_scalar_type(keys.shape[0])), types)
+    for a in out:
+        a.setflags(write=False)
+    if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:
+        _STRUCTURE_CACHE[key] = out
+    return out
+
+
+def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
+    """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
+
+    Returned as (type-count matrix, coefficients), in float64, for
+    ``_table`` to stack; the float lattice and its row vectors go on return.
+    All coefficients are >= 0, so evaluation through this form is free of
+    the catastrophic cancellation the expanded power basis exhibits at larger d.
+    """
+    col_l, col_logq, owners = alphabet._cols
+    s = _structure(d, owners)
+    zf = s.z.astype(np.float64)
+    llr = zf @ col_l
+    logp = s.logc + zf @ col_logq
+    del zf
+    e = 1.0 / (1.0 + np.exp(np.abs(llr)))
+    vals = np.exp(logp) * _apply_payoff(e, payoff)
+    return s.types, np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
 
 
 def average_plain(alphabet, payoff: str, pmf, q) -> np.ndarray:

@@ -166,6 +166,12 @@ def test_alphabet_validation():
         error_poly(LDMC3, 3, "nonsense")
 
 
+@pytest.mark.parametrize("d", [-1, 15])
+def test_eval_degree_rejects_a_degree_out_of_range(d):
+    with pytest.raises(ValueError, match="degree must lie in"):
+        eval_degree(LDMC3, d, "error", 0.5)
+
+
 def test_degree_law_probabilities():
     pois = DegreeLaw.poisson(3)
     pmf, tail = pois.probabilities(1.0, 10)

@@ -160,10 +160,12 @@ def test_bsc_crossovers_keep_the_bec_term_reps():
 
 
 def test_lattice_structure_is_built_once_per_layout(monkeypatch):
+    # every chunk of a lattice takes its log-multinomial weights once, and
+    # each of these lattices is one chunk
     built = []
-    compositions = efun._compositions
-    monkeypatch.setattr(efun, "_compositions", lambda d, K: built.append((d, K)) or compositions(d, K))
-    monkeypatch.setattr(efun, "_STRUCTURE_CACHE", {})
+    log_multinomial = efun._log_multinomial
+    monkeypatch.setattr(efun, "_log_multinomial", lambda d, z: built.append((d, z.shape[1])) or log_multinomial(d, z))
+    monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
     # fresh alphabets: their tables are not cached yet
     ldmc3 = MessageAlphabet("BEC", f_alphabet("ldmc3_bec").entries)
     efun._table(ldmc3, "error", 10)
@@ -174,6 +176,7 @@ def test_lattice_structure_is_built_once_per_layout(monkeypatch):
         bsc = MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries)
         efun._table(bsc, "error", 10)
     assert built[11:] == [(d, 6) for d in range(11)]
+    assert sorted(efun._LATTICE_CACHE) == sorted((d, c) for d in range(11) for c in (ldmc3._cols[2], bsc._cols[2]))
 
 
 @pytest.mark.parametrize("payoff", ["error", "chi2"])
