@@ -170,7 +170,13 @@ def _simulate_point(profile, args, alpha: float, eps: float):
     return ber, stderr, float(np.mean(iotas)), sum(failed)
 
 
+def _check_rate(rate: float) -> None:
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must lie in (0, 1], got {_fmt(rate)}")
+
+
 def _cmd_simulate(args) -> int:
+    _check_rate(args.rate)
     profile = _load_profile(args.ensemble)
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid)
@@ -213,8 +219,7 @@ def _cmd_devo(args) -> int:
 
 
 def _cmd_converse(args) -> int:
-    if not 0.0 < args.rate <= 1.0:
-        raise ValueError(f"rate must lie in (0, 1], got {_fmt(args.rate)}")
+    _check_rate(args.rate)
     rows = []
     rho = 1.0 / args.rate
     for eps in _parse_grid(args.eps_grid):

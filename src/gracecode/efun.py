@@ -12,10 +12,10 @@ representations of E_0..E_D, in the alphabet weights, for one payoff, and
 degree's terms come from ``_lattice_chunks``, which streams the lattice, each
 row's weight and each row's type in fixed chunks (they depend only on d and
 on which entry owns each lattice column), and from coefficients that depend
-on the alphabet's magnitudes and the payoff; one pass fills every payoff's
-table, which is cached on the alphabet itself.  ``eval_degree`` is
-the one-degree case of ``_average`` and ``EFunctionFamily`` calls it with
-its degree law (on the BSC once per crossover, which sets the alphabet).
+on the alphabet's magnitudes and the payoff; a table is cached on the
+alphabet itself.  ``eval_degree`` is the one-degree case of ``_average`` and
+``EFunctionFamily`` calls it with its degree laws (on the BSC once per
+distinct crossover of a call, whose alphabet is built for that call).
 ``mixed_efun`` multiplies the XOR closed form with the Poisson families of
 the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
@@ -159,7 +159,6 @@ _BEC_ALPHABETS = {
 }
 
 
-@lru_cache(maxsize=64)
 def _ldmc3_bsc(p: float) -> MessageAlphabet:
     rho = (1.0 - p) / p
     return MessageAlphabet(
@@ -175,10 +174,9 @@ def _ldmc3_bsc(p: float) -> MessageAlphabet:
 def f_alphabet(family: str, p: float | None = None) -> MessageAlphabet:
     """Built-in message alphabets: LDMC3_BEC, LDMC5_BEC, LDMC3_BSC(p).
 
-    Alphabets are immutable, so each one is built once and then shared: the
-    BEC ones for the life of the process, the last 64 crossovers' BSC ones in
-    their own LRU, which a DE trace over many crossovers cycles without
-    evicting the BEC alphabets and the term representations they hold.
+    The BEC alphabets are built once and live, with their tables, for the
+    whole process.  A BSC alphabet is built anew on every call: a DE trace
+    meets each crossover once, at the lanes that share it.
     """
     tag = family.upper().replace("-", "_")
     if tag in _BEC_ALPHABETS:
@@ -234,12 +232,18 @@ def _lattice(d: int, K: int) -> np.ndarray:
     return blocks[-1]
 
 
-def _log_multinomial(d: int, z: np.ndarray) -> np.ndarray:
-    """Each row's log-multinomial weight log(d! / prod_c z_c!)."""
+def _log_factorials(n: int):
+    """(k, log k!) for k = 0..n."""
     from scipy.special import gammaln
 
-    table = gammaln(np.arange(d + 1) + 1.0)
-    return gammaln(d + 1) - table[z].sum(axis=1)
+    ks = np.arange(n + 1)
+    return ks, gammaln(ks + 1)
+
+
+def _log_multinomial(d: int, z: np.ndarray) -> np.ndarray:
+    """Each row's log-multinomial weight log(d! / prod_c z_c!)."""
+    log_fact = _log_factorials(d)[1]
+    return log_fact[d] - log_fact[z].sum(axis=1)
 
 
 def _check_load(alpha) -> None:
@@ -312,10 +316,10 @@ def _lattice_chunks(d: int, owners: tuple):
         yield chunk
 
 
-def _degree_terms(alphabet: MessageAlphabet, degrees):
+def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     """Nonnegative term representations E_d(q) = sum_c coef_c prod_j w_j(q)^c_j
     of the degrees: (each degree's type-count matrix, {payoff: coefficients
-    stacked in increasing degree order}), in float64.
+    stacked in increasing degree order} for the given payoffs), in float64.
 
     A lattice chunk's LLRs and log-probabilities are BLAS matrix-vector
     products of their own; the payoffs run on batches of chunks of at least
@@ -327,7 +331,7 @@ def _degree_terms(alphabet: MessageAlphabet, degrees):
     col_l, col_logq, owners = alphabet._cols
     types = [_lattice(d, len(alphabet.entries)).astype(np.float64) for d in degrees]
     firsts = np.cumsum([0] + [t.shape[0] for t in types])
-    coefs = {payoff: np.zeros(firsts[-1]) for payoff in _PAYOFFS}
+    coefs = {payoff: np.zeros(firsts[-1]) for payoff in payoffs}
     batch = []
 
     def add_batch():
@@ -353,8 +357,9 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
 
     ``types`` holds the type counts as an (entries, rows) matrix, ``coefs``
     each row's coefficient and ``starts`` each degree's first row, then the
-    row count.  Cached on the alphabet per payoff; a build fills every
-    payoff, and a larger dmax appends the missing degrees.
+    row count.  Cached on the alphabet per payoff; a larger dmax appends the
+    missing degrees.  A build fills all three payoffs of a BEC alphabet, which
+    serves every payoff for the process, and the one asked for of a BSC one.
     """
     if payoff not in _PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
@@ -363,10 +368,11 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
     types, _, starts = tables.get(payoff, empty)
     if starts.shape[0] >= dmax + 2:
         return tables[payoff]
-    new, coefs = _degree_terms(alphabet, range(starts.shape[0] - 1, dmax + 1))
+    payoffs = _PAYOFFS if alphabet.channel == "BEC" else (payoff,)
+    new, coefs = _degree_terms(alphabet, range(starts.shape[0] - 1, dmax + 1), payoffs)
     types = np.concatenate([types] + [t.T for t in new], axis=1)
     starts = np.concatenate([starts, starts[-1] + np.cumsum([t.shape[0] for t in new])])
-    for p in _PAYOFFS:
+    for p in payoffs:
         coefs[p] = np.concatenate([tables.get(p, empty)[1], coefs[p]])
         for a in (types, coefs[p], starts):
             a.setflags(write=False)
@@ -478,18 +484,6 @@ def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPol
     return EPolynomial(tuple(total))
 
 
-@lru_cache(maxsize=64)
-def _log_factorials(n: int):
-    """(k, log k!) for k = 0..n, as read-only arrays."""
-    from scipy.special import gammaln
-
-    ks = np.arange(n + 1)
-    log_fact = gammaln(ks + 1)
-    ks.setflags(write=False)
-    log_fact.setflags(write=False)
-    return ks, log_fact
-
-
 @dataclass(frozen=True)
 class DegreeLaw:
     """Degree distribution of a variable: Poisson(arity*alpha) or
@@ -503,6 +497,10 @@ class DegreeLaw:
     def __post_init__(self):
         if self.kind not in ("poisson", "binomial"):
             raise ValueError(f"unknown degree law {self.kind!r}")
+        if self.kind == "poisson" and self.arity < 1:
+            raise ValueError(f"a Poisson degree law needs arity >= 1, got {self.arity}")
+        if self.kind == "binomial" and not (self.trials >= 0 and 0.0 <= self.rate <= 1.0):  # NaN fails too
+            raise ValueError(f"a binomial degree law needs trials >= 0, rate in [0, 1]: got {self.trials}, {self.rate}")
 
     @classmethod
     def poisson(cls, arity: int) -> "DegreeLaw":
@@ -597,14 +595,15 @@ class EFunctionFamily:
         tail = (0.5 if self.payoff == "error" else 1.0) * np.asarray(tail_p)
 
         def bsc(qa: np.ndarray) -> np.ndarray:
-            # the BSC alphabet is built at the crossover q itself
-            crossovers = [min(max(p, _BSC_MIN_P), 0.5) for p in qa.tolist()]
-            laws = [pmf] * len(crossovers) if pmf.ndim == 1 else pmf.T
-            out = [
-                _average(f_alphabet("ldmc3_bsc", p), self.payoff, w, 0.0)[0]
-                for p, w in zip(crossovers, laws, strict=True)
-            ]
-            return np.array(out, dtype=float) + tail
+            # the BSC alphabet is built at the crossover q itself, once for
+            # all the lanes at that crossover, each with its own law
+            crossovers, which = np.unique(np.clip(qa, _BSC_MIN_P, 0.5), return_inverse=True)
+            out = np.empty(qa.shape[0])
+            for i, p in enumerate(crossovers.tolist()):
+                lanes = np.flatnonzero(which == i)
+                laws = pmf if pmf.ndim == 1 else pmf[:, lanes]
+                out[lanes] = _average(f_alphabet("ldmc3_bsc", p), self.payoff, laws, np.zeros(lanes.shape[0]))
+            return out + tail
 
         return bsc
 

@@ -209,20 +209,27 @@ def _largest_remainder_counts(weights, total: int) -> np.ndarray:
     return base
 
 
+# redraws before the rows that still repeat a variable are drawn without
+# replacement: an arity near k rarely draws d distinct variables at once
+_REDRAW_ROUNDS = 256
+
+
 def _sample_subsets(rng: np.random.Generator, count: int, d: int, k: int) -> np.ndarray:
-    """Draw ``count`` uniform d-subsets of [0, k) as rows (resampling dups)."""
+    """Draw ``count`` uniform d-subsets of [0, k) as rows; a row that repeats a
+    variable is redrawn, and after ``_REDRAW_ROUNDS`` drawn without replacement."""
     if d > k:
         raise InfeasibleSpecError(f"arity {d} exceeds variable count {k}")
     idx = rng.integers(0, k, size=(count, d), dtype=np.int64)
-    if d == 1:
-        return idx
-    while True:
-        srt = np.sort(idx, axis=1)
-        bad = np.any(srt[:, 1:] == srt[:, :-1], axis=1)
-        nbad = int(bad.sum())
-        if nbad == 0:
+    rows = np.arange(count)  # the rows drawn last: no other row can repeat a variable
+    for _ in range(_REDRAW_ROUNDS):
+        srt = np.sort(idx[rows], axis=1)
+        rows = rows[np.any(srt[:, 1:] == srt[:, :-1], axis=1)]
+        if not rows.size:
             return idx
-        idx[bad] = rng.integers(0, k, size=(nbad, d), dtype=np.int64)
+        idx[rows] = rng.integers(0, k, size=(rows.size, d), dtype=np.int64)
+    for r in rows.tolist():
+        idx[r] = rng.choice(k, d, replace=False)
+    return idx
 
 
 def _sample_regular(rng: np.random.Generator, arities: np.ndarray, k: int, max_retries: int = 100) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from gracecode.channels import h_b, h_b_inv
-from gracecode.efun import _apply_payoff, _with_first_part, f_alphabet
+from gracecode.efun import f_alphabet
 from gracecode.ensemble import DegreeProfile
 from gracecode.exactdec import BitMatrix
 from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
@@ -240,6 +240,16 @@ def _columns_plain(entries):
     return np.array(col_l), np.array(col_logq), np.array(col_entry, dtype=np.int64)
 
 
+def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
+    if payoff == "error":
+        return e
+    if payoff == "entropy":
+        return np.atleast_1d(h_b(e))
+    if payoff == "chi2":
+        return 1.0 - (1.0 - 2.0 * e) ** 2
+    raise ValueError(f"unknown payoff {payoff!r}")
+
+
 @lru_cache(maxsize=512)
 def term_rep_plain(alphabet, d: int, payoff: str):
     entries = alphabet.entries
@@ -259,7 +269,16 @@ def term_rep_plain(alphabet, d: int, payoff: str):
 # The whole-lattice term build that the chunked stream of ``efun._degree_terms``
 # replaced, verbatim: one lattice, its types from ``np.unique`` and one
 # ``np.bincount`` per payoff.  The library's coefficients must match it bit
-# for bit.
+# for bit.  It holds its own copies of the helpers it shares with the
+# library (``_with_first_part`` here, ``_apply_payoff`` above), so it runs
+# none of the code it checks.
+def _with_first_part(blocks, t: int) -> np.ndarray:
+    """Rows [i | c] for i = 0..t and c a row of ``blocks[t - i]``, in that order."""
+    rest = blocks[t::-1]
+    first = np.repeat(np.arange(t + 1, dtype=np.int16), [b.shape[0] for b in rest])
+    return np.column_stack((first, np.concatenate(rest)))
+
+
 def _compositions(d: int, K: int):
     """All weak compositions of d into K parts with log-multinomial weights.
 

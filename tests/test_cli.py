@@ -70,6 +70,14 @@ def test_usage_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_checks_its_rate_before_dividing_by_it(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--ensemble", "ldmc3", "--k", "10", "--rate", "0", "--eps-grid", "0.5", "--out", str(out)]
+    assert main(argv) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "error: rate must lie in (0, 1], got 0\n"
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     status = main([

@@ -185,6 +185,17 @@ def test_degree_law_probabilities():
         DegreeLaw.binomial(6, 0.9).probabilities(1.2, 10)
 
 
+BAD_LAWS = [("poisson", -3), ("poisson", 0), ("binomial", -1, 0.5), ("binomial", 4, -0.5),
+            ("binomial", 4, 1.5), ("binomial", 4, float("nan")), ("binomial", 4, float("inf"))]
+
+
+@pytest.mark.parametrize("law", BAD_LAWS, ids=[f"{k}{args}" for k, *args in BAD_LAWS])
+def test_degree_law_validates_at_construction(law):
+    kind, *args = law
+    with pytest.raises(ValueError, match="degree law needs"):
+        getattr(DegreeLaw, kind)(*args)
+
+
 def test_binomial_law_matches_scipy():
     from scipy.stats import binom
 

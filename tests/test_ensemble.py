@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_sample_distinct_indices():
     graph = sample_graph(spec)
     for kind, idx in graph.checks:
         assert len(set(idx)) == kind.arity
+
+
+def test_sample_arity_equal_to_k_finishes():
+    # 18 distinct variables of 18 come up about once in 6 million draws
+    spec = EnsembleSpec(k=18, rate=0.5, profile=DegreeProfile.single(CheckKind.xor(18)), seed=1)
+    start = time.perf_counter()
+    graph = sample_graph(spec)
+    assert time.perf_counter() - start < 1.0
+    assert len(graph.checks) == 36
+    for kind, idx in graph.checks:
+        assert sorted(idx) == list(range(18))
 
 
 def test_sample_deterministic_from_seed():

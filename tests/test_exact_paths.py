@@ -159,6 +159,34 @@ def test_bsc_crossovers_keep_the_bec_term_reps():
     assert efun._table(ldmc5, "error", 10) is before
 
 
+def test_a_bsc_table_holds_only_the_payoff_asked_for():
+    bsc = f_alphabet("ldmc3_bsc", 0.2)
+    efun._table(bsc, "chi2", 10)
+    assert set(bsc._tables) == {"chi2"}
+    bec = MessageAlphabet("BEC", f_alphabet("ldmc3_bec").entries)
+    efun._table(bec, "chi2", 3)
+    assert set(bec._tables) == {"error", "chi2", "entropy"}
+    # a payoff built alone has the bits of one built with the other two
+    together = MessageAlphabet("BEC", bsc.entries)
+    for payoff in ("error", "chi2", "entropy"):
+        for a, b in zip(efun._table(bsc, payoff, 10), efun._table(together, payoff, 10), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_one_bsc_evaluation_builds_each_crossover_once(monkeypatch):
+    built = []
+    ldmc3_bsc = efun._ldmc3_bsc
+    monkeypatch.setattr(efun, "_ldmc3_bsc", lambda p: built.append(p) or ldmc3_bsc(p))
+    loads = np.linspace(0.25, 1.5, 26)
+    family = build_family("ldmc3", channel="BSC")
+    values = family.evaluate(loads, 0.5)
+    assert built == [0.5]
+    # each lane keeps the bits of its own one-lane call
+    assert values.tobytes() == np.array([family.evaluate(a, 0.5) for a in loads]).tobytes()
+    assert f_alphabet("ldmc3_bsc", 0.5) is not f_alphabet("ldmc3_bsc", 0.5)
+    assert [name for name, obj in vars(efun).items() if hasattr(obj, "cache_info")] == ["_lattice"]
+
+
 def test_lattice_structure_is_built_once_per_layout(monkeypatch):
     # every chunk of a lattice takes its log-multinomial weights once, and
     # each of these lattices is one chunk
