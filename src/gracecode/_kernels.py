@@ -86,7 +86,87 @@ def gf2_rank_forced(cols, keep, k):
     return len(pivot_of), forced
 
 
+# Columns that share no row span independent subspaces, so the rank and the
+# forced set of a matrix add up over the connected components of its
+# row-column graph.  Each component is eliminated on its own, its rows
+# relabelled 0, 1, ..., so a column's bitset is as wide as its component, not
+# as its highest row.  A one-row component forces its row when one of its
+# columns is kept; those are counted without a bitset.
+
+
+def gf2_components(indptr, rowidx, k):
+    """Split the matrix ``(indptr, rowidx)`` with ``k`` rows into the
+    connected components of its row-column graph.
+
+    Returns ``(single_row, single_col, blocks)``: the columns of the one-row
+    components with their rows, and per larger component its rows (global,
+    ascending), its columns and their bitsets over the local row labels.
+    """
+    nnz = rowidx.shape[0]
+    starts = np.zeros(nnz, dtype=bool)
+    starts[indptr[:-1][indptr[:-1] < nnz]] = True
+    link = np.flatnonzero(~starts[1:]) + 1  # entry i and i - 1 share a column
+    a, b = rowidx[link - 1], rowidx[link]
+    # label each row by the least row of its component: hook the larger root
+    # under the smaller across every link, then follow pointers to the roots
+    root = np.arange(k)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    size = np.bincount(root, minlength=k)
+    cols = np.flatnonzero(indptr[1:] > indptr[:-1])
+    col_root = root[rowidx[indptr[cols]]]
+    alone = size[col_root] == 1
+    single_col = cols[alone]
+    single_row = rowidx[indptr[single_col]]
+    rows_order = np.argsort(root, kind="stable")
+    group_start = np.cumsum(size) - size  # first position of each root's rows
+    local = np.empty(k, dtype=np.int64)
+    local[rows_order] = np.arange(k) - group_start[root[rows_order]]
+    cols, col_root = cols[~alone], col_root[~alone]
+    by_root = np.argsort(col_root, kind="stable")
+    cols, col_root = cols[by_root], col_root[by_root]
+    bounds = np.flatnonzero(np.diff(col_root)) + 1
+    blocks = []
+    for block in np.split(cols, bounds) if cols.shape[0] else []:
+        r = int(root[rowidx[indptr[block[0]]]])
+        rows = rows_order[group_start[r] : group_start[r] + size[r]]
+        bits = []
+        for c in block.tolist():
+            v = 0
+            for i in local[rowidx[indptr[c] : indptr[c + 1]]].tolist():
+                v |= 1 << i
+            bits.append(v)
+        blocks.append((rows, block, bits))
+    return single_row, single_col, blocks
+
+
+def gf2_rank_forced_components(parts, keep, k):
+    """``gf2_rank_forced`` over the components ``parts`` of
+    ``gf2_components``, eliminating each component separately."""
+    single_row, single_col, blocks = parts
+    forced = np.zeros(k, dtype=np.uint8)
+    forced[single_row[keep[single_col] != 0]] = 1
+    rank = int(np.count_nonzero(forced))
+    for rows, cols, bits in blocks:
+        sub = keep[cols]
+        if sub.any():
+            r, f = gf2_rank_forced(bits, sub, rows.shape[0])
+            rank += r
+            forced[rows] = f
+    return rank, forced
+
+
 __all__ = [
     "gf2_columns",
+    "gf2_components",
     "gf2_rank_forced",
+    "gf2_rank_forced_components",
 ]

@@ -144,14 +144,24 @@ def _build_groups(sub: FactorGraph, obs):
 
 _HALF_CLAMP = LLR_CLAMP / 2
 _E_HALF_CLAMP = math.exp(_HALF_CLAMP)
+# what a message adds to log1p(x) by the count of certain ones among the
+# others, capped at thr + 1
+_MAJ_CERTAIN = {thr: np.array([0.0] * thr + [np.inf, 0.0]) for thr in (1, 2)}
 
 
-def _maj_group_update(lam, obs, out) -> bool:
+def _obs_sign(obs):
+    """The mirror of each majority check: -1.0 where it observed a 1."""
+    return np.where(obs == 1, -1.0, 1.0)
+
+
+def _maj_group_update(lam, obs, out, sign=None) -> bool:
     """Majority update of a (d, C) block of incoming LLRs into ``out``;
-    True if some check saw a contradiction."""
+    True if some check saw a contradiction.  ``sign`` is ``_obs_sign(obs)``,
+    which ``run_bp`` computes once per call."""
     d = lam.shape[0]
     thr = (d - 1) // 2
-    sign = np.where(obs == 1, -1.0, 1.0)
+    if sign is None:
+        sign = _obs_sign(obs)
     if d in (3, 5):
         bad = _maj_closed_form(lam * -sign, thr, out)  # -s
     else:
@@ -165,11 +175,18 @@ def _maj_closed_form(w, thr, out) -> bool:
     which it overwrites with the ratios w; True on a contradiction."""
     if thr == 2:
         w -= _HALF_CLAMP
-    np.exp(w, out=w)
-    ones = w == np.inf
-    certain = bool(ones.any())
+    inf = np.isinf(w)
+    certain = bool(inf.any())
     if certain:
-        w[ones] = 0.0
+        # a certain neighbor weighs 0; its w goes through exp as e^0 and is
+        # then ANDed with 0, so exp sees finite arguments only
+        ones = np.isposinf(w).view(np.int8)
+        keep = np.subtract(inf.view(np.int8), 1, out=inf.view(np.int8))
+        np.bitwise_and(w.view(np.int64), keep, out=w.view(np.int64))
+        np.exp(w, out=w)
+        np.bitwise_and(w.view(np.int64), keep, out=w.view(np.int64))
+    else:
+        np.exp(w, out=w)
     if thr == 1:
         np.add(w[1], w[2], out=out[0])
         np.add(w[0], w[2], out=out[1])
@@ -178,17 +195,19 @@ def _maj_closed_form(w, thr, out) -> bool:
         e1 = _maj5_sums(w, out)
         out /= e1 + 1.0 / _E_HALF_CLAMP
         out *= _E_HALF_CLAMP
-    contradiction = False
-    if certain:
-        n1 = ones.sum(axis=0) - ones  # certain ones among the others
-        if thr == 2:
-            np.multiply(e1, _E_HALF_CLAMP, out=out, where=n1 == 1)
-        out[n1 == thr] = np.inf
-        bad = n1 > thr
-        out[bad] = 0.0
-        contradiction = bool(bad.any())
+    if not certain:
+        np.log1p(out, out=out)
+        return False
+    n1 = np.add.reduce(ones, axis=0, dtype=np.int8) - ones  # certain ones among the others
+    if thr == 2:
+        np.multiply(e1, _E_HALF_CLAMP, out=out, where=n1 == 1)
+    # below thr the message keeps x, at thr it is +inf, above thr (a
+    # contradiction) 0; log1p also sees finite arguments only
+    np.multiply(out, n1 < thr, out=out)
     np.log1p(out, out=out)
-    return contradiction
+    np.minimum(n1, thr + 1, out=n1)
+    out += _MAJ_CERTAIN[thr].take(n1, mode="clip")
+    return bool((n1 > thr).any())
 
 
 def _maj5_sums(w, e2):
@@ -241,37 +260,90 @@ def _maj_sweep(s, thr, out) -> bool:
     return bool(bad.any())
 
 
+_PARITY_MESSAGE = np.array([0.0, np.inf, -np.inf])  # unsure, certain 0, certain 1
+
+
 def _xor_group_update(lam, obs, out) -> None:
     """Parity update of a (d, C) block of incoming LLRs into ``out``.
 
     Edge i is certain only when every other neighbor is; its bit is then the
-    parity of the observation and the other neighbors' bits.
+    parity of the observation and the other neighbors' bits.  On int8 flags a
+    XOR-reduce gives the parity and a sum the count of unsure neighbors; the
+    message is read from ``_PARITY_MESSAGE``.
     """
-    ones = lam == -np.inf
-    unsure = ~np.isinf(lam)
-    others_unsure = unsure.sum(axis=0) - unsure
-    bit = (ones.sum(axis=0) - ones + obs) % 2
-    out[:] = np.where(others_unsure == 0, np.where(bit == 0, np.inf, -np.inf), 0.0)
+    d = lam.shape[0]
+    ones = np.equal(lam, -np.inf).view(np.int8)
+    unsure = np.isfinite(lam).view(np.int8)
+    parity = np.bitwise_xor.reduce(ones, axis=0) ^ obs.astype(np.int8, copy=False)
+    np.bitwise_xor(ones, parity, out=ones)  # the others' parity with the observation
+    n_unsure = np.add.reduce(unsure, axis=0, dtype=np.int8 if d < 128 else np.intp)
+    code = np.equal(unsure, n_unsure).view(np.uint8)  # 1 if no other neighbor is unsure
+    np.left_shift(code, ones.view(np.uint8), out=code)
+    np.take(_PARITY_MESSAGE, code, out=out, mode="clip")
 
 
-def _check_update(groups, lam, c2v) -> bool:
+def _check_update(plan, lam, c2v) -> bool:
     """Write the check-to-variable messages into ``c2v``; True on a contradiction.
 
-    Each group's kernel reads its slice of ``lam`` and writes its slice of
-    ``c2v`` as (d, C) views.  Every kind other than MAJ (XOR and observed
-    PARITY) takes the parity update.
+    ``plan`` holds ``(slice, (d, C), observations, sign)`` per group, where
+    ``sign`` is the majority mirror ``_obs_sign`` and None for every other
+    kind (XOR and observed PARITY), which takes the parity update.  Each
+    group reads its slice of ``lam`` and writes its slice of ``c2v`` as
+    (d, C) views.
     """
     contradiction = False
-    for (kind, d), (blk, obs) in groups.items():
-        shape = (d, obs.shape[0])
-        if kind == MAJ:
-            contradiction |= _maj_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
-        else:
+    for blk, shape, obs, sign in plan:
+        if sign is None:
             _xor_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
+        else:
+            contradiction |= _maj_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape), sign)
     return contradiction
 
 
-def _var_step(evar, c2v, k, lam=None):
+# Certain messages in the variable step.  An edge's code e is 0 for a finite
+# message, 1 for +inf and 2 for -inf; a variable that received n+ and n-
+# certain messages has the code c = min(n+, 2) + 3 min(n-, 2).  Its belief is
+# certain if one of its messages is, +inf first: _BELIEF_SCALE[c] multiplies
+# e^-x of its clipped finite sum x by 0 (p0 = 1), inf (p0 = 0) or 1.  Its
+# message along an edge of code e is certain if one of the others is:
+# _EXTRINSIC_ADD[3c + e] is that +/-inf, or 0, added to the clipped sum.
+
+
+def _certain_llr(npos, nneg) -> float:
+    return np.inf if npos > 0 else -np.inf if nneg > 0 else 0.0
+
+
+_BELIEF_SCALE = np.exp(-np.array([_certain_llr(c % 3, c // 3) for c in range(9)]))
+_EXTRINSIC_ADD = np.array([_certain_llr(c // 3 % 3 - (c % 3 == 1), c // 9 - (c % 3 == 2)) for c in range(27)])
+_BOTH_CERTAIN = np.array([c % 3 > 0 and c // 3 > 0 for c in range(9)])
+
+
+def _work(buf, name, n, dtype):
+    """The per-edge work array ``name`` of ``buf``, made on first use."""
+    a = buf.get(name)
+    if a is None:
+        a = buf[name] = np.empty(n, dtype=dtype)
+    return a
+
+
+def _clip(x):
+    """Clip ``x`` in place to +/-``LLR_CLAMP``."""
+    np.minimum(x, LLR_CLAMP, out=x)
+    return np.maximum(x, -LLR_CLAMP, out=x)
+
+
+def _beliefs(tot, scale=None):
+    """p0 = 1 / (1 + e^-x) of the clipped sums ``tot`` (overwritten), with
+    e^-x times ``scale``."""
+    x = np.negative(_clip(tot), out=tot)
+    np.exp(x, out=x)
+    if scale is not None:
+        x *= scale
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def _var_step(evar, c2v, k, lam=None, buf=None):
     """Beliefs p0 and the contradiction flag from the check-to-variable
     messages ``c2v``; with ``lam`` given, also write the next
     variable-to-check messages into it.
@@ -279,22 +351,47 @@ def _var_step(evar, c2v, k, lam=None):
     A variable's belief sums its messages, certain if one of them is; its
     message to a check sums the others.  Both clip finite sums at
     +/-``LLR_CLAMP``.  A variable certain of both values is a contradiction.
+    ``buf`` holds the per-edge work arrays, which ``run_bp`` keeps across
+    iterations; its float array ``"idx"``, which the step reads as int64
+    indices before it writes ``lam``, may be ``lam`` itself.
     """
-    pinf = c2v == np.inf
-    ninf = c2v == -np.inf
-    fin = np.where(np.isfinite(c2v), c2v, 0.0)
+    if buf is None:
+        buf = {}
+    n = c2v.shape[0]
+    inf = np.isinf(c2v, out=buf.get("inf"))
+    if not inf.any():
+        tot = np.bincount(evar, weights=c2v, minlength=k).astype(float, copy=False)  # int64 without edges
+        if lam is not None:
+            np.take(tot, evar, out=lam, mode="clip")
+            lam -= c2v
+            _clip(lam)
+        return _beliefs(tot), False
+    buf["inf"] = inf
+    # the finite part: the float bits ANDed with 0 on the certain messages
+    code = _work(buf, "code", n, np.uint8)
+    np.subtract(inf.view(np.int8), 1, out=code.view(np.int8))  # -1 where finite
+    fin = _work(buf, "fin", n, float)
+    np.bitwise_and(c2v.view(np.int64), code.view(np.int8), out=fin.view(np.int64))
+    np.signbit(c2v, out=code.view(bool))
+    np.left_shift(inf.view(np.uint8), code, out=code)  # e
     tot = np.bincount(evar, weights=fin, minlength=k)
-    npos = np.bincount(evar[pinf], minlength=k)
-    nneg = np.bincount(evar[ninf], minlength=k)
-    contradiction = bool(np.any((npos > 0) & (nneg > 0)))
-    with np.errstate(over="ignore"):
-        p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -LLR_CLAMP, LLR_CLAMP)))
-    p0 = np.where(npos > 0, 1.0, np.where(nneg > 0, 0.0, p0))
+    # certain messages per variable in one pass: slots 3v + 1 and 3v + 2
+    idx = np.multiply(evar, 3, out=_work(buf, "idx", n, float).view(np.intp))
+    idx += code
+    counts = np.bincount(idx, minlength=3 * k)
+    np.minimum(counts, 2, out=counts)
+    vcode = (counts[1::3] + 3 * counts[2::3]).astype(np.uint8)
+    del counts  # freed before the per-edge arrays below
+    contradiction = bool(_BOTH_CERTAIN.take(vcode, mode="clip").any())
     if lam is not None:
-        np.clip(tot[evar] - fin, -LLR_CLAMP, LLR_CLAMP, out=lam)
-        lam[nneg[evar] > ninf] = -np.inf  # another message is certain
-        lam[npos[evar] > pinf] = np.inf
-    return p0, contradiction
+        np.take(tot, evar, out=lam, mode="clip")
+        lam -= fin
+        _clip(lam)
+        ext = np.take(vcode, evar, out=inf.view(np.uint8), mode="clip")
+        ext *= 3
+        ext += code
+        lam += np.take(_EXTRINSIC_ADD, ext, out=fin, mode="clip")
+    return _beliefs(tot, _BELIEF_SCALE.take(vcode, mode="clip")), contradiction
 
 
 def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResult:
@@ -311,16 +408,23 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     active = obs != ERASED
     evar, groups = _build_groups(graph.subgraph(active), obs[active])
     c2v = np.zeros(evar.shape[0])
-    # iteration-0 clamps: observed arity-1 checks need no incoming information
+    # iteration-0 clamps: observed arity-1 checks need no incoming information,
+    # and these stay their messages, so the check update leaves them out
     for (_, d), (blk, bits) in groups.items():
         if d == 1:
             c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
+    plan = [
+        (blk, (d, bits.shape[0]), bits, _obs_sign(bits) if kind == MAJ else None)
+        for (kind, d), (blk, bits) in groups.items()
+        if d > 1
+    ]
     lam = np.empty(evar.shape[0])
+    buf = {"idx": lam}  # lam is written after the step's last read of "idx"
     ber_trace = []
     soft_trace = []
     for t in range(iters + 1):
-        bad = t > 0 and _check_update(groups, lam, c2v)
-        p0, contradiction = _var_step(evar, c2v, graph.k, lam if t < iters else None)
+        bad = t > 0 and _check_update(plan, lam, c2v)
+        p0, contradiction = _var_step(evar, c2v, graph.k, lam if t < iters else None, buf)
         ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
         soft_trace.append(1.0 - float(np.mean(h_b(p0))))
         failed = bad or contradiction

@@ -578,10 +578,6 @@ class EFunctionFamily:
             raise ValueError("BSC alphabets are available for ldmc3 only")
         _check_degree(self.D)
 
-    @property
-    def arity(self) -> int:
-        return 3 if self.base == "ldmc3" else 5
-
     def evaluate(self, alpha, q):
         """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
         return _evaluate(self, alpha, q)

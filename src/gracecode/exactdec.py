@@ -2,7 +2,8 @@
 
 A :class:`BitMatrix` is a k x m matrix over F2 stored column-sparse; rank and
 forced-coordinate computations run on bitsets through the kernels in
-:mod:`gracecode._kernels`.  ``hrank`` counts coordinates forced to a unique
+:mod:`gracecode._kernels`, one connected component of the row-column graph
+at a time.  ``hrank`` counts coordinates forced to a unique
 value by the linear system — equivalently, standard basis vectors contained
 in the column span.
 """
@@ -97,7 +98,7 @@ def rank_hrank(A: BitMatrix) -> HrankResult:
     i.e. the unit vector e_j lies in the span of A's columns.
     """
     keep = np.ones(A.m, dtype=np.uint8)
-    rank, forced = _kernels.gf2_rank_forced(_kernels.gf2_columns(A.indptr, A.rowidx), keep, A.k)
+    rank, forced = _kernels.gf2_rank_forced_components(_kernels.gf2_components(A.indptr, A.rowidx, A.k), keep, A.k)
     return HrankResult(rank=int(rank), forced=frozenset(np.nonzero(forced)[0].tolist()))
 
 
@@ -128,11 +129,11 @@ def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generat
         raise ValueError("eps must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cols = _kernels.gf2_columns(G.indptr, G.rowidx)
+    parts = _kernels.gf2_components(G.indptr, G.rowidx, G.k)
     total = 0.0
     for _ in range(trials):
         keep = (rng.random(G.m) >= eps).astype(np.uint8)
-        _, forced = _kernels.gf2_rank_forced(cols, keep, G.k)
+        _, forced = _kernels.gf2_rank_forced_components(parts, keep, G.k)
         hr = int(forced.sum())
         total += (G.k - hr) / (2.0 * G.k)
     return total / trials

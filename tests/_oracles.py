@@ -17,9 +17,10 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from gracecode.channels import h_b, h_b_inv
+from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, _build_groups
+from gracecode.channels import ERASED, h_b, h_b_inv
 from gracecode.efun import f_alphabet
-from gracecode.ensemble import DegreeProfile
+from gracecode.ensemble import MAJ, DegreeProfile, _check_observations
 from gracecode.exactdec import BitMatrix
 from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
 
@@ -578,3 +579,193 @@ def optimize_profile_plain(problem: OptProblem) -> OptResult:
     w = np.maximum(best_x, 0.0)
     prof = DegreeProfile(tuple(zip(problem.components, w.tolist())))
     return OptResult(prof, best_f, tuple(trajectories), all_conv)
+
+
+# ---------------------------------------------------------------------------
+# BP kernels with boolean masks and int64 counts, kept as the bit-for-bit
+# reference of the branch-free ones in gracecode.bp
+# ---------------------------------------------------------------------------
+
+_HALF_CLAMP = LLR_CLAMP / 2
+_E_HALF_CLAMP = math.exp(_HALF_CLAMP)
+
+
+def maj_group_update_plain(lam, obs, out) -> bool:
+    """Majority update of a (d, C) block of incoming LLRs into ``out``;
+    True if some check saw a contradiction."""
+    d = lam.shape[0]
+    thr = (d - 1) // 2
+    sign = np.where(obs == 1, -1.0, 1.0)
+    if d in (3, 5):
+        bad = _maj_closed_form(lam * -sign, thr, out)  # -s
+    else:
+        bad = _maj_sweep(lam * sign, thr, out)  # s
+    out *= sign
+    return bad
+
+
+def _maj_closed_form(w, thr, out) -> bool:
+    """Write log1p(x) for MAJ3/MAJ5 (thr 1/2) into ``out`` from ``w`` = -s,
+    which it overwrites with the ratios w; True on a contradiction."""
+    if thr == 2:
+        w -= _HALF_CLAMP
+    np.exp(w, out=w)
+    ones = w == np.inf
+    certain = bool(ones.any())
+    if certain:
+        w[ones] = 0.0
+    if thr == 1:
+        np.add(w[1], w[2], out=out[0])
+        np.add(w[0], w[2], out=out[1])
+        np.add(w[0], w[1], out=out[2])
+    else:
+        e1 = _maj5_sums(w, out)
+        out /= e1 + 1.0 / _E_HALF_CLAMP
+        out *= _E_HALF_CLAMP
+    contradiction = False
+    if certain:
+        n1 = ones.sum(axis=0) - ones  # certain ones among the others
+        if thr == 2:
+            np.multiply(e1, _E_HALF_CLAMP, out=out, where=n1 == 1)
+        out[n1 == thr] = np.inf
+        bad = n1 > thr
+        out[bad] = 0.0
+        contradiction = bool(bad.any())
+    np.log1p(out, out=out)
+    return contradiction
+
+
+def _maj5_sums(w, e2):
+    """Leave-one-out e1 and e2 of five rows of ratios: e2 goes into ``e2``,
+    e1 is returned."""
+    w0, w1, w2, w3, w4 = w
+    p2 = w0 + w1  # prefix sums
+    p3 = p2 + w2
+    s3 = w3 + w4  # suffix sums
+    s2 = s3 + w2
+    q3 = w0 * w1 + p2 * w2  # e2(w0, w1, w2)
+    r2 = w3 * w4 + s3 * w2  # e2(w2, w3, w4)
+    e1 = np.empty_like(w)
+    np.add(s2, w1, out=e1[0])
+    np.add(s2, w0, out=e1[1])
+    np.add(p2, s3, out=e1[2])
+    np.add(p3, w4, out=e1[3])
+    np.add(p3, w3, out=e1[4])
+    np.add(r2, s2 * w1, out=e2[0])
+    np.add(r2, s2 * w0, out=e2[1])
+    np.add(w0 * w1 + p2 * s3, w3 * w4, out=e2[2])
+    np.add(q3, p3 * w4, out=e2[3])
+    np.add(q3, p3 * w3, out=e2[4])
+    return e1
+
+
+def _maj_sweep(s, thr, out) -> bool:
+    """log P(T <= thr) - log P(T <= thr-1) for any degree, by a forward table
+    of point masses and a backward table of cumulative counts, in logs."""
+    d, C = s.shape
+    lu = -np.logaddexp(0.0, s)  # log P(one)
+    lv = -np.logaddexp(0.0, -s)  # log P(zero)
+    # fw[i, t]: t ones among neighbors 0..i-1; bw[i, t]: at most t among i..d-1
+    fw = np.full((d, thr + 1, C), -np.inf)
+    fw[0, 0] = 0.0
+    for i in range(d - 1):
+        np.add(fw[i], lv[i], out=fw[i + 1])
+        np.logaddexp(fw[i + 1, 1:], fw[i, :-1] + lu[i], out=fw[i + 1, 1:])
+    bw = np.zeros((d + 1, thr + 1, C))
+    for i in range(d - 1, 0, -1):
+        np.add(bw[i + 1], lv[i], out=bw[i])
+        np.logaddexp(bw[i, 1:], bw[i + 1, :-1] + lu[i], out=bw[i, 1:])
+    # leave neighbor i out: a = log P(T <= thr), b = log P(T <= thr - 1)
+    a = np.logaddexp.reduce([fw[:, t] + bw[1:, thr - t] for t in range(thr + 1)], axis=0)
+    b = np.logaddexp.reduce([fw[:, t] + bw[1:, thr - 1 - t] for t in range(thr)], axis=0)  # -inf if thr = 0
+    bad = a == -np.inf
+    with np.errstate(invalid="ignore"):
+        np.subtract(a, b, out=out)
+    out[bad] = 0.0
+    return bool(bad.any())
+
+
+def xor_group_update_plain(lam, obs, out) -> None:
+    """Parity update of a (d, C) block of incoming LLRs into ``out``.
+
+    Edge i is certain only when every other neighbor is; its bit is then the
+    parity of the observation and the other neighbors' bits.
+    """
+    ones = lam == -np.inf
+    unsure = ~np.isinf(lam)
+    others_unsure = unsure.sum(axis=0) - unsure
+    bit = (ones.sum(axis=0) - ones + obs) % 2
+    out[:] = np.where(others_unsure == 0, np.where(bit == 0, np.inf, -np.inf), 0.0)
+
+
+def check_update_plain(groups, lam, c2v) -> bool:
+    """Write the check-to-variable messages into ``c2v``; True on a contradiction.
+
+    Each group's kernel reads its slice of ``lam`` and writes its slice of
+    ``c2v`` as (d, C) views.  Every kind other than MAJ (XOR and observed
+    PARITY) takes the parity update.
+    """
+    contradiction = False
+    for (kind, d), (blk, obs) in groups.items():
+        shape = (d, obs.shape[0])
+        if kind == MAJ:
+            contradiction |= maj_group_update_plain(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
+        else:
+            xor_group_update_plain(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
+    return contradiction
+
+
+def var_step_plain(evar, c2v, k, lam=None):
+    """Beliefs p0 and the contradiction flag from the check-to-variable
+    messages ``c2v``; with ``lam`` given, also write the next
+    variable-to-check messages into it.
+
+    A variable's belief sums its messages, certain if one of them is; its
+    message to a check sums the others.  Both clip finite sums at
+    +/-``LLR_CLAMP``.  A variable certain of both values is a contradiction.
+    """
+    pinf = c2v == np.inf
+    ninf = c2v == -np.inf
+    fin = np.where(np.isfinite(c2v), c2v, 0.0)
+    tot = np.bincount(evar, weights=fin, minlength=k)
+    npos = np.bincount(evar[pinf], minlength=k)
+    nneg = np.bincount(evar[ninf], minlength=k)
+    contradiction = bool(np.any((npos > 0) & (nneg > 0)))
+    with np.errstate(over="ignore"):
+        p0 = 1.0 / (1.0 + np.exp(-np.clip(tot, -LLR_CLAMP, LLR_CLAMP)))
+    p0 = np.where(npos > 0, 1.0, np.where(nneg > 0, 0.0, p0))
+    if lam is not None:
+        np.clip(tot[evar] - fin, -LLR_CLAMP, LLR_CLAMP, out=lam)
+        lam[nneg[evar] > ninf] = -np.inf  # another message is certain
+        lam[npos[evar] > pinf] = np.inf
+    return p0, contradiction
+
+
+def run_bp_plain(graph, received, iters: int) -> DecodeResult:
+    """Flooding BP with the kernels above; arity-1 groups run every iteration."""
+    obs = _check_observations(graph, received)
+    active = obs != ERASED
+    evar, groups = _build_groups(graph.subgraph(active), obs[active])
+    c2v = np.zeros(evar.shape[0])
+    for (_, d), (blk, bits) in groups.items():
+        if d == 1:
+            c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
+    lam = np.empty(evar.shape[0])
+    ber_trace = []
+    soft_trace = []
+    for t in range(iters + 1):
+        bad = t > 0 and check_update_plain(groups, lam, c2v)
+        p0, contradiction = var_step_plain(evar, c2v, graph.k, lam if t < iters else None)
+        ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
+        soft_trace.append(1.0 - float(np.mean(h_b(p0))))
+        failed = bad or contradiction
+        if failed:
+            break
+    hard = np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, -1)).astype(np.int8)
+    return DecodeResult(
+        beliefs=BeliefState(p0=p0, iteration=t),
+        hard=hard,
+        ber_trace=np.array(ber_trace),
+        soft_trace=np.array(soft_trace),
+        failed=failed,
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,3 +433,27 @@ def test_observed_degrees():
     assert deg[1] == 2
     assert deg[3] == 0
     assert deg[5] == 2
+
+
+@pytest.mark.parametrize(
+    "profile, bound_mb",
+    [("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 18.0), ("MAJ 5 1\n", 31.7)],
+    ids=["sim-mixed", "ldmc5"],
+)
+def test_run_bp_peak_allocation_is_bounded(profile, bound_mb):
+    # the traced peak of one 10-iteration decode of a k = 1e5 trial at eps
+    # 0.5; the per-edge work arrays are made once per call, not per iteration
+    spec = EnsembleSpec(k=100_000, rate=0.5, profile=parse_profile(profile))
+    small = sample_graph(EnsembleSpec(k=200, rate=0.5, profile=spec.profile), np.random.default_rng(0))
+    run_bp(small, transmit(encode(small, np.zeros(200, dtype=np.int8)), ChannelParam.bec(0.5), np.random.default_rng(0)), 2)
+    rng = np.random.default_rng([7, 10**9, 0])
+    graph = sample_graph(spec, rng)
+    source = rng.integers(0, 2, size=spec.k).astype(np.int8)
+    received = transmit(encode(graph, source), ChannelParam.bec(0.5), rng)
+    tracemalloc.start()
+    try:
+        run_bp(graph, received, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6, peak / 1e6
