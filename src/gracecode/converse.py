@@ -268,7 +268,7 @@ def exit_tools(G: BitMatrix) -> ExitResult:
     def walk(S: int, first: int, pivots: dict) -> None:
         for j in range(first, m):
             v = gf2_reduce(cols[j], pivots)
-            deeper = {**pivots, (v & -v).bit_length() - 1: v} if v else pivots
+            deeper = {**pivots, v.bit_length(): v} if v else pivots
             rank[S | 1 << j] = len(deeper)
             walk(S | 1 << j, j + 1, deeper)
 

@@ -123,19 +123,21 @@ def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generat
 
     Per trial the unerased columns are kept and the BER contribution is
     (k - hrank) / (2k): forced bits are decoded exactly, the rest cannot be
-    guessed better than random.
+    guessed better than random.  Raises ``ValueError`` for ``eps`` outside
+    [0, 1], a ``trials`` that is not an integer >= 1, or ``k = 0``.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if G.k == 0:
+        raise ValueError("a generator with k = 0 rows has no bit error rate")
     parts = _kernels.gf2_components(G.indptr, G.rowidx, G.k)
     total = 0.0
     for _ in range(trials):
         keep = (rng.random(G.m) >= eps).astype(np.uint8)
         _, forced = _kernels.gf2_rank_forced_components(parts, keep, G.k)
-        hr = int(forced.sum())
-        total += (G.k - hr) / (2.0 * G.k)
+        total += (G.k - int(forced.sum())) / (2.0 * G.k)
     return total / trials
 
 

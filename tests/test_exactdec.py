@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -135,6 +136,90 @@ def test_bit_map_on_the_large_repetition_code_runs_in_bounded_memory():
     ber, peak_mb = out.stdout.split()
     assert float(ber) == 0.124315
     assert float(peak_mb) < 300.0, peak_mb
+
+
+def _uneven_columns(rng, k, m):
+    """Columns of weight 1-6 plus a few rows that sit in about half of the
+    columns, so the row degrees run from 0 to about m / 2."""
+    cols = [set(rng.choice(k, size=min(int(rng.integers(1, 7)), k), replace=False).tolist()) for _ in range(m)]
+    for r in rng.choice(k, size=min(int(rng.integers(1, 4)), k), replace=False).tolist():
+        for c in np.flatnonzero(rng.random(m) < 0.5).tolist():
+            cols[c].add(r)
+    return BitMatrix.from_columns(cols, k)
+
+
+def _assert_component_labels(A, parts):
+    # rows by descending degree (ties by global row), columns by ascending
+    # lowest local row, bitsets over the local labels; returns whether some
+    # component's labels differ from global row order
+    deg = np.bincount(A.rowidx, minlength=A.k)
+    reordered = False
+    for rows, cols, bits in parts[2]:
+        rows = rows.tolist()
+        assert rows == sorted(rows, key=lambda r: (-deg[r], r))
+        reordered |= rows != sorted(rows)
+        local = {r: i for i, r in enumerate(rows)}
+        lows = [min(local[r] for r in A.column(c).tolist()) for c in cols.tolist()]
+        assert lows == sorted(lows)
+        assert bits == [sum(1 << local[r] for r in A.column(c).tolist()) for c in cols.tolist()]
+    return reordered
+
+
+@pytest.mark.parametrize("size", ["dense", "per_coordinate"])
+def test_elimination_on_uneven_row_degrees(size):
+    # small matrices against the dense rank and rank-augmentation oracles,
+    # larger ones against the reduction of every unit vector
+    rng = np.random.default_rng(41 if size == "dense" else 43)
+    reordered = 0
+    for t in range(40):
+        if size == "dense":
+            k, m = int(rng.integers(2, 20)), int(rng.integers(1, 30))
+        else:
+            k, m = int(rng.integers(50, 400)), int(rng.integers(20, 300))
+        A = _uneven_columns(rng, k, m)
+        parts = _kernels.gf2_components(A.indptr, A.rowidx, A.k)
+        reordered += _assert_component_labels(A, parts)
+        for keep in (rng.random(m) < rng.uniform(0.2, 0.9), np.ones(m, dtype=bool)):
+            rank, forced = _kernels.gf2_rank_forced_components(parts, keep.astype(np.uint8), k)
+            if size == "dense":
+                dense = A.to_dense()[:, keep]
+                rank_ref, forced_ref = gf2_rank_dense(dense), forced_set_dense(dense)
+            else:
+                rank_ref, forced_ref = rank_forced_per_coordinate(A, keep)
+                forced_ref = set(np.flatnonzero(forced_ref).tolist())
+            assert rank == rank_ref, (size, t)
+            assert set(np.flatnonzero(forced).tolist()) == forced_ref, (size, t)
+        res = rank_hrank(A)
+        assert (res.rank, res.forced) == (rank, frozenset(forced_ref)), (size, t)
+    assert reordered >= 30, reordered
+
+
+def test_map_ber_linear_is_pinned_on_an_ldgm3_generator():
+    # 16 bit-MAP trials of an LDGM3 generator at k = 2000, rate 1/2, eps 0.4:
+    # the elimination's pivot convention and row labels must not move the
+    # exact result (1075 undecoded bits over 16 trials)
+    spec = EnsembleSpec(k=2000, rate=0.5, profile=DegreeProfile.single(CheckKind.xor(3)))
+    G = BitMatrix.from_columns([idx for _, idx in sample_graph(spec, np.random.default_rng(19)).checks], spec.k)
+    assert map_ber_linear(G, 0.4, 16, np.random.default_rng(20)) == 0.016796875
+
+
+def test_kernels_key_pivots_by_the_top_bit():
+    # the echelon basis is keyed by bit_length(); a lowest-bit key
+    # ``(v & -v)`` allocates two bitsets per reduction step
+    assert "& -" not in inspect.getsource(_kernels)
+
+
+def test_map_ber_linear_rejects_an_empty_generator_and_non_integer_trials():
+    empty = BitMatrix(k=0, m=3, indptr=np.zeros(4, dtype=np.int64), rowidx=np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="k = 0"):
+        map_ber_linear(empty, 0.5, 2, np.random.default_rng(0))
+    res = rank_hrank(empty)
+    assert (res.rank, res.forced) == (0, frozenset())
+    G = BitMatrix.repetition(4, 2)
+    for trials in (2.5, True, False, "2", None):
+        with pytest.raises(ValueError, match="trials"):
+            map_ber_linear(G, 0.5, trials, np.random.default_rng(0))
+    assert map_ber_linear(G, 0.5, np.int64(3), np.random.default_rng(1)) == map_ber_linear(G, 0.5, 3, np.random.default_rng(1))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 30), st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=12))
