@@ -100,29 +100,40 @@ def check_message(kind: CheckKind, observed: int, incoming) -> float:
     return np.inf if parity == 0 else 0.0
 
 
-def _build_groups(sub: FactorGraph, obs):
-    """Lay the edges of the observed sub-graph ``sub`` out group-major, given
-    the observations ``obs`` of its checks.
+def _layout(graph: FactorGraph, obs):
+    """Lay the edges of the observed checks of ``graph`` out group-major, in
+    one pass over the graph, given the observations ``obs`` of all its checks.
 
-    The C checks of one (kind, arity d) group own one contiguous slice of the
-    edge arrays, read as a (d, C) block whose row i holds every check's i-th
-    edge.  Returns the permuted edge-variable array and, per (kind, d), the
-    slice and the C observations.
+    The C observed checks of one (kind, arity d) group own one contiguous
+    slice of the edge arrays, read as a (d, C) block whose row i holds every
+    check's i-th edge in check order; the groups follow in (kind, d) order.
+    Returns the permuted edge-variable array, the initial check-to-variable
+    messages, which clamp the observed arity-1 checks to +/-inf, and the
+    ``_check_update`` plan of the other groups.
     """
-    ptr, a_evar, a_kind, a_ar = sub.flat
-    groups = {}
-    evar = np.empty_like(a_evar)
-    base = int(a_ar.max(initial=0)) + 1
-    keys = a_kind.astype(np.int64) * base + a_ar
-    off = 0
-    for key in np.unique(keys).tolist():
-        kind, d = divmod(key, base)
-        sel = np.nonzero(keys == key)[0]
-        blk = slice(off, off + d * sel.shape[0])
-        evar[blk] = a_evar[ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
-        groups[(kind, d)] = (blk, obs[sel])
-        off = blk.stop
-    return evar, groups
+    ptr, g_evar, kind, arity = graph.flat
+    base = int(arity.max(initial=0)) + 1
+    keys = kind.astype(np.int64) * base + arity
+    keys[obs == ERASED] = 0  # key 0 is free: every check has arity >= 1
+    count = np.bincount(keys, minlength=1)
+    count[0] = 0
+    stops = np.cumsum(count * (np.arange(count.shape[0]) % base))
+    evar = np.empty(stops[-1], dtype=g_evar.dtype)
+    c2v = np.zeros(evar.shape[0])
+    plan = []
+    for key in np.flatnonzero(count).tolist():
+        code, d = divmod(key, base)
+        sel = np.flatnonzero(keys == key)
+        blk = slice(stops[key] - d * sel.shape[0], stops[key])
+        evar[blk] = g_evar[ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
+        bits = obs[sel]
+        if d == 1:
+            # observed arity-1 checks need no incoming information, and these
+            # stay their messages, so the check update leaves them out
+            c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
+        else:
+            plan.append((blk, (d, sel.shape[0]), bits, _obs_sign(bits) if code == MAJ else None))
+    return evar, c2v, plan
 
 
 # Majority checks.  Mirror the incoming LLRs for an observed 1 (s = -lam) and
@@ -398,26 +409,13 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     """Flooding BP for ``iters`` iterations; traces have length iters + 1.
 
     Only erasure (BEC) observations are modelled; other channels raise
-    ``ValueError``.
+    ``ValueError``, as does an ``iters`` that is not an integer >= 0.
     """
-    if iters < 0:
-        raise ValueError("iters must be >= 0")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 0:
+        raise ValueError(f"iters must be an integer >= 0, got {iters!r}")
     if received.channel.kind != "BEC":
         raise ValueError(f"run_bp decodes BEC observations only, not {received.channel.kind}")
-    obs = _check_observations(graph, received)
-    active = obs != ERASED
-    evar, groups = _build_groups(graph.subgraph(active), obs[active])
-    c2v = np.zeros(evar.shape[0])
-    # iteration-0 clamps: observed arity-1 checks need no incoming information,
-    # and these stay their messages, so the check update leaves them out
-    for (_, d), (blk, bits) in groups.items():
-        if d == 1:
-            c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
-    plan = [
-        (blk, (d, bits.shape[0]), bits, _obs_sign(bits) if kind == MAJ else None)
-        for (kind, d), (blk, bits) in groups.items()
-        if d > 1
-    ]
+    evar, c2v, plan = _layout(graph, _check_observations(graph, received))
     lam = np.empty(evar.shape[0])
     buf = {"idx": lam}  # lam is written after the step's last read of "idx"
     ber_trace = []

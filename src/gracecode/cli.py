@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -89,6 +90,15 @@ def _check_range(name: str, values, lo: float, hi: float = np.inf) -> None:
     for value in np.atleast_1d(values).tolist():
         if not lo <= value <= hi:
             raise ValueError(f"{name} must lie in [{_fmt(lo)}, {_fmt(hi)}], got {_fmt(value)}")
+
+
+def _check_loads(alphas) -> None:
+    """Raise ``ValueError`` for a load alpha that is negative or NaN, or so
+    large that its trials' seed key round(alpha * 1e9) overflows."""
+    _check_range("alpha", alphas, 0.0)
+    for alpha in np.atleast_1d(alphas).tolist():
+        if math.isinf(alpha * 1e9):
+            raise ValueError(f"alpha {_fmt(alpha)} is too large for the seed key round(alpha * 1e9)")
 
 
 _BUILTIN_PROFILES = {
@@ -180,11 +190,11 @@ def _cmd_simulate(args) -> int:
     profile = _load_profile(args.ensemble)
     if args.alpha_grid is not None:
         alphas = _parse_grid(args.alpha_grid)
-        _check_range("alpha", alphas, 0.0)
     else:
         eps_grid = _parse_grid(args.eps_grid)
         _check_range("eps", eps_grid, 0.0, 1.0)
         alphas = (1.0 - eps_grid) / args.rate
+    _check_loads(alphas)
     rows = []
     args.failed_trials = 0
     for alpha in alphas:
@@ -289,7 +299,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_histogram(args) -> int:
     profile = _load_profile(args.ensemble)
-    _check_range("alpha", args.alpha, 0.0)
+    _check_loads(args.alpha)
     eps = min(max(1.0 - args.alpha * args.rate, 0.0), 1.0)
     failed, _, _, hists = zip(*_trials(profile, args, args.alpha, eps, args.bins))
     args.failed_trials = sum(failed)
@@ -392,13 +402,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        print(f"error: --out directory {folder!r} does not exist", file=sys.stderr)
+        return EXIT_USAGE
     try:
         status = args.func(args)
+        if status == EXIT_OK:
+            _write_manifest(args.out, args, argv, started)
     except (InfeasibleSpecError, SamplingFailureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if status == EXIT_OK and getattr(args, "out", None):
-        _write_manifest(args.out, args, argv, started)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return status
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .channels import h_b, h_b_inv
 
 _QUANTITIES = ("error", "chi2-soft", "capacity-soft")
-_MAX_STEPS = 100_000
+_MAX_STEPS = 100_000  # fixed_point's step cap and the largest ell a trace takes
 _PAYOFF_FOR = {"error": "error", "chi2-soft": "chi2", "capacity-soft": "entropy"}
 
 
@@ -145,8 +145,8 @@ def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantit
     hi = _range_for(surrogate)
     if not 0.0 <= x0 <= hi:
         raise ValueError(f"x0 must lie in [0, {hi}] for a {surrogate} surrogate")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    if not 0 <= ell <= _MAX_STEPS:
+        raise ValueError(f"ell must lie in [0, {_MAX_STEPS}], got {ell}")
     return _trace(_at_loads(family, alphas), np.full(len(alphas), float(x0)), ell, surrogate, quantity)
 
 

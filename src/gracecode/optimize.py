@@ -58,8 +58,8 @@ class OptProblem:
         if not tgts:
             raise ValueError("targets must be non-empty")
         object.__setattr__(self, "targets", tgts)
-        if self.ell is not None and self.ell < 1:
-            raise ValueError("ell must be >= 1 (or None for fixed-point mode)")
+        if self.ell is not None and not 1 <= self.ell <= _MAX_STEPS:
+            raise ValueError(f"ell must lie in [1, {_MAX_STEPS}] (or be None for fixed-point mode), got {self.ell}")
         if self.multistart < 1:
             raise ValueError("multistart must be >= 1")
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, _build_groups
+from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult
 from gracecode.channels import ERASED, h_b, h_b_inv
 from gracecode.efun import f_alphabet
 from gracecode.ensemble import MAJ, DegreeProfile, _check_observations
@@ -741,11 +741,42 @@ def var_step_plain(evar, c2v, k, lam=None):
     return p0, contradiction
 
 
-def run_bp_plain(graph, received, iters: int) -> DecodeResult:
-    """Flooding BP with the kernels above; arity-1 groups run every iteration."""
+def build_groups_plain(sub, obs):
+    """Lay the edges of the observed sub-graph ``sub`` out group-major, given
+    the observations ``obs`` of its checks.
+
+    The C checks of one (kind, arity d) group own one contiguous slice of the
+    edge arrays, read as a (d, C) block whose row i holds every check's i-th
+    edge.  Returns the permuted edge-variable array and, per (kind, d), the
+    slice and the C observations.
+    """
+    ptr, a_evar, a_kind, a_ar = sub.flat
+    groups = {}
+    evar = np.empty_like(a_evar)
+    base = int(a_ar.max(initial=0)) + 1
+    keys = a_kind.astype(np.int64) * base + a_ar
+    off = 0
+    for key in np.unique(keys).tolist():
+        kind, d = divmod(key, base)
+        sel = np.nonzero(keys == key)[0]
+        blk = slice(off, off + d * sel.shape[0])
+        evar[blk] = a_evar[ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
+        groups[(kind, d)] = (blk, obs[sel])
+        off = blk.stop
+    return evar, groups
+
+
+def observed_groups_plain(graph, received):
+    """The observations of every check of ``graph``, and ``build_groups_plain``
+    on its observed sub-graph."""
     obs = _check_observations(graph, received)
     active = obs != ERASED
-    evar, groups = _build_groups(graph.subgraph(active), obs[active])
+    return obs, *build_groups_plain(graph.subgraph(active), obs[active])
+
+
+def run_bp_plain(graph, received, iters: int) -> DecodeResult:
+    """Flooding BP with the kernels above; arity-1 groups run every iteration."""
+    _, evar, groups = observed_groups_plain(graph, received)
     c2v = np.zeros(evar.shape[0])
     for (_, d), (blk, bits) in groups.items():
         if d == 1:

@@ -10,7 +10,7 @@ import pytest
 
 from gracecode.bp import (
     LLR_CLAMP,
-    _build_groups,
+    _layout,
     _maj_group_update,
     _var_step,
     _xor_group_update,
@@ -25,6 +25,7 @@ from gracecode.ensemble import (
     DegreeProfile,
     EnsembleSpec,
     FactorGraph,
+    _check_observations,
     encode,
     parse_profile,
     sample_graph,
@@ -164,28 +165,88 @@ def test_xor_kernel_matches_check_message(check, observed):
                 assert block[c, i] == np.log(ratio)
 
 
-def test_build_groups_partitions_active_checks():
+def test_layout_partitions_active_checks():
     profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
     graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
     ptr, evar, kind, arity = graph.flat
     obs = (np.arange(graph.n_checks) % 3 - 1).astype(np.int8)  # every third check erased
     active = obs != ERASED
-    evar_g, groups = _build_groups(graph.subgraph(active), obs[active])
-    assert set(groups) == {(0, 3), (1, 3), (1, 1), (2, 4)}
+    evar_g, c2v, plan = _layout(graph, obs)
+    # the (kind, d) groups in key order; XOR1 is clamped, the others are
+    # planned, with a majority sign for MAJ3 only
+    groups = [(0, 3), (1, 1), (1, 3), (2, 4)]
+    assert [(shape[0], sign is not None) for _, shape, _, sign in plan] == [(3, True), (3, False), (4, False)]
     # the slices tile the edge arrays in key order; row i of a group's (d, C)
     # block holds the i-th edge of each of its active checks, in check order
     stop = 0
-    for (k, d), (blk, obs_g) in sorted(groups.items()):
+    blocks = iter(plan)
+    for k, d in groups:
         sel = np.nonzero(active & (kind == k) & (arity == d))[0]
+        assert sel.shape[0] > 0
+        if d == 1:
+            blk = slice(stop, stop + sel.shape[0])
+            assert np.array_equal(c2v[blk], np.where(obs[sel] == 0, np.inf, -np.inf))
+            obs_g = obs[sel]
+        else:
+            blk, shape, obs_g, _ = next(blocks)
+            assert shape == (d, sel.shape[0])
+            assert not c2v[blk].any()
         assert blk.start == stop and blk.stop - blk.start == d * sel.shape[0]
         stop = blk.stop
         want = evar[ptr[sel][None, :] + np.arange(d)[:, None]]
         assert np.array_equal(evar_g[blk].reshape(d, -1), want)
         assert np.array_equal(obs_g, obs[sel])
-    assert stop == arity[active].sum() == evar_g.shape[0] < ptr[-1]
-    none = np.zeros(graph.n_checks, dtype=bool)
-    evar_g, groups = _build_groups(graph.subgraph(none), obs[none])
-    assert groups == {} and evar_g.shape == (0,)
+    assert stop == arity[active].sum() == evar_g.shape[0] == c2v.shape[0] < ptr[-1]
+    none = np.full(graph.n_checks, ERASED, dtype=np.int8)
+    evar_g, c2v, plan = _layout(graph, none)
+    assert plan == [] and evar_g.shape == c2v.shape == (0,)
+
+
+def test_layout_of_interleaved_partly_erased_checks():
+    xor1, xor3 = CheckKind.xor(1), CheckKind.xor(3)
+    checks = [
+        (MAJ3, (0, 1, 2)),  # 0: 1
+        (xor1, (3,)),  # 1: 0
+        (MAJ5, (4, 5, 6, 7, 8)),  # 2: erased
+        (xor3, (9, 0, 1)),  # 3: 1
+        (CheckKind.parity(2), (2, 3)),  # 4: not emitted, observed 0
+        (MAJ3, (5, 6, 7)),  # 5: erased
+        (xor1, (8,)),  # 6: 1
+        (MAJ5, (9, 8, 7, 6, 5)),  # 7: 0
+        (xor3, (4, 3, 2)),  # 8: erased
+        (MAJ3, (1, 3, 5)),  # 9: 0
+        (xor1, (7,)),  # 10: erased
+        (MAJ5, (0, 2, 4, 6, 8)),  # 11: 1
+        (xor3, (1, 4, 7)),  # 12: 0
+        (xor1, (9,)),  # 13: 1
+    ]
+    graph = FactorGraph.from_checks(k=10, checks=checks)
+    symbols = [1, 0, ERASED, 1, ERASED, 1, 0, ERASED, 0, ERASED, 1, 0, 1]  # checks 0-3 and 5-13
+    obs = _check_observations(graph, ReceivedWord(np.array(symbols, dtype=np.int8), ChannelParam.bec(0.5)))
+    evar, c2v, plan = _layout(graph, obs)
+    # (kind, d) order, each group a row-major (d, C) block of its observed
+    # checks in check order: MAJ3 (0, 9), MAJ5 (7, 11), XOR1 (1, 6, 13),
+    # XOR3 (3, 12), PARITY2 (4)
+    assert evar.tolist() == [
+        *(0, 1, 1, 3, 2, 5),
+        *(9, 0, 8, 2, 7, 4, 6, 6, 5, 8),
+        *(3, 8, 9),
+        *(9, 1, 0, 4, 1, 7),
+        *(2, 3),
+    ]
+    # the XOR1 group is clamped by its observations 0, 1, 1 and left out of the plan
+    want = np.zeros(27)
+    want[16:19] = [np.inf, -np.inf, -np.inf]
+    assert c2v.tobytes() == want.tobytes()
+    got = [(blk, shape, bits.tolist(), None if sign is None else sign.tolist()) for blk, shape, bits, sign in plan]
+    assert got == [
+        (slice(0, 6), (3, 2), [1, 0], [-1.0, 1.0]),
+        (slice(6, 16), (5, 2), [0, 1], [1.0, -1.0]),
+        (slice(19, 25), (3, 2), [1, 0], None),
+        (slice(25, 27), (2, 1), [0], None),
+    ]
+    # the plan's blocks read the same edges as the (d, C) views _check_update takes
+    assert evar[plan[1][0]].reshape(plan[1][1])[:, 1].tolist() == [0, 2, 4, 6, 8]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -400,6 +461,23 @@ def test_run_bp_rejects_bsc():
     received = ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bsc(0.1))
     with pytest.raises(ValueError, match="BEC"):
         run_bp(graph, received, 2)
+
+
+@pytest.mark.parametrize("iters", [-1, 2.5, 2.0, float("nan"), "3", True, False, None, np.float64(2.0)])
+def test_run_bp_rejects_iters_that_are_not_integers_at_least_0(iters):
+    graph = FactorGraph.from_checks(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
+    received = ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bec(0.5))
+    with pytest.raises(ValueError, match="iters must be an integer >= 0"):
+        run_bp(graph, received, iters)
+
+
+@pytest.mark.parametrize("iters", [0, 3, np.int64(3), np.uint8(3)])
+def test_run_bp_takes_python_and_numpy_integer_iters(iters):
+    graph = FactorGraph.from_checks(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
+    received = ReceivedWord(np.array([0, ERASED], dtype=np.int8), ChannelParam.bec(0.5))
+    result = run_bp(graph, received, iters)
+    assert result.beliefs.iteration == int(iters) and result.ber_trace.shape == (int(iters) + 1,)
+    assert result.hard.tolist() == [0, -1]
 
 
 def test_measure_and_histogram():

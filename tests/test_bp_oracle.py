@@ -2,9 +2,11 @@
 
 ``tests/_oracles.py`` keeps the variable step, the parity and majority
 updates and the check update as they were written with boolean masks, int64
-counts and an update of every group on every iteration.  The kernels in
-``gracecode.bp`` must give the same bits: every field of a ``DecodeResult``
-is compared byte for byte over a sweep of seeds, loads and block lengths.
+counts and an update of every group on every iteration, and the edge layout
+as it was built on the observed sub-graph through a dict of groups.  The
+kernels in ``gracecode.bp`` must give the same bits: every field of a
+``DecodeResult``, and the layout ``run_bp`` decodes on, is compared byte for
+byte over a sweep of seeds, loads and block lengths.
 """
 
 from __future__ import annotations
@@ -12,10 +14,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _oracles import maj_group_update_plain, run_bp_plain, var_step_plain, xor_group_update_plain
-from gracecode.bp import LLR_CLAMP, _maj_group_update, _var_step, _xor_group_update, run_bp
+from _oracles import (
+    maj_group_update_plain,
+    observed_groups_plain,
+    run_bp_plain,
+    var_step_plain,
+    xor_group_update_plain,
+)
+from gracecode.bp import LLR_CLAMP, _layout, _maj_group_update, _var_step, _xor_group_update, run_bp
 from gracecode.channels import ChannelParam, transmit
-from gracecode.ensemble import PARITY, CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, encode, parse_profile, sample_graph
+from gracecode.ensemble import MAJ, PARITY, CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, encode, parse_profile, sample_graph
 
 PROFILES = {
     "mixed": (parse_profile("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"), False),
@@ -44,6 +52,28 @@ def _assert_same(got, want):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     assert got.beliefs.p0.tobytes() == want.beliefs.p0.tobytes()
+
+
+def _assert_same_layout(graph, received):
+    """``_layout`` against the groups of the observed sub-graph, with the
+    clamps and the plan built from them as ``run_bp`` built them."""
+    obs, evar_old, groups = observed_groups_plain(graph, received)
+    evar, c2v, plan = _layout(graph, obs)
+    assert evar.dtype == evar_old.dtype and evar.tobytes() == evar_old.tobytes()
+    c2v_old = np.zeros(evar_old.shape[0])
+    plan_old = []
+    for (kind, d), (blk, bits) in groups.items():
+        if d == 1:
+            c2v_old[blk] = np.where(bits == 0, np.inf, -np.inf)
+        else:
+            plan_old.append((blk, (d, bits.shape[0]), bits, np.where(bits == 1, -1.0, 1.0) if kind == MAJ else None))
+    assert c2v.tobytes() == c2v_old.tobytes()
+    assert len(plan) == len(plan_old)
+    for (blk, shape, bits, sign), (blk_old, shape_old, bits_old, sign_old) in zip(plan, plan_old):
+        assert blk == blk_old and shape == shape_old
+        assert bits.dtype == bits_old.dtype and bits.tobytes() == bits_old.tobytes()
+        assert (sign is None) == (sign_old is None)
+        assert sign is None or sign.tobytes() == sign_old.tobytes()
 
 
 def _source(graph, rng):
@@ -81,6 +111,7 @@ def _trial(graph, seed, alpha, iters=10):
     eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
     coded = encode(graph.subgraph(graph.kind != PARITY), source)
     received = transmit(coded, ChannelParam.bec(eps), rng)
+    _assert_same_layout(graph, received)
     _assert_same(run_bp(graph, received, iters), run_bp_plain(graph, received, iters))
 
 

@@ -124,6 +124,71 @@ def test_infeasible_exit_code(tmp_path, capsys):
             assert not out.exists()
 
 
+def test_loads_whose_seed_key_overflows_exit_3(tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    base = ["--ensemble", "ldmc3", "--k", "10", "--trials", "1", "--out", str(out)]
+    for argv, alpha in [
+        (["histogram", *base, "--rate", "0.5", "--alpha", "inf"], "inf"),
+        (["histogram", *base, "--rate", "0.5", "--alpha", "1e300"], "1e+300"),
+        (["simulate", *base, "--rate", "0.5", "--alpha-grid", "1e300"], "1e+300"),
+        (["simulate", *base, "--rate", "0.5", "--alpha-grid", "0:2e300:1e300"], "1e+300"),
+        (["simulate", *base, "--rate", "1e-300", "--eps-grid", "0.5"], "5e+299"),
+    ]:
+        assert main(argv) == EXIT_INFEASIBLE, argv
+        assert capsys.readouterr().err == f"error: alpha {alpha} is too large for the seed key round(alpha * 1e9)\n"
+        assert not out.exists()
+    # a load whose seed key is finite runs, however large
+    for argv in (["histogram", *base, "--rate", "0.5", "--alpha", "1e299"],
+                 ["simulate", *base, "--rate", "0.5", "--alpha-grid", "1e299"]):
+        assert main(argv) == EXIT_OK, argv
+
+
+def test_out_in_a_missing_directory_is_a_usage_error_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "sample_graph", no_trial)
+    out = tmp_path / "missing" / "out.csv"
+    for argv in [
+        ["simulate", "--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--alpha-grid", "1.0"],
+        ["histogram", "--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--alpha", "1.0"],
+        ["devo", "--family", "ldmc3", "--alpha-grid", "1.0", "--ell", "2"],
+        ["efun", "--dmax", "2"],
+    ]:
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"error: --out directory {str(out.parent)!r} does not exist\n"
+    assert not out.parent.exists()
+
+
+def test_oserror_while_writing_is_a_usage_error(tmp_path, capsys):
+    # the CSV path is a directory
+    assert main(["efun", "--dmax", "2", "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    # the CSV is written, its manifest path is a directory
+    out = tmp_path / "efun.csv"
+    (tmp_path / "efun.csv.manifest.json").mkdir()
+    assert main(["efun", "--dmax", "2", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ") and out.exists()
+
+
+def test_ell_above_the_step_cap_exits_3(tmp_path, capsys):
+    # a trace holds (ell + 1) values per load, so an unbounded ell is refused
+    # before any allocation
+    out = tmp_path / "out.csv"
+    for argv, message in [
+        (["devo", "--family", "ldmc3", "--alpha-grid", "1.0", "--ell", "100000000"],
+         "ell must lie in [0, 100000], got 100000000"),
+        (["devo", "--family", "ldgm3", "--alpha-grid", "1.0", "--ell", "100001"],
+         "ell must lie in [0, 100000], got 100001"),
+        (["optimize", "--components", "XOR:1,XOR:2", "--targets", "1.0", "--ell", "100001"],
+         "ell must lie in [1, 100000] (or be None for fixed-point mode), got 100001"),
+    ]:
+        assert main([*argv, "--out", str(out)]) == EXIT_INFEASIBLE, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 def test_simulate_deterministic(tmp_path):
     argv = [
         "simulate", "--ensemble", "ldmc3", "--k", "200", "--rate", "0.5",

@@ -47,6 +47,8 @@ def test_problem_validation():
         OptProblem(components=XORS, targets=())
     with pytest.raises(ValueError):
         OptProblem(components=XORS, targets=(1.0,), ell=0)
+    with pytest.raises(ValueError, match="ell must lie in"):
+        OptProblem(components=XORS, targets=(1.0,), ell=100_001)
     with pytest.raises(ValueError):
         OptProblem(components=XORS, targets=(1.0,), multistart=0)
 
