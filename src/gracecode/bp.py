@@ -40,10 +40,14 @@ class DecodeResult:
     """Decoded beliefs, hard decisions and per-iteration traces.
 
     ``hard`` is 0/1 with -1 for undecided (p0 exactly 1/2).  ``ber_trace``
-    is the posterior-expected error (mean of min(p0, 1-p0)); on erasure
-    observations this coincides with the truth-based count-undecided-as-half
-    convention.  ``soft_trace`` is 1 - mean h_b(p0).  ``failed`` flags a
-    contradiction (impossible observation set) for the trial.
+    is the posterior-expected error (mean of min(p0, 1-p0)), the decoder's
+    own estimate.  It equals the truth-based count-undecided-as-half BER of
+    ``measure`` only when every posterior is 0, 1/2 or 1, as on XOR-only
+    graphs over erasures; on majority graphs the posteriors can be
+    overconfident and it can sit far below the truth (0.07 against 0.40 on
+    ldmc5 at k = 2000, alpha 1.0, ten iterations).  ``soft_trace`` is
+    1 - mean h_b(p0).  ``failed`` flags a contradiction (impossible
+    observation set) for the trial.
     """
 
     beliefs: BeliefState
@@ -153,6 +157,11 @@ def _layout(graph: FactorGraph, obs):
 # contradiction (message 0, flag set).  A message is +/-inf only if a +/-inf
 # came in.
 
+# columns per block of the MAJ5 update: its (5, block) work arrays stay in a
+# core's cache through all of its steps.  On ldmc5 traffic at k = 1e5, blocks
+# of 4096-8192 took the least time per call, 2048 and 16384 took longer and
+# whole groups about 1.5 times as long.
+_MAJ5_BLOCK = 8192
 _HALF_CLAMP = LLR_CLAMP / 2
 _E_HALF_CLAMP = math.exp(_HALF_CLAMP)
 # what a message adds to log1p(x) by the count of certain ones among the
@@ -168,16 +177,27 @@ def _obs_sign(obs):
 def _maj_group_update(lam, obs, out, sign=None) -> bool:
     """Majority update of a (d, C) block of incoming LLRs into ``out``;
     True if some check saw a contradiction.  ``sign`` is ``_obs_sign(obs)``,
-    which ``run_bp`` computes once per call."""
-    d = lam.shape[0]
+    which ``run_bp`` computes once per call.  The MAJ5 closed form runs over
+    blocks of ``_MAJ5_BLOCK`` columns, each through every step while it is in
+    cache; MAJ3 runs as one block, where smaller ones were measured no faster."""
+    d, C = lam.shape
     thr = (d - 1) // 2
     if sign is None:
         sign = _obs_sign(obs)
-    if d in (3, 5):
-        bad = _maj_closed_form(lam * -sign, thr, out)  # -s
-    else:
+    if d not in (3, 5):
         bad = _maj_sweep(lam * sign, thr, out)  # s
-    out *= sign
+        out *= sign
+        return bad
+    step = _MAJ5_BLOCK if d == 5 else max(C, 1)
+    work = np.empty(d * min(C, step))
+    bad = False
+    for lo in range(0, C, step):
+        hi = min(lo + step, C)
+        blk_sign, blk_out = sign[lo:hi], out[:, lo:hi]
+        w = work[: d * (hi - lo)].reshape(d, hi - lo)
+        np.multiply(lam[:, lo:hi], -blk_sign, out=w)  # -s
+        bad |= _maj_closed_form(w, thr, blk_out)
+        blk_out *= blk_sign
     return bad
 
 
@@ -339,8 +359,7 @@ def _work(buf, name, n, dtype):
 
 def _clip(x):
     """Clip ``x`` in place to +/-``LLR_CLAMP``."""
-    np.minimum(x, LLR_CLAMP, out=x)
-    return np.maximum(x, -LLR_CLAMP, out=x)
+    return np.clip(x, -LLR_CLAMP, LLR_CLAMP, out=x)
 
 
 def _beliefs(tot, scale=None):

@@ -17,6 +17,11 @@ import numpy as np
 from .channels import ERASED, ReceivedWord
 
 
+# the largest block length n = round(k / rate) a spec may ask for; a sampled
+# graph holds 8 n (mean arity + 1) bytes of int64 index arrays, 3.2 GB for
+# MAJ3 at this bound
+_MAX_CHECKS = 10**8
+
 KIND_NAMES = ("MAJ", "XOR", "PARITY")  # position = kind code in FactorGraph.kind
 MAJ, XOR, PARITY = 0, 1, 2
 
@@ -104,6 +109,10 @@ class EnsembleSpec:
             raise InfeasibleSpecError("k must be >= 1")
         if not 0.0 < self.rate <= 1.0:
             raise InfeasibleSpecError("rate must lie in (0, 1]")
+        if self.k > _MAX_CHECKS or self.k / self.rate > _MAX_CHECKS:  # k first: k / rate could overflow
+            raise InfeasibleSpecError(
+                f"block length n = round(k / rate) = round({self.k} / {self.rate:g}) exceeds the limit of {_MAX_CHECKS} checks"
+            )
         if self.systematic and self.n < self.k:
             raise InfeasibleSpecError("systematic code needs n >= k")
 

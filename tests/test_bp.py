@@ -515,7 +515,7 @@ def test_observed_degrees():
 
 @pytest.mark.parametrize(
     "profile, bound_mb",
-    [("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 18.0), ("MAJ 5 1\n", 31.7)],
+    [("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 18.0), ("MAJ 5 1\n", 22.2)],
     ids=["sim-mixed", "ldmc5"],
 )
 def test_run_bp_peak_allocation_is_bounded(profile, bound_mb):

@@ -11,6 +11,8 @@ byte over a sweep of seeds, loads and block lengths.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from _oracles import (
     var_step_plain,
     xor_group_update_plain,
 )
-from gracecode.bp import LLR_CLAMP, _layout, _maj_group_update, _var_step, _xor_group_update, run_bp
+from gracecode.bp import _MAJ5_BLOCK, LLR_CLAMP, _layout, _maj_group_update, _var_step, _xor_group_update, run_bp
 from gracecode.channels import ChannelParam, transmit
 from gracecode.ensemble import MAJ, PARITY, CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, encode, parse_profile, sample_graph
 
@@ -212,3 +214,64 @@ def test_group_kernels_match_mask_versions(d, certain):
         flag = _maj_group_update(lam, obs, out)
         flag_plain = maj_group_update_plain(lam, obs, out_plain)
         assert flag == flag_plain and out.tobytes() == out_plain.tobytes()
+
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("where", ["none", "edge", "inner", "tail"])
+def test_majority_update_across_column_blocks(d, where):
+    # 2.5 blocks of the MAJ5 update (the last one ragged): block 0 holds no
+    # certain message, blocks 1 and 2 hold +/-inf messages on both sides of
+    # their shared edge, at most thr certain ones (s = -inf) per column; a
+    # column is made a contradiction on both sides of that edge ("edge"),
+    # inside block 1 only ("inner"), in the last column only ("tail") or
+    # nowhere ("none")
+    B = _MAJ5_BLOCK
+    C = 2 * B + B // 2 + 37
+    thr = (d - 1) // 2
+    rng = np.random.default_rng([d, len(where)])
+    lam = _messages(rng, d * C, 0.0).reshape(d, C)
+    lam[:, B:] = _messages(rng, d * (C - B), 0.3).reshape(d, C - B)
+    obs = rng.integers(0, 2, size=C).astype(np.int8)
+    ones = lam == np.where(obs == 0, -np.inf, np.inf)  # certain of the value the observation rules out
+    lam[:, ones.sum(axis=0) > thr] = 0.5
+    bad = {"none": [], "edge": [2 * B - 1, 2 * B], "inner": [B + 5], "tail": [C - 1]}[where]
+    lam[:, bad] = np.where(obs[bad] == 0, -np.inf, np.inf)
+    assert not np.isinf(lam[:, :B]).any() and np.isinf(lam[:, B : B + 2 * d]).any()
+    assert np.isinf(lam[:, 2 * B - 2 * d : 2 * B]).any() and np.isinf(lam[:, 2 * B : 2 * B + 2 * d]).any()
+    out, out_plain = np.empty((d, C)), np.empty((d, C))
+    flag = _maj_group_update(lam, obs, out)
+    flag_plain = maj_group_update_plain(lam, obs, out_plain)
+    assert flag == flag_plain == (where != "none")
+    assert out.tobytes() == out_plain.tobytes()
+    assert np.isinf(out[:, B:]).any()
+
+# SHA-256 over beliefs.p0, hard, ber_trace, soft_trace and failed of one
+# 10-iteration decode of a k = 1e5, rate 0.5 trial, seeded as the CLI seeds
+# `simulate --seed 41` trial 0 at each load
+FULL_SIZE_DIGESTS = {
+    ("sim-mixed", 0.5): "c94c1d255ba85c45719d818f152c4dc154b4573832077acca12bbab0432c9df5",
+    ("sim-mixed", 1.0): "54e09a1559b29637b9818601717af22056cb1e4188da0822527627f41e0b7a93",
+    ("sim-mixed", 1.5): "aa2ed7f843823bb9c30fc7d09676479310cc75ebd02239b1d9371111f36a717b",
+    ("ldmc5", 0.5): "2c830e305d0737559d8d6296639929b4c421a1644c9d72b5fb8ac33993edf5d6",
+    ("ldmc5", 1.0): "3c25034635a7b9c08ad2faf855587a5a43135098c82efa24104501ccac24214a",
+    ("ldmc5", 1.5): "9a0a85597e26477f9099f412ee178928d2b039301fc8d3dfbe854dcb6bb3ef7c",
+}
+
+
+@pytest.mark.parametrize("name", ["sim-mixed", "ldmc5"])
+def test_run_bp_bits_at_full_size_are_pinned(name):
+    # the k = 1e5 decodes of the simulate benchmark, where every majority
+    # group spans many column blocks of the check update
+    profile = PROFILES["mixed" if name == "sim-mixed" else name][0]
+    spec = EnsembleSpec(k=100_000, rate=RATE, profile=profile)
+    for alpha in ALPHAS:
+        rng = np.random.default_rng([41, int(round(alpha * 1e9)), 0])
+        graph = sample_graph(spec, rng)
+        source = rng.integers(0, 2, size=spec.k).astype(np.int8)
+        eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
+        result = run_bp(graph, transmit(encode(graph, source), ChannelParam.bec(eps), rng), 10)
+        digest = hashlib.sha256()
+        for a in (result.beliefs.p0, result.hard, result.ber_trace, result.soft_trace, np.array([result.failed])):
+            digest.update(a.tobytes())
+        assert digest.hexdigest() == FULL_SIZE_DIGESTS[name, alpha], alpha

@@ -78,6 +78,19 @@ def test_simulate_checks_its_rate_before_dividing_by_it(tmp_path, capsys):
     assert capsys.readouterr().err == "error: rate must lie in (0, 1], got 0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_bounds_the_block_length(tmp_path, capsys):
+    # a tiny rate asks for n = round(k / rate) checks: 1e300 used to end in an
+    # unrelated numpy error, 1e13 in a MemoryError traceback
+    out = tmp_path / "sim.csv"
+    for rate in ("1e-299", "1e-12"):
+        argv = ["simulate", "--ensemble", "ldmc3", "--k", "10", "--rate", rate, "--eps-grid", "0.5", "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE, rate
+        err = capsys.readouterr().err
+        assert err == f"error: block length n = round(k / rate) = round(10 / {rate}) exceeds the limit of 100000000 checks\n"
+        assert not out.exists()
+
+
 def test_infeasible_exit_code(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     status = main([

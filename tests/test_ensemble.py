@@ -10,6 +10,7 @@ import pytest
 from _oracles import slow_encode
 from gracecode.channels import ChannelParam, ReceivedWord, transmit
 from gracecode.ensemble import (
+    _MAX_CHECKS,
     CheckKind,
     ConstraintViolationError,
     DegreeProfile,
@@ -54,6 +55,12 @@ def test_spec_infeasible():
         EnsembleSpec(k=0, rate=0.5, profile=LDMC3)
     with pytest.raises(InfeasibleSpecError):
         EnsembleSpec(k=10, rate=1.5, profile=LDMC3)
+    # the block length is bounded before n is formed: round(k / rate) of a
+    # tiny rate is a huge or infinite float
+    for k, rate in [(10, 1e-299), (10, 1e-12), (10, 5e-324), (_MAX_CHECKS + 1, 1.0), (10**400, 0.5)]:
+        with pytest.raises(InfeasibleSpecError, match=f"exceeds the limit of {_MAX_CHECKS} checks"):
+            EnsembleSpec(k=k, rate=rate, profile=LDMC3)
+    assert EnsembleSpec(k=_MAX_CHECKS // 2, rate=0.5, profile=LDMC3).n == _MAX_CHECKS
     with pytest.raises(InfeasibleSpecError):
         # arity exceeds variable count, caught at sampling
         sample_graph(EnsembleSpec(k=2, rate=0.5, profile=LDMC3))
