@@ -37,23 +37,26 @@ class BeliefState:
 
 @dataclass
 class DecodeResult:
-    """Decoded beliefs, hard decisions and per-iteration traces.
+    """Decoded beliefs, hard decisions, the decoder's BER trace and the final
+    soft information.
 
     ``hard`` is 0/1 with -1 for undecided (p0 exactly 1/2).  ``ber_trace``
-    is the posterior-expected error (mean of min(p0, 1-p0)), the decoder's
-    own estimate.  It equals the truth-based count-undecided-as-half BER of
-    ``measure`` only when every posterior is 0, 1/2 or 1, as on XOR-only
-    graphs over erasures; on majority graphs the posteriors can be
-    overconfident and it can sit far below the truth (0.07 against 0.40 on
-    ldmc5 at k = 2000, alpha 1.0, ten iterations).  ``soft_trace`` is
-    1 - mean h_b(p0).  ``failed`` flags a contradiction (impossible
+    holds, per iteration, the posterior-expected error (mean of
+    min(p0, 1-p0)), the decoder's own estimate.  It equals the
+    truth-based count-undecided-as-half BER of ``measure`` only when every
+    posterior is 0, 1/2 or 1, as on XOR-only graphs over erasures; on
+    majority graphs the posteriors can be overconfident and it can sit far
+    below the truth (0.07 against 0.40 on ldmc5 at k = 2000, alpha 1.0, ten
+    iterations).  ``soft_info`` is 1 - mean h_b(p0) of the final beliefs;
+    other per-iteration quantities are taken through ``run_bp``'s
+    ``observe`` hook.  ``failed`` flags a contradiction (impossible
     observation set) for the trial.
     """
 
     beliefs: BeliefState
     hard: np.ndarray
     ber_trace: np.ndarray
-    soft_trace: np.ndarray
+    soft_info: float
     failed: bool = False
 
 
@@ -424,8 +427,14 @@ def _var_step(evar, c2v, k, lam=None, buf=None):
     return _beliefs(tot, _BELIEF_SCALE.take(vcode, mode="clip")), contradiction
 
 
-def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResult:
-    """Flooding BP for ``iters`` iterations; traces have length iters + 1.
+def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int, observe=None) -> DecodeResult:
+    """Flooding BP for ``iters`` iterations; ``ber_trace`` has length
+    iters + 1, or less when a contradiction stops the run early.
+
+    ``observe(t, p0)``, when given, is called after the variable step of
+    every iteration t that runs, with that iteration's beliefs as a
+    read-only array of its own, which the run does not change later.  The
+    soft information is computed of the final beliefs only.
 
     Only erasure (BEC) observations are modelled; other channels raise
     ``ValueError``, as does an ``iters`` that is not an integer >= 0.
@@ -438,12 +447,14 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
     lam = np.empty(evar.shape[0])
     buf = {"idx": lam}  # lam is written after the step's last read of "idx"
     ber_trace = []
-    soft_trace = []
     for t in range(iters + 1):
         bad = t > 0 and _check_update(plan, lam, c2v)
         p0, contradiction = _var_step(evar, c2v, graph.k, lam if t < iters else None, buf)
         ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
-        soft_trace.append(1.0 - float(np.mean(h_b(p0))))
+        if observe is not None:
+            seen = p0.view()
+            seen.flags.writeable = False
+            observe(t, seen)
         failed = bad or contradiction
         if failed:
             break
@@ -452,22 +463,29 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int) -> DecodeResu
         beliefs=BeliefState(p0=p0, iteration=t),
         hard=hard,
         ber_trace=np.array(ber_trace),
-        soft_trace=np.array(soft_trace),
+        soft_info=1.0 - float(np.mean(h_b(p0))),
         failed=failed,
     )
 
 
-def measure(result: DecodeResult, truth, bins: int = 20):
-    """Truth-based BER (undecided counts 1/2), soft information, histogram."""
-    truth = np.asarray(truth, dtype=np.int8)
+def measure(result: DecodeResult, truth, bins: int | None = 20):
+    """Truth-based BER (undecided counts 1/2), the result's soft information
+    and a ``bins``-bin histogram of the final beliefs over [0, 1], or None
+    for ``bins=None``.
+
+    ``truth`` must hold k bits, each 0 or 1; anything else raises
+    ``ValueError``.
+    """
+    truth = np.asarray(truth)
     hard = result.hard
     if truth.shape[0] != hard.shape[0]:
         raise ValueError("truth length must equal k")
+    if not np.all((truth == 0) | (truth == 1)):
+        raise ValueError("truth bits must be 0 or 1")
     err = np.where(hard == -1, 0.5, (hard != truth).astype(float))
     ber = float(err.mean())
-    iota = float(result.soft_trace[-1])
-    hist, _ = np.histogram(result.beliefs.p0, bins=bins, range=(0.0, 1.0))
-    return ber, iota, hist
+    hist = None if bins is None else np.histogram(result.beliefs.p0, bins=bins, range=(0.0, 1.0))[0]
+    return ber, result.soft_info, hist
 
 
 def observed_degrees(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:

@@ -108,15 +108,22 @@ class ChannelParam:
 
 @dataclass
 class ReceivedWord:
-    """Per-position channel output: 0, 1 or ERASED (-1)."""
+    """Per-position channel output: 0, 1 or ERASED (-1); a BSC output is 0
+    or 1.  Any other symbol raises ``ValueError``, checked before the cast
+    to int8."""
 
     symbols: np.ndarray
     channel: ChannelParam
 
     def __post_init__(self):
-        self.symbols = np.asarray(self.symbols, dtype=np.int8)
-        if self.channel.kind == "BSC" and np.any(self.symbols == ERASED):
-            raise ValueError("BSC outputs contain no erasures")
+        sym = np.asarray(self.symbols)
+        ok = (sym == 0) | (sym == 1)
+        if self.channel.kind == "BEC":
+            ok |= sym == ERASED
+        if not np.all(ok):
+            allowed = "0, 1 or -1 (erased)" if self.channel.kind == "BEC" else "0 or 1 (BSC outputs contain no erasures)"
+            raise ValueError(f"{self.channel.kind} symbols must be {allowed}")
+        self.symbols = sym.astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])

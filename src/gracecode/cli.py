@@ -152,10 +152,10 @@ def _phase(totals: dict, name: str):
     totals[name] = totals.get(name, 0.0) + time.perf_counter() - start
 
 
-def _trials(profile, args, alpha: float, eps: float, bins: int = 20):
+def _trials(profile, args, alpha: float, eps: float, bins: int | None = None):
     """Yield ``run_bp``'s failed flag and ``measure``'s (ber, soft_info, histogram)
-    for each seeded BEC(eps) trial at load ``alpha``; each phase's seconds
-    accumulate in ``args.phase_s``."""
+    for each seeded BEC(eps) trial at load ``alpha``, the histogram None unless
+    ``bins`` is given; each phase's seconds accumulate in ``args.phase_s``."""
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
     totals = vars(args).setdefault("phase_s", {})
     for t in range(args.trials):

@@ -223,19 +223,27 @@ def _largest_remainder_counts(weights, total: int) -> np.ndarray:
 _REDRAW_ROUNDS = 256
 
 
+def _repeats(srt: np.ndarray) -> np.ndarray:
+    """Which rows of the row-sorted ``srt`` repeat a value: one compare of
+    adjacent columns at a time, with no (rows, d - 1) temporary."""
+    rep = np.zeros(srt.shape[0], dtype=bool)
+    for j in range(1, srt.shape[1]):
+        rep |= srt[:, j] == srt[:, j - 1]
+    return rep
+
+
 def _sample_subsets(rng: np.random.Generator, count: int, d: int, k: int) -> np.ndarray:
     """Draw ``count`` uniform d-subsets of [0, k) as rows; a row that repeats a
     variable is redrawn, and after ``_REDRAW_ROUNDS`` drawn without replacement."""
     if d > k:
         raise InfeasibleSpecError(f"arity {d} exceeds variable count {k}")
-    idx = rng.integers(0, k, size=(count, d), dtype=np.int64)
+    idx = drawn = rng.integers(0, k, size=(count, d), dtype=np.int64)
     rows = np.arange(count)  # the rows drawn last: no other row can repeat a variable
     for _ in range(_REDRAW_ROUNDS):
-        srt = np.sort(idx[rows], axis=1)
-        rows = rows[np.any(srt[:, 1:] == srt[:, :-1], axis=1)]
+        rows = rows[_repeats(np.sort(drawn, axis=1))]
         if not rows.size:
             return idx
-        idx[rows] = rng.integers(0, k, size=(rows.size, d), dtype=np.int64)
+        drawn = idx[rows] = rng.integers(0, k, size=(rows.size, d), dtype=np.int64)
     for r in rows.tolist():
         idx[r] = rng.choice(k, d, replace=False)
     return idx

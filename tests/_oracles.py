@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
-from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult
+from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, run_bp
 from gracecode.channels import ERASED, h_b, h_b_inv
 from gracecode.efun import f_alphabet
 from gracecode.ensemble import MAJ, DegreeProfile, _check_observations
@@ -774,8 +774,12 @@ def observed_groups_plain(graph, received):
     return obs, *build_groups_plain(graph.subgraph(active), obs[active])
 
 
-def run_bp_plain(graph, received, iters: int) -> DecodeResult:
-    """Flooding BP with the kernels above; arity-1 groups run every iteration."""
+def run_bp_plain(graph, received, iters: int):
+    """Flooding BP with the kernels above; arity-1 groups run every iteration.
+
+    Computes both traces on every iteration and returns the ``DecodeResult``
+    and the soft-information trace.
+    """
     _, evar, groups = observed_groups_plain(graph, received)
     c2v = np.zeros(evar.shape[0])
     for (_, d), (blk, bits) in groups.items():
@@ -793,10 +797,20 @@ def run_bp_plain(graph, received, iters: int) -> DecodeResult:
         if failed:
             break
     hard = np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, -1)).astype(np.int8)
-    return DecodeResult(
+    result = DecodeResult(
         beliefs=BeliefState(p0=p0, iteration=t),
         hard=hard,
         ber_trace=np.array(ber_trace),
-        soft_trace=np.array(soft_trace),
+        soft_info=soft_trace[-1],
         failed=failed,
     )
+    return result, np.array(soft_trace)
+
+
+def run_bp_traced(graph, received, iters: int):
+    """``run_bp`` and its soft-information trace, 1 - mean h_b(p0) per
+    iteration as ``run_bp_plain`` computes it, taken through the ``observe``
+    hook."""
+    soft_trace = []
+    result = run_bp(graph, received, iters, observe=lambda t, p0: soft_trace.append(1.0 - float(np.mean(h_b(p0)))))
+    return result, np.array(soft_trace)

@@ -19,8 +19,9 @@ from gracecode.bp import (
     observed_degrees,
     run_bp,
 )
-from gracecode.channels import ERASED, ChannelParam, ReceivedWord, transmit
+from gracecode.channels import ERASED, ChannelParam, ReceivedWord, h_b, transmit
 from gracecode.ensemble import (
+    PARITY,
     CheckKind,
     DegreeProfile,
     EnsembleSpec,
@@ -404,9 +405,11 @@ def test_bp_iteration_zero_semantics():
 def test_bp_trace_lengths_and_types():
     graph = _tree_graph_maj3()
     received = ReceivedWord(np.array([0, 0, 0, 0, 0, 0, 0], dtype=np.int8), ChannelParam.bec(0.5))
-    result = run_bp(graph, received, 4)
+    seen = []
+    result = run_bp(graph, received, 4, observe=lambda t, p0: seen.append(t))
     assert result.ber_trace.shape == (5,)
-    assert result.soft_trace.shape == (5,)
+    assert seen == [0, 1, 2, 3, 4]
+    assert isinstance(result.soft_info, float)
     assert not result.failed
     with pytest.raises(ValueError):
         run_bp(graph, received, -1)
@@ -535,3 +538,122 @@ def test_run_bp_peak_allocation_is_bounded(profile, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mb * 1e6, peak / 1e6
+
+
+HOOK_PROFILES = {"ldmc5": "MAJ 5 1\n", "sim-mixed": "MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"}
+HOOK_CASES = [(name, seed, alpha) for name in HOOK_PROFILES for seed in range(3) for alpha in (0.5, 1.0, 1.5)]
+
+
+def _hook_trial(name, seed, alpha, k=2000):
+    """A graph, source and received word seeded as the CLI seeds its trials."""
+    spec = EnsembleSpec(k=k, rate=0.5, profile=parse_profile(HOOK_PROFILES[name]))
+    rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 0])
+    graph = sample_graph(spec, rng)
+    source = rng.integers(0, 2, size=k).astype(np.int8)
+    received = transmit(encode(graph, source), ChannelParam.bec(min(max(1.0 - alpha * 0.5, 0.0), 1.0)), rng)
+    return graph, source, received
+
+
+def _truth_ber(p0, source):
+    """``measure``'s BER of beliefs ``p0``: undecided (p0 = 1/2) counts 1/2."""
+    hard = np.where(p0 > 0.5, 0, np.where(p0 < 0.5, 1, -1))
+    return float(np.where(hard == -1, 0.5, (hard != source).astype(float)).mean())
+
+
+@pytest.mark.parametrize("name, seed, alpha", HOOK_CASES)
+def test_observe_gives_the_truth_ber_of_a_rerun_at_every_iteration(name, seed, alpha):
+    # one 10-iteration run through the hook replaces eleven runs of 0..10
+    # iterations: iteration t's beliefs are those of a run that stops at t
+    graph, source, received = _hook_trial(name, seed, alpha)
+    seen = {}
+    result = run_bp(graph, received, 10, observe=lambda t, p0: seen.setdefault(t, _truth_ber(p0, source)))
+    assert not result.failed and list(seen) == list(range(11))
+    for t, ber in seen.items():
+        assert ber == measure(run_bp(graph, received, t), source)[0], t
+
+
+@pytest.mark.parametrize("name, seed, alpha", HOOK_CASES)
+def test_observe_keeps_every_array_it_is_handed(name, seed, alpha):
+    graph, _, received = _hook_trial(name, seed, alpha)
+    kept, copies = [], []
+
+    def observe(t, p0):
+        assert t == len(kept)
+        kept.append(p0)
+        copies.append(p0.copy())
+
+    result = run_bp(graph, received, 10, observe=observe)
+    assert len(kept) == 11
+    for i, a in enumerate(kept):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.25
+        assert a.tobytes() == copies[i].tobytes()
+        assert not any(np.shares_memory(a, b) for b in kept[i + 1 :])
+    assert kept[-1].tobytes() == result.beliefs.p0.tobytes()
+    assert result.ber_trace.tolist() == [float(np.minimum(p, 1.0 - p).mean()) for p in copies]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_observe_stops_with_a_failed_trial(seed, alpha):
+    # 5% of the observed arity-2 and arity-3 checks read flipped: BP meets
+    # the contradiction after one or two iterations, and the hook sees no
+    # iteration that did not run
+    graph, _, received = _hook_trial("sim-mixed", seed, alpha)
+    rng = np.random.default_rng(seed)
+    _, _, codes, arity = graph.flat
+    symbols = received.symbols.copy()
+    symbols[(arity[codes != PARITY] > 1) & (symbols != ERASED) & (rng.random(symbols.shape[0]) < 0.05)] ^= 1
+    seen = []
+    result = run_bp(graph, ReceivedWord(symbols, received.channel), 10, observe=lambda t, p0: seen.append(t))
+    assert result.failed and 0 < result.beliefs.iteration < 10
+    assert seen == list(range(result.beliefs.iteration + 1))
+    assert result.ber_trace.shape == (len(seen),)
+
+
+def test_default_run_computes_the_soft_information_once(monkeypatch):
+    import gracecode.bp
+
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return h_b(x)
+
+    graph, _, received = _hook_trial("sim-mixed", 0, 1.0)
+    want = run_bp(graph, received, 10)
+    monkeypatch.setattr(gracecode.bp, "h_b", counted)
+    result = run_bp(graph, received, 10)
+    assert calls == [(graph.k,)]
+    assert result.soft_info == want.soft_info == 1.0 - float(np.mean(h_b(result.beliefs.p0)))
+
+
+def test_simulate_builds_no_histogram(tmp_path, monkeypatch):
+    from gracecode.cli import main
+
+    calls = []
+    histogram = np.histogram
+    monkeypatch.setattr(np, "histogram", lambda *a, **kw: calls.append(a) or histogram(*a, **kw))
+    argv = ["--ensemble", "ldmc3", "--k", "300", "--rate", "0.5", "--bp-iters", "3", "--trials", "2"]
+    assert main(["simulate", *argv, "--alpha-grid", "0.5:1.5:0.5", "--out", str(tmp_path / "sim.csv")]) == 0
+    assert calls == []
+    assert main(["histogram", *argv, "--alpha", "1.0", "--bins", "4", "--out", str(tmp_path / "hist.csv")]) == 0
+    assert len(calls) == 2  # one per trial
+
+
+def test_measure_rejects_truth_that_is_not_bits():
+    graph = FactorGraph.from_checks(k=2, checks=((MAJ1, (0,)), (MAJ1, (1,))))
+    result = run_bp(graph, ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bec(0.5)), 1)
+    for truth in ([0, 256], [7, 1], [0, -1], [0.5, 1]):
+        # 256 must not wrap to 0, nor 7 count as an ordinary error
+        with pytest.raises(ValueError, match="truth bits must be 0 or 1"):
+            measure(result, np.array(truth))
+    assert measure(result, np.array([0, 1]))[0] == 0.0
+    assert measure(result, [True, False])[0] == 1.0
+
+
+def test_run_bp_never_sees_a_symbol_it_does_not_model():
+    # an observed 3 was once decoded as an observed 0, with failed=False
+    with pytest.raises(ValueError, match="BEC symbols must be"):
+        ReceivedWord(np.array([0, 3]), ChannelParam.bec(0.5))

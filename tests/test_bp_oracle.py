@@ -20,6 +20,7 @@ from _oracles import (
     maj_group_update_plain,
     observed_groups_plain,
     run_bp_plain,
+    run_bp_traced,
     var_step_plain,
     xor_group_update_plain,
 )
@@ -48,12 +49,15 @@ def _repetition(k: int) -> FactorGraph:
 
 
 def _assert_same(got, want):
+    """Two (``DecodeResult``, soft-information trace) pairs hold the same bits."""
+    (got, got_soft), (want, want_soft) = got, want
     assert got.failed == want.failed
     assert got.beliefs.iteration == want.beliefs.iteration
-    for field in ("ber_trace", "soft_trace", "hard"):
-        a, b = getattr(got, field), getattr(want, field)
+    pairs = {"ber_trace": (got.ber_trace, want.ber_trace), "soft trace": (got_soft, want_soft), "hard": (got.hard, want.hard)}
+    for field, (a, b) in pairs.items():
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     assert got.beliefs.p0.tobytes() == want.beliefs.p0.tobytes()
+    assert got.soft_info == want.soft_info == want_soft[-1]
 
 
 def _assert_same_layout(graph, received):
@@ -114,7 +118,7 @@ def _trial(graph, seed, alpha, iters=10):
     coded = encode(graph.subgraph(graph.kind != PARITY), source)
     received = transmit(coded, ChannelParam.bec(eps), rng)
     _assert_same_layout(graph, received)
-    _assert_same(run_bp(graph, received, iters), run_bp_plain(graph, received, iters))
+    _assert_same(run_bp_traced(graph, received, iters), run_bp_plain(graph, received, iters))
 
 
 @pytest.mark.parametrize("k", KS)
@@ -246,7 +250,8 @@ def test_majority_update_across_column_blocks(d, where):
     assert out.tobytes() == out_plain.tobytes()
     assert np.isinf(out[:, B:]).any()
 
-# SHA-256 over beliefs.p0, hard, ber_trace, soft_trace and failed of one
+# SHA-256 over beliefs.p0, hard, ber_trace, the soft-information trace (taken
+# through the observe hook) and failed of one
 # 10-iteration decode of a k = 1e5, rate 0.5 trial, seeded as the CLI seeds
 # `simulate --seed 41` trial 0 at each load
 FULL_SIZE_DIGESTS = {
@@ -270,8 +275,9 @@ def test_run_bp_bits_at_full_size_are_pinned(name):
         graph = sample_graph(spec, rng)
         source = rng.integers(0, 2, size=spec.k).astype(np.int8)
         eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
-        result = run_bp(graph, transmit(encode(graph, source), ChannelParam.bec(eps), rng), 10)
+        result, soft_trace = run_bp_traced(graph, transmit(encode(graph, source), ChannelParam.bec(eps), rng), 10)
+        assert result.soft_info == soft_trace[-1]
         digest = hashlib.sha256()
-        for a in (result.beliefs.p0, result.hard, result.ber_trace, result.soft_trace, np.array([result.failed])):
+        for a in (result.beliefs.p0, result.hard, result.ber_trace, soft_trace, np.array([result.failed])):
             digest.update(a.tobytes())
         assert digest.hexdigest() == FULL_SIZE_DIGESTS[name, alpha], alpha

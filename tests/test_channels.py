@@ -11,6 +11,7 @@ from gracecode.channels import (
     ERASED,
     BMSummary,
     ChannelParam,
+    ReceivedWord,
     binary_divergence,
     bms_metrics,
     h_b,
@@ -131,6 +132,25 @@ def test_transmit_bsc_no_erasures():
     out = transmit(bits, ChannelParam.bsc(0.2), np.random.default_rng(1))
     assert not np.any(out.symbols == ERASED)
     assert abs(float(np.mean(out.symbols)) - 0.2) < 0.05
+
+
+@pytest.mark.parametrize("symbols", [[257, 5], [0, 256], [1, 2], [0.5, 1], [0, np.nan], [-2, 0]])
+def test_received_word_rejects_symbols_a_bec_cannot_output(symbols):
+    # checked before the int8 cast: 257 must not be stored as 1, nor 256 as 0
+    with pytest.raises(ValueError, match="BEC symbols must be"):
+        ReceivedWord(np.array(symbols), ChannelParam.bec(0.5))
+
+
+@pytest.mark.parametrize("symbols", [[0, ERASED], [1, 2], [256, 1]])
+def test_received_word_rejects_symbols_a_bsc_cannot_output(symbols):
+    with pytest.raises(ValueError, match="BSC symbols must be 0 or 1"):
+        ReceivedWord(np.array(symbols), ChannelParam.bsc(0.1))
+
+
+def test_received_word_keeps_valid_symbols_as_int8():
+    word = ReceivedWord(np.array([1, ERASED, 0], dtype=np.int64), ChannelParam.bec(0.5))
+    assert word.symbols.dtype == np.int8 and word.symbols.tolist() == [1, ERASED, 0]
+    assert ReceivedWord([True, False], ChannelParam.bsc(0.1)).symbols.tolist() == [1, 0]
 
 
 def test_binary_divergence():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from gracecode.ensemble import (
     EnsembleSpec,
     FactorGraph,
     InfeasibleSpecError,
+    _sample_subsets,
     degree_stats,
     encode,
     observed_subgraph,
@@ -92,6 +94,47 @@ def test_sample_arity_equal_to_k_finishes():
     assert len(graph.checks) == 36
     for kind, idx in graph.checks:
         assert sorted(idx) == list(range(18))
+
+
+# SHA-256 over the edge-variable arrays of sampled graphs: every profile at
+# k = 20, 300 and 1e5 except ldgm18 (k = 20 only, where nearly every row is
+# redrawn until the draw without replacement), seeds 0-2 ...
+SAMPLED_GRAPH_DIGESTS = {
+    "mixed": ("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", "470e609be278c038c421f43d29c702b693ec8cac2050201b5b9e0eca9b4c5140"),
+    "ldmc5": ("MAJ 5 1.0\n", "8b8c3dc2c9b69e7d8e66d0e8ad3622407d75764dfdc5b60c26f1bd65173c67ed"),
+    "maj7-xor2": ("MAJ 7 0.6\nXOR 2 0.4\n", "0960302b7e2904904e84d35f5e0d2ab7ba627b06a09b7c5d12d36b12faf5244a"),
+    "ldgm18": ("XOR 18 1.0\n", "0ab556e7b7da87382725133319622e68e3a3fb259c8e0e2f8955659147250824"),
+}
+# ... and over 400 rows of arity 60 and 200 drawn from k = 300 and 1e5
+SUBSET_DIGESTS = {
+    60: "3a3fab2a8350dd060c00b9722994d92aba82d60e520ce6265767196d1894ec37",
+    200: "7fa6a2e050ec26ae7996c4c96a09f5b55ece247185cfc616d9050131618df25c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_GRAPH_DIGESTS))
+def test_sampled_graphs_are_pinned(name):
+    # the repeat test may change how it finds the rows to redraw, never which
+    # rows it redraws: the RNG stream, and so every graph, stays the same
+    text, want = SAMPLED_GRAPH_DIGESTS[name]
+    profile = parse_profile(text)
+    digest = hashlib.sha256()
+    for k in (20,) if name == "ldgm18" else (20, 300, 100_000):
+        for seed in range(3):
+            graph = sample_graph(EnsembleSpec(k=k, rate=0.5, profile=profile), np.random.default_rng([seed, k]))
+            digest.update(graph.evar.tobytes())
+    assert digest.hexdigest() == want
+
+
+@pytest.mark.parametrize("d", sorted(SUBSET_DIGESTS))
+def test_sampled_subsets_of_high_arity_are_pinned(d):
+    digest = hashlib.sha256()
+    for k in (300, 100_000):
+        for seed in range(3):
+            idx = _sample_subsets(np.random.default_rng([seed, k]), 400, d, k)
+            assert (np.diff(np.sort(idx, axis=1), axis=1) > 0).all()
+            digest.update(idx.tobytes())
+    assert digest.hexdigest() == SUBSET_DIGESTS[d]
 
 
 def test_sample_deterministic_from_seed():
