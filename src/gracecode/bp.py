@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import ERASED, ReceivedWord, h_b
+from .channels import ERASED, ReceivedWord, _check_bits, h_b
 from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations, observed_subgraph
 from .exactdec import ContradictionError
 
@@ -468,20 +468,18 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int, observe=None)
     )
 
 
-def measure(result: DecodeResult, truth, bins: int | None = 20):
+def measure(result: DecodeResult, truth, bins: int | None = None):
     """Truth-based BER (undecided counts 1/2), the result's soft information
-    and a ``bins``-bin histogram of the final beliefs over [0, 1], or None
-    for ``bins=None``.
+    and, only when ``bins`` is given, a ``bins``-bin histogram of the final
+    beliefs over [0, 1] (None otherwise).
 
     ``truth`` must hold k bits, each 0 or 1; anything else raises
     ``ValueError``.
     """
-    truth = np.asarray(truth)
+    truth = _check_bits(truth, "truth bits")
     hard = result.hard
     if truth.shape[0] != hard.shape[0]:
         raise ValueError("truth length must equal k")
-    if not np.all((truth == 0) | (truth == 1)):
-        raise ValueError("truth bits must be 0 or 1")
     err = np.where(hard == -1, 0.5, (hard != truth).astype(float))
     ber = float(err.mean())
     hist = None if bins is None else np.histogram(result.beliefs.p0, bins=bins, range=(0.0, 1.0))[0]

@@ -42,11 +42,26 @@ def _check_entropy(y) -> None:
         raise ValueError("h_b_inv argument must lie in [0, 1]")
 
 
-def h_b_inv(y, tol: float = 1e-12):
-    """Inverse of binary entropy on [0, 1/2] by bisection to ``tol``.
+def bisect(below, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] until it is at most ``tol`` wide, moving ``lo`` to each
+    midpoint where ``below`` holds and ``hi`` to the others; returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
-    A scalar takes a Python-float loop with the same bisection steps as the
-    array path, and returns the same bits.
+
+_H_B_INV_TOL = 1e-12
+
+
+def h_b_inv(y):
+    """Inverse of binary entropy on [0, 1/2] by bisection to 1e-12.
+
+    A scalar runs ``bisect`` on Python floats; an array takes the same steps
+    lane by lane, so both return the same bits.
     """
     if np.ndim(y) == 0:
         yf = float(y)
@@ -55,15 +70,7 @@ def h_b_inv(y, tol: float = 1e-12):
             return 0.5
         if yf <= 0.0:
             return 0.0
-        lo, hi = 0.0, 0.5
-        for _ in range(64):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if _h_b_float(mid) < yf:
-                lo = mid
-            else:
-                hi = mid
+        lo, hi = bisect(lambda mid: _h_b_float(mid) < yf, 0.0, 0.5, _H_B_INV_TOL)
         return 0.5 * (lo + hi)
     y_arr = np.asarray(y, dtype=float)
     _check_entropy(y_arr)
@@ -71,7 +78,7 @@ def h_b_inv(y, tol: float = 1e-12):
     lo = np.zeros_like(y_arr)
     hi = np.full_like(y_arr, 0.5)
     for _ in range(64):
-        if np.all(hi - lo <= tol):
+        if np.all(hi - lo <= _H_B_INV_TOL):
             break
         mid = 0.5 * (lo + hi)
         below = h_b(mid) < y_arr
@@ -80,6 +87,18 @@ def h_b_inv(y, tol: float = 1e-12):
     out = 0.5 * (lo + hi)
     out = np.where(y_arr >= 1.0, 0.5, out)
     return np.where(y_arr <= 0.0, 0.0, out)
+
+
+def _check_bits(values, what: str, erasures: bool = False) -> np.ndarray:
+    """``values`` as an array, each 0 or 1 (or ``ERASED`` with ``erasures``);
+    any other value raises ``ValueError`` naming ``what``."""
+    arr = np.asarray(values)
+    ok = (arr == 0) | (arr == 1)
+    if erasures:
+        ok |= arr == ERASED
+    if not np.all(ok):
+        raise ValueError(f"{what} must be {'0, 1 or -1 (erased)' if erasures else '0 or 1'}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -116,14 +135,8 @@ class ReceivedWord:
     channel: ChannelParam
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols)
-        ok = (sym == 0) | (sym == 1)
-        if self.channel.kind == "BEC":
-            ok |= sym == ERASED
-        if not np.all(ok):
-            allowed = "0, 1 or -1 (erased)" if self.channel.kind == "BEC" else "0 or 1 (BSC outputs contain no erasures)"
-            raise ValueError(f"{self.channel.kind} symbols must be {allowed}")
-        self.symbols = sym.astype(np.int8, copy=False)
+        kind = self.channel.kind
+        self.symbols = _check_bits(self.symbols, f"{kind} symbols", kind == "BEC").astype(np.int8, copy=False)
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])
@@ -139,8 +152,9 @@ class BMSummary:
 
 
 def transmit(codeword, ch: ChannelParam, rng: np.random.Generator) -> ReceivedWord:
-    """Send a bit sequence through the channel with i.i.d. per-symbol noise."""
-    bits = np.asarray(codeword, dtype=np.int8)
+    """Send a bit sequence through the channel with i.i.d. per-symbol noise; a
+    value other than 0 or 1 raises ``ValueError`` (checked before the int8 cast)."""
+    bits = _check_bits(codeword, "codeword bits").astype(np.int8, copy=False)
     if ch.kind == "BEC":
         erased = rng.random(bits.shape[0]) < ch.param
         out = np.where(erased, np.int8(ERASED), bits)
@@ -242,4 +256,5 @@ __all__ = [
     "binary_divergence",
     "h_b",
     "h_b_inv",
+    "bisect",
 ]

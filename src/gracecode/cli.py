@@ -127,7 +127,8 @@ def _write_csv(path: str, header, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(out: str, args: argparse.Namespace, argv: list, started: float) -> None:
+def _write_manifest(out: str, argv: list, started: float, fields: dict) -> None:
+    """Write the argv, versions, wall time and the command's ``fields`` to ``<out>.manifest.json``."""
     payload = {
         "argv": argv,
         "version": __version__,
@@ -135,10 +136,8 @@ def _write_manifest(out: str, args: argparse.Namespace, argv: list, started: flo
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "walltime_s": round(time.time() - started, 3),
+        **fields,
     }
-    # only the commands that take a seed or run trials record these
-    keys = ("seed", "trials", "failed_trials", "phase_s")
-    payload.update({key: getattr(args, key) for key in keys if hasattr(args, key)})
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -152,32 +151,35 @@ def _phase(totals: dict, name: str):
     totals[name] = totals.get(name, 0.0) + time.perf_counter() - start
 
 
-def _trials(profile, args, alpha: float, eps: float, bins: int | None = None):
-    """Yield ``run_bp``'s failed flag and ``measure``'s (ber, soft_info, histogram)
-    for each seeded BEC(eps) trial at load ``alpha``, the histogram None unless
-    ``bins`` is given; each phase's seconds accumulate in ``args.phase_s``."""
+def _trial(spec: EnsembleSpec, args, alpha: float, eps: float, t: int, bins, fields: dict):
+    """``measure``'s (ber, soft_info, histogram) of trial ``t`` at load ``alpha``
+    over BEC(eps), counted into ``fields``' failed trials and phase seconds."""
+    phase_s = fields["phase_s"]
+    with _phase(phase_s, "graph"):
+        rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
+        graph = sample_graph(spec, rng)
+        source = rng.integers(0, 2, size=args.k).astype(np.int8)
+        codeword = encode(graph, source)
+    with _phase(phase_s, "channel"):
+        received = transmit(codeword, ChannelParam.bec(eps), rng)
+    with _phase(phase_s, "run_bp"):
+        result = run_bp(graph, received, args.bp_iters)
+    fields["failed_trials"] += int(result.failed)
+    with _phase(phase_s, "measure"):
+        return measure(result, source, bins)
+
+
+def _sweep(profile, args, alphas, bins: int | None = None):
+    """One (eps, bers, soft_infos, histograms) per load alpha, from ``args.trials``
+    seeded trials over BEC(1 - alpha R), and the manifest fields of the sweep."""
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
-    totals = vars(args).setdefault("phase_s", {})
-    for t in range(args.trials):
-        with _phase(totals, "graph"):
-            rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
-            graph = sample_graph(spec, rng)
-            source = rng.integers(0, 2, size=args.k).astype(np.int8)
-            codeword = encode(graph, source)
-        with _phase(totals, "channel"):
-            received = transmit(codeword, ChannelParam.bec(eps), rng)
-        with _phase(totals, "run_bp"):
-            result = run_bp(graph, received, args.bp_iters)
-        with _phase(totals, "measure"):
-            measured = measure(result, source, bins=bins)
-        yield (result.failed, *measured)
-
-
-def _simulate_point(profile, args, alpha: float, eps: float):
-    failed, bers, iotas, _ = zip(*_trials(profile, args, alpha, eps))
-    ber = float(np.mean(bers))
-    stderr = float(np.sqrt(max(ber * (1.0 - ber), 0.0) / (args.k * args.trials)))
-    return ber, stderr, float(np.mean(iotas)), sum(failed)
+    fields = {"seed": args.seed, "trials": args.trials, "failed_trials": 0, "phase_s": {}}
+    points = []
+    for alpha in alphas:
+        eps = min(max(1.0 - alpha * args.rate, 0.0), 1.0)
+        trials = [_trial(spec, args, alpha, eps, t, bins, fields) for t in range(args.trials)]
+        points.append((eps, *zip(*trials)))
+    return points, fields
 
 
 def _check_rate(rate: float) -> None:
@@ -185,7 +187,7 @@ def _check_rate(rate: float) -> None:
         raise ValueError(f"rate must lie in (0, 1], got {_fmt(rate)}")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict:
     _check_rate(args.rate)
     profile = _load_profile(args.ensemble)
     if args.alpha_grid is not None:
@@ -195,15 +197,14 @@ def _cmd_simulate(args) -> int:
         _check_range("eps", eps_grid, 0.0, 1.0)
         alphas = (1.0 - eps_grid) / args.rate
     _check_loads(alphas)
+    points, fields = _sweep(profile, args, alphas.tolist())
     rows = []
-    args.failed_trials = 0
-    for alpha in alphas:
-        eps = min(max(1.0 - alpha * args.rate, 0.0), 1.0)
-        ber, stderr, iota, failed = _simulate_point(profile, args, float(alpha), eps)
-        args.failed_trials += failed
-        rows.append((alpha, eps, ber, stderr, iota, args.trials))
+    for alpha, (eps, bers, iotas, _) in zip(alphas, points):
+        ber = float(np.mean(bers))
+        stderr = float(np.sqrt(max(ber * (1.0 - ber), 0.0) / (args.k * args.trials)))
+        rows.append((alpha, eps, ber, stderr, float(np.mean(iotas)), args.trials))
     _write_csv(args.out, ("alpha", "eps", "ber", "ber_stderr", "soft_info", "trials"), rows)
-    return EXIT_OK
+    return fields
 
 
 def _make_family(name: str, surrogate: str, quantity: str, D: int):
@@ -215,7 +216,7 @@ def _make_family(name: str, surrogate: str, quantity: str, D: int):
     return ClosedFormFamily("mixed", profile=profile, D=D)
 
 
-def _cmd_devo(args) -> int:
+def _cmd_devo(args) -> dict:
     family = _make_family(args.family, args.surrogate, args.quantity, args.dmax)
     alphas = _parse_grid(args.alpha_grid)
     _check_range("alpha", alphas, 0.0)  # --ell 0 never evaluates the family
@@ -225,10 +226,10 @@ def _cmd_devo(args) -> int:
         for t, q in enumerate(traces[:, i]):
             rows.append((alpha, t, q, args.quantity, args.surrogate, args.x0))
     _write_csv(args.out, ("alpha", "t", "q", "quantity", "surrogate", "x0"), rows)
-    return EXIT_OK
+    return {}
 
 
-def _cmd_converse(args) -> int:
+def _cmd_converse(args) -> dict:
     _check_rate(args.rate)
     rows = []
     rho = 1.0 / args.rate
@@ -252,10 +253,10 @@ def _cmd_converse(args) -> int:
         ("x_axis_kind", "x", "bound_kind", "value", "anchor_eps", "anchor_delta", "R"),
         rows,
     )
-    return EXIT_OK
+    return {}
 
 
-def _cmd_efun(args) -> int:
+def _cmd_efun(args) -> dict:
     alph = f_alphabet(args.family)
     _check_degree(args.dmax)
     polys = [error_poly(alph, d, args.payoff) for d in range(args.dmax + 1)]
@@ -266,7 +267,7 @@ def _cmd_efun(args) -> int:
         coeffs = list(p.coeffs) + [0.0] * (width - len(p.coeffs))
         rows.append([d] + coeffs)
     _write_csv(args.out, header, rows)
-    return EXIT_OK
+    return {}
 
 
 def _parse_components(text: str):
@@ -277,7 +278,7 @@ def _parse_components(text: str):
     return tuple(comps)
 
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> dict:
     problem = OptProblem(
         components=_parse_components(args.components),
         targets=tuple(float(t) for t in args.targets.split(",")),
@@ -294,20 +295,18 @@ def _cmd_optimize(args) -> int:
         fh.write(f"converged {result.converged}\n")
         for i, hist in enumerate(result.trajectories):
             fh.write(f"start {i} steps {len(hist)} final {_fmt(hist[-1])}\n")
-    return EXIT_OK
+    return {"seed": args.seed}
 
 
-def _cmd_histogram(args) -> int:
+def _cmd_histogram(args) -> dict:
     profile = _load_profile(args.ensemble)
     _check_loads(args.alpha)
-    eps = min(max(1.0 - args.alpha * args.rate, 0.0), 1.0)
-    failed, _, _, hists = zip(*_trials(profile, args, args.alpha, eps, args.bins))
-    args.failed_trials = sum(failed)
+    [(_, _, _, hists)], fields = _sweep(profile, args, [args.alpha], args.bins)
     counts = np.sum(hists, axis=0)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
     rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins)]
     _write_csv(args.out, ("bin_lo", "bin_hi", "count"), rows)
-    return EXIT_OK
+    return fields
 
 
 def _int_at_least(lo: int):
@@ -407,16 +406,14 @@ def main(argv=None) -> int:
         print(f"error: --out directory {folder!r} does not exist", file=sys.stderr)
         return EXIT_USAGE
     try:
-        status = args.func(args)
-        if status == EXIT_OK:
-            _write_manifest(args.out, args, argv, started)
+        _write_manifest(args.out, argv, started, args.func(args))
     except (InfeasibleSpecError, SamplingFailureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return status
+    return EXIT_OK
 
 
 if __name__ == "__main__":

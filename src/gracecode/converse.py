@@ -8,14 +8,14 @@ exhaustively-enumerable codes.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .channels import h_b, h_b_inv
+from .channels import bisect, h_b, h_b_inv
 from ._kernels import gf2_columns, gf2_reduce
 from .exactdec import BitMatrix
 
@@ -24,12 +24,12 @@ _REFINE_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = _REFINE_TOL) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -145,17 +145,10 @@ def general_two_point(R: float, delta_a: float, eps_a: float, eps: float) -> flo
     # eta(y) does not increase with y on [0, 1/2), so the feasible points of
     # ys[:-1] form a tail, found by bisection.  y = 1/2 (eta = 1/2 there by
     # convention) is feasible only when y = 0 is, so an empty tail gives 0.
-    j = bisect.bisect_left(range(_GRID), True, key=lambda i: feasible(float(ys[i])))
+    j = bisect_left(range(_GRID), True, key=lambda i: feasible(float(ys[i])))
     if j in (0, _GRID):
         return 0.0
-    lo, hi = float(ys[j - 1]), float(ys[j])
-    while hi - lo > _REFINE_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return bisect(lambda y: not feasible(y), float(ys[j - 1]), float(ys[j]), _REFINE_TOL)[1]
 
 
 def _zeta(x: float, eps2: float, eps1: float, R: float) -> float:

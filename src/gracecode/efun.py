@@ -13,7 +13,7 @@ degree's terms come from ``_lattice_chunks``, which streams the lattice, each
 row's weight and each row's type in fixed chunks (they depend only on d and
 on which entry owns each lattice column), and from coefficients that depend
 on the alphabet's magnitudes and the payoff; a table is cached on the
-alphabet itself.  ``eval_degree`` is the one-degree case of ``_average`` and
+alphabet itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
 ``EFunctionFamily`` calls it with its degree laws (on the BSC once per
 distinct crossover of a call, whose alphabet is built for that call).
 ``mixed_efun`` multiplies the XOR closed form with the Poisson families of
@@ -26,7 +26,8 @@ An evaluation takes many lanes at once: one q and, for a family or a
 mixture, one load (so one degree law) per lane.  It works element by element
 in a fixed order, so a lane gets the same bits whatever the other lanes are.
 A family's ``_at`` and ``_mixed_at`` set up what a fixed set of loads needs
-once, for a DE recursion that evaluates them step after step.
+once, for a DE recursion that evaluates them step after step; both families
+share one ``evaluate`` (``_Family``), which keeps the last loads' ``_at``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .channels import h_b
+from .channels import bisect, h_b
 from .ensemble import DegreeProfile
 
 _MAX_DEGREE = 14
@@ -124,7 +125,7 @@ class MessageAlphabet:
             ent.append((m, w))
         object.__setattr__(self, "entries", tuple(ent))
         # the weight polynomials as rows of one matrix, highest power first and
-        # zero-padded on top, so that ``_average`` runs polyval's Horner steps
+        # zero-padded on top, so that ``_averager`` runs polyval's Horner steps
         # on all entries at once
         coeffs = [w.coeffs for _, w in ent]
         horner = np.zeros((max(map(len, coeffs)), len(ent)))
@@ -424,11 +425,6 @@ def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
     return average
 
 
-def _average(alphabet: MessageAlphabet, payoff: str, pmf, q) -> np.ndarray:
-    """The value of ``_averager(alphabet, payoff, pmf)`` at q."""
-    return _averager(alphabet, payoff, pmf)(q)
-
-
 def _average_block(horner, types, coefs, starts, weights, q) -> np.ndarray:
     """``_averager``'s values at the lanes q, with their (1 or L, degrees) weights."""
     x = q[:, None]
@@ -454,7 +450,7 @@ def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray
     _check_degree(d)
     pmf = np.zeros(d + 1)
     pmf[d] = 1.0
-    out = _average(alphabet, payoff, pmf, q)
+    out = _averager(alphabet, payoff, pmf)(q)
     return float(out[0]) if np.ndim(q) == 0 else out
 
 
@@ -543,7 +539,7 @@ class DegreeLaw:
 
 
 class _Last(list):
-    """[key, evaluator] of a family's last loads (see ``_bound``); it pickles
+    """[key, evaluator] of a family's last loads (see ``_Family``); it pickles
     empty, because the evaluator is a closure."""
 
     def __init__(self):
@@ -554,7 +550,30 @@ class _Last(list):
 
 
 @dataclass(frozen=True)
-class EFunctionFamily:
+class _Family:
+    """The ``evaluate`` of an E-function family whose ``_at(alpha)`` gives
+    q -> E(alpha, q) on a 1-d q.  ``_last`` keeps the last loads' ``_at``: a
+    DE recursion evaluates a family at the same loads step after step."""
+
+    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
+
+    def evaluate(self, alpha, q):
+        """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
+        a = np.asarray(alpha, dtype=float)
+        qa = np.asarray(q, dtype=float)
+        if a.ndim and a.shape != qa.shape:
+            qa = np.broadcast_to(qa, a.shape)
+        key = (a.shape, a.tobytes())
+        last_key, efun = self._last  # one read, so another thread cannot mix two entries
+        if last_key != key:
+            efun = self._at(a)
+            self._last[:] = [key, efun]
+        out = efun(qa.ravel())
+        return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
+
+
+@dataclass(frozen=True)
+class EFunctionFamily(_Family):
     """Truncated ensemble E/H-function: degree-law average of E_d up to D.
 
     Tail convention: BEC families drop the mass beyond D (each dropped term
@@ -567,7 +586,6 @@ class EFunctionFamily:
     payoff: str
     D: int
     law: DegreeLaw
-    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.base not in ("ldmc3", "ldmc5"):
@@ -577,10 +595,6 @@ class EFunctionFamily:
         if self.channel == "BSC" and self.base != "ldmc3":
             raise ValueError("BSC alphabets are available for ldmc3 only")
         _check_degree(self.D)
-
-    def evaluate(self, alpha, q):
-        """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
-        return _evaluate(self, alpha, q)
 
     def _at(self, alpha):
         """q -> E(alpha, q) on a 1-d q, with the degree law at alpha computed once."""
@@ -598,31 +612,10 @@ class EFunctionFamily:
             for i, p in enumerate(crossovers.tolist()):
                 lanes = np.flatnonzero(which == i)
                 laws = pmf if pmf.ndim == 1 else pmf[:, lanes]
-                out[lanes] = _average(f_alphabet("ldmc3_bsc", p), self.payoff, laws, np.zeros(lanes.shape[0]))
+                out[lanes] = _averager(f_alphabet("ldmc3_bsc", p), self.payoff, laws)(np.zeros(lanes.shape[0]))
             return out + tail
 
         return bsc
-
-
-def _evaluate(family, alpha, q):
-    """``family.evaluate``: E at the load alpha, or at one load per lane of q."""
-    qa = np.asarray(q, dtype=float)
-    if np.ndim(alpha) and np.shape(alpha) != qa.shape:
-        qa = np.broadcast_to(qa, np.shape(alpha))
-    out = _bound(family, alpha)(qa.ravel())
-    return float(out[0]) if qa.ndim == 0 else out.reshape(qa.shape)
-
-
-def _bound(family, alpha):
-    """``family._at(alpha)``, kept while the loads stay the same: a DE
-    recursion evaluates a family at the same loads step after step."""
-    a = np.asarray(alpha, dtype=float)
-    key = (a.shape, a.tobytes())
-    last_key, efun = family._last  # one read, so another thread cannot mix two entries
-    if last_key != key:
-        efun = family._at(a)
-        family._last[:] = [key, efun]
-    return efun
 
 
 def build_family(
@@ -717,31 +710,27 @@ def d_function(family, alpha: float, q):
     return float(out) if qa.ndim == 0 else out
 
 
-def first_zero(family, alpha: float, grid: int = 2001, tol: float = 1e-10):
-    """Smallest root of q -> D(alpha, q) in (0, 1], or None."""
-    qs = np.linspace(0.0, 1.0, grid)[1:]
+_ZERO_GRID = 2001
+_ZERO_TOL = 1e-10
+
+
+def first_zero(family, alpha: float):
+    """Smallest root of q -> D(alpha, q) in (0, 1], or None: the first zero or
+    sign change on a 2001-point grid of [0, 1], bisected to 1e-10."""
+    qs = np.linspace(0.0, 1.0, _ZERO_GRID)[1:]
     vals = np.asarray(d_function(family, alpha, qs), dtype=float)
     for i in range(vals.shape[0]):
         if vals[i] == 0.0:
             return float(qs[i])
         if i > 0 and vals[i - 1] * vals[i] < 0.0:
-            lo, hi = float(qs[i - 1]), float(qs[i])
-            flo = vals[i - 1]
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = d_function(family, alpha, mid)
-                if fm == 0.0:
-                    return mid
-                if (flo > 0) == (fm > 0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
+            sign = vals[i - 1] > 0.0
+            lo, hi = bisect(lambda q: (d_function(family, alpha, q) > 0.0) == sign, float(qs[i - 1]), float(qs[i]), _ZERO_TOL)
             return 0.5 * (lo + hi)
     return None
 
 
 @dataclass(frozen=True)
-class ClosedFormFamily:
+class ClosedFormFamily(_Family):
     """Closed-form BEC error function of a mixed or systematic-regular ensemble.
 
     Mixed(profile): ``mixed_efun`` over the profile; LDGM(d) is the profile
@@ -757,7 +746,6 @@ class ClosedFormFamily:
     profile: DegreeProfile | None = None
     rate: float | None = None
     D: int = 10
-    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "mixed":
@@ -772,10 +760,6 @@ class ClosedFormFamily:
                 raise ValueError("sysregular requires d(1-R)/R to be an integer")
         else:
             raise ValueError(f"unknown closed form kind {self.kind!r}")
-
-    def evaluate(self, alpha, q):
-        """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
-        return _evaluate(self, alpha, q)
 
     def _at(self, alpha):
         """q -> E(alpha, q) on a 1-d q, with what alpha fixes set up once."""

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ERASED, ReceivedWord
+from .channels import ERASED, ReceivedWord, _check_bits
 
 
 # the largest block length n = round(k / rate) a spec may ask for; a sampled
@@ -249,7 +249,10 @@ def _sample_subsets(rng: np.random.Generator, count: int, d: int, k: int) -> np.
     return idx
 
 
-def _sample_regular(rng: np.random.Generator, arities: np.ndarray, k: int, max_retries: int = 100) -> np.ndarray:
+_SWITCH_ROUNDS = 100  # edge-switching rounds before a pairing gives up
+
+
+def _sample_regular(rng: np.random.Generator, arities: np.ndarray, k: int) -> np.ndarray:
     """Configuration-model pairing: each variable fills ``sum(arities) / k`` slots.
 
     Returns the slot-to-variable array, check by check.  A slot repeating a
@@ -267,7 +270,7 @@ def _sample_regular(rng: np.random.Generator, arities: np.ndarray, k: int, max_r
     rng.shuffle(stubs)
     ptr = _offsets(arities)
     check_of = np.repeat(np.arange(arities.shape[0]), arities)
-    for _ in range(max_retries):
+    for _ in range(_SWITCH_ROUNDS):
         order = np.lexsort((stubs, check_of))
         s, c = stubs[order], check_of[order]
         bad = order[1:][(s[1:] == s[:-1]) & (c[1:] == c[:-1])]
@@ -320,9 +323,10 @@ def encode(graph: FactorGraph, source) -> np.ndarray:
     """Apply every check to the source; returns the emitted coded bits.
 
     MAJ outputs 1 iff a strict majority of its inputs is 1; XOR outputs the
-    parity.  PARITY checks are not emitted but must evaluate to zero.
+    parity.  PARITY checks are not emitted but must evaluate to zero.  Source
+    values other than 0 or 1 raise ``ValueError``.
     """
-    s = np.asarray(source, dtype=np.int64)
+    s = _check_bits(source, "source bits").astype(np.int64, copy=False)
     if s.shape[0] != graph.k:
         raise ValueError("source length must equal k")
     ptr, evar, codes, arities = graph.flat

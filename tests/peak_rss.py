@@ -1,0 +1,50 @@
+"""Peak RSS of four large runs against their bounds.
+
+Each run is a fresh Python process in a temporary directory; the script
+prints every peak and exits 1 if one reaches its bound.  Usage::
+
+    python tests/peak_rss.py
+"""
+
+from __future__ import annotations
+
+import sys
+import tempfile
+
+from _rss import peak_rss_mb
+
+CLI = ["-m", "gracecode.cli"]
+SIMULATE = [*CLI, "simulate", "--k", "100000", "--rate", "0.5", "--bp-iters", "10",
+            "--alpha-grid", "0.5:1.5:0.5", "--trials", "1"]  # fmt: skip
+BIT_MAP = (
+    "import numpy as np\n"
+    "from gracecode.exactdec import BitMatrix, map_ber_linear\n"
+    "map_ber_linear(BitMatrix.repetition(100_000, 2), 0.5, 1, np.random.default_rng(2))\n"
+)
+MIXED_PROFILE = "MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"
+
+# (run, bound in MB, the python argv, run in a directory holding sim-mixed.profile)
+RUNS = [
+    ("devo --family ldmc5 --dmax 14", 400,
+     [*CLI, "devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "14", "--out", "devo.csv"]),
+    ("map_ber_linear on the k=1e5 repetition code", 300, ["-c", BIT_MAP]),
+    ("simulate --ensemble ldmc5 --k 100000", 88, [*SIMULATE, "--ensemble", "ldmc5", "--out", "ldmc5.csv"]),
+    ("simulate --ensemble sim-mixed.profile --k 100000", 75,
+     [*SIMULATE, "--ensemble", "sim-mixed.profile", "--out", "mixed.csv"]),
+]  # fmt: skip
+
+
+def main() -> int:
+    over = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/sim-mixed.profile", "w", encoding="utf-8") as fh:
+            fh.write(MIXED_PROFILE)
+        for name, bound, argv in RUNS:
+            peak = peak_rss_mb(argv, cwd=tmp)
+            print(f"{name}: peak RSS {peak:.0f} MB (bound {bound} MB)", flush=True)
+            over += peak >= bound
+    return 1 if over else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

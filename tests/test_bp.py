@@ -491,6 +491,7 @@ def test_measure_and_histogram():
     assert 0.0 <= ber <= 0.5
     assert 0.0 <= iota <= 1.0
     assert hist.sum() == 7
+    assert measure(result, np.zeros(7, dtype=np.int8)) == (ber, iota, None)  # no histogram unless asked for
     with pytest.raises(ValueError):
         measure(result, np.zeros(3, dtype=np.int8))
 

@@ -147,6 +147,15 @@ def test_received_word_rejects_symbols_a_bsc_cannot_output(symbols):
         ReceivedWord(np.array(symbols), ChannelParam.bsc(0.1))
 
 
+def test_transmit_rejects_a_codeword_that_is_not_bits():
+    # checked before the int8 cast, which would send 257 as 1 and 256 as 0
+    rng = np.random.default_rng(0)
+    for codeword in ([257, 256, 0], [0, 2], [-1, 1], [0.5, 0]):
+        with pytest.raises(ValueError, match="codeword bits must be 0 or 1"):
+            transmit(np.array(codeword), ChannelParam.bec(0.0), rng)
+    assert transmit([True, False], ChannelParam.bec(0.0), rng).symbols.tolist() == [1, 0]
+
+
 def test_received_word_keeps_valid_symbols_as_int8():
     word = ReceivedWord(np.array([1, ERASED, 0], dtype=np.int64), ChannelParam.bec(0.5))
     assert word.symbols.dtype == np.int8 and word.symbols.tolist() == [1, ERASED, 0]

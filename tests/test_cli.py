@@ -15,6 +15,7 @@ import scipy
 
 from gracecode import cli
 from gracecode.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
+from gracecode.converse import linear_single_point
 from gracecode.efun import build_family, error_poly, f_alphabet
 
 
@@ -364,6 +365,40 @@ def test_manifest_seed_only_where_taken(tmp_path, capsys):
                 main([*argv, "--seed", "1", "--out", str(out)])
             assert exc.value.code == EXIT_USAGE
             assert "--seed" in capsys.readouterr().err
+
+
+def test_manifest_keys_per_command(tmp_path):
+    # the fields each command returns, and nothing a command does not set
+    common = {"argv", "version", "python", "numpy", "scipy", "walltime_s"}
+    trials = {"seed", "trials", "failed_trials", "phase_s"}
+    ensemble = ["--ensemble", "ldmc3", "--k", "20", "--rate", "0.5", "--bp-iters", "1", "--trials", "1"]
+    runs = {
+        "simulate": (["simulate", *ensemble, "--alpha-grid", "1.0"], common | trials),
+        "histogram": (["histogram", *ensemble, "--alpha", "1.0", "--bins", "2"], common | trials),
+        "optimize": (["optimize", "--components", "XOR:1,XOR:2", "--targets", "1.0", "--ell", "2",
+                      "--multistart", "1"], common | {"seed"}),
+        "devo": (["devo", "--family", "ldgm3", "--alpha-grid", "1.0", "--ell", "1"], common),
+        "converse": (["converse", "--bound", "linear1", "--rate", "0.5", "--eps-grid", "0.75"], common),
+        "efun": (["efun", "--dmax", "1"], common),
+    }
+    for name, (argv, keys) in runs.items():
+        out = tmp_path / f"{name}.out"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK, name
+        assert set(json.loads(_read(str(out) + ".manifest.json"))) == keys, name
+
+
+def test_converse_linear1_is_the_single_point_bound(tmp_path):
+    out = tmp_path / "linear1.csv"
+    grid = "0:1:0.05"
+    for rate in (0.5, 0.8, 1.0):
+        argv = ["converse", "--bound", "linear1", "--rate", str(rate), "--eps-grid", grid, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = [r.split(",") for r in _read(str(out)).strip().split("\n")[1:]]
+        eps = cli._parse_grid(grid)
+        assert [r[1] for r in rows] == [cli._fmt(e) for e in eps]
+        want = [cli._fmt(linear_single_point(1.0 / rate, float(e))) for e in eps]
+        assert [r[3] for r in rows] == want, rate
+        assert {r[2] for r in rows} == {"linear1"}
 
 
 def test_converse_area_skips_below_anchor(tmp_path):

@@ -18,6 +18,7 @@ from gracecode.ensemble import (
     EnsembleSpec,
     FactorGraph,
     InfeasibleSpecError,
+    _largest_remainder_counts,
     _sample_subsets,
     degree_stats,
     encode,
@@ -76,6 +77,15 @@ def test_sample_counts_largest_remainder():
     assert len(graph.checks) == 200
     assert kinds.count("MAJ") == 60
     assert kinds.count("XOR") == 140
+
+
+def test_largest_remainder_counts_hand_out_the_remainder():
+    # floors 3, 2, 1 leave one check; the largest fraction (.5) takes it
+    assert _largest_remainder_counts([0.5, 0.3, 0.2], 7).tolist() == [4, 2, 1]
+    # floors 1, 3, 4 leave one; fractions .35, .15, .5
+    assert _largest_remainder_counts([0.15, 0.35, 0.5], 9).tolist() == [1, 3, 5]
+    # four equal fractions of .5 share two checks, first come first served
+    assert _largest_remainder_counts([0.25] * 4, 6).tolist() == [2, 2, 1, 1]
 
 
 def test_sample_distinct_indices():
@@ -189,6 +199,15 @@ def test_encode_parity_constraint():
     assert list(out) == [0]
     with pytest.raises(ConstraintViolationError):
         encode(graph, [1, 0, 0])
+
+
+def test_encode_rejects_a_source_that_is_not_bits():
+    # 2 once counted as a majority 1 and a parity 0, -1 as a parity 1
+    graph = FactorGraph.from_checks(k=3, checks=((CheckKind.maj(3), (0, 1, 2)), (CheckKind.xor(1), (0,))))
+    for source in ([2, 0, 0], [-1, 0, 0], [0.5, 1, 1]):
+        with pytest.raises(ValueError, match="source bits must be 0 or 1"):
+            encode(graph, source)
+    assert encode(graph, [True, True, False]).tolist() == [1, 1]
 
 
 def test_encode_length_mismatch():

@@ -220,7 +220,7 @@ def test_an_extended_table_equals_one_built_at_once(name, payoff):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# _average of the pmf 0.1, 0.4, 0.3, 0.2 at degrees 0, 3, 7, 10 and q = 0, 1/4,
+# _averager of the pmf 0.1, 0.4, 0.3, 0.2 at degrees 0, 3, 7, 10 and q = 0, 1/4,
 # 1/2, 3/4, 1, as evaluated when only the degrees with mass were stacked
 GAP_PMF_VALUES = {
     "ldmc3_bec": ["0x1.25ca666666668p-3", "0x1.e483af062051ep-4", "0x1.93d5b59c5999ap-4",
@@ -236,7 +236,7 @@ def test_degrees_without_mass_add_exactly_zero(name):
     pmf = np.zeros(11)
     pmf[[0, 3, 7, 10]] = [0.1, 0.4, 0.3, 0.2]
     qs = np.linspace(0.0, 1.0, 5)
-    got = efun._average(alphabet, "error", pmf, qs)
+    got = efun._averager(alphabet, "error", pmf)(qs)
     assert [x.hex() for x in got.tolist()] == GAP_PMF_VALUES[name]
     # the same sum, degree by degree in increasing order
     want = np.zeros(qs.shape)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gracecode.devo import _at_loads, _settle, _traces, fixed_point, iterate
-from gracecode.efun import ClosedFormFamily, DegreeLaw, _average, build_family, f_alphabet, mixed_efun
+from gracecode.efun import ClosedFormFamily, DegreeLaw, _averager, build_family, f_alphabet, mixed_efun
 from gracecode.ensemble import CheckKind, parse_profile
 
 LANES = (1, 2, 7, 33, 500)
@@ -51,12 +51,12 @@ def test_average_lanes_match_one_lane_calls(alphabet, L):
     for payoff in ("error", "chi2", "entropy"):
         shared = rng.random(11)
         shared[rng.random(11) < 0.3] = 0.0  # degrees without mass
-        one = np.array([_average(alph, payoff, shared, q)[0] for q in qs.tolist()])
-        assert same(_average(alph, payoff, shared, qs), one), payoff
+        one = np.array([_averager(alph, payoff, shared)(q)[0] for q in qs.tolist()])
+        assert same(_averager(alph, payoff, shared)(qs), one), payoff
         # one degree law per lane, with different degree sets
         per_lane = rng.random((11, L)) * (rng.random((11, L)) < 0.7)
-        one = np.array([_average(alph, payoff, per_lane[:, i], q)[0] for i, q in enumerate(qs.tolist())])
-        assert same(_average(alph, payoff, per_lane, qs), one), payoff
+        one = np.array([_averager(alph, payoff, per_lane[:, i])(q)[0] for i, q in enumerate(qs.tolist())])
+        assert same(_averager(alph, payoff, per_lane)(qs), one), payoff
 
 
 @pytest.mark.parametrize("L", LANES)

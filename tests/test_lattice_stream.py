@@ -12,15 +12,13 @@ by a golden and by the peak memory of a child process.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import _oracles
 import numpy as np
 import pytest
 
+from _rss import peak_rss_mb
 from gracecode import efun
 from gracecode.efun import MessageAlphabet, f_alphabet
 
@@ -80,19 +78,9 @@ def test_rank_is_the_unique_inverse(name):
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):
-    # the whole-lattice build peaked at 519-522 MB here.  A child starts with
-    # the peak RSS of the process it was spawned from, so a small wrapper
-    # process runs the command and reads its peak through RUSAGE_CHILDREN
+    # the whole-lattice build peaked at 519-522 MB here
     out = tmp_path / "devo.csv"
     argv = ["devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "12", "--out", str(out)]
-    wrapper = (
-        "import resource, subprocess, sys\n"
-        f"subprocess.run([sys.executable, '-m', 'gracecode.cli', *{argv!r}], check=True)\n"
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-    )
-    src = str(Path(efun.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True, check=True, env=env)
-    peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in kB on Linux
+    peak_mb = peak_rss_mb(["-m", "gracecode.cli", *argv])
     assert peak_mb < 250, peak_mb
     assert out.read_bytes() == (GOLDEN / "devo_ldmc5_dmax12.csv").read_bytes()
