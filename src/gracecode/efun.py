@@ -28,6 +28,12 @@ in a fixed order, so a lane gets the same bits whatever the other lanes are.
 A family's ``_at`` and ``_mixed_at`` set up what a fixed set of loads needs
 once, for a DE recursion that evaluates them step after step; both families
 share one ``evaluate`` (``_Family``), which keeps the last loads' ``_at``.
+
+The lattice weights and the Poisson degree law take log k! from
+``_log_factorial``, which follows Cephes ``lgam`` at integer arguments, and
+k log mu from libm's ``math.log``: the bits of ``scipy.special.gammaln`` and
+``xlogy``, without importing ``scipy.special``.  Only the binomial law does,
+for ``xlog1py``.
 """
 
 from __future__ import annotations
@@ -233,12 +239,41 @@ def _lattice(d: int, K: int) -> np.ndarray:
     return blocks[-1]
 
 
+# Cephes ``lgam``'s Stirling series, which ``scipy.special.gammaln`` runs from
+# x = 13 on: log sqrt(2 pi) and the coefficients of its 1/x^2 polynomial,
+# highest power first
+_LS2PI = 0.91893853320467274178
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+             -2.77777777730099687205e-3, 8.33333333333331927722e-2)  # fmt: skip
+
+
+def _log_factorial(k: int) -> float:
+    """log k!, the bits of ``scipy.special.gammaln(k + 1)``: Cephes ``lgam`` at x = k + 1."""
+    x = float(k + 1)
+    if x < 13.0:
+        return math.log(math.factorial(k))  # lgam's product, exact below 2^53
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    s = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        s = s * p + c
+    return q + s / x
+
+
 def _log_factorials(n: int):
     """(k, log k!) for k = 0..n."""
-    from scipy.special import gammaln
+    return np.arange(n + 1), np.array([_log_factorial(k) for k in range(n + 1)])
 
-    ks = np.arange(n + 1)
-    return ks, gammaln(ks + 1)
+
+def _xlogy(ks: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(lanes, ks) matrix of ``scipy.special.xlogy(ks, y)`` for increasing ks
+    from 0 and one y per lane: k log y through libm's ``math.log``, and 0 at
+    k = 0.  numpy's vectorised ``np.log`` does not round every input as libm
+    does."""
+    logy = np.array([math.log(v) if v > 0.0 else -math.inf if v == 0.0 else math.nan for v in y.tolist()])
+    out = np.zeros((logy.shape[0], ks.shape[0]))
+    out[:, 1:] = ks[1:] * logy[:, None]  # skips 0 * log 0
+    return out
 
 
 def _log_multinomial(d: int, z: np.ndarray) -> np.ndarray:
@@ -510,25 +545,29 @@ class DegreeLaw:
         """(pmf over degrees 0..D, P(Deg > D)) at load alpha.
 
         An array of L loads gives one law per lane: a (D+1, L) pmf and L
-        tails, each the same bits as the law at that load alone.
+        tails, each the same bits as the law at that load alone.  The bits
+        are scipy's: log k! follows Cephes ``lgam`` and k log mu is libm's.
+        Only the binomial law imports ``scipy.special``, for ``xlog1py``,
+        whose Cephes ``log1p`` libm's ``math.log1p`` does not match bit for
+        bit; of the families, only the systematic-regular closed form uses it.
         """
-        from scipy.special import xlog1py, xlogy
-
         a = np.asarray(alpha, dtype=float)
         lanes = a.reshape(-1, 1)  # lane-major: one row per load
         if self.kind == "poisson":
             ks, log_fact = _log_factorials(D)
             mu = self.arity * lanes
-            pmf = np.exp(xlogy(ks, mu) - log_fact - mu)
+            pmf = np.exp(_xlogy(ks, mu[:, 0]) - log_fact - mu)
             tail = np.maximum(1.0 - pmf.sum(axis=1), 0.0)
         else:
+            from scipy.special import xlog1py
+
             pr = lanes * self.rate
             if np.any(pr > 1.0 + 1e-12):
                 raise ValueError("binomial degree law needs alpha*rate <= 1")
             n, pr = self.trials, np.minimum(pr, 1.0)
             ks, log_fact = _log_factorials(n)
             logc = log_fact[n] - log_fact - log_fact[::-1]
-            w = np.exp(logc + xlogy(ks, pr) + xlog1py(n - ks, -pr))
+            w = np.exp(logc + _xlogy(ks, pr[:, 0]) + xlog1py(n - ks, -pr))
             pmf = np.zeros((w.shape[0], D + 1))
             upto = min(D + 1, w.shape[1])
             pmf[:, :upto] = w[:, :upto]

@@ -464,19 +464,42 @@ def test_console_entry_point():
     assert proc.stdout.strip() == gracecode.__version__
 
 
-def test_simulate_does_not_import_scipy_special(tmp_path):
-    # scipy.special is imported only by the degree laws and the composition
-    # lattice, which simulate never reaches
+# One small run of every command that either never reaches the degree laws
+# (simulate) or evaluates them only on the built-in families.
+_NO_SCIPY_SPECIAL = {
+    "simulate": ["simulate", "--ensemble", "ldmc3", "--k", "50", "--rate", "0.5", "--alpha-grid", "1.0",
+                 "--bp-iters", "2", "--trials", "1"],
+    "devo-ldmc3-bec": ["devo", "--family", "ldmc3", "--alpha-grid", "0.5:1.5:0.5", "--ell", "3", "--dmax", "6"],
+    "devo-ldmc3-bsc": ["devo", "--family", "ldmc3", "--alpha-grid", "0.5:1.5:0.5", "--ell", "3", "--dmax", "6",
+                       "--surrogate", "BSC", "--quantity", "chi2-soft", "--x0", "0.5"],
+    "devo-ldmc5-bec": ["devo", "--family", "ldmc5", "--alpha-grid", "0.5:1.5:0.5", "--ell", "3", "--dmax", "4"],
+    "devo-mixed-bec": ["devo", "--family", "{mixed}", "--alpha-grid", "0.5:1.5:0.5", "--ell", "3", "--dmax", "6"],
+    "converse-general2": ["converse", "--bound", "general2", "--rate", "0.5", "--anchor-eps", "0.75",
+                          "--anchor-delta", "0.2501", "--eps-grid", "0.7:0.8:0.05"],
+    "converse-area": ["converse", "--bound", "area", "--rate", "0.5", "--anchor-eps", "0.4", "--anchor-delta",
+                      "0.001", "--eps-grid", "0.4:0.6:0.1"],
+    "optimize": ["optimize", "--components", "XOR:1,MAJ:3,XOR:3", "--targets", "0.9,1.1", "--ell", "3",
+                 "--multistart", "1", "--dmax", "6"],
+    "efun-ldmc5": ["efun", "--family", "ldmc5-bec", "--dmax", "4"],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("argv", _NO_SCIPY_SPECIAL.values(), ids=_NO_SCIPY_SPECIAL.keys())
+def test_command_does_not_import_scipy_special(argv, tmp_path):
+    # scipy.special is imported only by the binomial degree law (xlog1py) and
+    # by large_d_bound's scipy.integrate, which none of these commands reach
+    mixed = tmp_path / "mixed.profile"
+    mixed.write_text("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", encoding="utf-8")
     code = (
         "import sys\n"
         "import gracecode.cli\n"
-        "status = gracecode.cli.main(['simulate', '--ensemble', 'ldmc3', '--k', '50', '--rate', '0.5',"
-        " '--alpha-grid', '1.0', '--bp-iters', '2', '--trials', '1', '--out', sys.argv[1]])\n"
+        "status = gracecode.cli.main(sys.argv[1:])\n"
         "assert status == 0, status\n"
         "print('scipy.special' in sys.modules)\n"
     )
+    args = [a.format(mixed=mixed) for a in argv] + ["--out", str(tmp_path / "out.csv")]
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "sim.csv")],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, check=True, env=_child_env(),
     )
     assert proc.stdout.strip() == "False"

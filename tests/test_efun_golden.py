@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+from _oracles import probabilities_plain
+from gracecode import efun
 from gracecode.channels import h_b
 from gracecode.efun import (
     ClosedFormFamily,
@@ -183,6 +186,34 @@ def test_degree_law_probabilities():
     assert abs(pmf[3] - 0.3125) < 1e-12
     with pytest.raises(ValueError):
         DegreeLaw.binomial(6, 0.9).probabilities(1.2, 10)
+
+
+def test_log_factorials_are_gammaln_bit_for_bit():
+    # k = 0..20000 crosses lgam's switch from the exact product to the Stirling
+    # series at x = k + 1 = 13
+    from scipy.special import gammaln
+
+    ks, log_fact = efun._log_factorials(20000)
+    assert ks.tolist() == list(range(20001))
+    assert log_fact.tobytes() == gammaln(ks + 1).tobytes()
+
+
+@pytest.mark.parametrize("arity", [1, 3, 5])
+def test_poisson_law_is_the_scipy_law_bit_for_bit(arity):
+    # the last three loads times arity 1, 3 and 5 are inputs on which numpy's
+    # vectorised np.log rounds otherwise than libm's log on an AVX-512 machine
+    loads = np.concatenate([np.linspace(0.0, 45.0, 181), [1e-300, 1e-12, 0.2732625, 0.1472625, 0.164025]])
+    law = DegreeLaw.poisson(arity)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for D in range(efun._MAX_DEGREE + 1):
+            pmf, tail = law.probabilities(loads, D)
+            for i, alpha in enumerate(loads.tolist()):
+                ref_pmf, ref_tail = probabilities_plain(law, alpha, D)
+                assert pmf[:, i].tobytes() == ref_pmf.tobytes(), (alpha, D)
+                assert tail[i] == ref_tail, (alpha, D)
+                one_pmf, one_tail = law.probabilities(alpha, D)
+                assert one_pmf.tobytes() == ref_pmf.tobytes() and one_tail == ref_tail
 
 
 BAD_LAWS = [("poisson", -3), ("poisson", 0), ("binomial", -1, 0.5), ("binomial", 4, -0.5),
