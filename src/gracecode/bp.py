@@ -132,7 +132,11 @@ def _layout(graph: FactorGraph, obs):
         code, d = divmod(key, base)
         sel = np.flatnonzero(keys == key)
         blk = slice(stops[key] - d * sel.shape[0], stops[key])
-        evar[blk] = g_evar[ptr[sel][None, :] + np.arange(d)[:, None]].ravel()
+        first, block = ptr[sel], evar[blk].reshape(d, sel.shape[0])
+        # row by row, with no (d, C) index matrix; the indices are in range,
+        # and with "clip" np.take writes into out without a buffer
+        for i in range(d):
+            np.take(g_evar, first + i, out=block[i], mode="clip")
         bits = obs[sel]
         if d == 1:
             # observed arity-1 checks need no incoming information, and these

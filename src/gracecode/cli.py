@@ -332,7 +332,7 @@ def _add_ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regular", action="store_true")
     p.add_argument("--bp-iters", type=_int_at_least(0), default=10)
     p.add_argument("--trials", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-point", action="store_true")
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--multistart", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
 

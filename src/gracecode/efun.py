@@ -208,9 +208,13 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
 _PAYOFFS = ("error", "chi2", "entropy")
 # E_d's lattice streams in chunks of this many rows, at offsets that are its
 # multiples: a BLAS matrix-vector product gives a row the bits it has in the
-# whole lattice only if the row's block starts where the whole lattice's does
-_CHUNK_ROWS = 1 << 16
-# (d, owners) -> (rows, logc, rank) of a lattice of at most _CHUNK_ROWS rows
+# whole lattice only if the row's block starts where the whole lattice's does.
+# 2^14 is the smallest power of two that holds every LDMC3 lattice up to
+# d = 14 (11,628 rows) in one chunk, so the cache below serves every BSC
+# crossover; a chunk's float work holds about a quarter of its 20 MB at 2^16
+_CHUNK_ROWS = 1 << 14
+# (d, owners) -> (rows, logc, rank) of a lattice of at most _CHUNK_ROWS rows:
+# every LDMC3 BEC and BSC degree up to 14, LDMC5 up to 5
 _LATTICE_CACHE: dict = {}
 
 
@@ -316,7 +320,8 @@ def _lattice_chunks(d: int, owners: tuple):
     A chunk gathers its rows [head | tail] from the heads, the first P columns
     (whole entries), and the tails, the compositions of what a head leaves; a
     row's rank is its head's plus its tail's.  Only a lattice of one chunk is
-    cached, per (d, owners): a new BSC crossover reuses it.
+    cached, per (d, owners): a new BSC crossover reuses it, and a larger
+    lattice (LDMC5 from d = 6 on) is streamed by the one BEC build that reads it.
     """
     hit = _LATTICE_CACHE.get((d, owners))
     if hit is not None:

@@ -71,6 +71,29 @@ def test_usage_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--alpha-grid", "1.0"],
+        ["histogram", "--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--alpha", "1.0"],
+        # one start would run and record the seed; two would fail in the second
+        ["optimize", "--components", "XOR:1,XOR:2", "--targets", "1.0", "--ell", "2", "--multistart", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_is_a_usage_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(cli, "sample_graph", no_work)
+    monkeypatch.setattr(cli, "optimize_profile", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulate_checks_its_rate_before_dividing_by_it(tmp_path, capsys):
     out = tmp_path / "sim.csv"

@@ -3,11 +3,13 @@
 ``efun._degree_terms`` streams E_d's composition lattice in fixed chunks and
 never holds it whole.  Its types and coefficients must be byte-equal to the
 whole-lattice build it replaced (``_oracles._degree_terms``: one lattice, the
-types from ``np.unique``, one ``np.bincount`` per payoff), with 2^16-row
-chunks and with 1000-row ones.  Not every chunk size keeps the bits: OpenBLAS
-gives a row its whole-lattice bits only on its own block grid, and 1001-row
-chunks move some coefficients.  A degree too large for that oracle is guarded
-by a golden and by the peak memory of a child process.
+types from ``np.unique``, one ``np.bincount`` per payoff), with the
+production 2^14-row chunks and with 1000-row ones.  Not every chunk size
+keeps the bits: OpenBLAS gives a row its whole-lattice bits only on its own
+block grid, and 1001-row chunks move some coefficients.  The production size
+must also hold every LDMC3 lattice in one chunk, so that the lattice cache
+serves every BSC crossover.  A degree too large for that oracle is guarded by
+a golden and by the peak memory of a child process.
 """
 
 from __future__ import annotations
@@ -70,11 +72,22 @@ def test_chunk_size_does_not_move_a_bit(monkeypatch):
 @pytest.mark.parametrize("name", sorted(ALPHABETS))
 def test_rank_is_the_unique_inverse(name):
     owners = ALPHABETS[name][0]._cols[2]
-    for d in range(7):
-        (z, logc, rank), = efun._lattice_chunks(d, owners)
+    for d in range(8):  # LDMC5 streams degrees 6 and 7 in 2 and 4 chunks
+        z, logc, rank = map(np.concatenate, zip(*efun._lattice_chunks(d, owners)))
         want = _oracles._structure(d, owners)
         assert z.tobytes() == want.z.tobytes() and logc.tobytes() == want.logc.tobytes(), d
         assert rank.dtype.kind == "i" and np.array_equal(rank, want.inv), d
+
+
+def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
+    monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
+    ldmc3, ldmc3_bsc, ldmc5 = (f_alphabet(*a)._cols[2] for a in [("ldmc3_bec",), ("ldmc3_bsc", 0.11), ("ldmc5_bec",)])
+    for owners, dmax in [(ldmc3, 14), (ldmc3_bsc, 14), (ldmc5, 5)]:
+        for d in range(dmax + 1):
+            chunks = list(efun._lattice_chunks(d, owners))
+            assert len(chunks) == 1 and efun._LATTICE_CACHE[d, owners] is chunks[0], (owners, d)
+    # a larger lattice streams in several chunks and is not kept
+    assert len(list(efun._lattice_chunks(6, ldmc5))) > 1 and (6, ldmc5) not in efun._LATTICE_CACHE
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):
