@@ -352,10 +352,8 @@ def _structure(d: int, owners: tuple) -> _Structure:
 def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
     """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
 
-    Returned as (type-count matrix, coefficients), in float64, for
-    ``_table`` to stack; the float lattice and its row vectors go on return.
-    All coefficients are >= 0, so evaluation through this form is free of
-    the catastrophic cancellation the expanded power basis exhibits at larger d.
+    Returned as (type-count matrix, coefficients), in float64; the float
+    lattice and its row vectors go on return.  All coefficients are >= 0.
     """
     col_l, col_logq, owners = alphabet._cols
     s = _structure(d, owners)
@@ -366,6 +364,36 @@ def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
     vals = np.exp(logp) * _apply_payoff(e, payoff)
     return s.types, np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
+
+
+def bernstein_vector(coeffs, m: int) -> np.ndarray:
+    """The polynomial sum_i coeffs[i] q^i in the terms q^k (1-q)^(m-k), k = 0..m.
+
+    Its coefficients in the scaled terms C(m, k) q^k (1-q)^(m-k) are
+    sum_i C(k, i) / C(m, i) coeffs[i]; each is taken in exact rationals and
+    rounded once.
+    """
+    return np.array([float(math.comb(m, k) * sum(Fraction(math.comb(k, i), math.comb(m, i)) * Fraction(a)
+                                                 for i, a in enumerate(coeffs[: k + 1])))
+                     for k in range(m + 1)])  # fmt: skip
+
+
+def bernstein_terms(alphabet, d: int, payoff: str) -> np.ndarray:
+    """E_d's coefficients b_k of q^k (1-q)^(md-k), k = 0..md, from the
+    whole-lattice type terms: each term's coefficient convolved, row by row,
+    with each weight's Bernstein vector as often as the type counts that
+    weight, and the rows added in order."""
+    m = max(w.degree for _, w in alphabet.entries)
+    beta = [bernstein_vector(w.coeffs, m) for _, w in alphabet.entries]
+    types, coefs = _degree_terms(alphabet, d, payoff)
+    total = np.zeros(m * d + 1)
+    for row, coef in zip(types.astype(np.int64).tolist(), coefs.tolist()):
+        poly = np.array([coef])
+        for j, count in enumerate(row):
+            for _ in range(count):
+                poly = np.convolve(poly, beta[j])
+        total += poly
+    return total
 
 
 def average_plain(alphabet, payoff: str, pmf, q) -> np.ndarray:

@@ -1,11 +1,12 @@
 """The cached and scalar analytic paths agree with the plain ones.
 
 E-functions are compared with the pre-cache evaluation in ``_oracles`` (one
-BLAS product pair, one exp and one add per degree).  The library sums each
-term's exponent over the alphabet entries in a fixed order instead of through
-BLAS, so it may differ from that oracle in the last bits: the comparison is
-to 1e-13 relative (the largest shift measured is 45 ulps, on
-single LDMC5 degrees 8-10 with thousands of terms).  Byte equality of
+BLAS product pair, one exp and one add per degree, over the type terms).  The
+library evaluates each degree's Bernstein coefficients with ``np.power``
+instead, so it may differ from that oracle in the last bits: the comparison
+is to 1e-13 relative (the largest shift measured is 87 ulps, 1.7e-14, on
+single LDMC5 degrees near 10, where the oracle's exp of a sum of logs is the
+less accurate side).  Byte equality of
 E-functions is checked between lanes and one-lane calls in ``test_lanes``.
 ``h_b``/``h_b_inv`` on a float are compared with the same call on a 1-element
 array, and ``general_two_point`` with a run whose every entropy call goes
@@ -67,16 +68,21 @@ def test_evaluate_matches_uncached_evaluation(name):
         assert near(family.evaluate(alpha, qs), evaluate_plain(family, alpha, qs)), alpha
 
 
+# weights of different degrees, each with more than one Bernstein coefficient
+RAGGED = MessageAlphabet(
+    "BEC",
+    ((1.0, EPolynomial((0.0, 1.0))), (2.0, EPolynomial((0.25,))), (3.0, EPolynomial((0.1, 0.2, -0.05)))),
+)
+
+
+def test_ragged_weights_have_nonnegative_bernstein_coefficients():
+    assert RAGGED._bernstein.tolist() == [[0.0, 1.0, 1.0], [0.25, 0.5, 0.25], [0.1, 0.4, 0.25]]
+
+
 def test_eval_degree_matches_uncached_evaluation():
-    # the last alphabet's polynomials have different lengths, which the
-    # zero-padded Horner matrix must evaluate as polyval does
-    ragged = MessageAlphabet(
-        "BEC",
-        ((1.0, EPolynomial((0.0, 1.0))), (2.0, EPolynomial((0.25,))), (3.0, EPolynomial((0.1, 0.2, -0.05)))),
-    )
     rng = np.random.default_rng(11)
     qs = grid(rng, 7)
-    for alphabet in (f_alphabet("ldmc3_bec"), f_alphabet("ldmc5_bec"), ragged):
+    for alphabet in (f_alphabet("ldmc3_bec"), f_alphabet("ldmc5_bec"), RAGGED):
         for d in range(11):
             pmf = np.zeros(d + 1)
             pmf[d] = 1.0
@@ -213,7 +219,7 @@ def test_an_extended_table_equals_one_built_at_once(name, payoff):
     entries = f_alphabet(name).entries
     grown, fresh = MessageAlphabet("BEC", entries), MessageAlphabet("BEC", entries)
     small = efun._table(grown, payoff, 3)
-    assert small[2].shape[0] == 5
+    assert small[1].shape[0] == 5
     extended = efun._table(grown, payoff, 10)
     assert extended is not small and efun._table(grown, payoff, 7) is extended
     for a, b in zip(extended, efun._table(fresh, payoff, 10), strict=True):

@@ -1,15 +1,18 @@
 """The streamed E-function lattice gives the whole-lattice build's bits.
 
 ``efun._degree_terms`` streams E_d's composition lattice in fixed chunks and
-never holds it whole.  Its types and coefficients must be byte-equal to the
-whole-lattice build it replaced (``_oracles._degree_terms``: one lattice, the
-types from ``np.unique``, one ``np.bincount`` per payoff), with the
-production 2^14-row chunks and with 1000-row ones.  Not every chunk size
-keeps the bits: OpenBLAS gives a row its whole-lattice bits only on its own
-block grid, and 1001-row chunks move some coefficients.  The production size
-must also hold every LDMC3 lattice in one chunk, so that the lattice cache
-serves every BSC crossover.  A degree too large for that oracle is guarded by
-a golden and by the peak memory of a child process.
+never holds it whole.  Its type terms (types and coefficients) must be
+byte-equal to the whole-lattice build it replaced (``_oracles._degree_terms``:
+one lattice, the types from ``np.unique``, one ``np.bincount`` per payoff),
+with the production 2^14-row chunks and with 1000-row ones.  Not every chunk
+size keeps the bits: OpenBLAS gives a row its whole-lattice bits only on its
+own block grid, and 1001-row chunks move some coefficients.  The table keeps
+only each degree's Bernstein coefficients, which must match the oracle's
+collapse of those terms (``_oracles.bernstein_terms``, one convolution per
+weight and row) to 1e-15 relative.  The production size must also hold every
+LDMC3 lattice in one chunk, so that the lattice cache serves every BSC
+crossover.  A degree too large for that oracle is guarded by a golden and by
+the peak memory of a child process.
 """
 
 from __future__ import annotations
@@ -22,15 +25,22 @@ import pytest
 
 from _rss import peak_rss_mb
 from gracecode import efun
-from gracecode.efun import MessageAlphabet, f_alphabet
+from gracecode.efun import EPolynomial, MessageAlphabet, f_alphabet
 
 GOLDEN = Path(__file__).with_name("golden")
 PAYOFFS = ("error", "chi2", "entropy")
+# weights of different degrees, each with more than one Bernstein coefficient
+RAGGED = MessageAlphabet(
+    "BEC",
+    ((1.0, EPolynomial((0.0, 1.0))), (2.0, EPolynomial((0.25,))), (3.0, EPolynomial((0.1, 0.2, -0.05)))),
+)
 ALPHABETS = {
     "ldmc3_bec": (f_alphabet("ldmc3_bec"), 14),
     "ldmc3_bsc_0.11": (f_alphabet("ldmc3_bsc", 0.11), 14),
     "ldmc3_bsc_0.37": (f_alphabet("ldmc3_bsc", 0.37), 14),
+    "ldmc3_bsc_0.5": (f_alphabet("ldmc3_bsc", 0.5), 14),
     "ldmc5_bec": (f_alphabet("ldmc5_bec"), 10),
+    "ragged": (RAGGED, 10),
 }
 
 
@@ -40,23 +50,38 @@ def _drop_oracle_lattices():
     _oracles._STRUCTURE_CACHE.clear()
 
 
-def assert_same_table(alphabet, dmax: int) -> None:
-    fresh = MessageAlphabet(alphabet.channel, alphabet.entries)  # no table cached yet
-    for payoff in PAYOFFS:
-        types, coefs, starts = efun._table(fresh, payoff, dmax)
-        assert starts.shape[0] == dmax + 2
-        for d in range(dmax + 1):
+def assert_same_terms(alphabet, dmax: int) -> None:
+    types, coefs = efun._degree_terms(alphabet, range(dmax + 1), PAYOFFS)
+    first = 0
+    for d, got_types in enumerate(types):
+        rows = slice(first, first + got_types.shape[0])
+        for payoff in PAYOFFS:
             want_types, want = _oracles._degree_terms(alphabet, d, payoff)
-            rows = slice(starts[d], starts[d + 1])
-            assert types.dtype == want_types.dtype and types[:, rows].T.shape == want_types.shape, (d, payoff)
-            assert types[:, rows].T.tobytes() == want_types.tobytes(), (d, payoff)
-            assert coefs.dtype == want.dtype and coefs[rows].shape == want.shape, (d, payoff)
-            assert coefs[rows].tobytes() == want.tobytes(), (d, payoff)
+            assert got_types.shape == want_types.shape, (d, payoff)
+            assert got_types.astype(np.float64).tobytes() == want_types.tobytes(), (d, payoff)
+            assert coefs[payoff].dtype == want.dtype and coefs[payoff][rows].shape == want.shape, (d, payoff)
+            assert coefs[payoff][rows].tobytes() == want.tobytes(), (d, payoff)
+        first = rows.stop
+    assert all(c.shape[0] == first for c in coefs.values())
+
+
+def assert_same_bernstein(alphabet, dmax: int) -> None:
+    fresh = MessageAlphabet(alphabet.channel, alphabet.entries)  # no table cached yet
+    m = fresh._bernstein.shape[1] - 1
+    for payoff in PAYOFFS:
+        b, starts = efun._table(fresh, payoff, dmax)
+        assert starts.tolist() == np.cumsum([0] + [m * d + 1 for d in range(dmax + 1)]).tolist()
+        assert b.dtype == np.float64 and b.shape[0] == starts[-1] and np.all(b >= 0.0), payoff
+        for d in range(dmax + 1):
+            want = _oracles.bernstein_terms(alphabet, d, payoff)
+            got = b[starts[d] : starts[d + 1]]
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * want), (d, payoff)
 
 
 @pytest.mark.parametrize("name", sorted(ALPHABETS))
 def test_tables_match_the_whole_lattice_build(name):
-    assert_same_table(*ALPHABETS[name])
+    assert_same_terms(*ALPHABETS[name])
+    assert_same_bernstein(*ALPHABETS[name])
 
 
 def test_chunk_size_does_not_move_a_bit(monkeypatch):
@@ -65,7 +90,7 @@ def test_chunk_size_does_not_move_a_bit(monkeypatch):
     ldmc5 = f_alphabet("ldmc5_bec")
     sizes = [z.shape[0] for z, _, _ in efun._lattice_chunks(8, ldmc5._cols[2])]
     assert sizes[:-1] == [1000] * (len(sizes) - 1) and sum(sizes) == 125_970
-    assert_same_table(ldmc5, 10)  # degrees 4-10 take more than one chunk
+    assert_same_terms(ldmc5, 10)  # degrees 4-10 take more than one chunk
     assert sorted(d for d, _ in efun._LATTICE_CACHE) == [0, 1, 2, 3]
 
 
