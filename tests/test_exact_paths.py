@@ -227,12 +227,12 @@ def test_an_extended_table_equals_one_built_at_once(name, payoff):
 
 
 # _averager of the pmf 0.1, 0.4, 0.3, 0.2 at degrees 0, 3, 7, 10 and q = 0, 1/4,
-# 1/2, 3/4, 1, as evaluated when only the degrees with mass were stacked
+# 1/2, 3/4, 1, as evaluated from the degrees' Bernstein coefficients
 GAP_PMF_VALUES = {
-    "ldmc3_bec": ["0x1.25ca666666668p-3", "0x1.e483af062051ep-4", "0x1.93d5b59c5999ap-4",
+    "ldmc3_bec": ["0x1.25ca666666668p-3", "0x1.e483af062051ep-4", "0x1.93d5b59c59999p-4",
                   "0x1.57457bf9e8a3ap-4", "0x1.3866666666667p-4"],
-    "ldmc5_bec": ["0x1.ab31303166666p-3", "0x1.82dcad42b5f59p-3", "0x1.44d448a299678p-3",
-                  "0x1.02b2fca4de672p-3", "0x1.af69d96cccccdp-4"],
+    "ldmc5_bec": ["0x1.ab31303166666p-3", "0x1.82dcad42b5f58p-3", "0x1.44d448a299678p-3",
+                  "0x1.02b2fca4de673p-3", "0x1.af69d96cccccdp-4"],
 }
 
 
