@@ -140,13 +140,13 @@ class MessageAlphabet:
             ent.append((m, w))
         object.__setattr__(self, "entries", tuple(ent))
         degree = max(w.degree for _, w in ent)
-        bernstein = np.array([_bernstein(j, mag, w.coeffs, degree) for j, (mag, w) in enumerate(ent)])
+        bernstein = np.array([_bernstein_row(j, mag, w.coeffs, degree) for j, (mag, w) in enumerate(ent)])
         bernstein.setflags(write=False)
         object.__setattr__(self, "_bernstein", bernstein)
         object.__setattr__(self, "_cols", _columns(ent))
 
 
-def _bernstein(j: int, magnitude: float, coeffs: tuple, m: int) -> list:
+def _bernstein_row(j: int, magnitude: float, coeffs: tuple, m: int) -> list:
     """The coefficients of sum_i coeffs[i] q^i in the terms q^k (1-q)^(m-k),
     k = 0..m: q^i = q^i (q + 1-q)^(m-i) gives coeffs[i] C(m-i, k-i) to every
     k >= i.  Each is summed exactly, over the coefficients' common power-of-two
@@ -157,7 +157,10 @@ def _bernstein(j: int, magnitude: float, coeffs: tuple, m: int) -> list:
         den = max(d for _, d in ratios)
         exact = [sum(n * (den // d) * math.comb(m - i, k - i) for i, (n, d) in enumerate(ratios[: k + 1])) for k in range(m + 1)]
         if min(exact) >= 0:
-            return [b / den for b in exact]  # int / int rounds once
+            try:
+                return [b / den for b in exact]  # int / int rounds once
+            except OverflowError:  # beyond the float range
+                pass
     raise ValueError(f"entry {j} (magnitude {magnitude}): weight {coeffs} has a negative or non-finite Bernstein coefficient")
 
 
@@ -539,13 +542,9 @@ def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray
 
 
 def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPolynomial:
-    """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2).
-
-    It expands the degree's type terms (``_degree_terms``) in powers of q,
-    with no table: from the Bernstein coefficients this would be a change of
-    basis, whose rounding grows with the coefficients' size (up to 5e6 for
-    LDMC5 chi2 at d = 10).
-    """
+    """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2),
+    expanded from the degree's type terms, not from its Bernstein coefficients
+    (a change of basis that loses the low bits of coefficients up to 5e6)."""
     _check_degree(d)
     (types,), coefs = _degree_terms(alphabet, (d,), (payoff,))
     entries = alphabet.entries

@@ -31,7 +31,7 @@ RUNS = [
     ("devo --family ldmc3", 40, [*DEVO, "--family", "ldmc3", "--out", "devo3.csv"]),
     # about 42 MB; 62 MB when the lattice streamed in chunks of 2^16 rows
     ("devo --family ldmc5", 50, [*DEVO, "--family", "ldmc5", "--out", "devo5.csv"]),
-    # about 67 MB
+    # about 65 MB; the 400 MB bound dated from the whole-lattice build (1.6 GB)
     ("devo --family ldmc5 --dmax 14", 100,
      [*CLI, "devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "14", "--out", "devo.csv"]),
     ("map_ber_linear on the k=1e5 repetition code", 300, ["-c", BIT_MAP]),

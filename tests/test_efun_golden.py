@@ -159,9 +159,10 @@ def test_alphabet_validation():
         MessageAlphabet("BEC", ((0.5, EPolynomial((1.0,))),))  # magnitude < 1
     with pytest.raises(ValueError, match="at least one entry"):
         MessageAlphabet("BEC", ())
-    # a NaN weight made E_2(0.3) NaN, and -0.5 + q at magnitude 2 made E_1(0.2)
-    # 3.3e-301 where it is -0.1: neither is a nonnegative Bernstein combination
-    for weight in (EPolynomial((float("nan"),)), EPolynomial((-0.5, 1.0))):
+    # no weight here is a finite, nonnegative Bernstein combination; unchecked,
+    # the NaN gives E_2(0.3) = NaN, and -0.5 + q alone at magnitude 2 gives
+    # E_1(0.2) = 3.3e-301 where it is -0.1; 1e308 (1 + q) has the coefficient 2e308
+    for weight in (EPolynomial((float("nan"),)), EPolynomial((-0.5, 1.0)), EPolynomial((1e308, 1e308))):
         with pytest.raises(ValueError, match=r"entry 1 \(magnitude 2.0\).*negative or non-finite Bernstein"):
             MessageAlphabet("BEC", ((1.0, EPolynomial((0.5,))), (2.0, weight)))
     with pytest.raises(ValueError):

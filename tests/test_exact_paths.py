@@ -6,8 +6,8 @@ library evaluates each degree's Bernstein coefficients with ``np.power``
 instead, so it may differ from that oracle in the last bits: the comparison
 is to 1e-13 relative (the largest shift measured is 87 ulps, 1.7e-14, on
 single LDMC5 degrees near 10, where the oracle's exp of a sum of logs is the
-less accurate side).  Byte equality of
-E-functions is checked between lanes and one-lane calls in ``test_lanes``.
+less accurate side).  Byte equality of E-functions is checked between lanes
+and one-lane calls in ``test_lanes``.
 ``h_b``/``h_b_inv`` on a float are compared with the same call on a 1-element
 array, and ``general_two_point`` with a run whose every entropy call goes
 through such an array; those comparisons are ``==`` on the bytes.
@@ -75,11 +75,8 @@ RAGGED = MessageAlphabet(
 )
 
 
-def test_ragged_weights_have_nonnegative_bernstein_coefficients():
-    assert RAGGED._bernstein.tolist() == [[0.0, 1.0, 1.0], [0.25, 0.5, 0.25], [0.1, 0.4, 0.25]]
-
-
 def test_eval_degree_matches_uncached_evaluation():
+    assert RAGGED._bernstein.tolist() == [[0.0, 1.0, 1.0], [0.25, 0.5, 0.25], [0.1, 0.4, 0.25]]
     rng = np.random.default_rng(11)
     qs = grid(rng, 7)
     for alphabet in (f_alphabet("ldmc3_bec"), f_alphabet("ldmc5_bec"), RAGGED):

@@ -25,15 +25,11 @@ import pytest
 
 from _rss import peak_rss_mb
 from gracecode import efun
-from gracecode.efun import EPolynomial, MessageAlphabet, f_alphabet
+from gracecode.efun import MessageAlphabet, f_alphabet
+from test_exact_paths import RAGGED
 
 GOLDEN = Path(__file__).with_name("golden")
 PAYOFFS = ("error", "chi2", "entropy")
-# weights of different degrees, each with more than one Bernstein coefficient
-RAGGED = MessageAlphabet(
-    "BEC",
-    ((1.0, EPolynomial((0.0, 1.0))), (2.0, EPolynomial((0.25,))), (3.0, EPolynomial((0.1, 0.2, -0.05)))),
-)
 ALPHABETS = {
     "ldmc3_bec": (f_alphabet("ldmc3_bec"), 14),
     "ldmc3_bsc_0.11": (f_alphabet("ldmc3_bsc", 0.11), 14),
