@@ -543,8 +543,8 @@ def eval_degree(alphabet: MessageAlphabet, d: int, payoff: str, q) -> np.ndarray
 
 def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPolynomial:
     """Degree-d payoff polynomial of the alphabet (payoff: error/entropy/chi2),
-    expanded from the degree's type terms, not from its Bernstein coefficients
-    (a change of basis that loses the low bits of coefficients up to 5e6)."""
+    expanded from the degree's type terms: a change of basis from its Bernstein
+    coefficients is ill-conditioned (LDMC5 power coefficients reach 5e6)."""
     _check_degree(d)
     (types,), coefs = _degree_terms(alphabet, (d,), (payoff,))
     entries = alphabet.entries
