@@ -424,8 +424,10 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
     One pass over the type rows of all the degrees multiplies these out: a
     weight with one nonzero coefficient s at k adds c_j k to a term's power of
     q and multiplies it by s^c_j; a weight with more (the first LDMC5 weight)
-    expands each term into the nonzero coefficients of its c_j-th power.  Each
-    b adds its terms in type-row order.
+    expands each term into the nonzero coefficients of its c_j-th power, and
+    from the second such weight on, a row's terms at one power of q merge, so
+    that a row keeps at most md + 1 terms from one weight to the next.  Each b
+    adds its terms in type-row order.
     """
     bernstein = alphabet._bernstein
     m = bernstein.shape[1] - 1
@@ -445,7 +447,7 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
         if k:
             at += k * z[:, j]
     row = np.arange(z.shape[0])  # each term's type row
-    for beta, c in ((bernstein[j], z[:, j]) for j in several):
+    for n, (beta, c) in enumerate((bernstein[j], z[:, j]) for j in several):
         vectors = [np.ones(1)]  # the powers of beta
         for _ in range(degrees[-1]):
             vectors.append(np.convolve(vectors[-1], beta))
@@ -458,6 +460,10 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
         src = np.repeat(first[c] - (np.cumsum(grow) - grow), grow) + np.arange(rep.shape[0])
         row, at = row[rep], at[rep] + np.concatenate(where)[src]
         value = value[rep] * np.concatenate([v[ks] for v, ks in zip(vectors, where)])[src]
+        if n:  # a row's terms at one power of q share every later factor: one term each
+            key, merged = np.unique(row * sum(widths) + at, return_inverse=True)
+            row, at = np.divmod(key, sum(widths))
+            value = np.bincount(merged, weights=value)
     return {payoff: np.bincount(at, weights=coef[row] * value, minlength=sum(widths)) for payoff, coef in coefs.items()}
 
 
