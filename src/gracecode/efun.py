@@ -433,6 +433,7 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
     m = bernstein.shape[1] - 1
     z = np.concatenate(types)  # (type rows, entries)
     widths = [m * d + 1 for d in degrees]
+    size = sum(widths)
     at = np.repeat(list(accumulate(widths[:-1], initial=0)), [t.shape[0] for t in types])  # each row's degree in b
     counts = np.arange(degrees[-1] + 1)
     value = np.ones(z.shape[0])
@@ -461,10 +462,10 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
         row, at = row[rep], at[rep] + np.concatenate(where)[src]
         value = value[rep] * np.concatenate([v[ks] for v, ks in zip(vectors, where)])[src]
         if n:  # a row's terms at one power of q share every later factor: one term each
-            key, merged = np.unique(row * sum(widths) + at, return_inverse=True)
-            row, at = np.divmod(key, sum(widths))
+            key, merged = np.unique(row * size + at, return_inverse=True)
+            row, at = np.divmod(key, size)
             value = np.bincount(merged, weights=value)
-    return {payoff: np.bincount(at, weights=coef[row] * value, minlength=sum(widths)) for payoff, coef in coefs.items()}
+    return {payoff: np.bincount(at, weights=coef[row] * value, minlength=size) for payoff, coef in coefs.items()}
 
 
 def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
