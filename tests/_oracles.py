@@ -769,6 +769,95 @@ def var_step_plain(evar, c2v, k, lam=None):
     return p0, contradiction
 
 
+# The variable step as it was before it kept its state across iterations: it
+# recounts every edge's certainty on every call and does float work on every
+# edge.  Kept verbatim as the bit-for-bit reference of gracecode.bp._var_step.
+
+
+def _certain_llr(npos, nneg) -> float:
+    return np.inf if npos > 0 else -np.inf if nneg > 0 else 0.0
+
+
+_BELIEF_SCALE = np.exp(-np.array([_certain_llr(c % 3, c // 3) for c in range(9)]))
+_EXTRINSIC_ADD = np.array([_certain_llr(c // 3 % 3 - (c % 3 == 1), c // 9 - (c % 3 == 2)) for c in range(27)])
+_BOTH_CERTAIN = np.array([c % 3 > 0 and c // 3 > 0 for c in range(9)])
+
+
+def _work(buf, name, n, dtype):
+    """The per-edge work array ``name`` of ``buf``, made on first use."""
+    a = buf.get(name)
+    if a is None:
+        a = buf[name] = np.empty(n, dtype=dtype)
+    return a
+
+
+def _clip(x):
+    """Clip ``x`` in place to +/-``LLR_CLAMP``."""
+    return np.clip(x, -LLR_CLAMP, LLR_CLAMP, out=x)
+
+
+def _beliefs(tot, scale=None):
+    """p0 = 1 / (1 + e^-x) of the clipped sums ``tot`` (overwritten), with
+    e^-x times ``scale``."""
+    x = np.negative(_clip(tot), out=tot)
+    np.exp(x, out=x)
+    if scale is not None:
+        x *= scale
+    x += 1.0
+    return np.divide(1.0, x, out=x)
+
+
+def var_step_recounted(evar, c2v, k, lam=None, buf=None):
+    """Beliefs p0 and the contradiction flag from the check-to-variable
+    messages ``c2v``; with ``lam`` given, also write the next
+    variable-to-check messages into it.
+
+    A variable's belief sums its messages, certain if one of them is; its
+    message to a check sums the others.  Both clip finite sums at
+    +/-``LLR_CLAMP``.  A variable certain of both values is a contradiction.
+    ``buf`` holds the per-edge work arrays, which ``run_bp`` keeps across
+    iterations; its float array ``"idx"``, which the step reads as int64
+    indices before it writes ``lam``, may be ``lam`` itself.
+    """
+    if buf is None:
+        buf = {}
+    n = c2v.shape[0]
+    inf = np.isinf(c2v, out=buf.get("inf"))
+    if not inf.any():
+        tot = np.bincount(evar, weights=c2v, minlength=k).astype(float, copy=False)  # int64 without edges
+        if lam is not None:
+            np.take(tot, evar, out=lam, mode="clip")
+            lam -= c2v
+            _clip(lam)
+        return _beliefs(tot), False
+    buf["inf"] = inf
+    # the finite part: the float bits ANDed with 0 on the certain messages
+    code = _work(buf, "code", n, np.uint8)
+    np.subtract(inf.view(np.int8), 1, out=code.view(np.int8))  # -1 where finite
+    fin = _work(buf, "fin", n, float)
+    np.bitwise_and(c2v.view(np.int64), code.view(np.int8), out=fin.view(np.int64))
+    np.signbit(c2v, out=code.view(bool))
+    np.left_shift(inf.view(np.uint8), code, out=code)  # e
+    tot = np.bincount(evar, weights=fin, minlength=k)
+    # certain messages per variable in one pass: slots 3v + 1 and 3v + 2
+    idx = np.multiply(evar, 3, out=_work(buf, "idx", n, float).view(np.intp))
+    idx += code
+    counts = np.bincount(idx, minlength=3 * k)
+    np.minimum(counts, 2, out=counts)
+    vcode = (counts[1::3] + 3 * counts[2::3]).astype(np.uint8)
+    del counts  # freed before the per-edge arrays below
+    contradiction = bool(_BOTH_CERTAIN.take(vcode, mode="clip").any())
+    if lam is not None:
+        np.take(tot, evar, out=lam, mode="clip")
+        lam -= fin
+        _clip(lam)
+        ext = np.take(vcode, evar, out=inf.view(np.uint8), mode="clip")
+        ext *= 3
+        ext += code
+        lam += np.take(_EXTRINSIC_ADD, ext, out=fin, mode="clip")
+    return _beliefs(tot, _BELIEF_SCALE.take(vcode, mode="clip")), contradiction
+
+
 def build_groups_plain(sub, obs):
     """Lay the edges of the observed sub-graph ``sub`` out group-major, given
     the observations ``obs`` of its checks.

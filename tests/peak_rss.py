@@ -34,7 +34,8 @@ RUNS = [
     # about 65 MB; the 400 MB bound dated from the whole-lattice build (1.6 GB)
     ("devo --family ldmc5 --dmax 14", 100,
      [*CLI, "devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "14", "--out", "devo.csv"]),
-    ("map_ber_linear on the k=1e5 repetition code", 300, ["-c", BIT_MAP]),
+    # about 61 MB
+    ("map_ber_linear on the k=1e5 repetition code", 80, ["-c", BIT_MAP]),
     ("simulate --ensemble ldmc5 --k 100000", 88, [*SIMULATE, "--ensemble", "ldmc5", "--out", "ldmc5.csv"]),
     ("simulate --ensemble sim-mixed.profile --k 100000", 75,
      [*SIMULATE, "--ensemble", "sim-mixed.profile", "--out", "mixed.csv"]),

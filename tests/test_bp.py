@@ -10,6 +10,7 @@ import pytest
 
 from gracecode.bp import (
     LLR_CLAMP,
+    _check_update,
     _layout,
     _maj_group_update,
     _var_step,
@@ -172,7 +173,7 @@ def test_layout_partitions_active_checks():
     ptr, evar, kind, arity = graph.flat
     obs = (np.arange(graph.n_checks) % 3 - 1).astype(np.int8)  # every third check erased
     active = obs != ERASED
-    evar_g, c2v, plan = _layout(graph, obs)
+    evar_g, c2v, plan, m = _layout(graph, obs)
     # the (kind, d) groups in key order; XOR1 is clamped, the others are
     # planned, with a majority sign for MAJ3 only
     groups = [(0, 3), (1, 1), (1, 3), (2, 4)]
@@ -198,9 +199,10 @@ def test_layout_partitions_active_checks():
         assert np.array_equal(evar_g[blk].reshape(d, -1), want)
         assert np.array_equal(obs_g, obs[sel])
     assert stop == arity[active].sum() == evar_g.shape[0] == c2v.shape[0] < ptr[-1]
+    assert m == plan[0][0].stop  # the MAJ3 edges come first
     none = np.full(graph.n_checks, ERASED, dtype=np.int8)
-    evar_g, c2v, plan = _layout(graph, none)
-    assert plan == [] and evar_g.shape == c2v.shape == (0,)
+    evar_g, c2v, plan, m = _layout(graph, none)
+    assert plan == [] and evar_g.shape == c2v.shape == (0,) and m == 0
 
 
 def test_layout_of_interleaved_partly_erased_checks():
@@ -224,7 +226,7 @@ def test_layout_of_interleaved_partly_erased_checks():
     graph = FactorGraph.from_checks(k=10, checks=checks)
     symbols = [1, 0, ERASED, 1, ERASED, 1, 0, ERASED, 0, ERASED, 1, 0, 1]  # checks 0-3 and 5-13
     obs = _check_observations(graph, ReceivedWord(np.array(symbols, dtype=np.int8), ChannelParam.bec(0.5)))
-    evar, c2v, plan = _layout(graph, obs)
+    evar, c2v, plan, m = _layout(graph, obs)
     # (kind, d) order, each group a row-major (d, C) block of its observed
     # checks in check order: MAJ3 (0, 9), MAJ5 (7, 11), XOR1 (1, 6, 13),
     # XOR3 (3, 12), PARITY2 (4)
@@ -246,6 +248,7 @@ def test_layout_of_interleaved_partly_erased_checks():
         (slice(19, 25), (3, 2), [1, 0], None),
         (slice(25, 27), (2, 1), [0], None),
     ]
+    assert m == 16  # the MAJ3 and MAJ5 edges
     # the plan's blocks read the same edges as the (d, C) views _check_update takes
     assert evar[plan[1][0]].reshape(plan[1][1])[:, 1].tolist() == [0, 2, 4, 6, 8]
 
@@ -294,6 +297,54 @@ def test_var_step_matches_per_variable_sums(seed):
     # p0 is 1/2 exactly without messages, and a single +/-inf pair flags
     p0, flag = _var_step(np.array([1, 1, 2]), np.array([np.inf, -np.inf, 0.0]), 3)
     assert flag and p0[0] == 0.5 and p0[2] == 0.5
+
+
+INVARIANT_GRAPHS = {
+    "sim-mixed": ("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", False),
+    "parity": ("MAJ 3 0.45\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.05\n", False),
+    "ldmc5-systematic": ("MAJ 5 1\n", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_GRAPHS))
+def test_certain_check_messages_keep_their_value(name):
+    # the variable step keeps its certainty counts from one iteration to the
+    # next because a +/-inf check-to-variable message keeps its value once
+    # sent.  Decodes driven as run_bp drives them, k = 2000; every other
+    # trial reads 0.2% of its observations of arity > 1 flipped, and on the
+    # PARITY graph the random source leaves checks unmet, so trials stop on
+    # a contradiction too, the iteration in which a contradicted majority
+    # check sends 0.  Not one certain message changed there either.
+    text, systematic = INVARIANT_GRAPHS[name]
+    spec = EnsembleSpec(k=2000, rate=0.5, profile=parse_profile(text), systematic=systematic)
+    failed = 0
+    for seed in range(4):
+        for alpha in (0.5, 1.0, 1.5):
+            rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 0])
+            graph = sample_graph(spec, rng)
+            source = rng.integers(0, 2, size=spec.k).astype(np.int8)
+            sent = encode(graph.subgraph(graph.kind != PARITY), source)
+            received = transmit(sent, ChannelParam.bec(1.0 - alpha * 0.5), rng)
+            symbols = received.symbols.copy()
+            if seed % 2:
+                arity = graph.flat[3][graph.kind != PARITY]
+                symbols[(arity > 1) & (symbols != ERASED) & (rng.random(symbols.shape[0]) < 0.002)] ^= 1
+            obs = _check_observations(graph, ReceivedWord(symbols, received.channel))
+            evar, c2v, plan, m = _layout(graph, obs)
+            lam, buf = np.empty(evar.shape[0]), {}
+            certain = np.isinf(c2v)
+            value = c2v[certain]
+            for t in range(11):
+                bad = t > 0 and _check_update(plan, lam, c2v)
+                assert c2v[certain].tobytes() == value.tobytes(), (seed, alpha, t)
+                certain = np.isinf(c2v)
+                value = c2v[certain]
+                _, contradiction = _var_step(evar, c2v, graph.k, lam, buf, m)
+                if bad or contradiction:
+                    failed += 1
+                    break
+            assert certain.any()
+    assert failed
 
 
 def test_run_bp_without_active_checks():
@@ -518,20 +569,27 @@ def test_observed_degrees():
 
 
 @pytest.mark.parametrize(
-    "profile, bound_mb",
-    [("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 18.0), ("MAJ 5 1\n", 22.2)],
-    ids=["sim-mixed", "ldmc5"],
+    "profile, eps, bound_mb",
+    [
+        ("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 0.5, 18.0),
+        ("MAJ 5 1\n", 0.5, 22.2),
+        ("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 0.25, 24.0),
+        ("MAJ 5 1\n", 0.25, 27.5),
+    ],
+    ids=["sim-mixed", "ldmc5", "sim-mixed-eps0.25", "ldmc5-eps0.25"],
 )
-def test_run_bp_peak_allocation_is_bounded(profile, bound_mb):
+def test_run_bp_peak_allocation_is_bounded(profile, eps, bound_mb):
     # the traced peak of one 10-iteration decode of a k = 1e5 trial at eps
-    # 0.5; the per-edge work arrays are made once per call, not per iteration
+    # 0.5 (alpha 1.0) and at eps 0.25 (alpha 1.5), the sweep's largest load:
+    # 375k active sim-mixed edges, 750k ldmc5 edges; the per-edge work arrays
+    # are made once per call, not per iteration
     spec = EnsembleSpec(k=100_000, rate=0.5, profile=parse_profile(profile))
     small = sample_graph(EnsembleSpec(k=200, rate=0.5, profile=spec.profile), np.random.default_rng(0))
     run_bp(small, transmit(encode(small, np.zeros(200, dtype=np.int8)), ChannelParam.bec(0.5), np.random.default_rng(0)), 2)
-    rng = np.random.default_rng([7, 10**9, 0])
+    rng = np.random.default_rng([7, int(round((1.0 - eps) / spec.rate * 1e9)), 0])
     graph = sample_graph(spec, rng)
     source = rng.integers(0, 2, size=spec.k).astype(np.int8)
-    received = transmit(encode(graph, source), ChannelParam.bec(0.5), rng)
+    received = transmit(encode(graph, source), ChannelParam.bec(eps), rng)
     tracemalloc.start()
     try:
         run_bp(graph, received, 10)

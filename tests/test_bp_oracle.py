@@ -22,11 +22,32 @@ from _oracles import (
     run_bp_plain,
     run_bp_traced,
     var_step_plain,
+    var_step_recounted,
     xor_group_update_plain,
 )
-from gracecode.bp import _MAJ5_BLOCK, LLR_CLAMP, _layout, _maj_group_update, _var_step, _xor_group_update, run_bp
-from gracecode.channels import ChannelParam, transmit
-from gracecode.ensemble import MAJ, PARITY, CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, encode, parse_profile, sample_graph
+from gracecode.bp import (
+    _MAJ5_BLOCK,
+    LLR_CLAMP,
+    _check_update,
+    _layout,
+    _maj_group_update,
+    _var_step,
+    _xor_group_update,
+    run_bp,
+)
+from gracecode.channels import ERASED, ChannelParam, ReceivedWord, transmit
+from gracecode.ensemble import (
+    MAJ,
+    PARITY,
+    CheckKind,
+    DegreeProfile,
+    EnsembleSpec,
+    FactorGraph,
+    _check_observations,
+    encode,
+    parse_profile,
+    sample_graph,
+)
 
 PROFILES = {
     "mixed": (parse_profile("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"), False),
@@ -64,7 +85,7 @@ def _assert_same_layout(graph, received):
     """``_layout`` against the groups of the observed sub-graph, with the
     clamps and the plan built from them as ``run_bp`` built them."""
     obs, evar_old, groups = observed_groups_plain(graph, received)
-    evar, c2v, plan = _layout(graph, obs)
+    evar, c2v, plan, m = _layout(graph, obs)
     assert evar.dtype == evar_old.dtype and evar.tobytes() == evar_old.tobytes()
     c2v_old = np.zeros(evar_old.shape[0])
     plan_old = []
@@ -195,6 +216,112 @@ def test_var_step_matches_mask_version_with_hundreds_of_certain_messages(seed):
     p0_plain, flag_plain = var_step_plain(evar, finite, k, lam_plain)
     assert not flag and not flag_plain
     assert p0.tobytes() == p0_plain.tobytes() and lam.tobytes() == lam_plain.tobytes()
+
+
+def _flipped(graph, received, rng, share):
+    """``received`` with ``share`` of the observed symbols of its checks of
+    arity > 1 read flipped: with certain messages about, BP then meets
+    contradictions."""
+    symbols = received.symbols.copy()
+    arity = graph.flat[3][graph.kind != PARITY]
+    symbols[(arity > 1) & (symbols != ERASED) & (rng.random(symbols.shape[0]) < share)] ^= 1
+    return ReceivedWord(symbols, received.channel)
+
+
+# decodes for the kept-state variable step: the sim-mixed profile, a
+# MAJ/XOR/PARITY mix, a systematic graph (a MAJ1 prefix) and systematic
+# ldmc5, each trial once as sent and once with 0.2% of its observations read
+# flipped; 5 to 9 of the 12 flipped trials of each graph stop on a
+# contradiction (5 of 24 ldmc5 trials)
+STEP_GRAPHS = {
+    "mixed": PROFILES["mixed"],
+    "parity": PROFILES["parity"],
+    "ldmc3-systematic": PROFILES["ldmc3-systematic"],
+    "ldmc5-systematic": (PROFILES["ldmc5"][0], True),
+}
+
+
+def _step_trials(name, k=2000):
+    """The (graph, received) trials of ``STEP_GRAPHS[name]`` over the seeds
+    and loads of the sweep above, each as sent and with flipped symbols."""
+    profile, systematic = STEP_GRAPHS[name]
+    spec = EnsembleSpec(k=k, rate=RATE, profile=profile, systematic=systematic)
+    for seed in SEEDS:
+        for alpha in ALPHAS:
+            graph = sample_graph(spec, np.random.default_rng([seed, int(round(alpha * 1e9)), 0]))
+            rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 1])
+            source = _source(graph, rng)
+            eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
+            received = transmit(encode(graph.subgraph(graph.kind != PARITY), source), ChannelParam.bec(eps), rng)
+            yield graph, received
+            yield graph, _flipped(graph, received, rng, 0.002)
+
+
+def _assert_same_lam(lam, want, m):
+    """Majority-edge messages bit for bit; on the other edges, which carry
+    only the certain part, whether each is certain and of which sign."""
+    assert lam[:m].tobytes() == want[:m].tobytes()
+    inf = np.isinf(want[m:])
+    assert np.array_equal(np.isinf(lam[m:]), inf)
+    assert np.array_equal(lam[m:][inf], want[m:][inf])
+
+
+@pytest.mark.parametrize("name", sorted(STEP_GRAPHS))
+def test_kept_state_variable_step_matches_the_recounted_one(name):
+    # two whole decodes in lockstep, one with the variable step that keeps
+    # its state, one with the step that recounted every edge on every call
+    failed = 0
+    for graph, received in _step_trials(name):
+        evar, c2v, plan, m = _layout(graph, _check_observations(graph, received))
+        c2v_old = c2v.copy()
+        lam, lam_old = np.empty(evar.shape[0]), np.empty(evar.shape[0])
+        buf, buf_old = {}, {"idx": lam_old}
+        for t in range(11):
+            bad = t > 0 and _check_update(plan, lam, c2v)
+            assert bad == (t > 0 and _check_update(plan, lam_old, c2v_old))
+            assert c2v.tobytes() == c2v_old.tobytes()
+            out, out_old = (lam, lam_old) if t < 10 else (None, None)
+            p0, flag = _var_step(evar, c2v, graph.k, out, buf, m)
+            p0_old, flag_old = var_step_recounted(evar, c2v_old, graph.k, out_old, buf_old)
+            assert flag == flag_old and p0.tobytes() == p0_old.tobytes(), t
+            if out is not None:
+                _assert_same_lam(lam, lam_old, m)
+            if bad or flag:
+                failed += 1
+                break
+    assert 0 < failed < len(SEEDS) * len(ALPHAS)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_state_variable_step_on_messages_that_revert_and_flip(seed):
+    # run_bp never feeds the step a certain message that goes back to finite
+    # or flips sign, but the step recounts when one does: here calls on
+    # arbitrary messages, edges [m, n) carrying 0 or +/-inf only, against
+    # the recounting step called afresh
+    rng = np.random.default_rng(seed)
+    k, n, m = 300, 3000, 1800
+    evar = rng.integers(0, k, size=n)
+    lam, lam_old = np.empty(n), np.empty(n)
+    buf = {}
+    c2v = _messages(rng, n, certain=0.0)
+    c2v[m:] = 0.0
+    changed = 0
+    for step in range(12):
+        p0, flag = _var_step(evar, c2v, k, lam, buf, m)
+        p0_old, flag_old = var_step_recounted(evar, c2v, k, lam_old)
+        assert flag == flag_old and p0.tobytes() == p0_old.tobytes(), step
+        _assert_same_lam(lam, lam_old, m)
+        # some messages turn certain; every third call some certain ones
+        # revert to finite or flip sign
+        fresh = _messages(rng, n, certain=0.3)
+        fresh[m:] = np.where(np.isinf(fresh[m:]), fresh[m:], 0.0)
+        turn = rng.random(n) < 0.02 * (step + 1)
+        c2v = np.where(turn & ~np.isinf(c2v), fresh, c2v)
+        if step % 3 == 2:
+            back = np.isinf(c2v) & (rng.random(n) < 0.05)
+            c2v[back] = np.where(rng.random(n) < 0.5, -c2v, np.where(np.arange(n) < m, 0.5, 0.0))[back]
+            changed += back.any()
+    assert changed == 4 and flag  # the last calls see variables certain of both values
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 7, 9, 300])
