@@ -166,11 +166,12 @@ def _layout(graph: FactorGraph, obs):
 # contradiction (message 0, flag set).  A message is +/-inf only if a +/-inf
 # came in.
 
-# columns per block of the MAJ5 update: its (5, block) work arrays stay in a
-# core's cache through all of its steps.  On ldmc5 traffic at k = 1e5, blocks
-# of 4096-8192 took the least time per call, 2048 and 16384 took longer and
-# whole groups about 1.5 times as long.
-_MAJ5_BLOCK = 8192
+# columns per block of the MAJ3 and MAJ5 updates: a block's (d, block) work
+# arrays stay in a core's cache through all of its steps.  On ldmc5 traffic at
+# k = 1e5, MAJ5 blocks of 4096-8192 took the least time per call, 2048 and
+# 16384 took longer and whole groups about 1.5 times as long; on sim-mixed
+# traffic MAJ3 takes about as long over these blocks as whole.
+_MAJ_BLOCK = 8192
 _HALF_CLAMP = LLR_CLAMP / 2
 _E_HALF_CLAMP = math.exp(_HALF_CLAMP)
 # what a message adds to log1p(x) by the count of certain ones among the
@@ -186,9 +187,9 @@ def _obs_sign(obs):
 def _maj_group_update(lam, obs, out, sign=None) -> bool:
     """Majority update of a (d, C) block of incoming LLRs into ``out``;
     True if some check saw a contradiction.  ``sign`` is ``_obs_sign(obs)``,
-    which ``run_bp`` computes once per call.  The MAJ5 closed form runs over
-    blocks of ``_MAJ5_BLOCK`` columns, each through every step while it is in
-    cache; MAJ3 runs as one block, where smaller ones were measured no faster."""
+    which ``run_bp`` computes once per call.  The MAJ3 and MAJ5 closed forms
+    run over blocks of ``_MAJ_BLOCK`` columns, each through every step while
+    it is in cache; the columns are independent, so blocks change no bit."""
     d, C = lam.shape
     thr = (d - 1) // 2
     if sign is None:
@@ -197,11 +198,10 @@ def _maj_group_update(lam, obs, out, sign=None) -> bool:
         bad = _maj_sweep(lam * sign, thr, out)  # s
         out *= sign
         return bad
-    step = _MAJ5_BLOCK if d == 5 else max(C, 1)
-    work = np.empty(d * min(C, step))
+    work = np.empty(d * min(C, _MAJ_BLOCK))
     bad = False
-    for lo in range(0, C, step):
-        hi = min(lo + step, C)
+    for lo in range(0, C, _MAJ_BLOCK):
+        hi = min(lo + _MAJ_BLOCK, C)
         blk_sign, blk_out = sign[lo:hi], out[:, lo:hi]
         w = work[: d * (hi - lo)].reshape(d, hi - lo)
         np.multiply(lam[:, lo:hi], -blk_sign, out=w)  # -s
@@ -348,26 +348,17 @@ def _check_update(plan, lam, c2v) -> bool:
 # message along an edge of code e is certain if one of the others is:
 # _EXTRINSIC_ADD[3c + e] is that +/-inf, or 0, added to the clipped sum.
 #
-# Certainty is absorbing.  A certain check-to-variable message keeps its value
-# at every later iteration, up to the one that flags a contradiction: a
-# majority message is certain once thr of its other neighbors are certain of
-# the value its observation rules out, a parity message once all of them are
-# certain, and a variable certain of one value sends that value on.  The
-# exception is a majority check that becomes contradicted: it sends 0, and
-# the run stops after that iteration.  (For a certain message of it to go
-# back, a neighbor must turn certain of the value the check ruled out for
-# it the iteration before, so the variable step stops the run first; no
-# decode has been seen to reach one.)  So the step keeps each edge's code
-# and each variable's capped counts across iterations and folds in only the
-# edges whose code changed; a code that goes back to 0 or flips sign makes
-# it count again from 0.
+# The step keeps each edge's code and each variable's count of messages per
+# code across iterations and moves only the edges whose code changed, from
+# their old code's count to their new one's, so the counts are exact whatever
+# the messages do.  On run_bp's traffic a certain message keeps its value up
+# to the iteration that flags a contradiction, so codes only turn certain.
 #
 # Float work runs on the majority edges [0, m) only.  A parity check reads of
 # its incoming messages only whether they are certain and of which value, so
 # the message along an XOR or PARITY edge is its certain extrinsic part alone
-# (0 when unsure), rewritten only when some variable's code changed; its
-# check-to-variable messages are 0 or +/-inf, so leaving them out of the sums
-# changes no bit.
+# (0 when unsure), rewritten on every call; its check-to-variable messages
+# are 0 or +/-inf, so leaving them out of the sums changes no bit.
 
 
 def _certain_llr(npos, nneg) -> float:
@@ -394,48 +385,40 @@ def _beliefs(tot, scale=None):
     return np.divide(1.0, x, out=x)
 
 
-def _new_state(n, k, inf):
+def _new_state(evar, k, inf):
     """The variable step's state, with every message finite before: the
-    certainty codes of this and the last iteration, the extrinsic indices,
-    the counts n+ and n- of each variable, capped at 2, and the variable
-    codes.  They share one block: made as five arrays among an iteration's
-    temporaries, they let the heap grow from trial to trial (a peak RSS of
-    73-76 MB against 70 MB over 45 in-process k = 1e5 simulate sweeps)."""
-    new, code, ext, cnt, vcode = np.split(np.zeros(3 * n + 3 * k, dtype=np.uint8), [n, 2 * n, 3 * n, 3 * n + 2 * k])
-    return {"inf": inf, "new": new, "code": code, "ext": ext, "cnt": cnt, "vcode": vcode, "both": False, "stale": True}
+    count of each variable's messages per certainty code (int32, (3, k)),
+    the certainty codes of this and the last iteration, the extrinsic
+    indices and the variable codes.  They share one uint8 block, the counts
+    at its front: made as separate arrays among an iteration's temporaries,
+    they let the heap grow from trial to trial (a peak RSS of 73-76 MB
+    against 70 MB over 45 in-process k = 1e5 simulate sweeps)."""
+    n = evar.shape[0]
+    block = np.zeros(12 * k + 3 * n + k, dtype=np.uint8)
+    cnt = block[: 12 * k].view(np.int32).reshape(3, k)
+    cnt[0] = np.bincount(evar, minlength=k)
+    new, code, ext, vcode = np.split(block[12 * k :], [n, 2 * n, 3 * n])
+    return {"inf": inf, "cnt": cnt, "new": new, "code": code, "ext": ext, "vcode": vcode}
 
 
-def _count_certain(evar, code, k, buf) -> bool:
-    """Fold this iteration's certainty codes ``code`` into the counts and
-    variable codes of ``buf`` and its contradiction flag ``"both"``; True if
-    some variable's code changed.  Only the edges whose code changed are
-    counted, unless one went from certain to anything else: then the counts
-    start again from 0.  Overwrites ``buf["inf"]``."""
+def _count_certain(evar, code, buf) -> bool:
+    """Move every edge whose certainty code changed from ``buf``'s count of
+    its old code to that of its new one ``code``, rewrite those variables'
+    codes and return whether some variable is certain of both values.
+    Overwrites ``buf["inf"]``."""
     old, cnt, vcode = buf["code"], buf["cnt"], buf["vcode"]
+    k = cnt.shape[1]
     chg = np.flatnonzero(np.not_equal(code, old, out=buf["inf"]))
-    recount = bool(old.take(chg).any())  # a certain message reverted or flipped
-    if recount:
-        cnt.fill(0)
-        vcode.fill(0)
-        buf["both"] = False
-        chg = np.flatnonzero(code)
-    # slot v counts n+ of variable v, slot k + v its n-
-    slot = np.multiply(code.take(chg), k, dtype=evar.dtype)
-    slot += evar.take(chg)
-    slot -= k
-    slot.sort()
-    was = cnt.take(slot)
-    if not recount and (was >= 2).all():
-        return False
-    cnt[slot] = np.minimum(was + 1, 2)  # one more per slot ...
-    cnt[slot[1:][slot[1:] == slot[:-1]]] = 2  # ... and 2 for a slot met twice
-    v = np.remainder(slot, k, out=slot)
-    npos, nneg = cnt[:k].take(v), cnt[k:].take(v)
-    buf["both"] |= bool(np.logical_and(npos, nneg).any())
+    v = evar.take(chg)
+    # flat index e k + v counts the messages of code e at variable v; an
+    # int32 scalar keeps ufunc.at on its fast path
+    np.subtract.at(cnt.reshape(-1), np.multiply(old.take(chg), k, dtype=v.dtype) + v, np.int32(1))
+    np.add.at(cnt.reshape(-1), np.multiply(code.take(chg), k, dtype=v.dtype) + v, np.int32(1))
+    npos, nneg = np.minimum(cnt[1:, v], 2)
     nneg *= 3
     nneg += npos
     vcode[v] = nneg
-    return True
+    return bool(np.logical_and(cnt[1], cnt[2]).any())
 
 
 def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
@@ -451,8 +434,8 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
     the certain part of the message, 0 when unsure.
 
     ``buf`` holds, from the first certain message on, the step's state: each
-    edge's certainty code, each variable's capped counts and each edge's
-    index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it across the
+    edge's certainty code, each variable's count of messages per code and
+    each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it across the
     iterations of one run and passes the same ``lam`` to every call but the
     last; without ``buf`` the step starts from scratch.
     """
@@ -469,7 +452,7 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
                 lam -= c2v
                 _clip(lam)
             return _beliefs(tot), False
-        buf.update(_new_state(n, k, inf))
+        buf.update(_new_state(evar, k, inf))
     u8 = inf.view(np.uint8)
     code = np.signbit(c2v, out=buf["new"].view(bool)).view(np.uint8)
     code &= u8
@@ -480,25 +463,19 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
     fin = np.bitwise_and(c2v[:m].view(np.int64), keep, out=None if lam is None else lam[:m].view(np.int64))
     fin = fin.view(float)
     tot = np.bincount(evar[:m], weights=fin, minlength=k).astype(float, copy=False)
-    stale = _count_certain(evar, code, k, buf) or buf["stale"]
+    both = _count_certain(evar, code, buf)
     buf["code"], buf["new"] = code, buf["code"]
-    buf["stale"] = stale and lam is None
     if lam is not None:
-        ext = buf["ext"]
-        if stale:
-            # between rewrites the variable codes stay as they are, and an
-            # edge that turns certain at a variable counted twice already
-            # keeps its extrinsic message, though not its index
-            np.take(buf["vcode"], evar, out=ext, mode="clip")
-            ext *= 3
-            ext += code
-            np.take(_EXTRINSIC_ADD, ext[m:], out=lam[m:], mode="clip")
+        ext = np.take(buf["vcode"], evar, out=buf["ext"], mode="clip")
+        ext *= 3
+        ext += code
+        np.take(_EXTRINSIC_ADD, ext[m:], out=lam[m:], mode="clip")
         rest = np.take(tot, evar[:m], mode="clip")
         rest -= fin
         _clip(rest)
         np.take(_EXTRINSIC_ADD, ext[:m], out=fin, mode="clip")
         fin += rest
-    return _beliefs(tot, _BELIEF_SCALE.take(buf["vcode"], mode="clip")), buf["both"]
+    return _beliefs(tot, _BELIEF_SCALE.take(buf["vcode"], mode="clip")), both
 
 
 def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int, observe=None) -> DecodeResult:

@@ -120,11 +120,11 @@ def _load_profile(name: str) -> DegreeProfile:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row))
+    """Write the header, then each row as it is formatted."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
 
 
 def _write_manifest(out: str, argv: list, started: float, fields: dict) -> None:
@@ -151,9 +151,10 @@ def _phase(totals: dict, name: str):
     totals[name] = totals.get(name, 0.0) + time.perf_counter() - start
 
 
-def _trial(spec: EnsembleSpec, args, alpha: float, eps: float, t: int, bins, fields: dict):
-    """``measure``'s (ber, soft_info, histogram) of trial ``t`` at load ``alpha``
-    over BEC(eps), counted into ``fields``' failed trials and phase seconds."""
+def _trial(spec: EnsembleSpec, args, alpha: float, eps: float, t: int, counts, fields: dict):
+    """``measure``'s (ber, soft_info) of trial ``t`` at load ``alpha`` over
+    BEC(eps), its histogram added into ``counts`` unless that is None, and
+    the trial counted into ``fields``' failed trials and phase seconds."""
     phase_s = fields["phase_s"]
     with _phase(phase_s, "graph"):
         rng = np.random.default_rng([args.seed, int(round(alpha * 1e9)), t])
@@ -166,19 +167,24 @@ def _trial(spec: EnsembleSpec, args, alpha: float, eps: float, t: int, bins, fie
         result = run_bp(graph, received, args.bp_iters)
     fields["failed_trials"] += int(result.failed)
     with _phase(phase_s, "measure"):
-        return measure(result, source, bins)
+        ber, iota, hist = measure(result, source, None if counts is None else counts.shape[0])
+        if hist is not None:
+            counts += hist
+    return ber, iota
 
 
 def _sweep(profile, args, alphas, bins: int | None = None):
-    """One (eps, bers, soft_infos, histograms) per load alpha, from ``args.trials``
-    seeded trials over BEC(1 - alpha R), and the manifest fields of the sweep."""
+    """One (eps, bers, soft_infos, counts) per load alpha, from ``args.trials``
+    seeded trials over BEC(1 - alpha R), and the manifest fields of the sweep;
+    ``counts`` sums the trials' ``bins``-bin histograms (None without bins)."""
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
     fields = {"seed": args.seed, "trials": args.trials, "failed_trials": 0, "phase_s": {}}
     points = []
     for alpha in alphas:
         eps = min(max(1.0 - alpha * args.rate, 0.0), 1.0)
-        trials = [_trial(spec, args, alpha, eps, t, bins, fields) for t in range(args.trials)]
-        points.append((eps, *zip(*trials)))
+        counts = None if bins is None else np.zeros(bins, dtype=np.intp)
+        trials = [_trial(spec, args, alpha, eps, t, counts, fields) for t in range(args.trials)]
+        points.append((eps, *zip(*trials), counts))
     return points, fields
 
 
@@ -301,16 +307,16 @@ def _cmd_optimize(args) -> dict:
 def _cmd_histogram(args) -> dict:
     profile = _load_profile(args.ensemble)
     _check_loads(args.alpha)
-    [(_, _, _, hists)], fields = _sweep(profile, args, [args.alpha], args.bins)
-    counts = np.sum(hists, axis=0)
+    [(_, _, _, counts)], fields = _sweep(profile, args, [args.alpha], args.bins)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
-    rows = [(edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins)]
+    rows = ((edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins))
     _write_csv(args.out, ("bin_lo", "bin_hi", "count"), rows)
     return fields
 
 
-def _int_at_least(lo: int):
-    """argparse type for an integer >= ``lo``; a violation is a usage error (exit 2)."""
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type for an integer in [``lo``, ``hi``] (no upper bound when
+    ``hi`` is None); a violation is a usage error (exit 2)."""
 
     def parse(text: str) -> int:
         try:
@@ -319,6 +325,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     return parse
@@ -326,13 +334,13 @@ def _int_at_least(lo: int):
 
 def _add_ensemble_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", required=True, help="builtin (rep, ldmc3, ldmc5, ldgmN) or profile file")
-    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--k", type=_int_in(1), required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--systematic", action="store_true")
     p.add_argument("--regular", action="store_true")
-    p.add_argument("--bp-iters", type=_int_at_least(0), default=10)
-    p.add_argument("--trials", type=_int_at_least(1), default=10)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--bp-iters", type=_int_in(0), default=10)
+    p.add_argument("--trials", type=_int_in(1), default=10)
+    p.add_argument("--seed", type=_int_in(0), default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed-point", action="store_true")
     p.add_argument("--dmax", type=int, default=10)
     p.add_argument("--multistart", type=int, default=16)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("histogram", help="posterior histogram at one load")
     _add_ensemble_args(p)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--bins", type=_int_at_least(1), default=20)
+    p.add_argument("--bins", type=_int_in(1, _MAX_GRID_POINTS), default=20)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_histogram)
     return parser

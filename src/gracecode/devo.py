@@ -139,14 +139,20 @@ def _at_loads(family, alphas):
     return lambda idx: partial(family.evaluate, alphas[idx])
 
 
-def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> np.ndarray:
-    """The (ell + 1, L) traces of ``iterate`` at every load of ``alphas``, in one run."""
+def _check_start(family, x0: float, steps: int, surrogate: str, quantity: str, name: str = "ell") -> None:
+    """Raise ``ValueError`` for tags that do not match ``family``, an x0
+    outside the surrogate's range or NaN, or ``steps`` outside [0, _MAX_STEPS]."""
     _check_tags(family, surrogate, quantity)
     hi = _range_for(surrogate)
     if not 0.0 <= x0 <= hi:
         raise ValueError(f"x0 must lie in [0, {hi}] for a {surrogate} surrogate")
-    if not 0 <= ell <= _MAX_STEPS:
-        raise ValueError(f"ell must lie in [0, {_MAX_STEPS}], got {ell}")
+    if not 0 <= steps <= _MAX_STEPS:
+        raise ValueError(f"{name} must lie in [0, {_MAX_STEPS}], got {steps}")
+
+
+def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> np.ndarray:
+    """The (ell + 1, L) traces of ``iterate`` at every load of ``alphas``, in one run."""
+    _check_start(family, x0, ell, surrogate, quantity)
     return _trace(_at_loads(family, alphas), np.full(len(alphas), float(x0)), ell, surrogate, quantity)
 
 
@@ -204,10 +210,11 @@ def fixed_point(
     quantity: str = "error",
     max_steps: int = _MAX_STEPS,
 ):
-    """Iterate to |q_{t+1} - q_t| < tol; returns (q*, converged)."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    _check_tags(family, surrogate, quantity)
+    """Iterate to |q_{t+1} - q_t| < tol; returns (q*, converged).  ``x0``
+    and ``max_steps`` are checked as ``iterate`` checks x0 and ell."""
+    _check_start(family, x0, max_steps, surrogate, quantity, "max_steps")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     q, converged = _settle(_at_loads(family, [alpha]), np.array([float(x0)]), tol, max_steps, surrogate, quantity)
     return float(q[0]), bool(converged[0])
 

@@ -1,4 +1,4 @@
-"""Peak RSS of six runs against their bounds.
+"""Peak RSS of seven runs against their bounds.
 
 Each run is a fresh Python process in a temporary directory; the script
 prints every peak and exits 1 if one reaches its bound.  Usage::
@@ -39,6 +39,11 @@ RUNS = [
     ("simulate --ensemble ldmc5 --k 100000", 88, [*SIMULATE, "--ensemble", "ldmc5", "--out", "ldmc5.csv"]),
     ("simulate --ensemble sim-mixed.profile --k 100000", 75,
      [*SIMULATE, "--ensemble", "sim-mixed.profile", "--out", "mixed.csv"]),
+    # about 75 MB; 458 MB when the CSV was joined in memory and every trial's
+    # histogram kept until the end
+    ("histogram --bins 1000000 --trials 20", 90,
+     [*CLI, "histogram", "--ensemble", "ldmc3", "--k", "2000", "--rate", "0.5", "--alpha", "1.0",
+      "--bins", "1000000", "--trials", "20", "--out", "hist.csv"]),
 ]  # fmt: skip
 
 

@@ -308,9 +308,9 @@ INVARIANT_GRAPHS = {
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_GRAPHS))
 def test_certain_check_messages_keep_their_value(name):
-    # the variable step keeps its certainty counts from one iteration to the
-    # next because a +/-inf check-to-variable message keeps its value once
-    # sent.  Decodes driven as run_bp drives them, k = 2000; every other
+    # a property of BP, which the variable step's counts do not rely on: a
+    # +/-inf check-to-variable message keeps its value once sent.  Decodes
+    # driven as run_bp drives them, k = 2000; every other
     # trial reads 0.2% of its observations of arity > 1 flipped, and on the
     # PARITY graph the random source leaves checks unmet, so trials stop on
     # a contradiction too, the iteration in which a contradicted majority

@@ -26,7 +26,7 @@ from _oracles import (
     xor_group_update_plain,
 )
 from gracecode.bp import (
-    _MAJ5_BLOCK,
+    _MAJ_BLOCK,
     LLR_CLAMP,
     _check_update,
     _layout,
@@ -295,9 +295,9 @@ def test_kept_state_variable_step_matches_the_recounted_one(name):
 @pytest.mark.parametrize("seed", range(3))
 def test_kept_state_variable_step_on_messages_that_revert_and_flip(seed):
     # run_bp never feeds the step a certain message that goes back to finite
-    # or flips sign, but the step recounts when one does: here calls on
-    # arbitrary messages, edges [m, n) carrying 0 or +/-inf only, against
-    # the recounting step called afresh
+    # or flips sign, but its counts follow such a change as they follow any
+    # other: here calls on arbitrary messages, edges [m, n) carrying 0 or
+    # +/-inf only, against the recounting step called afresh
     rng = np.random.default_rng(seed)
     k, n, m = 300, 3000, 1800
     evar = rng.integers(0, k, size=n)
@@ -351,13 +351,13 @@ def test_group_kernels_match_mask_versions(d, certain):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("where", ["none", "edge", "inner", "tail"])
 def test_majority_update_across_column_blocks(d, where):
-    # 2.5 blocks of the MAJ5 update (the last one ragged): block 0 holds no
-    # certain message, blocks 1 and 2 hold +/-inf messages on both sides of
-    # their shared edge, at most thr certain ones (s = -inf) per column; a
-    # column is made a contradiction on both sides of that edge ("edge"),
-    # inside block 1 only ("inner"), in the last column only ("tail") or
-    # nowhere ("none")
-    B = _MAJ5_BLOCK
+    # 2.5 blocks of the majority update (the last one ragged), MAJ3 and MAJ5
+    # alike: block 0 holds no certain message, blocks 1 and 2 hold +/-inf
+    # messages on both sides of their shared edge, at most thr certain ones
+    # (s = -inf) per column; a column is made a contradiction on both sides
+    # of that edge ("edge"), inside block 1 only ("inner"), in the last
+    # column only ("tail") or nowhere ("none")
+    B = _MAJ_BLOCK
     C = 2 * B + B // 2 + 37
     thr = (d - 1) // 2
     rng = np.random.default_rng([d, len(where)])

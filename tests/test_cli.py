@@ -55,6 +55,7 @@ def test_usage_exit_code(tmp_path, capsys):
         ("simulate", "--k", "0"),
         ("simulate", "--bp-iters", "-1"),
         ("histogram", "--bins", "0"),
+        ("histogram", "--bins", "1000001"),
         ("histogram", "--trials", "two"),
     ]:
         extra = ["--alpha-grid", "1.0"] if command == "simulate" else ["--alpha", "1.0"]

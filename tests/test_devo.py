@@ -105,6 +105,16 @@ def test_tag_mismatch_errors():
         iterate(fam, 1.0, 0.2, -1)
     with pytest.raises(ValueError):
         fixed_point(fam, 1.0, 0.5, tol=0.0)
+    # fixed_point takes the starts and step counts iterate takes: these ran
+    # to a converged value, (nan, False) or 100,000 steps
+    for x0 in (1.5, -0.2, math.nan):
+        with pytest.raises(ValueError, match="x0 must lie in"):
+            fixed_point(fam, 1.0, x0)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        fixed_point(fam, 1.0, 0.5, tol=math.nan)
+    for max_steps in (-1, 100_001):
+        with pytest.raises(ValueError, match="max_steps must lie in"):
+            fixed_point(fam, 1.0, 0.5, max_steps=max_steps)
     # closed forms are BEC/error families: a BSC run of one is refused
     closed = ClosedFormFamily("mixed", profile=DegreeProfile(((CheckKind.xor(3), 1.0),)))
     iterate(closed, 1.0, 0.25, 3)
