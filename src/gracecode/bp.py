@@ -348,10 +348,10 @@ def _check_update(plan, lam, c2v) -> bool:
 # message along an edge of code e is certain if one of the others is:
 # _EXTRINSIC_ADD[3c + e] is that +/-inf, or 0, added to the clipped sum.
 #
-# The step keeps each edge's code and each variable's count of messages per
-# code across iterations and moves only the edges whose code changed, from
-# their old code's count to their new one's, so the counts are exact whatever
-# the messages do.  On run_bp's traffic a certain message keeps its value up
+# The step keeps each edge's code and each variable's counts of +inf and -inf
+# messages across iterations and moves only the edges whose code changed,
+# from their old code's count to their new one's, so the counts are exact
+# whatever the messages do.  On run_bp's traffic a certain message keeps its value up
 # to the iteration that flags a contradiction, so codes only turn certain.
 #
 # Float work runs on the majority edges [0, m) only.  A parity check reads of
@@ -385,18 +385,18 @@ def _beliefs(tot, scale=None):
     return np.divide(1.0, x, out=x)
 
 
-def _new_state(evar, k, inf):
-    """The variable step's state, with every message finite before: the
-    count of each variable's messages per certainty code (int32, (3, k)),
-    the certainty codes of this and the last iteration, the extrinsic
-    indices and the variable codes.  They share one uint8 block, the counts
-    at its front: made as separate arrays among an iteration's temporaries,
-    they let the heap grow from trial to trial (a peak RSS of 73-76 MB
-    against 70 MB over 45 in-process k = 1e5 simulate sweeps)."""
-    n = evar.shape[0]
+def _new_state(n, k, inf):
+    """The variable step's state, with every message finite before: an
+    int32 (3, k) count whose rows 1 and 2 hold each variable's number of
+    +inf and -inf messages (row 0, which takes the moves of finite
+    messages, starts at 0 and is not read), the certainty codes of this and
+    the last iteration, the extrinsic indices and the variable codes.  They
+    share one uint8 block, the counts at its front: made as separate arrays
+    among an iteration's temporaries, they let the heap grow from trial to
+    trial (a peak RSS of 73-76 MB against 70 MB over 45 in-process k = 1e5
+    simulate sweeps)."""
     block = np.zeros(12 * k + 3 * n + k, dtype=np.uint8)
     cnt = block[: 12 * k].view(np.int32).reshape(3, k)
-    cnt[0] = np.bincount(evar, minlength=k)
     new, code, ext, vcode = np.split(block[12 * k :], [n, 2 * n, 3 * n])
     return {"inf": inf, "cnt": cnt, "new": new, "code": code, "ext": ext, "vcode": vcode}
 
@@ -414,7 +414,8 @@ def _count_certain(evar, code, buf) -> bool:
     # int32 scalar keeps ufunc.at on its fast path
     np.subtract.at(cnt.reshape(-1), np.multiply(old.take(chg), k, dtype=v.dtype) + v, np.int32(1))
     np.add.at(cnt.reshape(-1), np.multiply(code.take(chg), k, dtype=v.dtype) + v, np.int32(1))
-    npos, nneg = np.minimum(cnt[1:, v], 2)
+    npos = np.minimum(cnt[1].take(v), 2)
+    nneg = np.minimum(cnt[2].take(v), 2)
     nneg *= 3
     nneg += npos
     vcode[v] = nneg
@@ -434,8 +435,8 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
     the certain part of the message, 0 when unsure.
 
     ``buf`` holds, from the first certain message on, the step's state: each
-    edge's certainty code, each variable's count of messages per code and
-    each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it across the
+    edge's certainty code, each variable's counts of +inf and -inf messages
+    and each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it across the
     iterations of one run and passes the same ``lam`` to every call but the
     last; without ``buf`` the step starts from scratch.
     """
@@ -452,7 +453,7 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
                 lam -= c2v
                 _clip(lam)
             return _beliefs(tot), False
-        buf.update(_new_state(evar, k, inf))
+        buf.update(_new_state(n, k, inf))
     u8 = inf.view(np.uint8)
     code = np.signbit(c2v, out=buf["new"].view(bool)).view(np.uint8)
     code &= u8
