@@ -351,8 +351,9 @@ def _check_update(plan, lam, c2v) -> bool:
 # The step keeps each edge's code and each variable's counts of +inf and -inf
 # messages across iterations and moves only the edges whose code changed,
 # from their old code's count to their new one's, so the counts are exact
-# whatever the messages do.  On run_bp's traffic a certain message keeps its value up
-# to the iteration that flags a contradiction, so codes only turn certain.
+# whatever the messages do.  On run_bp's traffic a certain message keeps its
+# value up to the iteration that flags a contradiction, so codes only turn
+# certain.
 #
 # Float work runs on the majority edges [0, m) only.  A parity check reads of
 # its incoming messages only whether they are certain and of which value, so
@@ -436,9 +437,9 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
 
     ``buf`` holds, from the first certain message on, the step's state: each
     edge's certainty code, each variable's counts of +inf and -inf messages
-    and each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it across the
-    iterations of one run and passes the same ``lam`` to every call but the
-    last; without ``buf`` the step starts from scratch.
+    and each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it
+    across the iterations of one run and passes the same ``lam`` to every
+    call but the last; without ``buf`` the step starts from scratch.
     """
     if buf is None:
         buf = {}

@@ -139,9 +139,10 @@ def _at_loads(family, alphas):
     return lambda idx: partial(family.evaluate, alphas[idx])
 
 
-def _check_start(family, x0: float, steps: int, surrogate: str, quantity: str, name: str = "ell") -> None:
+def _check_start(family, x0: float, name: str, steps: int, surrogate: str, quantity: str) -> None:
     """Raise ``ValueError`` for tags that do not match ``family``, an x0
-    outside the surrogate's range or NaN, or ``steps`` outside [0, _MAX_STEPS]."""
+    outside the surrogate's range or NaN, or a step count ``name`` = ``steps``
+    outside [0, _MAX_STEPS]."""
     _check_tags(family, surrogate, quantity)
     hi = _range_for(surrogate)
     if not 0.0 <= x0 <= hi:
@@ -152,7 +153,7 @@ def _check_start(family, x0: float, steps: int, surrogate: str, quantity: str, n
 
 def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> np.ndarray:
     """The (ell + 1, L) traces of ``iterate`` at every load of ``alphas``, in one run."""
-    _check_start(family, x0, ell, surrogate, quantity)
+    _check_start(family, x0, "ell", ell, surrogate, quantity)
     return _trace(_at_loads(family, alphas), np.full(len(alphas), float(x0)), ell, surrogate, quantity)
 
 
@@ -212,7 +213,7 @@ def fixed_point(
 ):
     """Iterate to |q_{t+1} - q_t| < tol; returns (q*, converged).  ``x0``
     and ``max_steps`` are checked as ``iterate`` checks x0 and ell."""
-    _check_start(family, x0, max_steps, surrogate, quantity, "max_steps")
+    _check_start(family, x0, "max_steps", max_steps, surrogate, quantity)
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     q, converged = _settle(_at_loads(family, [alpha]), np.array([float(x0)]), tol, max_steps, surrogate, quantity)
