@@ -160,17 +160,17 @@ def _layout(graph: FactorGraph, obs):
 #     prefix and suffix sums of non-negative terms, so nothing cancels.  w is
 #     scaled by e^-250 (e2 itself would overflow), and
 #     x = e^250 e2' / (e^-250 + e1') stays below 4 e^500.
-#   Other degrees: the count distribution swept in the log domain.
+#   Other degrees: the count distribution swept in logs, block by block.
 # Certainty: a certain 0 (s = +inf) is w = 0.  Each certain 1 (s = -inf) among
 # the others lowers thr by one, so thr' = 0 sends +inf and thr' < 0 is a
 # contradiction (message 0, flag set).  A message is +/-inf only if a +/-inf
 # came in.
 
-# columns per block of the MAJ3 and MAJ5 updates: a block's (d, block) work
-# arrays stay in a core's cache through all of its steps.  On ldmc5 traffic at
-# k = 1e5, MAJ5 blocks of 4096-8192 took the least time per call, 2048 and
-# 16384 took longer and whole groups about 1.5 times as long; on sim-mixed
-# traffic MAJ3 takes about as long over these blocks as whole.
+# columns per block of the majority update of every degree: a block's work
+# arrays and count tables stay in a core's cache through all of its steps.
+# On ldmc5 traffic at k = 1e5, MAJ5 blocks of 4096-8192 took the least time
+# per call, 2048 and 16384 longer and whole groups about 1.5 times as long;
+# on sim-mixed traffic MAJ3 takes about as long over blocks as whole.
 _MAJ_BLOCK = 8192
 _HALF_CLAMP = LLR_CLAMP / 2
 _E_HALF_CLAMP = math.exp(_HALF_CLAMP)
@@ -187,17 +187,13 @@ def _obs_sign(obs):
 def _maj_group_update(lam, obs, out, sign=None) -> bool:
     """Majority update of a (d, C) block of incoming LLRs into ``out``;
     True if some check saw a contradiction.  ``sign`` is ``_obs_sign(obs)``,
-    which ``run_bp`` computes once per call.  The MAJ3 and MAJ5 closed forms
-    run over blocks of ``_MAJ_BLOCK`` columns, each through every step while
-    it is in cache; the columns are independent, so blocks change no bit."""
+    which ``run_bp`` computes once per call.  Every degree runs over blocks
+    of ``_MAJ_BLOCK`` columns, each through every step while it is in cache;
+    the columns are independent, so blocks change no bit."""
     d, C = lam.shape
     thr = (d - 1) // 2
-    if sign is None:
-        sign = _obs_sign(obs)
-    if d not in (3, 5):
-        bad = _maj_sweep(lam * sign, thr, out)  # s
-        out *= sign
-        return bad
+    sign = _obs_sign(obs) if sign is None else sign
+    update = _maj_closed_form if d in (3, 5) else _maj_sweep
     work = np.empty(d * min(C, _MAJ_BLOCK))
     bad = False
     for lo in range(0, C, _MAJ_BLOCK):
@@ -205,7 +201,7 @@ def _maj_group_update(lam, obs, out, sign=None) -> bool:
         blk_sign, blk_out = sign[lo:hi], out[:, lo:hi]
         w = work[: d * (hi - lo)].reshape(d, hi - lo)
         np.multiply(lam[:, lo:hi], -blk_sign, out=w)  # -s
-        bad |= _maj_closed_form(w, thr, blk_out)
+        bad |= update(w, thr, blk_out)
         blk_out *= blk_sign
     return bad
 
@@ -274,12 +270,12 @@ def _maj5_sums(w, e2):
     return e1
 
 
-def _maj_sweep(s, thr, out) -> bool:
-    """log P(T <= thr) - log P(T <= thr-1) for any degree, by a forward table
-    of point masses and a backward table of cumulative counts, in logs."""
-    d, C = s.shape
-    lu = -np.logaddexp(0.0, s)  # log P(one)
-    lv = -np.logaddexp(0.0, -s)  # log P(zero)
+def _maj_sweep(w, thr, out) -> bool:
+    """log P(T <= thr) - log P(T <= thr-1) for any degree from ``w`` = -s:
+    forward point masses and backward cumulative counts, in logs."""
+    d, C = w.shape
+    lu = -np.logaddexp(0.0, -w)  # log P(one)
+    lv = -np.logaddexp(0.0, w)  # log P(zero)
     # fw[i, t]: t ones among neighbors 0..i-1; bw[i, t]: at most t among i..d-1
     fw = np.full((d, thr + 1, C), -np.inf)
     fw[0, 0] = 0.0

@@ -736,10 +736,12 @@ def mixed_efun(components, weights, alpha, q, D: int):
 
     XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
     does MAJ(1), whose observed check is the bit itself; the other MAJ
-    components take the truncated Poisson family.  The weights need not lie on
-    the simplex: the profile optimizer evaluates finite-difference points just
-    off it.  Lanes: an (L, n) weight matrix, L loads or L values of q pair up
-    lane by lane, and each lane gets the bits of its own one-lane call.
+    components, the only ones with soft messages, take the truncated Poisson
+    family, and the product is exact only with at most one of them.  The
+    weights need not lie on the simplex: the profile optimizer evaluates
+    finite-difference points just off it.  Lanes: an (L, n) weight matrix, L
+    loads or L values of q pair up lane by lane, and each lane gets the bits
+    of its own one-lane call.
     """
     w = np.asarray(weights, dtype=float)
     qa = np.asarray(q, dtype=float)
@@ -832,9 +834,9 @@ def first_zero(family, alpha: float):
 class ClosedFormFamily(_Family):
     """Closed-form BEC error function of a mixed or systematic-regular ensemble.
 
-    Mixed(profile): ``mixed_efun`` over the profile; LDGM(d) is the profile
-    ``XOR:d``.  SysRegular(d, R): (1 - alpha R) * E[Bin(d(1-R)/R, alpha R)-degree
-    error], with d(1-R)/R an integer.
+    Mixed(profile): the ``mixed_efun`` product, exact with at most one majority
+    of arity >= 3 (LDGM(d) is ``XOR:d``).  SysRegular(d, R): (1 - alpha R) *
+    E[Bin(d(1-R)/R, alpha R)-degree error], with d(1-R)/R an integer.
     """
 
     channel: ClassVar[str] = "BEC"
@@ -847,6 +849,7 @@ class ClosedFormFamily(_Family):
     D: int = 10
 
     def __post_init__(self):
+        _check_degree(self.D)
         if self.kind == "mixed":
             if self.profile is None:
                 raise ValueError("mixed requires a degree profile")

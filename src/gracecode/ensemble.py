@@ -80,8 +80,8 @@ class DegreeProfile:
         entries = tuple((kind, float(w)) for kind, w in self.entries)
         object.__setattr__(self, "entries", entries)
         total = sum(w for _, w in entries)
-        if any(w < 0 for _, w in entries):
-            raise ValueError("profile weights must be non-negative")
+        if not all(np.isfinite(w) and w >= 0 for _, w in entries):
+            raise ValueError("profile weights must be finite and non-negative")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"profile weights must sum to 1 (got {total})")
 
@@ -377,13 +377,11 @@ def parse_graph(text: str) -> FactorGraph:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     k, n, sysprefix = (int(t) for t in lines[0].split())
     checks = []
-    for ln in lines[1 : n + 1]:
+    for ln in lines[1:]:
         toks = ln.split()
-        kind = CheckKind(toks[0], int(toks[1]))
-        idx = tuple(int(t) for t in toks[2 : 2 + kind.arity])
-        if len(idx) != kind.arity:
-            raise ValueError(f"check line has wrong index count: {ln!r}")
-        checks.append((kind, idx))
+        if len(toks) < 2 or len(toks) != 2 + int(toks[1]):
+            raise ValueError(f"check line must hold a kind, an arity and that many indices: {ln!r}")
+        checks.append((CheckKind(toks[0], int(toks[1])), tuple(int(t) for t in toks[2:])))
     if len(checks) != n:
         raise ValueError("check count does not match header")
     return FactorGraph.from_checks(k, checks, systematic_prefix=sysprefix)
@@ -400,6 +398,8 @@ def parse_profile(text: str) -> DegreeProfile:
         if not ln.strip() or ln.lstrip().startswith("#"):
             continue
         toks = ln.split()
+        if len(toks) != 3:
+            raise ValueError(f"profile line must hold a kind, an arity and a weight: {ln!r}")
         entries.append((CheckKind(toks[0], int(toks[1])), float(toks[2])))
     return DegreeProfile(tuple(entries))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devo import _MAX_STEPS, _settle, _trace
-from .efun import _mixed_at
+from .efun import _check_degree, _mixed_at
 from .ensemble import CheckKind, DegreeProfile
 
 _FD_STEP = 1e-5
@@ -43,6 +43,7 @@ class OptProblem:
     seed: int = 0
 
     def __post_init__(self):
+        _check_degree(self.D)
         comps = tuple(self.components)
         if not comps:
             raise ValueError("components must be non-empty")
@@ -214,8 +215,8 @@ def optimize_profile(problem: OptProblem) -> OptResult:
     """Multistart projected gradient ascent; returns the best local optimum."""
     n = len(problem.components)
     if n == 1:
-        prof = DegreeProfile(((problem.components[0], 1.0),))
-        return OptResult(prof, _objective_raw(np.array([1.0]), problem), (np.zeros(1),), True)
+        f = _objective_raw(np.array([1.0]), problem)
+        return OptResult(DegreeProfile(((problem.components[0], 1.0),)), f, (np.array([f]),), True)
     best_x = None
     best_f = -math.inf
     all_conv = True

@@ -1,4 +1,4 @@
-"""Peak RSS of seven runs against their bounds.
+"""Peak RSS of eight runs against their bounds.
 
 Each run is a fresh Python process in a temporary directory; the script
 prints every peak and exits 1 if one reaches its bound.  Usage::
@@ -21,11 +21,11 @@ BIT_MAP = (
     "from gracecode.exactdec import BitMatrix, map_ber_linear\n"
     "map_ber_linear(BitMatrix.repetition(100_000, 2), 0.5, 1, np.random.default_rng(2))\n"
 )
-MIXED_PROFILE = "MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n"
+PROFILES = {"sim-mixed.profile": "MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", "maj7.profile": "MAJ 7 1\n"}
 
 DEVO = [*CLI, "devo", "--alpha-grid", "0.25:1.5:0.25", "--ell", "10", "--dmax", "10"]  # the golden devo runs
 
-# (run, bound in MB, the python argv, run in a directory holding sim-mixed.profile)
+# (run, bound in MB, the python argv, run in a directory holding PROFILES)
 RUNS = [
     # about 33 MB; 55 MB when the degree laws imported scipy.special
     ("devo --family ldmc3", 40, [*DEVO, "--family", "ldmc3", "--out", "devo3.csv"]),
@@ -39,6 +39,9 @@ RUNS = [
     ("simulate --ensemble ldmc5 --k 100000", 88, [*SIMULATE, "--ensemble", "ldmc5", "--out", "ldmc5.csv"]),
     ("simulate --ensemble sim-mixed.profile --k 100000", 75,
      [*SIMULATE, "--ensemble", "sim-mixed.profile", "--out", "mixed.csv"]),
+    # about 90 MB; 243 MB when the MAJ7 count sweep ran over whole groups
+    ("simulate --ensemble maj7.profile --k 100000", 110,
+     [*SIMULATE, "--ensemble", "maj7.profile", "--out", "maj7.csv"]),
     # about 75 MB; 458 MB when the CSV was joined in memory and every trial's
     # histogram kept until the end
     ("histogram --bins 1000000 --trials 20", 90,
@@ -50,8 +53,9 @@ RUNS = [
 def main() -> int:
     over = 0
     with tempfile.TemporaryDirectory() as tmp:
-        with open(f"{tmp}/sim-mixed.profile", "w", encoding="utf-8") as fh:
-            fh.write(MIXED_PROFILE)
+        for name, text in PROFILES.items():
+            with open(f"{tmp}/{name}", "w", encoding="utf-8") as fh:
+                fh.write(text)
         for name, bound, argv in RUNS:
             peak = peak_rss_mb(argv, cwd=tmp)
             print(f"{name}: peak RSS {peak:.0f} MB (bound {bound} MB)", flush=True)

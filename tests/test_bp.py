@@ -575,14 +575,16 @@ def test_observed_degrees():
         ("MAJ 5 1\n", 0.5, 22.2),
         ("MAJ 3 0.5\nXOR 3 0.25\nXOR 1 0.25\n", 0.25, 24.0),
         ("MAJ 5 1\n", 0.25, 27.5),
+        ("MAJ 7 1\n", 0.5, 34.0),
     ],
-    ids=["sim-mixed", "ldmc5", "sim-mixed-eps0.25", "ldmc5-eps0.25"],
+    ids=["sim-mixed", "ldmc5", "sim-mixed-eps0.25", "ldmc5-eps0.25", "maj7"],
 )
 def test_run_bp_peak_allocation_is_bounded(profile, eps, bound_mb):
     # the traced peak of one 10-iteration decode of a k = 1e5 trial at eps
     # 0.5 (alpha 1.0) and at eps 0.25 (alpha 1.5), the sweep's largest load:
     # 375k active sim-mixed edges, 750k ldmc5 edges; the per-edge work arrays
-    # are made once per call, not per iteration
+    # are made once per call, not per iteration, and the MAJ7 count sweep's
+    # tables are made per column block, not per group
     spec = EnsembleSpec(k=100_000, rate=0.5, profile=parse_profile(profile))
     small = sample_graph(EnsembleSpec(k=200, rate=0.5, profile=spec.profile), np.random.default_rng(0))
     run_bp(small, transmit(encode(small, np.zeros(200, dtype=np.int8)), ChannelParam.bec(0.5), np.random.default_rng(0)), 2)

@@ -348,15 +348,16 @@ def test_group_kernels_match_mask_versions(d, certain):
 
 
 
-@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("d", [3, 5, 7])
 @pytest.mark.parametrize("where", ["none", "edge", "inner", "tail"])
 def test_majority_update_across_column_blocks(d, where):
-    # 2.5 blocks of the majority update (the last one ragged), MAJ3 and MAJ5
-    # alike: block 0 holds no certain message, blocks 1 and 2 hold +/-inf
-    # messages on both sides of their shared edge, at most thr certain ones
-    # (s = -inf) per column; a column is made a contradiction on both sides
-    # of that edge ("edge"), inside block 1 only ("inner"), in the last
-    # column only ("tail") or nowhere ("none")
+    # 2.5 blocks of the majority update (the last one ragged), the MAJ3 and
+    # MAJ5 closed forms and the MAJ7 count sweep alike: block 0 holds no
+    # certain message, blocks 1 and 2 hold +/-inf messages on both sides of
+    # their shared edge, at most thr certain ones (s = -inf) per column; a
+    # column is made a contradiction on both sides of that edge ("edge"),
+    # inside block 1 only ("inner"), in the last column only ("tail") or
+    # nowhere ("none")
     B = _MAJ_BLOCK
     C = 2 * B + B // 2 + 37
     thr = (d - 1) // 2

@@ -124,8 +124,12 @@ def test_infeasible_exit_code(tmp_path, capsys):
     ])
     assert status == EXIT_INFEASIBLE
     assert not out.exists()
-    # empty grids and out-of-range loads stop before any row is written
+    # empty grids, out-of-range loads and malformed profile files stop before
+    # any row is written
     base = ["--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--out", str(out)]
+    for name, text in [("short", "MAJ 3\n"), ("long", "MAJ 3 0.5 junk\n"), ("nan", "MAJ 3 nan\nXOR 1 1\n")]:
+        (tmp_path / f"{name}.profile").write_text(text, encoding="utf-8")
+    sim = ["simulate", "--k", "10", "--rate", "0.5", "--alpha-grid", "1.0", "--out", str(out), "--ensemble"]
     for argv, message in [
         (["devo", "--family", "ldmc3", "--alpha-grid", "1.5:1.0:0.1", "--out", str(out)], "'1.5:1.0:0.1' is empty"),
         (["converse", "--bound", "shannon", "--rate", "0.5", "--eps-grid", "0.5:0.4:0.1", "--out", str(out)], "empty"),
@@ -147,6 +151,12 @@ def test_infeasible_exit_code(tmp_path, capsys):
         (["converse", "--bound", "linear1", "--rate", "nan", "--eps-grid", "0.5", "--out", str(out)],
          "rate must lie in (0, 1], got nan"),
         (["efun", "--dmax", "-1", "--out", str(out)], "degree must lie in [0, 14]"),
+        ([*sim, str(tmp_path / "short.profile")], "profile line must hold a kind, an arity and a weight: 'MAJ 3'"),
+        ([*sim, str(tmp_path / "long.profile")],
+         "profile line must hold a kind, an arity and a weight: 'MAJ 3 0.5 junk'"),
+        ([*sim, str(tmp_path / "nan.profile")], "profile weights must be finite and non-negative"),
+        (["devo", "--family", str(tmp_path / "nan.profile"), "--alpha-grid", "1.0", "--out", str(out)],
+         "profile weights must be finite and non-negative"),
     ]:
         assert main(argv) == EXIT_INFEASIBLE, argv
         assert message in capsys.readouterr().err
@@ -327,6 +337,10 @@ def test_degree_truncation_bound(tmp_path):
                  "--out", str(out)]) == EXIT_INFEASIBLE
     assert main(["efun", "--dmax", "15", "--out", str(out)]) == EXIT_INFEASIBLE
     assert main([*devo, "--family", "ldmc5", "--dmax", "15"]) == EXIT_INFEASIBLE
+    # families with no majority component check D too
+    assert main([*devo, "--family", "ldgm3", "--dmax", "-5"]) == EXIT_INFEASIBLE
+    assert main(["optimize", "--components", "XOR:1,XOR:3", "--targets", "1.0", "--dmax", "99",
+                 "--out", str(out)]) == EXIT_INFEASIBLE
     assert not out.exists()
     build_family("ldmc5", D=14)  # ldmc5 at D = 14 builds a large lattice, so only construct it
     assert main([*devo, "--family", "ldmc3", "--dmax", "14"]) == EXIT_OK

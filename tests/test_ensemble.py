@@ -262,6 +262,15 @@ def test_graph_serialization_roundtrip():
     assert again.checks == graph.checks
 
 
+def test_graph_check_lines_hold_exactly_their_indices():
+    # a check line holds its kind, its arity and exactly arity indices
+    for line in ("MAJ 3 0 1 2 9", "MAJ 3 0 1", "MAJ"):
+        with pytest.raises(ValueError, match=f"check line must hold a kind, an arity and that many indices: '{line}'"):
+            parse_graph(f"3 1 0\n{line}\n")
+    with pytest.raises(ValueError, match="check count does not match header"):
+        parse_graph("3 1 0\nMAJ 3 0 1 2\nXOR 2 0 1\n")  # one check line more than the header's n
+
+
 def test_profile_serialization_roundtrip():
     prof = DegreeProfile(((CheckKind.maj(3), 0.25), (CheckKind.xor(2), 0.75)))
     again = parse_profile(serialize_profile(prof))

@@ -108,6 +108,7 @@ def test_single_component_shortcut():
     assert res.profile.entries == ((CheckKind.maj(3), 1.0),)
     assert res.converged
     assert abs(res.objective - objective([1.0], prob)) < 1e-12
+    assert res.trajectories[0][-1] == res.objective
 
 
 def test_objective_profile_and_array_agree():
