@@ -31,7 +31,6 @@ from .ensemble import (
     SamplingFailureError,
     degree_stats,
     encode,
-    observed_subgraph,
     parse_graph,
     parse_profile,
     sample_graph,
@@ -42,12 +41,11 @@ from .exactdec import (
     BitMatrix,
     ContradictionError,
     HrankResult,
-    brute_force_marginals,
     map_ber_linear,
     rank_hrank,
     subsample,
 )
-from .bp import BeliefState, DecodeResult, check_message, measure, run_bp
+from .bp import BeliefState, DecodeResult, measure, run_bp
 from .efun import (
     EFunctionFamily,
     EPolynomial,
@@ -92,14 +90,14 @@ __all__ = [
     "matched_surrogates", "mgl_variant_check", "h_b", "h_b_inv",
     # ensemble
     "CheckKind", "DegreeProfile", "EnsembleSpec", "FactorGraph",
-    "sample_graph", "encode", "degree_stats", "observed_subgraph",
+    "sample_graph", "encode", "degree_stats",
     "serialize_graph", "parse_graph", "parse_profile", "serialize_profile",
     "InfeasibleSpecError", "SamplingFailureError",
     # exactdec
     "BitMatrix", "HrankResult", "rank_hrank", "subsample", "map_ber_linear",
-    "brute_force_marginals", "ContradictionError",
+    "ContradictionError",
     # bp
-    "BeliefState", "DecodeResult", "check_message", "run_bp", "measure",
+    "BeliefState", "DecodeResult", "run_bp", "measure",
     # efun
     "EPolynomial", "MessageAlphabet", "EFunctionFamily", "f_alphabet",
     "error_poly", "build_family", "d_function", "first_zero",

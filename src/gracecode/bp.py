@@ -12,19 +12,14 @@ messages except those of observed arity-1 (identity) checks.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .channels import ERASED, ReceivedWord, _check_bits, h_b
-from .ensemble import MAJ, CheckKind, FactorGraph, _check_observations, observed_subgraph
-from .exactdec import ContradictionError
+from .ensemble import MAJ, FactorGraph, _check_observations
 
 LLR_CLAMP = 500.0
-_TINY = Fraction(math.ulp(0.0))
-_HUGE = Fraction(sys.float_info.max)
 
 
 @dataclass
@@ -58,53 +53,6 @@ class DecodeResult:
     ber_trace: np.ndarray
     soft_info: float
     failed: bool = False
-
-
-def check_message(kind: CheckKind, observed: int, incoming) -> float:
-    """Reference check-to-target message in the likelihood-ratio domain.
-
-    ``incoming`` holds the ratios P(0)/P(1) from the other arity-1 neighbors.
-    An erased observation returns 1 (no message).  For a majority check with
-    observed 0 the result is P(T <= (d-1)/2) / P(T <= (d-3)/2) with T the
-    count of ones among the other neighbors; observed 1 is the mirror image.
-    The count distribution is computed in exact rational arithmetic and
-    rounded once, into [smallest positive, largest finite] float unless the
-    exact ratio is 0 or inf, which needs an incoming ratio of 0 or inf.
-    ``ContradictionError`` means the observation is impossible.
-    XOR/PARITY checks are informative only when every other neighbor is
-    certain.
-    """
-    r = np.asarray(incoming, dtype=float)
-    if r.shape[0] != kind.arity - 1:
-        raise ValueError("incoming must hold arity-1 ratios")
-    if np.any(r < 0):
-        raise ValueError("likelihood ratios must lie in [0, inf]")
-    if observed == ERASED:
-        return 1.0
-    obs = int(observed)
-    if kind.kind == "MAJ":
-        thr = (kind.arity - 1) // 2
-        # point masses of T up to a common factor: a neighbor weighs (r, 1)
-        # for (zero, one), a certain zero (1, 0); observed 1 counts zeros
-        dist = [Fraction(1)]
-        for x in r.tolist():
-            p0, p1 = (Fraction(1), Fraction(0)) if x == np.inf else (Fraction(x), Fraction(1))
-            if obs == 1:
-                p0, p1 = p1, p0
-            dist = [a * p0 + b * p1 for a, b in zip(dist + [Fraction(0)], [Fraction(0)] + dist)]
-        a_sum = sum(dist[: thr + 1])
-        b_sum = sum(dist[:thr])
-        if a_sum == 0:
-            raise ContradictionError("conflicting certain messages at a majority check")
-        if b_sum == 0:
-            return np.inf if obs == 0 else 0.0
-        ratio = a_sum / b_sum if obs == 0 else b_sum / a_sum
-        return float(min(max(ratio, _TINY), _HUGE))
-    certain = (r == 0.0) | np.isinf(r)
-    if not np.all(certain):
-        return 1.0
-    parity = (int((r == 0.0).sum()) + obs) % 2
-    return np.inf if parity == 0 else 0.0
 
 
 def _layout(graph: FactorGraph, obs):
@@ -535,16 +483,9 @@ def measure(result: DecodeResult, truth, bins: int | None = None):
     return ber, result.soft_info, hist
 
 
-def observed_degrees(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
-    """Per-variable membership count over observed (active) checks."""
-    return np.bincount(observed_subgraph(graph, received).evar, minlength=graph.k)
-
-
 __all__ = [
     "BeliefState",
     "DecodeResult",
-    "check_message",
     "run_bp",
     "measure",
-    "observed_degrees",
 ]

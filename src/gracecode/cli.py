@@ -20,6 +20,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
+from itertools import pairwise
 
 import numpy as np
 import scipy
@@ -309,7 +310,7 @@ def _cmd_histogram(args) -> dict:
     _check_loads(args.alpha)
     [(_, _, _, counts)], fields = _sweep(profile, args, [args.alpha], args.bins)
     edges = np.linspace(0.0, 1.0, args.bins + 1)
-    rows = ((edges[i], edges[i + 1], int(counts[i])) for i in range(args.bins))
+    rows = ((lo, hi, c) for (lo, hi), c in zip(pairwise(map(_fmt, edges)), counts.tolist()))
     _write_csv(args.out, ("bin_lo", "bin_hi", "count"), rows)
     return fields
 

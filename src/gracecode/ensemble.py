@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ERASED, ReceivedWord, _check_bits
+from .channels import ReceivedWord, _check_bits
 
 
 # the largest block length n = round(k / rate) a spec may ask for; a sampled
@@ -127,7 +127,10 @@ class FactorGraph:
 
     Check ``c`` applies the function with kind code ``kind[c]`` (0=MAJ, 1=XOR,
     2=PARITY) to the variables ``evar[ptr[c]:ptr[c + 1]]``.  Hand-written
-    graphs are built with :meth:`from_checks`.
+    graphs are built with :meth:`from_checks`.  A graph that cannot be
+    encoded or decoded raises ``ValueError``: ``k < 0``, a systematic prefix
+    outside [0, n_checks], a kind code other than 0, 1 or 2, or a check whose
+    (kind, arity) :class:`CheckKind` rejects.
     """
 
     k: int
@@ -140,10 +143,21 @@ class FactorGraph:
         object.__setattr__(self, "ptr", np.asarray(self.ptr, dtype=np.int64))
         object.__setattr__(self, "evar", np.asarray(self.evar, dtype=np.int64))
         object.__setattr__(self, "kind", np.asarray(self.kind, dtype=np.int8))
-        if self.ptr.shape != (self.kind.shape[0] + 1,) or self.ptr[0] != 0 or self.ptr[-1] != self.evar.shape[0]:
-            raise ValueError("ptr must hold one offset per check plus len(evar), starting at 0")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
+        ptr = self.ptr
+        if ptr.shape != (self.kind.shape[0] + 1,) or ptr[0] != 0 or ptr[-1] != self.evar.shape[0] or (self.arity < 0).any():
+            raise ValueError("ptr must hold one non-decreasing offset per check plus len(evar), starting at 0")
         if self.evar.size and (self.evar.min() < 0 or self.evar.max() >= self.k):
             raise ValueError("variable index out of range")
+        if not 0 <= self.systematic_prefix <= self.n_checks:
+            raise ValueError(f"systematic prefix must lie in [0, {self.n_checks}], got {self.systematic_prefix}")
+        if self.kind.min(initial=MAJ) < MAJ or self.kind.max(initial=MAJ) > PARITY:
+            raise ValueError("kind codes must be 0 (MAJ), 1 (XOR) or 2 (PARITY)")
+        # every distinct (kind, arity) pair once through CheckKind, which holds the arity rules
+        base = int(self.arity.max(initial=0)) + 1
+        for key in np.flatnonzero(np.bincount(self.kind.astype(np.int64) * base + self.arity)).tolist():
+            CheckKind(KIND_NAMES[key // base], key % base)
 
     @classmethod
     def from_checks(cls, k: int, checks, systematic_prefix: int = 0) -> "FactorGraph":
@@ -186,17 +200,6 @@ class FactorGraph:
     def flat(self):
         """``(ptr, evar, kind, arity)`` with kind codes 0=MAJ, 1=XOR, 2=PARITY."""
         return self.ptr, self.evar, self.kind, self.arity
-
-    def subgraph(self, keep) -> "FactorGraph":
-        """The checks selected by the boolean mask ``keep``, in their order."""
-        keep = np.asarray(keep, dtype=bool)
-        return FactorGraph(
-            self.k,
-            _offsets(self.arity[keep]),
-            self.evar[np.repeat(keep, self.arity)],
-            self.kind[keep],
-            int(keep[: self.systematic_prefix].sum()),
-        )
 
 
 def _offsets(arity) -> np.ndarray:
@@ -360,11 +363,6 @@ def _check_observations(graph: FactorGraph, received: ReceivedWord) -> np.ndarra
     return obs
 
 
-def observed_subgraph(graph: FactorGraph, received: ReceivedWord) -> FactorGraph:
-    """Sub-graph keeping PARITY checks and emitted checks with unerased output."""
-    return graph.subgraph(_check_observations(graph, received) != ERASED)
-
-
 def serialize_graph(graph: FactorGraph) -> str:
     """Line-oriented text form: header ``k n systematic`` then one check per line."""
     lines = [f"{graph.k} {graph.n_checks} {graph.systematic_prefix}"]
@@ -374,10 +372,13 @@ def serialize_graph(graph: FactorGraph) -> str:
 
 
 def parse_graph(text: str) -> FactorGraph:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    k, n, sysprefix = (int(t) for t in lines[0].split())
+    header, *lines = [ln for ln in text.strip().splitlines() if ln.strip()] or [""]
+    toks = header.split()
+    if len(toks) != 3:
+        raise ValueError(f"graph header must hold k, n and the systematic prefix: {header!r}")
+    k, n, sysprefix = (int(t) for t in toks)
     checks = []
-    for ln in lines[1:]:
+    for ln in lines:
         toks = ln.split()
         if len(toks) < 2 or len(toks) != 2 + int(toks[1]):
             raise ValueError(f"check line must hold a kind, an arity and that many indices: {ln!r}")
@@ -415,7 +416,6 @@ __all__ = [
     "sample_graph",
     "encode",
     "degree_stats",
-    "observed_subgraph",
     "serialize_graph",
     "parse_graph",
     "serialize_profile",

@@ -1,4 +1,5 @@
-"""Exact F2 decoding tools: rank/hrank, sub-sampling, and MAP oracles.
+"""Exact F2 decoding tools: rank/hrank, sub-sampling, and the Monte-Carlo
+bit-MAP BER of linear codes over a BEC.
 
 A :class:`BitMatrix` is a k x m matrix over F2 stored column-sparse; rank and
 forced-coordinate computations run on bitsets through the kernels in
@@ -15,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channels import ERASED, ReceivedWord
-from .ensemble import FactorGraph, _offsets
+from .ensemble import _offsets
 
 
 class ContradictionError(RuntimeError):
@@ -141,45 +141,6 @@ def map_ber_linear(G: BitMatrix, eps: float, trials: int, rng: np.random.Generat
     return total / trials
 
 
-def brute_force_marginals(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
-    """Exact posterior P(S_i = 0) by enumerating all 2^k sources (k <= 24).
-
-    Sources inconsistent with any unerased coded bit (or PARITY constraint)
-    are discarded; marginals are empirical frequencies under a uniform prior.
-    """
-    k = graph.k
-    if k > 24:
-        raise ValueError("brute force limited to k <= 24")
-    n_src = 1 << k
-    states = np.arange(n_src, dtype=np.int64)
-    mask = np.ones(n_src, dtype=bool)
-    pos = 0
-    for kind, idx in graph.checks:
-        if kind.emitted:
-            obs = int(received.symbols[pos])
-            pos += 1
-            if obs == ERASED:
-                continue
-        else:
-            obs = 0
-        count = np.zeros(n_src, dtype=np.int8)
-        for i in idx:
-            count += ((states >> i) & 1).astype(np.int8)
-        if kind.kind == "MAJ":
-            out = count > (kind.arity // 2)
-        else:
-            out = (count % 2).astype(bool)
-        mask &= out == bool(obs)
-    total = int(mask.sum())
-    if total == 0:
-        raise ContradictionError("no source word is consistent with the observations")
-    marg = np.empty(k, dtype=float)
-    for i in range(k):
-        ones = int((((states >> i) & 1).astype(bool) & mask).sum())
-        marg[i] = 1.0 - ones / total
-    return marg
-
-
 __all__ = [
     "BitMatrix",
     "HrankResult",
@@ -187,5 +148,4 @@ __all__ = [
     "rank_hrank",
     "subsample",
     "map_ber_linear",
-    "brute_force_marginals",
 ]

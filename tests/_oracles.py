@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -18,10 +19,10 @@ import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
 from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, run_bp
-from gracecode.channels import ERASED, h_b, h_b_inv
+from gracecode.channels import ERASED, ReceivedWord, h_b, h_b_inv
 from gracecode.efun import f_alphabet
-from gracecode.ensemble import MAJ, DegreeProfile, _check_observations
-from gracecode.exactdec import BitMatrix
+from gracecode.ensemble import MAJ, CheckKind, DegreeProfile, FactorGraph, _check_observations, _offsets
+from gracecode.exactdec import BitMatrix, ContradictionError
 from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
 
 
@@ -214,6 +215,125 @@ def slow_encode(checks, source) -> list:
         else:
             out.append(bit)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The check message in exact rational arithmetic, the observed sub-graph of
+# a graph and its variable degrees, and the posterior marginals by
+# enumeration of every source word: references of BP that the library
+# itself never calls.
+# ---------------------------------------------------------------------------
+
+_TINY = Fraction(math.ulp(0.0))
+_HUGE = Fraction(sys.float_info.max)
+
+
+def check_message(kind: CheckKind, observed: int, incoming) -> float:
+    """Reference check-to-target message in the likelihood-ratio domain.
+
+    ``incoming`` holds the ratios P(0)/P(1) from the other arity-1 neighbors.
+    An erased observation returns 1 (no message).  For a majority check with
+    observed 0 the result is P(T <= (d-1)/2) / P(T <= (d-3)/2) with T the
+    count of ones among the other neighbors; observed 1 is the mirror image.
+    The count distribution is computed in exact rational arithmetic and
+    rounded once, into [smallest positive, largest finite] float unless the
+    exact ratio is 0 or inf, which needs an incoming ratio of 0 or inf.
+    ``ContradictionError`` means the observation is impossible.
+    XOR/PARITY checks are informative only when every other neighbor is
+    certain.
+    """
+    r = np.asarray(incoming, dtype=float)
+    if r.shape[0] != kind.arity - 1:
+        raise ValueError("incoming must hold arity-1 ratios")
+    if np.any(r < 0):
+        raise ValueError("likelihood ratios must lie in [0, inf]")
+    if observed == ERASED:
+        return 1.0
+    obs = int(observed)
+    if kind.kind == "MAJ":
+        thr = (kind.arity - 1) // 2
+        # point masses of T up to a common factor: a neighbor weighs (r, 1)
+        # for (zero, one), a certain zero (1, 0); observed 1 counts zeros
+        dist = [Fraction(1)]
+        for x in r.tolist():
+            p0, p1 = (Fraction(1), Fraction(0)) if x == np.inf else (Fraction(x), Fraction(1))
+            if obs == 1:
+                p0, p1 = p1, p0
+            dist = [a * p0 + b * p1 for a, b in zip(dist + [Fraction(0)], [Fraction(0)] + dist)]
+        a_sum = sum(dist[: thr + 1])
+        b_sum = sum(dist[:thr])
+        if a_sum == 0:
+            raise ContradictionError("conflicting certain messages at a majority check")
+        if b_sum == 0:
+            return np.inf if obs == 0 else 0.0
+        ratio = a_sum / b_sum if obs == 0 else b_sum / a_sum
+        return float(min(max(ratio, _TINY), _HUGE))
+    certain = (r == 0.0) | np.isinf(r)
+    if not np.all(certain):
+        return 1.0
+    parity = (int((r == 0.0).sum()) + obs) % 2
+    return np.inf if parity == 0 else 0.0
+
+
+def subgraph(graph: FactorGraph, keep) -> FactorGraph:
+    """The checks selected by the boolean mask ``keep``, in their order."""
+    keep = np.asarray(keep, dtype=bool)
+    return FactorGraph(
+        graph.k,
+        _offsets(graph.arity[keep]),
+        graph.evar[np.repeat(keep, graph.arity)],
+        graph.kind[keep],
+        int(keep[: graph.systematic_prefix].sum()),
+    )
+
+
+def observed_subgraph(graph: FactorGraph, received: ReceivedWord) -> FactorGraph:
+    """Sub-graph keeping PARITY checks and emitted checks with unerased output."""
+    return subgraph(graph, _check_observations(graph, received) != ERASED)
+
+
+def observed_degrees(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
+    """Per-variable membership count over observed (active) checks."""
+    return np.bincount(observed_subgraph(graph, received).evar, minlength=graph.k)
+
+
+def brute_force_marginals(graph: FactorGraph, received: ReceivedWord) -> np.ndarray:
+    """Exact posterior P(S_i = 0) by enumerating all 2^k sources (k <= 24).
+
+    Sources inconsistent with any unerased coded bit (or PARITY constraint)
+    are discarded; marginals are empirical frequencies under a uniform prior.
+    """
+    k = graph.k
+    if k > 24:
+        raise ValueError("brute force limited to k <= 24")
+    n_src = 1 << k
+    states = np.arange(n_src, dtype=np.int64)
+    mask = np.ones(n_src, dtype=bool)
+    pos = 0
+    for kind, idx in graph.checks:
+        if kind.emitted:
+            obs = int(received.symbols[pos])
+            pos += 1
+            if obs == ERASED:
+                continue
+        else:
+            obs = 0
+        count = np.zeros(n_src, dtype=np.int8)
+        for i in idx:
+            count += ((states >> i) & 1).astype(np.int8)
+        if kind.kind == "MAJ":
+            out = count > (kind.arity // 2)
+        else:
+            out = (count % 2).astype(bool)
+        mask &= out == bool(obs)
+    total = int(mask.sum())
+    if total == 0:
+        raise ContradictionError("no source word is consistent with the observations")
+    marg = np.empty(k, dtype=float)
+    for i in range(k):
+        ones = int((((states >> i) & 1).astype(bool) & mask).sum())
+        marg[i] = 1.0 - ones / total
+    return marg
 
 
 # ---------------------------------------------------------------------------
@@ -888,7 +1008,7 @@ def observed_groups_plain(graph, received):
     on its observed sub-graph."""
     obs = _check_observations(graph, received)
     active = obs != ERASED
-    return obs, *build_groups_plain(graph.subgraph(active), obs[active])
+    return obs, *build_groups_plain(subgraph(graph, active), obs[active])
 
 
 def run_bp_plain(graph, received, iters: int):

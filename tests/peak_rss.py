@@ -1,7 +1,8 @@
 """Peak RSS of eight runs against their bounds.
 
 Each run is a fresh Python process in a temporary directory; the script
-prints every peak and exits 1 if one reaches its bound.  Usage::
+prints every peak with the run's wall seconds and exits 1 if a peak
+reaches its bound.  Usage::
 
     python tests/peak_rss.py
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+import time
 
 from _rss import peak_rss_mb
 
@@ -57,8 +59,10 @@ def main() -> int:
             with open(f"{tmp}/{name}", "w", encoding="utf-8") as fh:
                 fh.write(text)
         for name, bound, argv in RUNS:
+            start = time.perf_counter()
             peak = peak_rss_mb(argv, cwd=tmp)
-            print(f"{name}: peak RSS {peak:.0f} MB (bound {bound} MB)", flush=True)
+            seconds = time.perf_counter() - start
+            print(f"{name}: peak RSS {peak:.0f} MB (bound {bound} MB), {seconds:.1f} s", flush=True)
             over += peak >= bound
     return 1 if over else 0
 

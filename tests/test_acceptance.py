@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from _oracles import exact_map_ber, maj_depth1_error
+from _oracles import brute_force_marginals, exact_map_ber, maj_depth1_error, observed_degrees
 from test_efun_golden import GOLDEN_LDMC3
-from gracecode.bp import measure, observed_degrees, run_bp
+from gracecode.bp import measure, run_bp
 from gracecode.channels import ChannelParam, ERASED, ReceivedWord, mgl_variant_check, transmit
 from gracecode.cli import main as cli_main
 from gracecode.converse import (
@@ -41,7 +41,7 @@ from gracecode.ensemble import (
     encode,
     sample_graph,
 )
-from gracecode.exactdec import BitMatrix, brute_force_marginals, map_ber_linear, rank_hrank, subsample
+from gracecode.exactdec import BitMatrix, map_ber_linear, rank_hrank, subsample
 
 LDMC3 = f_alphabet("ldmc3_bec")
 QS = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]

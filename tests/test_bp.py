@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from _oracles import brute_force_marginals, check_message, observed_degrees, subgraph
 from gracecode.bp import (
     LLR_CLAMP,
     _check_update,
@@ -15,9 +16,7 @@ from gracecode.bp import (
     _maj_group_update,
     _var_step,
     _xor_group_update,
-    check_message,
     measure,
-    observed_degrees,
     run_bp,
 )
 from gracecode.channels import ERASED, ChannelParam, ReceivedWord, h_b, transmit
@@ -32,7 +31,7 @@ from gracecode.ensemble import (
     parse_profile,
     sample_graph,
 )
-from gracecode.exactdec import ContradictionError, brute_force_marginals
+from gracecode.exactdec import ContradictionError
 
 MAJ1, MAJ3, MAJ5 = CheckKind.maj(1), CheckKind.maj(3), CheckKind.maj(5)
 
@@ -323,7 +322,7 @@ def test_certain_check_messages_keep_their_value(name):
             rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 0])
             graph = sample_graph(spec, rng)
             source = rng.integers(0, 2, size=spec.k).astype(np.int8)
-            sent = encode(graph.subgraph(graph.kind != PARITY), source)
+            sent = encode(subgraph(graph, graph.kind != PARITY), source)
             received = transmit(sent, ChannelParam.bec(1.0 - alpha * 0.5), rng)
             symbols = received.symbols.copy()
             if seed % 2:

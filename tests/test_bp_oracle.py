@@ -21,6 +21,7 @@ from _oracles import (
     observed_groups_plain,
     run_bp_plain,
     run_bp_traced,
+    subgraph,
     var_step_plain,
     var_step_recounted,
     xor_group_update_plain,
@@ -136,7 +137,7 @@ def _trial(graph, seed, alpha, iters=10):
     rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 1])
     source = _source(graph, rng)
     eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
-    coded = encode(graph.subgraph(graph.kind != PARITY), source)
+    coded = encode(subgraph(graph, graph.kind != PARITY), source)
     received = transmit(coded, ChannelParam.bec(eps), rng)
     _assert_same_layout(graph, received)
     _assert_same(run_bp_traced(graph, received, iters), run_bp_plain(graph, received, iters))
@@ -252,7 +253,7 @@ def _step_trials(name, k=2000):
             rng = np.random.default_rng([seed, int(round(alpha * 1e9)), 1])
             source = _source(graph, rng)
             eps = min(max(1.0 - alpha * RATE, 0.0), 1.0)
-            received = transmit(encode(graph.subgraph(graph.kind != PARITY), source), ChannelParam.bec(eps), rng)
+            received = transmit(encode(subgraph(graph, graph.kind != PARITY), source), ChannelParam.bec(eps), rng)
             yield graph, received
             yield graph, _flipped(graph, received, rng, 0.002)
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from _oracles import slow_encode
+from _oracles import observed_subgraph, slow_encode
 from gracecode.channels import ChannelParam, ReceivedWord, transmit
 from gracecode.ensemble import (
     _MAX_CHECKS,
@@ -22,7 +22,6 @@ from gracecode.ensemble import (
     _sample_subsets,
     degree_stats,
     encode,
-    observed_subgraph,
     parse_graph,
     parse_profile,
     sample_graph,
@@ -251,6 +250,31 @@ def test_from_checks_validation():
         FactorGraph.from_checks(4, ((CheckKind.maj(3), (0, 1)),))  # arity 3, two indices
     with pytest.raises(ValueError):
         FactorGraph.from_checks(4, ((CheckKind.xor(2), (0, 4)),))  # index out of range
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2, [0, 0, 2], [0, 1], [0, 1]), "arity must be >= 1"),  # encode gave the empty check s[0]
+        ((2, [0, 2], [0, 1], [0]), "MAJ arity must be odd"),  # BP returned certainty on a tie
+        ((1, [0, 1], [0], [7]), r"kind codes must be 0 \(MAJ\), 1 \(XOR\) or 2 \(PARITY\)"),
+        ((2, [0, 2, 1, 2], [0, 1], [0, 1, 0]), "ptr must hold one non-decreasing offset"),
+        ((-2, [0], [], []), "k must be >= 0, got -2"),
+        ((1, [0, 1], [0], [0], 5), r"systematic prefix must lie in \[0, 1\], got 5"),
+        ((1, [0, 1], [0], [0], -1), r"systematic prefix must lie in \[0, 1\], got -1"),
+    ],
+    ids=["arity-0", "maj-even", "kind-7", "ptr-decreasing", "k-negative", "prefix-5", "prefix-negative"],
+)
+def test_factor_graph_rejects_what_it_cannot_encode(args, message):
+    with pytest.raises(ValueError, match=message):
+        FactorGraph(*args)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "3 1", "3 1 0 7"], ids=["empty", "blank", "two", "four"])
+def test_graph_header_holds_exactly_three_fields(text):
+    header = text.strip()
+    with pytest.raises(ValueError, match=f"graph header must hold k, n and the systematic prefix: '{header}'"):
+        parse_graph(text)
 
 
 def test_graph_serialization_roundtrip():

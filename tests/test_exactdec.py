@@ -13,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import exact_map_ber, forced_set_dense, gf2_rank_dense, rank_forced_per_coordinate
+from _oracles import brute_force_marginals, exact_map_ber, forced_set_dense, gf2_rank_dense, rank_forced_per_coordinate
 from gracecode import _kernels
 from gracecode.channels import ChannelParam, ReceivedWord
 from gracecode.ensemble import CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, sample_graph
 from gracecode.exactdec import (
     BitMatrix,
-    brute_force_marginals,
     map_ber_linear,
     rank_hrank,
     subsample,
