@@ -333,8 +333,6 @@ def encode(graph: FactorGraph, source) -> np.ndarray:
     if s.shape[0] != graph.k:
         raise ValueError("source length must equal k")
     ptr, evar, codes, arities = graph.flat
-    if evar.shape[0] == 0:
-        return np.zeros(0, dtype=np.int8)
     sums = np.add.reduceat(s[evar], ptr[:-1])
     vals = np.where(codes == MAJ, sums > arities // 2, sums % 2).astype(np.int8)
     if np.any(vals[codes == PARITY] != 0):
