@@ -1,12 +1,13 @@
 """Flooding belief propagation on factor graphs over erasure observations.
 
-Messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``;
-certainty is the explicit value +/-inf, and finite variable-side values
-saturate at +/-``LLR_CLAMP`` nats.  One iteration is a check update, then a
-variable step: the checks turn variable-to-check into check-to-variable
-messages, which the variable step sums into beliefs and the next
-variable-to-check messages.  Iteration 0 is the variable step alone, on zero
-messages except those of observed arity-1 (identity) checks.
+Majority messages are log-likelihood ratios ``log P(bit=0) - log P(bit=1)``,
++/-inf when certain, finite variable-side values saturating at
++/-``LLR_CLAMP`` nats; clamp, XOR and PARITY edges carry only a uint8
+certainty code: 0 unsure, 1 certain 0, 2 certain 1.  One iteration is a
+check update, then a variable step: the checks turn variable-to-check into
+check-to-variable messages, which the variable step sums into beliefs and
+the next variable-to-check messages.  Iteration 0 is the variable step
+alone, on unsure messages except the clamps of observed arity-1 checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ERASED, ReceivedWord, _check_bits, h_b
-from .ensemble import MAJ, FactorGraph, _check_observations
+from .ensemble import XOR, FactorGraph, _check_observations
 
 LLR_CLAMP = 500.0
 
@@ -61,28 +62,30 @@ def _layout(graph: FactorGraph, obs):
 
     The C observed checks of one (kind, arity d) group own one contiguous
     slice of the edge arrays, read as a (d, C) block whose row i holds every
-    check's i-th edge in check order; the groups follow in (kind, d) order.
-    Returns the permuted edge-variable array, the initial check-to-variable
-    messages, which clamp the observed arity-1 checks to +/-inf, the
-    ``_check_update`` plan of the other groups and the number m of majority
-    edges: the majority groups come first (MAJ is kind 0), so edges [0, m)
-    are theirs and [m, n) those of the XOR and PARITY groups.
+    check's i-th edge in check order; the groups follow in (kind, d) order,
+    every arity-1 check (MAJ1 or XOR1) in one clamp group keyed as XOR1.
+    Edges [0, m), the majority groups' (MAJ is kind 0, of arity >= 3), carry
+    floats; [m, n), the clamp, XOR and PARITY groups', carry codes.  Returns
+    the permuted edge-variable array, the initial codes of [m, n), which
+    clamp the observed arity-1 checks, the ``_check_update`` plan of the
+    other groups (a parity group's slice indexes the codes) and m.
     """
     ptr, g_evar, kind, arity = graph.flat
     base = int(arity.max(initial=0)) + 1
-    keys = kind.astype(np.int64) * base + arity
+    keys = np.where(arity == 1, XOR * base + 1, kind.astype(np.int64) * base + arity)
     keys[obs == ERASED] = 0  # key 0 is free: every check has arity >= 1
     count = np.bincount(keys, minlength=1)
     count[0] = 0
     stops = np.cumsum(count * (np.arange(count.shape[0]) % base))
+    m = int(stops[min(base, stops.shape[0]) - 1])
     evar = np.empty(stops[-1], dtype=g_evar.dtype)
-    c2v = np.zeros(evar.shape[0])
+    c2v_code = np.zeros(evar.shape[0] - m, dtype=np.uint8)
     plan = []
     for key in np.flatnonzero(count).tolist():
-        code, d = divmod(key, base)
+        d, lo = key % base, 0 if key < base else m
         sel = np.flatnonzero(keys == key)
-        blk = slice(stops[key] - d * sel.shape[0], stops[key])
-        first, block = ptr[sel], evar[blk].reshape(d, sel.shape[0])
+        blk = slice(stops[key] - lo - d * sel.shape[0], stops[key] - lo)
+        first, block = ptr[sel], evar[lo:][blk].reshape(d, sel.shape[0])
         # row by row, with no (d, C) index matrix; the indices are in range,
         # and with "clip" np.take writes into out without a buffer
         for i in range(d):
@@ -91,10 +94,10 @@ def _layout(graph: FactorGraph, obs):
         if d == 1:
             # observed arity-1 checks need no incoming information, and these
             # stay their messages, so the check update leaves them out
-            c2v[blk] = np.where(bits == 0, np.inf, -np.inf)
+            c2v_code[blk] = bits + 1
         else:
-            plan.append((blk, (d, sel.shape[0]), bits, _obs_sign(bits) if code == MAJ else None))
-    return evar, c2v, plan, int(stops[min(base, stops.shape[0]) - 1])
+            plan.append((blk, (d, sel.shape[0]), bits, _obs_sign(bits) if key < base else None))
+    return evar, c2v_code, plan, m
 
 
 # Majority checks.  Mirror the incoming LLRs for an observed 1 (s = -lam) and
@@ -244,53 +247,50 @@ def _maj_sweep(w, thr, out) -> bool:
     return bool(bad.any())
 
 
-_PARITY_MESSAGE = np.array([0.0, np.inf, -np.inf])  # unsure, certain 0, certain 1
-
-
-def _xor_group_update(lam, obs, out) -> None:
-    """Parity update of a (d, C) block of incoming LLRs into ``out``.
+def _xor_group_update(code, obs, out) -> None:
+    """Parity update of a (d, C) block of incoming certainty codes into
+    ``out``, a (d, C) uint8 block.
 
     Edge i is certain only when every other neighbor is; its bit is then the
-    parity of the observation and the other neighbors' bits.  On int8 flags a
-    XOR-reduce gives the parity and a sum the count of unsure neighbors; the
-    message is read from ``_PARITY_MESSAGE``.
+    parity of the observation and the other neighbors' bits.  A code's bit is
+    ``code >> 1``; a XOR-reduce gives the parity and a sum the count of
+    unsure neighbors.
     """
-    d = lam.shape[0]
-    ones = np.equal(lam, -np.inf).view(np.int8)
-    unsure = np.isfinite(lam).view(np.int8)
-    parity = np.bitwise_xor.reduce(ones, axis=0) ^ obs.astype(np.int8, copy=False)
+    ones = np.right_shift(code, 1)
+    parity = np.bitwise_xor.reduce(ones, axis=0) ^ obs.astype(np.uint8, copy=False)
     np.bitwise_xor(ones, parity, out=ones)  # the others' parity with the observation
-    n_unsure = np.add.reduce(unsure, axis=0, dtype=np.int8 if d < 128 else np.intp)
-    code = np.equal(unsure, n_unsure).view(np.uint8)  # 1 if no other neighbor is unsure
-    np.left_shift(code, ones.view(np.uint8), out=code)
-    np.take(_PARITY_MESSAGE, code, out=out, mode="clip")
+    unsure = np.equal(code, 0).view(np.uint8)
+    n_unsure = np.add.reduce(unsure, axis=0, dtype=np.uint8 if code.shape[0] < 256 else np.intp)
+    np.equal(unsure, n_unsure, out=out.view(bool))  # 1 if no other neighbor is unsure
+    np.left_shift(out, ones, out=out)
 
 
-def _check_update(plan, lam, c2v) -> bool:
-    """Write the check-to-variable messages into ``c2v``; True on a contradiction.
+def _check_update(plan, lam, c2v, lam_code, c2v_code) -> bool:
+    """Write the check-to-variable messages; True on a contradiction.
 
     ``plan`` holds ``(slice, (d, C), observations, sign)`` per group, where
     ``sign`` is the majority mirror ``_obs_sign`` and None for every other
-    kind (XOR and observed PARITY), which takes the parity update.  Each
-    group reads its slice of ``lam`` and writes its slice of ``c2v`` as
-    (d, C) views.
+    kind (XOR and observed PARITY), which takes the parity update on codes.
+    Each group reads its slice of ``lam`` or ``lam_code`` and writes that of
+    ``c2v`` or ``c2v_code`` as (d, C) views.
     """
     contradiction = False
     for blk, shape, obs, sign in plan:
         if sign is None:
-            _xor_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape))
+            _xor_group_update(lam_code[blk].reshape(shape), obs, c2v_code[blk].reshape(shape))
         else:
             contradiction |= _maj_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape), sign)
     return contradiction
 
 
-# Certain messages in the variable step.  An edge's code e is 0 for a finite
-# message, 1 for +inf and 2 for -inf; a variable that received n+ and n-
-# certain messages has the code c = min(n+, 2) + 3 min(n-, 2).  Its belief is
-# certain if one of its messages is, +inf first: _BELIEF_SCALE[c] multiplies
-# e^-x of its clipped finite sum x by 0 (p0 = 1), inf (p0 = 0) or 1.  Its
-# message along an edge of code e is certain if one of the others is:
-# _EXTRINSIC_ADD[3c + e] is that +/-inf, or 0, added to the clipped sum.
+# Certain messages in the variable step.  An edge's code e is 0 for an unsure
+# message, 1 for +inf (a certain 0) and 2 for -inf; a variable that received
+# n+ and n- certain messages has the code c = min(n+, 2) + 3 min(n-, 2).  Its
+# belief is certain if one of its messages is, +inf first: _BELIEF_SCALE[c]
+# multiplies e^-x of its clipped finite sum x by 0 (p0 = 1), inf (p0 = 0) or
+# 1.  Its message along an edge of code e is certain if one of the others is:
+# _EXTRINSIC_ADD[3c + e] is that +/-inf, or 0, added to the clipped sum, and
+# _EXTRINSIC_CODE[3c + e] its code.
 #
 # The step keeps each edge's code and each variable's counts of +inf and -inf
 # messages across iterations and moves only the edges whose code changed,
@@ -301,9 +301,9 @@ def _check_update(plan, lam, c2v) -> bool:
 #
 # Float work runs on the majority edges [0, m) only.  A parity check reads of
 # its incoming messages only whether they are certain and of which value, so
-# the message along an XOR or PARITY edge is its certain extrinsic part alone
-# (0 when unsure), rewritten on every call; its check-to-variable messages
-# are 0 or +/-inf, so leaving them out of the sums changes no bit.
+# the message along a clamp, XOR or PARITY edge is the code of its certain
+# extrinsic part alone, rewritten on every call; the certain messages of
+# those edges add nothing to the finite sums.
 
 
 def _certain_llr(npos, nneg) -> float:
@@ -312,6 +312,7 @@ def _certain_llr(npos, nneg) -> float:
 
 _BELIEF_SCALE = np.exp(-np.array([_certain_llr(c % 3, c // 3) for c in range(9)]))
 _EXTRINSIC_ADD = np.array([_certain_llr(c // 3 % 3 - (c % 3 == 1), c // 9 - (c % 3 == 2)) for c in range(27)])
+_EXTRINSIC_CODE = (np.isinf(_EXTRINSIC_ADD) * (1 + np.signbit(_EXTRINSIC_ADD))).astype(np.uint8)
 
 
 def _clip(x):
@@ -331,15 +332,15 @@ def _beliefs(tot, scale=None):
 
 
 def _new_state(n, k, inf):
-    """The variable step's state, with every message finite before: an
+    """The variable step's state, with every message unsure before: an
     int32 (3, k) count whose rows 1 and 2 hold each variable's number of
-    +inf and -inf messages (row 0, which takes the moves of finite
+    +inf and -inf messages (row 0, which takes the moves of unsure
     messages, starts at 0 and is not read), the certainty codes of this and
     the last iteration, the extrinsic indices and the variable codes.  They
     share one uint8 block, the counts at its front: made as separate arrays
     among an iteration's temporaries, they let the heap grow from trial to
     trial (a peak RSS of 73-76 MB against 70 MB over 45 in-process k = 1e5
-    simulate sweeps)."""
+    simulate sweeps).  ``inf`` is the majority edges' certainty mask."""
     block = np.zeros(12 * k + 3 * n + k, dtype=np.uint8)
     cnt = block[: 12 * k].view(np.int32).reshape(3, k)
     new, code, ext, vcode = np.split(block[12 * k :], [n, 2 * n, 3 * n])
@@ -350,10 +351,10 @@ def _count_certain(evar, code, buf) -> bool:
     """Move every edge whose certainty code changed from ``buf``'s count of
     its old code to that of its new one ``code``, rewrite those variables'
     codes and return whether some variable is certain of both values.
-    Overwrites ``buf["inf"]``."""
+    Overwrites ``buf["ext"]``, its change mask."""
     old, cnt, vcode = buf["code"], buf["cnt"], buf["vcode"]
     k = cnt.shape[1]
-    chg = np.flatnonzero(np.not_equal(code, old, out=buf["inf"]))
+    chg = np.flatnonzero(np.not_equal(code, old, out=buf["ext"].view(bool)))
     v = evar.take(chg)
     # flat index e k + v counts the messages of code e at variable v; an
     # int32 scalar keeps ufunc.at on its fast path
@@ -367,47 +368,45 @@ def _count_certain(evar, code, buf) -> bool:
     return bool(np.logical_and(cnt[1], cnt[2]).any())
 
 
-def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
+def _var_step(evar, c2v, c2v_code, k, lam=None, lam_code=None, buf=None):
     """Beliefs p0 and the contradiction flag from the check-to-variable
-    messages ``c2v``; with ``lam`` given, also write the next
-    variable-to-check messages into it.
+    messages, floats ``c2v`` on the majority edges [0, m) and codes
+    ``c2v_code`` on [m, n); with ``lam`` and ``lam_code`` given, also write
+    the next variable-to-check messages into them.
 
     A variable's belief sums its messages, certain if one of them is; its
     message to a check sums the others.  Both clip finite sums at
     +/-``LLR_CLAMP``.  A variable certain of both values is a contradiction.
-    Edges [0, ``m``) (all of them when ``m`` is None) are majority edges,
-    whose messages are summed in floats; on the others ``lam`` receives only
-    the certain part of the message, 0 when unsure.
+    Only majority messages are summed in floats; ``lam_code`` receives the
+    code of the certain part of each message alone.
 
     ``buf`` holds, from the first certain message on, the step's state: each
     edge's certainty code, each variable's counts of +inf and -inf messages
-    and each edge's index into ``_EXTRINSIC_ADD``.  ``run_bp`` keeps it
-    across the iterations of one run and passes the same ``lam`` to every
-    call but the last; without ``buf`` the step starts from scratch.
+    and each edge's index into the ``_EXTRINSIC_*`` tables.  ``run_bp`` keeps it
+    across the iterations of one run and passes the same ``lam`` and
+    ``lam_code`` to every call but the last; without ``buf`` it starts anew.
     """
-    if buf is None:
-        buf = {}
-    n = c2v.shape[0]
-    m = n if m is None else m
+    buf = {} if buf is None else buf
+    m = c2v.shape[0]
     inf = np.isinf(c2v, out=buf.get("inf"))
     if "code" not in buf:
-        if not inf.any():
-            tot = np.bincount(evar, weights=c2v, minlength=k).astype(float, copy=False)  # int64 without edges
+        if not (inf.any() or c2v_code.any()):
+            tot = np.bincount(evar[:m], weights=c2v, minlength=k).astype(float, copy=False)  # int64 without edges
             if lam is not None:
-                np.take(tot, evar, out=lam, mode="clip")
+                np.take(tot, evar[:m], out=lam, mode="clip")
                 lam -= c2v
                 _clip(lam)
+                lam_code.fill(0)
             return _beliefs(tot), False
-        buf.update(_new_state(n, k, inf))
-    u8 = inf.view(np.uint8)
-    code = np.signbit(c2v, out=buf["new"].view(bool)).view(np.uint8)
-    code &= u8
-    code += u8  # e
+        buf.update(_new_state(evar.shape[0], k, inf))
+    code = buf["new"]
+    e = np.signbit(c2v, out=code[:m].view(bool)).view(np.uint8)
+    np.left_shift(inf.view(np.uint8), e, out=e)  # 1 for +inf, 2 for -inf
+    code[m:] = c2v_code
     # the finite part of the majority messages, the float bits ANDed with 0
     # on the certain ones, in lam's place: the check update has read lam
-    keep = np.subtract(inf[:m].view(np.int8), 1, out=inf[:m].view(np.int8))  # -1 where finite
-    fin = np.bitwise_and(c2v[:m].view(np.int64), keep, out=None if lam is None else lam[:m].view(np.int64))
-    fin = fin.view(float)
+    keep = np.subtract(inf.view(np.int8), 1, out=inf.view(np.int8))  # -1 where finite
+    fin = np.bitwise_and(c2v.view(np.int64), keep, out=None if lam is None else lam.view(np.int64)).view(float)
     tot = np.bincount(evar[:m], weights=fin, minlength=k).astype(float, copy=False)
     both = _count_certain(evar, code, buf)
     buf["code"], buf["new"] = code, buf["code"]
@@ -415,7 +414,7 @@ def _var_step(evar, c2v, k, lam=None, buf=None, m=None):
         ext = np.take(buf["vcode"], evar, out=buf["ext"], mode="clip")
         ext *= 3
         ext += code
-        np.take(_EXTRINSIC_ADD, ext[m:], out=lam[m:], mode="clip")
+        np.take(_EXTRINSIC_CODE, ext[m:], out=lam_code, mode="clip")
         rest = np.take(tot, evar[:m], mode="clip")
         rest -= fin
         _clip(rest)
@@ -440,13 +439,13 @@ def run_bp(graph: FactorGraph, received: ReceivedWord, iters: int, observe=None)
         raise ValueError(f"iters must be an integer >= 0, got {iters!r}")
     if received.channel.kind != "BEC":
         raise ValueError(f"run_bp decodes BEC observations only, not {received.channel.kind}")
-    evar, c2v, plan, m = _layout(graph, _check_observations(graph, received))
-    lam = np.empty(evar.shape[0])
+    evar, c2v_code, plan, m = _layout(graph, _check_observations(graph, received))
+    c2v, lam, lam_code = np.zeros(m), np.empty(m), np.empty_like(c2v_code)
     buf = {}
     ber_trace = []
     for t in range(iters + 1):
-        bad = t > 0 and _check_update(plan, lam, c2v)
-        p0, contradiction = _var_step(evar, c2v, graph.k, lam if t < iters else None, buf, m)
+        bad = t > 0 and _check_update(plan, lam, c2v, lam_code, c2v_code)
+        p0, contradiction = _var_step(evar, c2v, c2v_code, graph.k, lam if t < iters else None, lam_code, buf)
         ber_trace.append(float(np.minimum(p0, 1.0 - p0).mean()))
         if observe is not None:
             seen = p0.view()

@@ -20,7 +20,7 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from itertools import pairwise
+from itertools import chain, pairwise
 
 import numpy as np
 import scipy
@@ -55,8 +55,8 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+_NUMBER = "%.12g"  # how every output writes a number
+_fmt = _NUMBER.__mod__
 
 
 _MAX_GRID_POINTS = 1_000_000
@@ -121,11 +121,15 @@ def _load_profile(name: str) -> DegreeProfile:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    """Write the header, then each row as it is formatted."""
+    """Write the header, then the tuples ``rows`` as they come, all through
+    the line format of the first: a number as ``_fmt`` writes it, else str."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating)) else str(v) for v in row) + "\n")
+        if first is not None:
+            line = ",".join(_NUMBER if isinstance(v, (int, float, np.floating)) else "%s" for v in first) + "\n"
+            fh.writelines(map(line.__mod__, chain([first], rows)))
 
 
 def _write_manifest(out: str, argv: list, started: float, fields: dict) -> None:
@@ -269,10 +273,7 @@ def _cmd_efun(args) -> dict:
     polys = [error_poly(alph, d, args.payoff) for d in range(args.dmax + 1)]
     width = max(p.degree for p in polys) + 1
     header = ["d"] + [f"c{i}" for i in range(width)]
-    rows = []
-    for d, p in enumerate(polys):
-        coeffs = list(p.coeffs) + [0.0] * (width - len(p.coeffs))
-        rows.append([d] + coeffs)
+    rows = [(d, *p.coeffs, *[0.0] * (width - len(p.coeffs))) for d, p in enumerate(polys)]
     _write_csv(args.out, header, rows)
     return {}
 

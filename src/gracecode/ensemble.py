@@ -156,7 +156,9 @@ class FactorGraph:
             raise ValueError("kind codes must be 0 (MAJ), 1 (XOR) or 2 (PARITY)")
         # every distinct (kind, arity) pair once through CheckKind, which holds the arity rules
         base = int(self.arity.max(initial=0)) + 1
-        for key in np.flatnonzero(np.bincount(self.kind.astype(np.int64) * base + self.arity)).tolist():
+        seen = np.zeros(3 * base, dtype=bool)
+        seen[self.kind.astype(np.int64) * base + self.arity] = True
+        for key in np.flatnonzero(seen).tolist():
             CheckKind(KIND_NAMES[key // base], key % base)
 
     @classmethod

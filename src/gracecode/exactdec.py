@@ -20,7 +20,10 @@ from .ensemble import _offsets
 
 
 class ContradictionError(RuntimeError):
-    """No source word is consistent with the observations."""
+    """No source word is consistent with the observations.  No library
+    function raises it: BP reports a contradiction through
+    ``DecodeResult.failed``.  It stays exported for the callers that catch
+    it, such as the benchmark worker (``layerbench/worker.py``)."""
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from scipy.special import gammaln, xlog1py, xlogy
 from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, run_bp
 from gracecode.channels import ERASED, ReceivedWord, h_b, h_b_inv
 from gracecode.efun import f_alphabet
-from gracecode.ensemble import MAJ, CheckKind, DegreeProfile, FactorGraph, _check_observations, _offsets
+from gracecode.ensemble import MAJ, XOR, CheckKind, DegreeProfile, FactorGraph, _check_observations, _offsets
 from gracecode.exactdec import BitMatrix, ContradictionError
 from gracecode.optimize import _BASE_STEP, _FD_STEP, _MAX_ITERS, OptProblem, OptResult, _objective_raw, project_simplex
 
@@ -833,6 +833,16 @@ def _maj_sweep(s, thr, out) -> bool:
     return bool(bad.any())
 
 
+_CODE_LLR = np.array([0.0, np.inf, -np.inf])
+
+
+def as_llr(code):
+    """The LLRs of BP certainty codes: 0 (unsure) is 0, 1 (a certain 0) is
+    +inf and 2 (a certain 1) is -inf, so that code messages meet the float
+    references here."""
+    return _CODE_LLR[code]
+
+
 def xor_group_update_plain(lam, obs, out) -> None:
     """Parity update of a (d, C) block of incoming LLRs into ``out``.
 
@@ -984,14 +994,16 @@ def build_groups_plain(sub, obs):
 
     The C checks of one (kind, arity d) group own one contiguous slice of the
     edge arrays, read as a (d, C) block whose row i holds every check's i-th
-    edge.  Returns the permuted edge-variable array and, per (kind, d), the
-    slice and the C observations.
+    edge; every arity-1 check, MAJ1 or XOR1, is in the one group (XOR, 1).
+    Returns the permuted edge-variable array and, per (kind, d), the slice
+    and the C observations.
     """
     ptr, a_evar, a_kind, a_ar = sub.flat
     groups = {}
     evar = np.empty_like(a_evar)
     base = int(a_ar.max(initial=0)) + 1
     keys = a_kind.astype(np.int64) * base + a_ar
+    keys[a_ar == 1] = XOR * base + 1
     off = 0
     for key in np.unique(keys).tolist():
         kind, d = divmod(key, base)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import brute_force_marginals, check_message, observed_degrees, subgraph
+from _oracles import as_llr, brute_force_marginals, check_message, observed_degrees, subgraph
 from gracecode.bp import (
     LLR_CLAMP,
     _check_update,
@@ -21,7 +21,9 @@ from gracecode.bp import (
 )
 from gracecode.channels import ERASED, ChannelParam, ReceivedWord, h_b, transmit
 from gracecode.ensemble import (
+    MAJ,
     PARITY,
+    XOR,
     CheckKind,
     DegreeProfile,
     EnsembleSpec,
@@ -34,6 +36,7 @@ from gracecode.ensemble import (
 from gracecode.exactdec import ContradictionError
 
 MAJ1, MAJ3, MAJ5 = CheckKind.maj(1), CheckKind.maj(3), CheckKind.maj(5)
+NO_CODES = np.empty(0, dtype=np.uint8)  # the codes of a step whose messages are all floats
 
 
 def test_check_message_examples_maj3():
@@ -86,8 +89,9 @@ def test_check_message_validation():
 
 
 def _by_rows(update, lam, obs):
-    """Run a group kernel, which reads and writes (d, C) blocks, on C rows."""
-    out = np.empty(lam.shape[::-1])
+    """Run a group kernel, which reads and writes (d, C) blocks of one
+    dtype, on C rows."""
+    out = np.empty(lam.shape[::-1], dtype=lam.dtype)
     flag = update(np.ascontiguousarray(lam.T), obs, out)
     return out.T, flag
 
@@ -144,19 +148,19 @@ def test_maj_kernel_matches_check_message(d, observed):
 )
 @pytest.mark.parametrize("observed", [0, 1])
 def test_xor_kernel_matches_check_message(check, observed):
-    # row c has c % (d + 1) uncertain neighbors (finite LLRs, 0 among them);
-    # the certain ones are +/-inf at random, so the all-certain rows both
-    # satisfy and contradict the observed parity
+    # row c has c % (d + 1) unsure neighbors (code 0); the certain ones are
+    # certain 0 or 1 at random, so the all-certain rows both satisfy and
+    # contradict the observed parity
     d = check.arity
     rng = np.random.default_rng(10 * d + observed)
     C = 12 * (d + 1)
-    lam = np.where(rng.random((C, d)) < 0.5, np.inf, -np.inf)
+    code = np.where(rng.random((C, d)) < 0.5, 1, 2).astype(np.uint8)
     n_unsure = np.arange(C) % (d + 1)
     for c in range(C):
-        cols = rng.permutation(d)[: n_unsure[c]]
-        lam[c, cols] = rng.choice([0.0, -2.5, 1.5, 3.0], size=cols.shape[0])
+        code[c, rng.permutation(d)[: n_unsure[c]]] = 0
     obs = np.full(C, observed, dtype=np.int8)
-    block, _ = _by_rows(_xor_group_update, lam, obs)
+    block, _ = _by_rows(_xor_group_update, code, obs)
+    lam, block = as_llr(code), as_llr(block)
     parity_ok = (np.sum(lam == -np.inf, axis=1) + observed) % 2 == 0
     assert parity_ok[n_unsure == 0].any() and not parity_ok[n_unsure == 0].all()
     for c in range(C):
@@ -167,41 +171,45 @@ def test_xor_kernel_matches_check_message(check, observed):
 
 
 def test_layout_partitions_active_checks():
-    profile = parse_profile("MAJ 3 0.4\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
+    profile = parse_profile("MAJ 1 0.1\nMAJ 3 0.3\nXOR 3 0.3\nXOR 1 0.2\nPARITY 4 0.1\n")
     graph = sample_graph(EnsembleSpec(k=400, rate=0.5, profile=profile, seed=3))
     ptr, evar, kind, arity = graph.flat
     obs = (np.arange(graph.n_checks) % 3 - 1).astype(np.int8)  # every third check erased
     active = obs != ERASED
-    evar_g, c2v, plan, m = _layout(graph, obs)
-    # the (kind, d) groups in key order; XOR1 is clamped, the others are
-    # planned, with a majority sign for MAJ3 only
-    groups = [(0, 3), (1, 1), (1, 3), (2, 4)]
+    evar_g, c2v_code, plan, m = _layout(graph, obs)
+    # the (kind, d) groups in key order; MAJ1 and XOR1 are one clamp group,
+    # keyed as XOR1, the others are planned, with a majority sign for MAJ3 only
+    groups = [((MAJ,), 3), ((MAJ, XOR), 1), ((XOR,), 3), ((PARITY,), 4)]
     assert [(shape[0], sign is not None) for _, shape, _, sign in plan] == [(3, True), (3, False), (4, False)]
     # the slices tile the edge arrays in key order; row i of a group's (d, C)
-    # block holds the i-th edge of each of its active checks, in check order
+    # block holds the i-th edge of each of its active checks, in check order.
+    # The slices past the majority edges [0, m) index the code arrays
     stop = 0
     blocks = iter(plan)
-    for k, d in groups:
-        sel = np.nonzero(active & (kind == k) & (arity == d))[0]
+    for kinds, d in groups:
+        sel = np.nonzero(active & np.isin(kind, kinds) & (arity == d))[0]
         assert sel.shape[0] > 0
+        lo = 0 if kinds == (MAJ,) else m
         if d == 1:
-            blk = slice(stop, stop + sel.shape[0])
-            assert np.array_equal(c2v[blk], np.where(obs[sel] == 0, np.inf, -np.inf))
+            blk = slice(stop - lo, stop - lo + sel.shape[0])
+            assert np.array_equal(as_llr(c2v_code[blk]), np.where(obs[sel] == 0, np.inf, -np.inf))
+            assert set(kind[sel].tolist()) == {MAJ, XOR}  # both clamp kinds carry codes
             obs_g = obs[sel]
         else:
             blk, shape, obs_g, _ = next(blocks)
             assert shape == (d, sel.shape[0])
-            assert not c2v[blk].any()
-        assert blk.start == stop and blk.stop - blk.start == d * sel.shape[0]
-        stop = blk.stop
+            assert lo == 0 or not c2v_code[blk].any()
+        assert blk.start + lo == stop and blk.stop - blk.start == d * sel.shape[0]
+        stop = blk.stop + lo
         want = evar[ptr[sel][None, :] + np.arange(d)[:, None]]
-        assert np.array_equal(evar_g[blk].reshape(d, -1), want)
+        assert np.array_equal(evar_g[lo:][blk].reshape(d, -1), want)
         assert np.array_equal(obs_g, obs[sel])
-    assert stop == arity[active].sum() == evar_g.shape[0] == c2v.shape[0] < ptr[-1]
-    assert m == plan[0][0].stop  # the MAJ3 edges come first
+    assert stop == arity[active].sum() == evar_g.shape[0] == m + c2v_code.shape[0] < ptr[-1]
+    # the MAJ3 edges come first, and [0, m) holds no other edge
+    assert m == plan[0][0].stop == 3 * np.count_nonzero(active & (kind == MAJ) & (arity >= 3))
     none = np.full(graph.n_checks, ERASED, dtype=np.int8)
-    evar_g, c2v, plan, m = _layout(graph, none)
-    assert plan == [] and evar_g.shape == c2v.shape == (0,) and m == 0
+    evar_g, c2v_code, plan, m = _layout(graph, none)
+    assert plan == [] and evar_g.shape == c2v_code.shape == (0,) and m == 0
 
 
 def test_layout_of_interleaved_partly_erased_checks():
@@ -225,7 +233,7 @@ def test_layout_of_interleaved_partly_erased_checks():
     graph = FactorGraph.from_checks(k=10, checks=checks)
     symbols = [1, 0, ERASED, 1, ERASED, 1, 0, ERASED, 0, ERASED, 1, 0, 1]  # checks 0-3 and 5-13
     obs = _check_observations(graph, ReceivedWord(np.array(symbols, dtype=np.int8), ChannelParam.bec(0.5)))
-    evar, c2v, plan, m = _layout(graph, obs)
+    evar, c2v_code, plan, m = _layout(graph, obs)
     # (kind, d) order, each group a row-major (d, C) block of its observed
     # checks in check order: MAJ3 (0, 9), MAJ5 (7, 11), XOR1 (1, 6, 13),
     # XOR3 (3, 12), PARITY2 (4)
@@ -236,16 +244,17 @@ def test_layout_of_interleaved_partly_erased_checks():
         *(9, 1, 0, 4, 1, 7),
         *(2, 3),
     ]
-    # the XOR1 group is clamped by its observations 0, 1, 1 and left out of the plan
+    # the XOR1 group is clamped by its observations 0, 1, 1 and left out of
+    # the plan; its codes, and the XOR3 and PARITY2 slices, start at edge m
     want = np.zeros(27)
     want[16:19] = [np.inf, -np.inf, -np.inf]
-    assert c2v.tobytes() == want.tobytes()
+    assert as_llr(c2v_code).tobytes() == want[m:].tobytes()
     got = [(blk, shape, bits.tolist(), None if sign is None else sign.tolist()) for blk, shape, bits, sign in plan]
     assert got == [
         (slice(0, 6), (3, 2), [1, 0], [-1.0, 1.0]),
         (slice(6, 16), (5, 2), [0, 1], [1.0, -1.0]),
-        (slice(19, 25), (3, 2), [1, 0], None),
-        (slice(25, 27), (2, 1), [0], None),
+        (slice(19 - 16, 25 - 16), (3, 2), [1, 0], None),
+        (slice(25 - 16, 27 - 16), (2, 1), [0], None),
     ]
     assert m == 16  # the MAJ3 and MAJ5 edges
     # the plan's blocks read the same edges as the (d, C) views _check_update takes
@@ -265,8 +274,8 @@ def test_var_step_matches_per_variable_sums(seed):
         rng.uniform(-LLR_CLAMP, LLR_CLAMP, evar.shape[0]),
     )
     lam = np.full(evar.shape[0], np.nan)
-    p0, flag = _var_step(evar, c2v, k, lam)
-    p0_only, flag_only = _var_step(evar, c2v, k)
+    p0, flag = _var_step(evar, c2v, NO_CODES, k, lam, NO_CODES.copy())
+    p0_only, flag_only = _var_step(evar, c2v, NO_CODES, k)
     assert np.array_equal(p0, p0_only) and flag == flag_only
     both = 0
     for v in range(k):
@@ -294,7 +303,7 @@ def test_var_step_matches_per_variable_sums(seed):
                 assert abs(lam[e] - rest) <= scale
     assert flag and 0 < both < k // 10
     # p0 is 1/2 exactly without messages, and a single +/-inf pair flags
-    p0, flag = _var_step(np.array([1, 1, 2]), np.array([np.inf, -np.inf, 0.0]), 3)
+    p0, flag = _var_step(np.array([1, 1, 2]), np.array([np.inf, -np.inf, 0.0]), NO_CODES, 3)
     assert flag and p0[0] == 0.5 and p0[2] == 0.5
 
 
@@ -329,16 +338,18 @@ def test_certain_check_messages_keep_their_value(name):
                 arity = graph.flat[3][graph.kind != PARITY]
                 symbols[(arity > 1) & (symbols != ERASED) & (rng.random(symbols.shape[0]) < 0.002)] ^= 1
             obs = _check_observations(graph, ReceivedWord(symbols, received.channel))
-            evar, c2v, plan, m = _layout(graph, obs)
-            lam, buf = np.empty(evar.shape[0]), {}
-            certain = np.isinf(c2v)
-            value = c2v[certain]
+            evar, c2v_code, plan, m = _layout(graph, obs)
+            c2v, lam, lam_code, buf = np.zeros(m), np.empty(m), np.empty_like(c2v_code), {}
+            msgs = np.concatenate([c2v, as_llr(c2v_code)])
+            certain = np.isinf(msgs)
+            value = msgs[certain]
             for t in range(11):
-                bad = t > 0 and _check_update(plan, lam, c2v)
-                assert c2v[certain].tobytes() == value.tobytes(), (seed, alpha, t)
-                certain = np.isinf(c2v)
-                value = c2v[certain]
-                _, contradiction = _var_step(evar, c2v, graph.k, lam, buf, m)
+                bad = t > 0 and _check_update(plan, lam, c2v, lam_code, c2v_code)
+                msgs = np.concatenate([c2v, as_llr(c2v_code)])
+                assert msgs[certain].tobytes() == value.tobytes(), (seed, alpha, t)
+                certain = np.isinf(msgs)
+                value = msgs[certain]
+                _, contradiction = _var_step(evar, c2v, c2v_code, graph.k, lam, lam_code, buf)
                 if bad or contradiction:
                     failed += 1
                     break
@@ -495,6 +506,21 @@ def test_bp_contradiction_flag():
     received = ReceivedWord(np.array([0, 1], dtype=np.int8), ChannelParam.bec(0.0))
     result = run_bp(graph, received, 2)
     assert result.failed
+
+
+@pytest.mark.parametrize("first", ["MAJ1", "XOR1"])
+def test_maj1_and_xor1_clamps_that_disagree_fail_at_iteration_0(first):
+    # MAJ1 and XOR1 clamps share one group: a MAJ1 observing 0 and an XOR1
+    # observing 1 on variable 1 contradict before any check update, in
+    # either check order; observing the same bit, they agree
+    clamps = [(MAJ1, (1,)), (CheckKind.xor(1), (1,))]
+    checks = [(MAJ3, (0, 1, 2)), *(clamps if first == "MAJ1" else clamps[::-1])]
+    graph = FactorGraph.from_checks(k=3, checks=checks)
+    bits = [0, 0, 1] if first == "MAJ1" else [0, 1, 0]
+    result = run_bp(graph, ReceivedWord(np.array(bits, dtype=np.int8), ChannelParam.bec(0.0)), 5)
+    assert result.failed and result.beliefs.iteration == 0
+    result = run_bp(graph, ReceivedWord(np.array([0, 0, 0], dtype=np.int8), ChannelParam.bec(0.0)), 5)
+    assert not result.failed and result.beliefs.iteration == 5 and result.beliefs.p0[1] == 1.0
 
 
 def test_simulation_path_keeps_graph_as_arrays():

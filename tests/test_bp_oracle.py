@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    as_llr,
+    check_update_plain,
     maj_group_update_plain,
     observed_groups_plain,
     run_bp_plain,
@@ -62,6 +64,7 @@ SEEDS = range(4)
 ALPHAS = (0.5, 1.0, 1.5)
 KS = (2000, 20000)
 RATE = 0.5
+NO_CODES = np.empty(0, dtype=np.uint8)  # the codes of a step whose messages are all floats
 
 
 def _repetition(k: int) -> FactorGraph:
@@ -84,9 +87,10 @@ def _assert_same(got, want):
 
 def _assert_same_layout(graph, received):
     """``_layout`` against the groups of the observed sub-graph, with the
-    clamps and the plan built from them as ``run_bp`` built them."""
+    clamps and the plan built from them as ``run_bp`` built them on float
+    messages; the clamps and the parity slices index the codes past edge m."""
     obs, evar_old, groups = observed_groups_plain(graph, received)
-    evar, c2v, plan, m = _layout(graph, obs)
+    evar, c2v_code, plan, m = _layout(graph, obs)
     assert evar.dtype == evar_old.dtype and evar.tobytes() == evar_old.tobytes()
     c2v_old = np.zeros(evar_old.shape[0])
     plan_old = []
@@ -95,10 +99,12 @@ def _assert_same_layout(graph, received):
             c2v_old[blk] = np.where(bits == 0, np.inf, -np.inf)
         else:
             plan_old.append((blk, (d, bits.shape[0]), bits, np.where(bits == 1, -1.0, 1.0) if kind == MAJ else None))
-    assert c2v.tobytes() == c2v_old.tobytes()
+    assert m == sum(blk.stop - blk.start for (kind, _), (blk, _) in groups.items() if kind == MAJ)
+    assert np.concatenate([np.zeros(m), as_llr(c2v_code)]).tobytes() == c2v_old.tobytes()
     assert len(plan) == len(plan_old)
     for (blk, shape, bits, sign), (blk_old, shape_old, bits_old, sign_old) in zip(plan, plan_old):
-        assert blk == blk_old and shape == shape_old
+        lo = 0 if sign_old is not None else m
+        assert blk == slice(blk_old.start - lo, blk_old.stop - lo) and shape == shape_old
         assert bits.dtype == bits_old.dtype and bits.tobytes() == bits_old.tobytes()
         assert (sign is None) == (sign_old is None)
         assert sign is None or sign.tobytes() == sign_old.tobytes()
@@ -176,6 +182,12 @@ def test_the_sweep_reaches_certain_beliefs(name):
     assert (p0 == 1.0).any() and (p0 == 0.0).any() and ((p0 > 0.0) & (p0 < 1.0)).any()
 
 
+def _codes(rng, n, certain=0.3):
+    """Certainty codes, certain 0 and 1 each at ``certain`` / 2."""
+    pick = rng.random(n)
+    return np.select([pick < certain / 2, pick < certain], [1, 2], 0).astype(np.uint8)
+
+
 def _messages(rng, n, certain=0.3):
     """LLRs with +/-inf, zeros, small values and values up to the clamp."""
     pick = rng.random(n)
@@ -205,7 +217,7 @@ def test_var_step_matches_mask_version_with_hundreds_of_certain_messages(seed):
     order = rng.permutation(evar.shape[0])
     evar, c2v = evar[order], c2v[order]
     lam, lam_plain = np.full(evar.shape[0], np.nan), np.full(evar.shape[0], np.nan)
-    p0, flag = _var_step(evar, c2v, k, lam)
+    p0, flag = _var_step(evar, c2v, NO_CODES, k, lam, NO_CODES)
     p0_plain, flag_plain = var_step_plain(evar, c2v, k, lam_plain)
     assert flag and flag == flag_plain
     assert p0.tobytes() == p0_plain.tobytes() and lam.tobytes() == lam_plain.tobytes()
@@ -213,7 +225,7 @@ def test_var_step_matches_mask_version_with_hundreds_of_certain_messages(seed):
     assert (lam[evar == 1] == -np.inf).all()
     # without infinite messages the step skips the certainty bookkeeping
     finite = np.where(np.isinf(c2v), 1.5, c2v)
-    p0, flag = _var_step(evar, finite, k, lam)
+    p0, flag = _var_step(evar, finite, NO_CODES, k, lam, NO_CODES)
     p0_plain, flag_plain = var_step_plain(evar, finite, k, lam_plain)
     assert not flag and not flag_plain
     assert p0.tobytes() == p0_plain.tobytes() and lam.tobytes() == lam_plain.tobytes()
@@ -258,35 +270,41 @@ def _step_trials(name, k=2000):
             yield graph, _flipped(graph, received, rng, 0.002)
 
 
-def _assert_same_lam(lam, want, m):
-    """Majority-edge messages bit for bit; on the other edges, which carry
-    only the certain part, whether each is certain and of which sign."""
-    assert lam[:m].tobytes() == want[:m].tobytes()
+def _assert_same_lam(lam, lam_code, want):
+    """Majority-edge messages ``lam`` bit for bit; on the other edges, whose
+    codes ``lam_code`` carry only the certain part, whether each is certain
+    and of which sign."""
+    m = lam.shape[0]
+    assert lam.tobytes() == want[:m].tobytes()
     inf = np.isinf(want[m:])
-    assert np.array_equal(np.isinf(lam[m:]), inf)
-    assert np.array_equal(lam[m:][inf], want[m:][inf])
+    got = as_llr(lam_code)
+    assert np.array_equal(np.isinf(got), inf)
+    assert np.array_equal(got[inf], want[m:][inf])
 
 
 @pytest.mark.parametrize("name", sorted(STEP_GRAPHS))
 def test_kept_state_variable_step_matches_the_recounted_one(name):
     # two whole decodes in lockstep, one with the variable step that keeps
-    # its state, one with the step that recounted every edge on every call
+    # its state and code messages, one with the step that recounted every
+    # edge on every call and the mask-based check update, on floats alone
     failed = 0
     for graph, received in _step_trials(name):
-        evar, c2v, plan, m = _layout(graph, _check_observations(graph, received))
-        c2v_old = c2v.copy()
-        lam, lam_old = np.empty(evar.shape[0]), np.empty(evar.shape[0])
+        _, _, groups = observed_groups_plain(graph, received)
+        evar, c2v_code, plan, m = _layout(graph, _check_observations(graph, received))
+        c2v, lam, lam_code = np.zeros(m), np.empty(m), np.empty_like(c2v_code)
+        c2v_old = np.concatenate([c2v, as_llr(c2v_code)])
+        lam_old = np.empty(evar.shape[0])
         buf, buf_old = {}, {"idx": lam_old}
         for t in range(11):
-            bad = t > 0 and _check_update(plan, lam, c2v)
-            assert bad == (t > 0 and _check_update(plan, lam_old, c2v_old))
-            assert c2v.tobytes() == c2v_old.tobytes()
+            bad = t > 0 and _check_update(plan, lam, c2v, lam_code, c2v_code)
+            assert bad == (t > 0 and check_update_plain(groups, lam_old, c2v_old))
+            assert np.concatenate([c2v, as_llr(c2v_code)]).tobytes() == c2v_old.tobytes()
             out, out_old = (lam, lam_old) if t < 10 else (None, None)
-            p0, flag = _var_step(evar, c2v, graph.k, out, buf, m)
+            p0, flag = _var_step(evar, c2v, c2v_code, graph.k, out, lam_code, buf)
             p0_old, flag_old = var_step_recounted(evar, c2v_old, graph.k, out_old, buf_old)
             assert flag == flag_old and p0.tobytes() == p0_old.tobytes(), t
             if out is not None:
-                _assert_same_lam(lam, lam_old, m)
+                _assert_same_lam(lam, lam_code, lam_old)
             if bad or flag:
                 failed += 1
                 break
@@ -297,31 +315,32 @@ def test_kept_state_variable_step_matches_the_recounted_one(name):
 def test_kept_state_variable_step_on_messages_that_revert_and_flip(seed):
     # run_bp never feeds the step a certain message that goes back to finite
     # or flips sign, but its counts follow such a change as they follow any
-    # other: here calls on arbitrary messages, edges [m, n) carrying 0 or
-    # +/-inf only, against the recounting step called afresh
+    # other: here calls on arbitrary messages, floats on edges [0, m) and
+    # codes on [m, n), against the recounting step called afresh on floats
     rng = np.random.default_rng(seed)
     k, n, m = 300, 3000, 1800
     evar = rng.integers(0, k, size=n)
-    lam, lam_old = np.empty(n), np.empty(n)
+    lam, lam_code, lam_old = np.empty(m), np.empty(n - m, dtype=np.uint8), np.empty(n)
     buf = {}
-    c2v = _messages(rng, n, certain=0.0)
-    c2v[m:] = 0.0
+    c2v, code = _messages(rng, m, certain=0.0), np.zeros(n - m, dtype=np.uint8)
     changed = 0
     for step in range(12):
-        p0, flag = _var_step(evar, c2v, k, lam, buf, m)
-        p0_old, flag_old = var_step_recounted(evar, c2v, k, lam_old)
+        p0, flag = _var_step(evar, c2v, code, k, lam, lam_code, buf)
+        p0_old, flag_old = var_step_recounted(evar, np.concatenate([c2v, as_llr(code)]), k, lam_old)
         assert flag == flag_old and p0.tobytes() == p0_old.tobytes(), step
-        _assert_same_lam(lam, lam_old, m)
+        _assert_same_lam(lam, lam_code, lam_old)
         # some messages turn certain; every third call some certain ones
-        # revert to finite or flip sign
-        fresh = _messages(rng, n, certain=0.3)
-        fresh[m:] = np.where(np.isinf(fresh[m:]), fresh[m:], 0.0)
+        # revert to unsure or flip sign
         turn = rng.random(n) < 0.02 * (step + 1)
-        c2v = np.where(turn & ~np.isinf(c2v), fresh, c2v)
+        c2v = np.where(turn[:m] & ~np.isinf(c2v), _messages(rng, m, certain=0.3), c2v)
+        code = np.where(turn[m:] & (code == 0), _codes(rng, n - m, certain=0.3), code).astype(np.uint8)
         if step % 3 == 2:
-            back = np.isinf(c2v) & (rng.random(n) < 0.05)
-            c2v[back] = np.where(rng.random(n) < 0.5, -c2v, np.where(np.arange(n) < m, 0.5, 0.0))[back]
-            changed += back.any()
+            back = rng.random(n) < 0.05
+            flip = rng.random(n) < 0.5
+            back_f, back_c = back[:m] & np.isinf(c2v), back[m:] & (code > 0)
+            c2v[back_f] = np.where(flip[:m], -c2v, 0.5)[back_f]
+            code[back_c] = np.where(flip[m:], 3 - code, 0)[back_c]  # 1 and 2 swap
+            changed += back_f.any() or back_c.any()
     assert changed == 4 and flag  # the last calls see variables certain of both values
 
 
@@ -332,16 +351,18 @@ def test_group_kernels_match_mask_versions(d, certain):
     rng = np.random.default_rng(d * 10 + int(certain * 10))
     C = 400 if d < 100 else 40
     lam = _messages(rng, d * C, certain).reshape(d, C)
-    if d == 300:
-        lam[:, :20] = np.where(rng.random((d, 20)) < 0.5, np.inf, -np.inf)
-        lam[0, 5:10] = 0.5  # one unsure neighbor: certain messages to it only
-        lam[:256, 10:15] = 0.5
-        lam[:257, 15:20] = 0.5
     obs = rng.integers(0, 2, size=C).astype(np.int8)
-    out, out_plain = np.empty((d, C)), np.empty((d, C))
-    _xor_group_update(lam, obs, out)
-    xor_group_update_plain(lam, obs, out_plain)
-    assert out.tobytes() == out_plain.tobytes()
+    code = _codes(rng, d * C, certain).reshape(d, C)
+    if d == 300:
+        code[:, :20] = np.where(rng.random((d, 20)) < 0.5, 1, 2)
+        code[0, 5:10] = 0  # one unsure neighbor: certain messages to it only
+        code[:256, 10:15] = 0
+        code[:257, 15:20] = 0
+    out, out_plain = np.empty((d, C), dtype=np.uint8), np.empty((d, C))
+    _xor_group_update(code, obs, out)
+    xor_group_update_plain(as_llr(code), obs, out_plain)
+    assert as_llr(out).tobytes() == out_plain.tobytes()
+    out = np.empty((d, C))
     if d % 2 == 1 and d < 100:
         flag = _maj_group_update(lam, obs, out)
         flag_plain = maj_group_update_plain(lam, obs, out_plain)
