@@ -256,5 +256,4 @@ __all__ = [
     "binary_divergence",
     "h_b",
     "h_b_inv",
-    "bisect",
 ]

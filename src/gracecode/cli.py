@@ -181,7 +181,14 @@ def _trial(spec: EnsembleSpec, args, alpha: float, eps: float, t: int, counts, f
 def _sweep(profile, args, alphas, bins: int | None = None):
     """One (eps, bers, soft_infos, counts) per load alpha, from ``args.trials``
     seeded trials over BEC(1 - alpha R), and the manifest fields of the sweep;
-    ``counts`` sums the trials' ``bins``-bin histograms (None without bins)."""
+    ``counts`` sums the trials' ``bins``-bin histograms (None without bins).
+    A uniform source violates PARITY checks, so a PARITY component is infeasible."""
+    for kind, weight in profile.entries:
+        if kind.kind == "PARITY" and weight > 0.0:
+            raise InfeasibleSpecError(
+                f"component PARITY {kind.arity} of weight {_fmt(weight)}: simulate and histogram"
+                " draw uniform source bits, which violate PARITY checks"
+            )
     spec = EnsembleSpec(k=args.k, rate=args.rate, profile=profile, systematic=args.systematic, regular=args.regular)
     fields = {"seed": args.seed, "trials": args.trials, "failed_trials": 0, "phase_s": {}}
     points = []

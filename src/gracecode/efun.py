@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar
 
@@ -737,11 +737,13 @@ def mixed_efun(components, weights, alpha, q, D: int):
     XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
     does MAJ(1), whose observed check is the bit itself; the other MAJ
     components, the only ones with soft messages, take the truncated Poisson
-    family, and the product is exact only with at most one of them.  The
-    weights need not lie on the simplex: the profile optimizer evaluates
-    finite-difference points just off it.  Lanes: an (L, n) weight matrix, L
-    loads or L values of q pair up lane by lane, and each lane gets the bits
-    of its own one-lane call.
+    family, and the product is exact only with at most one of them.  Equal
+    components merge into one whose weight is their sum, so a profile that
+    repeats a majority keeps the exact form.  The weights need not lie on
+    the simplex: the profile optimizer evaluates finite-difference points
+    just off it.  Lanes: an (L, n) weight matrix, L loads or L values of q
+    pair up lane by lane, and each lane gets the bits of its own one-lane
+    call.
     """
     w = np.asarray(weights, dtype=float)
     qa = np.asarray(q, dtype=float)
@@ -757,14 +759,19 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
     """q -> ``mixed_efun`` of the lanes with (L, n) weights and L loads, on a 1-d q
     of L lanes (of any length if L = 1).
 
-    What does not depend on q (each component's active lanes, its XOR
-    exponent factor or its Poisson laws) is set up once.
+    Components that compare equal are one component, in the order of their
+    first appearance, with the sum of their weights per lane.  What does not
+    depend on q (each component's active lanes, its XOR exponent factor or
+    its Poisson laws) is set up once.
     """
     _check_load(loads)
-    start = np.full(weights.shape[0], 0.5)
-    factors = []
+    columns = {}
     for j, ck in enumerate(components):
-        lam = weights[:, j]
+        columns.setdefault(ck, []).append(j)
+    start = np.full(weights.shape[0], 0.5)
+    factors = []  # (lanes, XOR exponent scale, power of q, MAJ evaluator)
+    for ck, (first, *rest) in columns.items():
+        lam = sum((weights[:, j] for j in rest), weights[:, first])
         on = lam > 0.0
         if not on.any():
             continue
@@ -776,32 +783,25 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
                 # q-dependent one multiplies the start value once
                 start[on] *= np.exp(-load * ck.arity)
                 continue
-            factor = partial(_xor_factor, -load * ck.arity, ck.arity - 1)
+            factors.append((lanes, -load * ck.arity, ck.arity - 1, None))
         elif ck.kind == "MAJ":
-            factor = partial(_maj_factor, build_family(f"ldmc{ck.arity}", D=D)._at(load))
+            factors.append((lanes, None, None, build_family(f"ldmc{ck.arity}", D=D)._at(load)))
         else:
             raise ValueError("Mixed profiles use XOR and MAJ components only")
-        factors.append((lanes, factor))
 
     def mixed(q: np.ndarray) -> np.ndarray:
         acc = np.empty(q.shape)
         acc[:] = start  # one lane serves every q
-        for lanes, factor in factors:
+        for lanes, scale, power, efun in factors:
+            ql = q if lanes is None else q[lanes]
+            factor = 2.0 * efun(ql) if efun is not None else np.exp(scale * (ql if power == 1 else ql**power))
             if lanes is None:
-                acc *= factor(q)
+                acc *= factor
             else:
-                acc[lanes] *= factor(q[lanes])
+                acc[lanes] *= factor
         return acc
 
     return mixed
-
-
-def _xor_factor(scale: np.ndarray, power: int, q: np.ndarray) -> np.ndarray:
-    return np.exp(scale * (q if power == 1 else q**power))  # q**1 == q
-
-
-def _maj_factor(efun, q: np.ndarray) -> np.ndarray:
-    return 2.0 * efun(q)
 
 
 def d_function(family, alpha: float, q):
@@ -834,8 +834,8 @@ def first_zero(family, alpha: float):
 class ClosedFormFamily(_Family):
     """Closed-form BEC error function of a mixed or systematic-regular ensemble.
 
-    Mixed(profile): the ``mixed_efun`` product, exact with at most one majority
-    of arity >= 3 (LDGM(d) is ``XOR:d``).  SysRegular(d, R): (1 - alpha R) *
+    Mixed(profile): the ``mixed_efun`` product, exact with at most one distinct
+    majority of arity >= 3 (LDGM(d) is ``XOR:d``).  SysRegular(d, R): (1 - alpha R) *
     E[Bin(d(1-R)/R, alpha R)-degree error], with d(1-R)/R an integer.
     """
 

@@ -127,7 +127,8 @@ def test_infeasible_exit_code(tmp_path, capsys):
     # empty grids, out-of-range loads and malformed profile files stop before
     # any row is written
     base = ["--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--out", str(out)]
-    for name, text in [("short", "MAJ 3\n"), ("long", "MAJ 3 0.5 junk\n"), ("nan", "MAJ 3 nan\nXOR 1 1\n")]:
+    for name, text in [("short", "MAJ 3\n"), ("long", "MAJ 3 0.5 junk\n"), ("nan", "MAJ 3 nan\nXOR 1 1\n"),
+                       ("parity", "MAJ 3 0.8\nPARITY 2 0.2\n")]:
         (tmp_path / f"{name}.profile").write_text(text, encoding="utf-8")
     sim = ["simulate", "--k", "10", "--rate", "0.5", "--alpha-grid", "1.0", "--out", str(out), "--ensemble"]
     for argv, message in [
@@ -157,10 +158,15 @@ def test_infeasible_exit_code(tmp_path, capsys):
         ([*sim, str(tmp_path / "nan.profile")], "profile weights must be finite and non-negative"),
         (["devo", "--family", str(tmp_path / "nan.profile"), "--alpha-grid", "1.0", "--out", str(out)],
          "profile weights must be finite and non-negative"),
+        # a uniform source violates a PARITY check with probability 1/2
+        ([*sim, str(tmp_path / "parity.profile")], "component PARITY 2 of weight 0.2"),
+        (["histogram", *base[2:], "--ensemble", str(tmp_path / "parity.profile"), "--alpha", "1"],
+         "component PARITY 2 of weight 0.2"),
     ]:
         assert main(argv) == EXIT_INFEASIBLE, argv
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
     # a negative devo load is refused for every kind of family, also with --ell 0
     prof = tmp_path / "mix.profile"
     prof.write_text("XOR 1 0.5\nMAJ 3 0.5\n", encoding="utf-8")
@@ -326,6 +332,19 @@ def test_devo_mixture_profile_file(tmp_path):
     assert main(argv) == EXIT_OK
     final = float(_read(str(out)).strip().split("\n")[-1].split(",")[2])
     assert abs((1.0 - final) / 2.0 - 0.06336) < 1e-3
+
+
+def test_devo_repeated_component_is_the_merged_profile(tmp_path):
+    # a majority written twice is one component of their summed weight
+    outs = []
+    for name, text in [("twice", "MAJ 3 0.5\nMAJ 3 0.5\n"), ("once", "MAJ 3 1.0\n")]:
+        prof = tmp_path / f"{name}.profile"
+        prof.write_text(text, encoding="utf-8")
+        out = tmp_path / f"{name}.csv"
+        argv = ["devo", "--family", str(prof), "--alpha-grid", "0.5:1.5:0.25", "--ell", "10", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_degree_truncation_bound(tmp_path):

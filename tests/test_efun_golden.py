@@ -23,7 +23,7 @@ from gracecode.efun import (
     f_alphabet,
     first_zero,
 )
-from gracecode.ensemble import CheckKind, DegreeProfile
+from gracecode.ensemble import CheckKind, DegreeProfile, parse_profile
 
 # Reference coefficients (ascending powers of q) for the LDMC(3)/BEC
 # erasure polynomials E_d, d = 0..10.
@@ -285,6 +285,24 @@ def test_closed_form_mixed_reduces_to_components():
     prof = DegreeProfile(((CheckKind.maj(3), 1.0),))
     mixed = ClosedFormFamily("mixed", profile=prof, D=10)
     assert abs(mixed.evaluate(0.9, 0.5) - build_family("ldmc3", D=10).evaluate(0.9, 0.5)) < 1e-14
+
+
+def test_closed_form_mixed_merges_equal_components():
+    # equal components are one, in the order of first appearance, with the
+    # sum of their weights: the bits of the profile written once
+    qs = np.linspace(0.0, 1.0, 11)
+    for twice, once in [
+        ("MAJ 3 0.5\nMAJ 3 0.5\n", "MAJ 3 1.0\n"),
+        ("XOR 1 0.15\nXOR 3 0.7\nXOR 1 0.15\n", "XOR 1 0.3\nXOR 3 0.7\n"),
+    ]:
+        split = ClosedFormFamily("mixed", profile=parse_profile(twice))
+        whole = ClosedFormFamily("mixed", profile=parse_profile(once))
+        for alpha in (0.5, 1.0, 1.5):
+            assert split.evaluate(alpha, 0.3) == whole.evaluate(alpha, 0.3), (twice, alpha)
+            assert np.array_equal(split.evaluate(alpha, qs), whole.evaluate(alpha, qs)), (twice, alpha)
+    assert ClosedFormFamily("mixed", profile=parse_profile("MAJ 3 1.0\n")).evaluate(1.0, 0.3) == float.fromhex(
+        "0x1.469fcf73ab2d6p-3"
+    )
 
 
 def test_closed_form_sysregular_validation():

@@ -102,6 +102,18 @@ def test_trajectories_monotone():
         assert np.all(np.diff(hist) >= -1e-12)
 
 
+def test_repeated_component_optimizes_the_merged_profile(tmp_path):
+    # MAJ:3 twice is one component: every weight split has the objective of MAJ:3 alone
+    logs = []
+    for components in ("MAJ:3,MAJ:3", "MAJ:3"):
+        out = tmp_path / f"{len(components)}.profile"
+        argv = ["optimize", "--components", components, "--targets", "1.0", "--ell", "3", "--multistart", "1",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        logs.append((tmp_path / f"{out.name}.log").read_text(encoding="utf-8").splitlines()[0])
+    assert logs == ["objective 0.755885902501"] * 2
+
+
 def test_single_component_shortcut():
     prob = OptProblem(components=(CheckKind.maj(3),), targets=(1.0,), ell=4)
     res = optimize_profile(prob)
