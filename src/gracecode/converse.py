@@ -243,7 +243,7 @@ class ExitResult:
 
 
 def exit_tools(G: BitMatrix) -> ExitResult:
-    """Exhaustive EXIT analysis of the code generated by ``G`` (m <= 20).
+    """Exhaustive EXIT analysis of the code generated by ``G`` (1 <= m <= 20).
 
     ``counts[i, a]`` is the number of erasure patterns of the other m - 1
     coordinates, with ``a`` of them erased, that leave coordinate i
@@ -255,6 +255,8 @@ def exit_tools(G: BitMatrix) -> ExitResult:
     k, m = G.k, G.m
     if m > 20:
         raise ValueError("exhaustive EXIT analysis limited to m <= 20 coordinates")
+    if m == 0:
+        raise ValueError("EXIT analysis needs a generator with at least one column")
     cols = gf2_columns(G.indptr, G.rowidx)
     rank = np.zeros(1 << m, dtype=np.int8)  # rank[S]: bit j of S keeps column j
 

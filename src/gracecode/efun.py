@@ -10,8 +10,8 @@ Every weight of an alphabet is a nonnegative combination of the Bernstein
 terms q^j (1-q)^(m-j), j = 0..m, of one degree m (m = 0 for constants), so
 E_d(q) = sum_j b_{d,j} q^j (1-q)^(md-j) with every b_{d,j} >= 0.  Every
 E-function takes one path: ``_table`` keeps these b of E_0..E_D for one
-payoff, and ``_averager`` sums pmf[d] * E_d(q) over a degree pmf from a slice
-of it.  A degree's b come from its type terms (``_degree_terms``: a
+payoff, and ``_averager`` sums pmf[d] * E_d(q) over a degree pmf of degrees
+0..D from it.  A degree's b come from its type terms (``_degree_terms``: a
 coefficient per message type, that is per count of each entry), which
 ``_collapse`` multiplies out in the weights' Bernstein coefficients.  The
 terms come from ``_lattice_chunks``, which streams the lattice, each row's
@@ -21,10 +21,10 @@ the alphabet's magnitudes and the payoff; a table is cached on the alphabet
 itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
 ``EFunctionFamily`` calls it with its degree laws (on the BSC once per
 distinct crossover of a call, whose alphabet is built for that call).
-``mixed_efun`` multiplies the XOR closed form with the Poisson families of
+``_mixed_at`` multiplies the XOR closed form with the Poisson families of
 the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
-and the profile optimizer calls its ``_mixed_at``.  ``error_poly`` expands
+and the profile optimizer calls it directly.  ``error_poly`` expands
 a degree's type terms in powers of q: from b that would be a change of basis,
 ill-conditioned at large d.
 
@@ -316,6 +316,17 @@ def _check_load(alpha) -> None:
         raise ValueError(f"alpha must be >= 0 and finite, got {a[bad].ravel()[0]}")
 
 
+def _mean_degree(arity: int, load: np.ndarray) -> np.ndarray:
+    """arity * load, the mean degree of a Poisson law or an XOR exponent;
+    a load for which it overflows is rejected."""
+    with np.errstate(over="ignore"):
+        mean = arity * load
+    bad = ~np.isfinite(mean)
+    if bad.any():
+        raise ValueError(f"load {load[bad][0]}: the mean degree {arity} * load overflows")
+    return mean
+
+
 def _check_degree(d: int) -> None:
     if not 0 <= d <= _MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}]")
@@ -386,32 +397,21 @@ def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     increasing degree order} for the given payoffs).
 
     A lattice chunk's LLRs and log-probabilities are BLAS matrix-vector
-    products of their own; everything elementwise after them (posterior
-    errors, probabilities, payoffs) runs on batches of chunks of at least
-    ``_CHUNK_ROWS`` rows, and each term adds to its type's coefficient in row
-    order, as one ``np.bincount`` over a degree's whole lattice adds them.
+    products of their own, and everything after them (posterior errors,
+    probabilities, payoffs) is elementwise; each term adds to its type's
+    coefficient in row order, as one ``np.bincount`` over a degree's whole
+    lattice adds them.
     """
     col_l, col_logq, owners = alphabet._cols
     types = [_lattice(d, len(alphabet.entries)) for d in degrees]
     firsts = np.cumsum([0] + [t.shape[0] for t in types])
     coefs = {payoff: np.zeros(firsts[-1]) for payoff in payoffs}
-    batch = []
-
-    def add_batch():
-        llr, logq, logc, rank = map(np.concatenate, zip(*batch))
-        e, p = 1.0 / (1.0 + np.exp(np.abs(llr))), np.exp(logc + logq)
-        for payoff, c in coefs.items():
-            np.add.at(c, rank, p * _apply_payoff(e, payoff))
-        batch.clear()
-
     for d, first in zip(degrees, firsts):
         for z, logc, rank in _lattice_chunks(d, owners):
             zf = z.astype(np.float64)
-            batch.append((zf @ col_l, zf @ col_logq, logc, first + rank))
-            if sum(x[0].shape[0] for x in batch) >= _CHUNK_ROWS:
-                add_batch()
-    if batch:
-        add_batch()
+            e, p, at = 1.0 / (1.0 + np.exp(np.abs(zf @ col_l))), np.exp(logc + zf @ col_logq), first + rank
+            for payoff, c in coefs.items():
+                np.add.at(c, at, p * _apply_payoff(e, payoff))
     return types, coefs
 
 
@@ -499,33 +499,30 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
 
 
 def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
-    """q -> sum_d pmf[d] E_d(q) over the degrees of positive mass, one value per lane.
+    """q -> sum_d pmf[d] E_d(q) over the degrees d = 0..D, one value per lane.
 
     ``pmf`` is one degree law of shape (D+1,) for every lane or one per lane,
     of shape (D+1, L); the returned function takes a 0-d or 1-d q of L lanes.
-    The coefficients of the degrees lo..hi that hold the positive mass are
-    sliced from the alphabet's table once, with their exponents of q and
-    1 - q, so a recursion that evaluates the same lanes at step after step
-    pays for them once.  Every step of an evaluation works element by element
-    on lane-major arrays: a term b q^k (1-q)^(md-k) takes two ``np.power``
-    calls and two products, each degree's terms are a reduction over a
-    contiguous segment, and the degrees are added in increasing order (a
-    degree without mass adds exactly 0).  A lane's value is therefore the
-    same bits whatever the other lanes are.  Every term is exact at q = 0 and
-    1, and at m = 0 (a BSC alphabet) it is b itself.
+    The coefficients of E_0..E_D are taken from the alphabet's table once,
+    with their exponents of q and 1 - q, so a recursion that evaluates the
+    same lanes at step after step pays for them once.  Every step of an
+    evaluation works element by element on lane-major arrays: a term
+    b q^k (1-q)^(md-k) takes two ``np.power`` calls and two products, each
+    degree's terms are a reduction over a contiguous segment, and the degrees
+    are added in increasing order (a degree without mass adds exactly 0).  A
+    lane's value is therefore the same bits whatever the other lanes are.
+    Every term is exact at q = 0 and 1, and at m = 0 (a BSC alphabet) it is
+    b itself.
     """
     weights = np.asarray(pmf, dtype=float)
     weights = weights.reshape(weights.shape[0], -1).T  # (1 or L, D+1)
-    degrees = np.flatnonzero((weights > 0.0).any(axis=0))
-    if not degrees.size:
-        return lambda q: np.zeros(np.size(q))
-    lo, hi = int(degrees[0]), int(degrees[-1])
-    b, starts = _table(alphabet, payoff, hi)
-    b, starts = b[starts[lo] : starts[hi + 1]], starts[lo : hi + 2] - starts[lo]
+    D = weights.shape[1] - 1
+    b, starts = _table(alphabet, payoff, D)
+    b, starts = b[: starts[D + 1]], starts[: D + 2]  # the table may hold more degrees
     sizes = starts[1:] - starts[:-1]
     k = np.arange(b.shape[0], dtype=float) - np.repeat(starts[:-1], sizes)  # the power of q
     rest = np.repeat(sizes - 1, sizes) - k  # the power of 1 - q
-    starts, weights = starts[:-1], weights[:, lo : hi + 1]
+    starts = starts[:-1]
 
     def average(q) -> np.ndarray:
         x = np.asarray(q, dtype=float).reshape(-1, 1)
@@ -615,7 +612,7 @@ class DegreeLaw:
         lanes = a.reshape(-1, 1)  # lane-major: one row per load
         if self.kind == "poisson":
             ks, log_fact = _log_factorials(D)
-            mu = self.arity * lanes
+            mu = _mean_degree(self.arity, lanes)
             pmf = np.exp(_xlogy(ks, mu[:, 0]) - log_fact - mu)
             tail = np.maximum(1.0 - pmf.sum(axis=1), 0.0)
         else:
@@ -637,24 +634,17 @@ class DegreeLaw:
         return pmf.T, tail
 
 
-class _Last(list):
-    """[key, evaluator] of a family's last loads (see ``_Family``); it pickles
-    empty, because the evaluator is a closure."""
-
-    def __init__(self):
-        super().__init__([None, None])
-
-    def __reduce__(self):
-        return (_Last, ())
-
-
 @dataclass(frozen=True)
 class _Family:
     """The ``evaluate`` of an E-function family whose ``_at(alpha)`` gives
-    q -> E(alpha, q) on a 1-d q.  ``_last`` keeps the last loads' ``_at``: a
-    DE recursion evaluates a family at the same loads step after step."""
+    q -> E(alpha, q) on a 1-d q.  ``_last`` keeps [key, ``_at``] of the last
+    loads: a DE recursion evaluates a family at the same loads step after step."""
 
-    _last: list = field(default_factory=_Last, init=False, repr=False, compare=False)
+    _last: list = field(default_factory=lambda: [None, None], init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the evaluator is a closure, so a pickled family starts without one
+        return {**self.__dict__, "_last": [None, None]}
 
     def evaluate(self, alpha, q):
         """E(alpha, q); an array of loads pairs lane by lane with q (or one q)."""
@@ -731,38 +721,21 @@ def build_family(
     return EFunctionFamily(base=base, channel=channel, payoff=payoff, D=D, law=law)
 
 
-def mixed_efun(components, weights, alpha, q, D: int):
-    """Mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) over the weights w_j > 0.
+def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
+    """q -> the mixture E-function (1/2) prod_j 2 E_j(alpha w_j, q) of the lanes
+    with (L, n) weights w and L loads alpha, on a 1-d q of L lanes (of any
+    length if L = 1); each lane gets the bits of its own one-lane call.
 
     XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
     does MAJ(1), whose observed check is the bit itself; the other MAJ
     components, the only ones with soft messages, take the truncated Poisson
-    family, and the product is exact only with at most one of them.  Equal
-    components merge into one whose weight is their sum, so a profile that
-    repeats a majority keeps the exact form.  The weights need not lie on
-    the simplex: the profile optimizer evaluates finite-difference points
-    just off it.  Lanes: an (L, n) weight matrix, L loads or L values of q
-    pair up lane by lane, and each lane gets the bits of its own one-lane
-    call.
-    """
-    w = np.asarray(weights, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    shape = np.broadcast_shapes(w.shape[:-1], np.shape(alpha), qa.shape)
-    lanes = math.prod(shape)
-    w = np.broadcast_to(w, shape + w.shape[-1:]).reshape(lanes, w.shape[-1])
-    loads = np.broadcast_to(np.asarray(alpha, dtype=float), shape).ravel()
-    out = _mixed_at(components, w, loads, D)(np.broadcast_to(qa, shape).ravel())
-    return float(out[0]) if not shape else out.reshape(shape)
-
-
-def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
-    """q -> ``mixed_efun`` of the lanes with (L, n) weights and L loads, on a 1-d q
-    of L lanes (of any length if L = 1).
-
-    Components that compare equal are one component, in the order of their
-    first appearance, with the sum of their weights per lane.  What does not
-    depend on q (each component's active lanes, its XOR exponent factor or
-    its Poisson laws) is set up once.
+    family, and the product is exact only with at most one of them.  A
+    component with w <= 0 in a lane is off there: the weights need not lie on
+    the simplex, because the profile optimizer evaluates finite-difference
+    points just off it.  Components that compare equal are one component, in
+    the order of their first appearance, with the sum of their weights per
+    lane.  What does not depend on q (each component's active lanes, its XOR
+    exponent factor or its Poisson laws) is set up once.
     """
     _check_load(loads)
     columns = {}
@@ -778,12 +751,13 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
         lanes = None if on.all() else np.flatnonzero(on)
         load = loads * lam if lanes is None else loads[lanes] * lam[lanes]
         if ck.kind == "XOR" or (ck.kind == "MAJ" and ck.arity == 1):
+            scale = -_mean_degree(ck.arity, load)
             if ck.arity == 1 and not factors:
                 # q**0 == 1 for every q: a constant factor ahead of every
                 # q-dependent one multiplies the start value once
-                start[on] *= np.exp(-load * ck.arity)
+                start[on] *= np.exp(scale)
                 continue
-            factors.append((lanes, -load * ck.arity, ck.arity - 1, None))
+            factors.append((lanes, scale, ck.arity - 1, None))
         elif ck.kind == "MAJ":
             factors.append((lanes, None, None, build_family(f"ldmc{ck.arity}", D=D)._at(load)))
         else:
@@ -834,7 +808,7 @@ def first_zero(family, alpha: float):
 class ClosedFormFamily(_Family):
     """Closed-form BEC error function of a mixed or systematic-regular ensemble.
 
-    Mixed(profile): the ``mixed_efun`` product, exact with at most one distinct
+    Mixed(profile): the ``_mixed_at`` product, exact with at most one distinct
     majority of arity >= 3 (LDGM(d) is ``XOR:d``).  SysRegular(d, R): (1 - alpha R) *
     E[Bin(d(1-R)/R, alpha R)-degree error], with d(1-R)/R an integer.
     """

@@ -389,8 +389,10 @@ def parse_graph(text: str) -> FactorGraph:
 
 
 def serialize_profile(profile: DegreeProfile) -> str:
-    """Profile file format: one ``KIND arity weight`` line per entry."""
-    return "\n".join(f"{k.kind} {k.arity} {w:.12g}" for k, w in profile.entries) + "\n"
+    """Profile file format: one ``KIND arity weight`` line per entry.  Each
+    weight is written as its ``repr``, the shortest decimal that reads back as
+    the same float, so ``parse_profile`` gives back the profile's entries."""
+    return "\n".join(f"{k.kind} {k.arity} {w!r}" for k, w in profile.entries) + "\n"
 
 
 def parse_profile(text: str) -> DegreeProfile:

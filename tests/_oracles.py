@@ -560,7 +560,8 @@ def evaluate_plain(family, alpha: float, q):
 
 
 def mixed_efun_plain(components, weights, alpha: float, q, D: int):
-    """``mixed_efun`` through ``evaluate_plain`` (XOR and MAJ3/MAJ5 components)."""
+    """The mixture E-function of ``efun._mixed_at`` at one weight vector and
+    load, through ``evaluate_plain`` (XOR and MAJ3/MAJ5 components)."""
     from gracecode.efun import build_family
 
     qa = np.asarray(q, dtype=float)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +164,11 @@ def test_infeasible_exit_code(tmp_path, capsys):
         ([*sim, str(tmp_path / "parity.profile")], "component PARITY 2 of weight 0.2"),
         (["histogram", *base[2:], "--ensemble", str(tmp_path / "parity.profile"), "--alpha", "1"],
          "component PARITY 2 of weight 0.2"),
+        # a finite load whose mean degree 3 * alpha overflows is named, not returned as NaN
+        (["devo", "--family", "ldgm3", "--alpha-grid", "1e308", "--ell", "2", "--out", str(out)],
+         "load 1e+308: the mean degree 3 * load overflows"),
+        (["devo", "--family", "ldmc3", "--surrogate", "BSC", "--x0", "0.5", "--alpha-grid", "1e308", "--ell", "2",
+          "--out", str(out)], "load 1e+308: the mean degree 3 * load overflows"),
     ]:
         assert main(argv) == EXIT_INFEASIBLE, argv
         assert message in capsys.readouterr().err
@@ -489,6 +496,15 @@ def test_optimize_outputs(tmp_path):
     assert "start 0" in log
 
 
+def test_an_optimized_profile_reads_back(tmp_path):
+    # these weights, written with 12 significant digits, summed 1e-12 short of 1
+    out = tmp_path / "o.profile"
+    assert main(["optimize", "--components", "MAJ:1,XOR:2,MAJ:3,XOR:4,MAJ:5", "--targets", "0.7,1.0,1.3,1.6",
+                 "--ell", "3", "--multistart", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK  # fmt: skip
+    argv = ["devo", "--family", str(out), "--alpha-grid", "1.0", "--ell", "1", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == EXIT_OK
+
+
 def test_histogram_counts(tmp_path):
     out = tmp_path / "hist.csv"
     argv = ["histogram", "--ensemble", "ldmc3", "--k", "100", "--rate", "0.5",
@@ -499,6 +515,21 @@ def test_histogram_counts(tmp_path):
     assert len(rows) == 10
     total = sum(int(float(r.split(",")[2])) for r in rows)
     assert total == 200  # k * trials
+
+
+def test_readme_commands_parse():
+    # a flag renamed or removed in the parser while the README keeps it fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["gracecode"]:
+                commands.append(words[1:])
+    assert sorted(argv[0] for argv in commands) == ["converse", "devo", "efun", "histogram", "optimize", "simulate"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def _child_env():

@@ -203,6 +203,9 @@ def test_exit_h_monotone():
 def test_exit_limited_size():
     with pytest.raises(ValueError):
         exit_tools(BitMatrix.repetition(11, 2))
+    # no column, no coordinate: h and the area would divide by m = 0
+    with pytest.raises(ValueError, match="at least one column"):
+        exit_tools(BitMatrix.from_dense(np.zeros((3, 0), dtype=np.uint8)))
 
 
 def test_exit_slope_bounded_by_data_ber():

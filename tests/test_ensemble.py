@@ -299,6 +299,15 @@ def test_profile_serialization_roundtrip():
     prof = DegreeProfile(((CheckKind.maj(3), 0.25), (CheckKind.xor(2), 0.75)))
     again = parse_profile(serialize_profile(prof))
     assert again.entries == prof.entries
+    # weights rounded to 12 digits would sum to 0.9999999999989999, off the simplex
+    prof = DegreeProfile(((CheckKind.xor(1), 0.48660200703539214), (CheckKind.xor(2), 0.10003486266425178),
+                          (CheckKind.xor(3), 0.41336313030035593)))  # fmt: skip
+    assert parse_profile(serialize_profile(prof)).entries == prof.entries
+    kinds = (CheckKind.maj(1), CheckKind.xor(2), CheckKind.maj(3), CheckKind.xor(4), CheckKind.maj(5))
+    rng = np.random.default_rng(0)
+    for n in rng.integers(2, 6, size=5000).tolist():
+        prof = DegreeProfile(tuple(zip(kinds, rng.dirichlet(np.ones(n)).tolist())))
+        assert parse_profile(serialize_profile(prof)).entries == prof.entries
 
 
 def test_profile_parse_comments_and_blanks():

@@ -29,7 +29,6 @@ from gracecode.efun import (
     build_family,
     eval_degree,
     f_alphabet,
-    mixed_efun,
 )
 from gracecode.ensemble import CheckKind
 
@@ -96,18 +95,21 @@ def test_mixed_efun_matches_uncached_evaluation():
     for _ in range(12):
         weights = rng.random(4) - 0.15  # some components off, as the optimizer's points can be
         alpha = float(rng.random() * 2.0)
-        assert near(mixed_efun(comps, weights, alpha, qs, 10), mixed_efun_plain(comps, weights, alpha, qs, 10))
+        mixed = efun._mixed_at(comps, weights[None, :], np.array([alpha]), 10)  # one lane, any number of q
+        assert near(mixed(qs), mixed_efun_plain(comps, weights, alpha, qs, 10))
         for q in qs[:5].tolist():
-            assert near(mixed_efun(comps, weights, alpha, q, 10), mixed_efun_plain(comps, weights, alpha, q, 10))
-    assert near(mixed_efun(comps, weights, 0.0, qs, 10), mixed_efun_plain(comps, weights, 0.0, qs, 10))
+            assert near(mixed(np.array([q])), mixed_efun_plain(comps, weights, alpha, np.array([q]), 10))
+    mixed = efun._mixed_at(comps, weights[None, :], np.array([0.0]), 10)
+    assert near(mixed(qs), mixed_efun_plain(comps, weights, 0.0, qs, 10))
 
 
 def test_maj1_takes_the_xor1_factor():
     qs = np.linspace(0.0, 1.0, 11)
+    weights = np.array([[0.4, 0.6]])
     for alpha in (0.0, 0.4, 1.7):
-        for q in (0.3, qs):
-            maj1 = mixed_efun((CheckKind.maj(1), CheckKind.maj(3)), (0.4, 0.6), alpha, q, 10)
-            xor1 = mixed_efun((CheckKind.xor(1), CheckKind.maj(3)), (0.4, 0.6), alpha, q, 10)
+        for q in (np.array([0.3]), qs):
+            maj1 = efun._mixed_at((CheckKind.maj(1), CheckKind.maj(3)), weights, np.array([alpha]), 10)(q)
+            xor1 = efun._mixed_at((CheckKind.xor(1), CheckKind.maj(3)), weights, np.array([alpha]), 10)(q)
             assert same(maj1, xor1)
 
 

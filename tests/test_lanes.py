@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gracecode.devo import _at_loads, _settle, _traces, fixed_point, iterate
-from gracecode.efun import ClosedFormFamily, DegreeLaw, _averager, build_family, f_alphabet, mixed_efun
+from gracecode.efun import ClosedFormFamily, DegreeLaw, _averager, _mixed_at, build_family, f_alphabet
 from gracecode.ensemble import CheckKind, parse_profile
 
 LANES = (1, 2, 7, 33, 500)
@@ -80,11 +80,12 @@ def test_mixed_efun_lanes_match_one_lane_calls(L):
     weights[0, :] = [0.3, 0.0, 0.7, -0.1, 0.0]
     alphas = loads(rng, L)
     qs = points(rng, L)
-    one = np.array([mixed_efun(MIXED, weights[i], float(alphas[i]), float(qs[i]), 10) for i in range(L)])
-    assert same(mixed_efun(MIXED, weights, alphas, qs, 10), one)
+    one = np.array([_mixed_at(MIXED, weights[i : i + 1], alphas[i : i + 1], 10)(qs[i : i + 1])[0] for i in range(L)])
+    assert same(_mixed_at(MIXED, weights, alphas, 10)(qs), one)
     # one weight vector and load for all lanes of q
-    one = np.array([mixed_efun(MIXED, weights[-1], float(alphas[-1]), q, 10) for q in qs.tolist()])
-    assert same(mixed_efun(MIXED, weights[-1], float(alphas[-1]), qs, 10), one)
+    last = _mixed_at(MIXED, weights[-1:], alphas[-1:], 10)
+    one = np.array([last(np.array([q]))[0] for q in qs.tolist()])
+    assert same(last(qs), one)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.5, np.inf])
@@ -97,7 +98,21 @@ def test_a_bad_load_in_any_lane_raises(bad):
             with pytest.raises(ValueError, match="alpha must be >= 0"):
                 family.evaluate(wrong, 0.3)
         with pytest.raises(ValueError, match="alpha must be >= 0"):
-            mixed_efun(MIXED, np.full((4, len(MIXED)), 0.2), wrong, 0.3, 10)
+            _mixed_at(MIXED, np.full((4, len(MIXED)), 0.2), wrong, 10)
+
+
+def test_a_load_whose_mean_degree_overflows_raises():
+    # arity * alpha = inf would make the Poisson law and the XOR factor NaN
+    for call in (
+        lambda: DegreeLaw.poisson(3).probabilities(1e308, 3),
+        lambda: DegreeLaw.poisson(3).probabilities(np.array([1.0, 1e308]), 3),
+        lambda: build_family("ldmc3", channel="BSC").evaluate(1e308, 0.3),
+        lambda: _mixed_at((CheckKind.xor(3),), np.ones((2, 1)), np.array([1.0, 1e308]), 10),
+    ):
+        with pytest.raises(ValueError, match=r"load 1e\+308: the mean degree 3 \* load overflows"):
+            call()
+    pmf, tail = DegreeLaw.poisson(3).probabilities(1e307, 3)  # just below: all the mass is past D
+    assert not pmf.any() and tail == 1.0
 
 
 def test_degree_law_lanes_match_one_load():
