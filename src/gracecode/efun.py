@@ -13,12 +13,15 @@ E-function takes one path: ``_table`` keeps these b of E_0..E_D for one
 payoff, and ``_averager`` sums pmf[d] * E_d(q) over a degree pmf of degrees
 0..D from it.  A degree's b come from its type terms (``_degree_terms``: a
 coefficient per message type, that is per count of each entry), which
-``_collapse`` multiplies out in the weights' Bernstein coefficients.  The
-terms come from ``_lattice_chunks``, which streams the lattice, each row's
-weight and each row's type in fixed chunks (they depend only on d and on
-which entry owns each lattice column), and from coefficients that depend on
-the alphabet's magnitudes and the payoff; a table is cached on the alphabet
-itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
+``_collapse`` multiplies out in the weights' Bernstein coefficients.  A
+lattice row is a head (its first columns, whole entries) and a tail (the
+rest): ``_lattice_chunks`` streams the rows of all the degrees of a build
+as (head, tail, type) index triples in fixed chunks, which depend only on
+the degrees and on which entry owns each lattice column.  A row's
+log-ratio and log-probability are the sums of a head part and a tail part,
+each summed column by column once per head or tail from the alphabet's
+magnitudes, so a row costs two gathers and two adds and no sum takes a BLAS
+product; a table is cached on the alphabet itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
 ``EFunctionFamily`` calls it with its degree laws (on the BSC once per
 distinct crossover of a call, whose alphabet is built for that call).
 ``_mixed_at`` multiplies the XOR closed form with the Poisson families of
@@ -228,15 +231,15 @@ def _apply_payoff(e: np.ndarray, payoff: str) -> np.ndarray:
 
 
 _PAYOFFS = ("error", "chi2", "entropy")
-# E_d's lattice streams in chunks of this many rows, at offsets that are its
-# multiples: a BLAS matrix-vector product gives a row the bits it has in the
-# whole lattice only if the row's block starts where the whole lattice's does.
-# 2^14 is the smallest power of two that holds every LDMC3 lattice up to
-# d = 14 (11,628 rows) in one chunk, so the cache below serves every BSC
-# crossover; a chunk's float work holds about a quarter of its 20 MB at 2^16
+# The lattice rows of a call stream in chunks of this many (h, i, rank) index
+# rows.  A row's terms are elementwise, so no chunk size moves a bit; a
+# chunk's work takes about 1 MB, and larger chunks run slower
 _CHUNK_ROWS = 1 << 14
-# (d, owners) -> (rows, logc, rank) of a lattice of at most _CHUNK_ROWS rows:
-# every LDMC3 BEC and BSC degree up to 14, LDMC5 up to 5
+# (d, owners) -> the ``_split`` of E_d's lattice and (degrees, owners) -> the
+# ``_lattice_chunks`` of a call, each kept if it holds at most _CACHED_ROWS
+# rows: every LDMC3 BEC and BSC degree and table up to degree 14 (38,760
+# rows at most), LDMC5 degrees up to 7 and tables up to degree 6
+_CACHED_ROWS = 1 << 16
 _LATTICE_CACHE: dict = {}
 
 
@@ -302,12 +305,6 @@ def _xlogy(ks: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_multinomial(d: int, z: np.ndarray) -> np.ndarray:
-    """Each row's log-multinomial weight log(d! / prod_c z_c!)."""
-    log_fact = _log_factorials(d)[1]
-    return log_fact[d] - log_fact[z].sum(axis=1)
-
-
 def _check_load(alpha) -> None:
     """Reject a negative, infinite or NaN load, in any lane of an array of loads."""
     a = np.asarray(alpha, dtype=float)
@@ -344,50 +341,107 @@ def _rank(counts: np.ndarray, total, d: int, parts: int) -> np.ndarray:
     return (below[j, after + counts] - below[j, after]).sum(axis=1)
 
 
-def _lattice_chunks(d: int, owners: tuple):
+def _split(d: int, owners: tuple):
     """E_d's lattice for an alphabet whose lattice column c belongs to entry
-    ``owners[c]``, in lexicographic row order, as chunks (int16 rows, their
-    log-multinomial weights, each row's type as a row of ``_lattice(d,
-    entries)``) of ``_CHUNK_ROWS`` rows, the last one shorter.
+    ``owners[c]``, split into heads, the first P columns (whole entries), and
+    tails, the compositions of what a head leaves: (heads, tails, rows, skip).
 
-    A chunk gathers its rows [head | tail] from the heads, the first P columns
-    (whole entries), and the tails, the compositions of what a head leaves; a
-    row's rank is its head's plus its tail's.  Only a lattice of one chunk is
-    cached, per (d, owners): a new BSC crossover reuses it, and a larger
-    lattice (LDMC5 from d = 6 on) is streamed by the one BEC build that reads it.
+    ``heads`` and ``tails`` are each (int16 columns as rows, log-factorial
+    share, rank).  A row [head | tail] has the log-multinomial weight
+    log(d! / prod_c z_c!) of the sum of its sides' shares and the type, as a
+    row of ``_lattice(d, entries)``, of the sum of their ranks.  A head that
+    leaves t to its tail has the share log(d! / (t! prod z_c!)) and a tail
+    the share log(t! / prod z_c!): each is the log of a multinomial
+    coefficient, so no share cancels a large log d! against the other side.
+    log k! is a multiple of 2^-53 below 2^5, so a share is an exact int64
+    sum in these units, rounded once.  In lexicographic order head h has
+    ``rows[h]`` rows, and its row g of the lattice is tail g + ``skip[h]``.  Cached per (d,
+    owners) up to ``_CACHED_ROWS`` rows, so each LDMC3 degree is split once.
     """
     hit = _LATTICE_CACHE.get((d, owners))
     if hit is not None:
-        yield hit
-        return
+        return hit
     K, n = len(owners), owners[-1] + 1
     P = owners.index(owners[K // 2 - 1]) + owners.count(owners[K // 2 - 1])
     e = owners[P - 1] + 1
     of_entry = np.equal.outer(owners, np.arange(n)).astype(np.int64)  # (K, n)
+    units = (_log_factorials(d)[1] * 2.0**53).astype(np.int64)
     heads = _lattice(d, P + 1)  # the head, then the total t it leaves
-    head_rank = _rank(heads[:, :P] @ of_entry[:P, :e], d, d, n)
+    t, heads = heads[:, P], heads[:, :P]
     tails = _lattice(d, K - P + 1)  # [d - t | a tail of t], t = d, d-1, .., 0
-    left = d - tails[:, :1].astype(np.int64)
-    tails = tails[:, 1:]
-    tail_rank = _rank(tails @ of_entry[P:, e:], left, d, n - e)
-    sizes = np.bincount(left[:, 0], minlength=d + 1)  # the tails of each t
+    left, tails = d - tails[:, 0].astype(np.int64), tails[:, 1:]
+    sizes = np.bincount(left, minlength=d + 1)  # the tails of each t
     first = np.cumsum(sizes[::-1])[::-1] - sizes  # where the tails of t start
-    ends = np.cumsum(sizes[heads[:, P]])
-    rows = int(ends[-1])
-    for a in range(0, rows, _CHUNK_ROWS):
-        g = np.arange(a, min(a + _CHUNK_ROWS, rows))
-        h = np.searchsorted(ends, g, side="right")
-        t = heads[h, P]
-        i = first[t] + g - (ends[h] - sizes[t])
-        z = np.empty((g.shape[0], K), dtype=np.int16)
-        z[:, :P] = heads[h, :P]
-        z[:, P:] = tails[i]
-        chunk = (z, _log_multinomial(d, z), head_rank[h] + tail_rank[i])
-        if rows <= _CHUNK_ROWS:
-            for x in chunk:
-                x.setflags(write=False)
-            _LATTICE_CACHE[(d, owners)] = chunk
-        yield chunk
+    sides = []
+    for z, share, rank in ((heads, units[d] - units[t], _rank(heads @ of_entry[:P, :e], d, d, n)),
+                           (tails, units[left], _rank(tails @ of_entry[P:, e:], left[:, None], d, n - e))):  # fmt: skip
+        for column in z.T:
+            share = share - units[column]
+        sides.append((np.ascontiguousarray(z.T), share * 2.0**-53, rank))
+    rows = sizes[t]
+    out = (*sides, rows, first[t] - (np.cumsum(rows) - rows))
+    if int(rows.sum()) <= _CACHED_ROWS:
+        for x in (*sides[0], *sides[1], *out[2:]):
+            x.setflags(write=False)
+        _LATTICE_CACHE[(d, owners)] = out
+    return out
+
+
+def _lattice_chunks(degrees, owners: tuple):
+    """The lattices of the degrees for an alphabet whose lattice column c
+    belongs to entry ``owners[c]``: (heads, tails, chunks), each side the
+    (int16 columns as rows, log-factorial share) of ``_split`` stacked in
+    increasing degree order.
+
+    ``chunks`` yields the lattice rows in order as (h, i, rank) index arrays
+    of ``_CHUNK_ROWS`` rows, the last one shorter, which may cross degree
+    boundaries: a row is stacked head h and stacked tail i, and its type is
+    row ``rank`` of the stacked ``_lattice(d, entries)`` of the degrees.
+    Only the chunks of a call of at most ``_CACHED_ROWS`` rows are cached,
+    per (degrees, owners): a new BSC crossover reuses them, and larger
+    lattices (an LDMC5 table beyond degree 6) are streamed by the one BEC
+    build that reads them.
+    """
+    key = (tuple(degrees), owners)
+    hit = _LATTICE_CACHE.get(key)
+    if hit is not None:
+        return hit
+    heads, tails, rows, skip = zip(*(_split(d, owners) for d in degrees))
+    n = owners[-1] + 1
+    # each degree's first type, tail and row in the stack
+    first_type = accumulate((math.comb(d + n - 1, d) for d in key[0][:-1]), initial=0)
+    first_tail = accumulate((share.shape[0] for _, share, _ in tails[:-1]), initial=0)
+    first_row = accumulate((int(r.sum()) for r in rows[:-1]), initial=0)
+    head_rank = np.concatenate([rank + t for (_, _, rank), t in zip(heads, first_type)])
+    skip = np.concatenate([s + i - g for s, i, g in zip(skip, first_tail, first_row)])
+    head_cols, head_share, _ = (np.concatenate(x, axis=-1) for x in zip(*heads))
+    tail_cols, tail_share, tail_rank = (np.concatenate(x, axis=-1) for x in zip(*tails))
+    ends = np.cumsum(np.concatenate(rows))
+    total = int(ends[-1])
+
+    def chunks():
+        for a in range(0, total, _CHUNK_ROWS):
+            b = min(a + _CHUNK_ROWS, total)
+            h0, h1 = np.searchsorted(ends, (a, b - 1), side="right").tolist()
+            h = np.repeat(np.arange(h0, h1 + 1), np.diff(np.minimum(ends[h0 : h1 + 1], b), prepend=a))
+            i = np.arange(a, b) + skip[h]
+            yield h, i, head_rank[h] + tail_rank[i]
+
+    out = (head_cols, head_share), (tail_cols, tail_share), chunks()
+    if total <= _CACHED_ROWS:
+        out = (*out[:2], tuple(out[2]))
+        for x in (head_cols, head_share, tail_cols, tail_share, *(x for chunk in out[2] for x in chunk)):
+            x.setflags(write=False)
+        _LATTICE_CACHE[key] = out
+    return out
+
+
+def _add_columns(total: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """total + z[0] x[0] + z[1] x[1] + ..., added in that order: a lattice
+    side's sums take no BLAS product, so no block grid moves their bits."""
+    for column, value in zip(z, x.tolist()):
+        total = total + column * value
+    return total
 
 
 def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
@@ -396,22 +450,26 @@ def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     ``_lattice(d, entries)``, and {payoff: float64 coefficients stacked in
     increasing degree order} for the given payoffs).
 
-    A lattice chunk's LLRs and log-probabilities are BLAS matrix-vector
-    products of their own, and everything after them (posterior errors,
-    probabilities, payoffs) is elementwise; each term adds to its type's
-    coefficient in row order, as one ``np.bincount`` over a degree's whole
-    lattice adds them.
+    A lattice row's signed log-ratio sum_c z_c l_c and log-probability (its
+    log-multinomial weight plus sum_c z_c log q_c) are each the sum of a head
+    part and a tail part (``_lattice_chunks``), taken once per head and per
+    tail.  A row then costs two gathers and two adds, and everything after
+    them (posterior errors, probabilities, payoffs) is elementwise.  Each
+    term adds to its type's coefficient in row order, as one ``np.bincount``
+    over a degree's whole lattice adds them.
     """
     col_l, col_logq, owners = alphabet._cols
     types = [_lattice(d, len(alphabet.entries)) for d in degrees]
-    firsts = np.cumsum([0] + [t.shape[0] for t in types])
-    coefs = {payoff: np.zeros(firsts[-1]) for payoff in payoffs}
-    for d, first in zip(degrees, firsts):
-        for z, logc, rank in _lattice_chunks(d, owners):
-            zf = z.astype(np.float64)
-            e, p, at = 1.0 / (1.0 + np.exp(np.abs(zf @ col_l))), np.exp(logc + zf @ col_logq), first + rank
-            for payoff, c in coefs.items():
-                np.add.at(c, at, p * _apply_payoff(e, payoff))
+    (heads, head_share), (tails, tail_share), chunks = _lattice_chunks(degrees, owners)
+    P = heads.shape[0]
+    head_l = _add_columns(np.zeros(head_share.shape[0]), heads, col_l[:P])
+    tail_l = _add_columns(np.zeros(tail_share.shape[0]), tails, col_l[P:])
+    head_q, tail_q = _add_columns(head_share, heads, col_logq[:P]), _add_columns(tail_share, tails, col_logq[P:])
+    coefs = {payoff: np.zeros(sum(t.shape[0] for t in types)) for payoff in payoffs}
+    for h, i, rank in chunks:
+        e, p = 1.0 / (1.0 + np.exp(np.abs(head_l[h] + tail_l[i]))), np.exp(head_q[h] + tail_q[i])
+        for payoff, c in coefs.items():
+            np.add.at(c, rank, p * _apply_payoff(e, payoff))
     return types, coefs
 
 

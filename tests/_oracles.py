@@ -188,16 +188,14 @@ def exit_counts_per_pattern(G: BitMatrix) -> np.ndarray:
     return counts
 
 
-def compositions_itertools(d: int, K: int) -> tuple:
+def compositions_itertools(d: int, K: int) -> np.ndarray:
     """Weak compositions of d into K >= 1 parts from the stars-and-bars
-    ``combinations`` enumeration, with their log-multinomial weights."""
+    ``combinations`` enumeration."""
     bars = list(combinations(range(d + K - 1), K - 1))
     bars = np.array(bars, dtype=np.int64).reshape(len(bars), K - 1)
     left = np.full((bars.shape[0], 1), -1, dtype=np.int64)
     right = np.full((bars.shape[0], 1), d + K - 1, dtype=np.int64)
-    z = (np.diff(np.hstack([left, bars, right]), axis=1) - 1).astype(np.int16)
-    logc = gammaln(d + 1) - gammaln(z.astype(np.float64) + 1.0).sum(axis=1)
-    return z, logc
+    return (np.diff(np.hstack([left, bars, right]), axis=1) - 1).astype(np.int16)
 
 
 def slow_encode(checks, source) -> list:
@@ -388,11 +386,11 @@ def term_rep_plain(alphabet, d: int, payoff: str):
 
 
 # The whole-lattice term build that the chunked stream of ``efun._degree_terms``
-# replaced, verbatim: one lattice, its types from ``np.unique`` and one
-# ``np.bincount`` per payoff.  The library's coefficients must match it bit
-# for bit.  It holds its own copies of the helpers it shares with the
-# library (``_with_first_part`` here, ``_apply_payoff`` above), so it runs
-# none of the code it checks.
+# replaced: one lattice and its types from ``np.unique``, here with every sum
+# in ``np.longdouble``, which the library's coefficients must match to a few
+# ulps.  It holds its own copies of the helpers it shares with the library
+# (``_with_first_part`` here, ``_apply_payoff`` above), so it runs none of
+# the code it checks.
 def _with_first_part(blocks, t: int) -> np.ndarray:
     """Rows [i | c] for i = 0..t and c a row of ``blocks[t - i]``, in that order."""
     rest = blocks[t::-1]
@@ -469,21 +467,30 @@ def _structure(d: int, owners: tuple) -> _Structure:
     return out
 
 
-def _degree_terms(alphabet: MessageAlphabet, d: int, payoff: str):
-    """Nonnegative term representation: E_d(q) = sum_c coef_c prod_j w_j(q)^c_j.
+def degree_terms_longdouble(alphabet: MessageAlphabet, d: int, payoffs):
+    """E_d's type terms (types, {payoff: coefficients}) from the whole lattice,
+    with the library's float64 inputs (each column's log-ratio and
+    log-probability, log k!) summed in ``np.longdouble``: each row's
+    log-ratio, log-multinomial weight and log-probability, its posterior
+    error and probability, and each type's sum of terms.
 
-    Returned as (type-count matrix, coefficients), in float64; the float
-    lattice and its row vectors go on return.  All coefficients are >= 0.
+    The payoff is the float64 formula at the error rounded to float64:
+    1 - (1 - 2e)^2 and h_b keep few digits of a tiny e in either precision,
+    and the library shares that loss, so the oracle measures the sums.
     """
     col_l, col_logq, owners = alphabet._cols
     s = _structure(d, owners)
-    zf = s.z.astype(np.float64)
-    llr = zf @ col_l
-    logp = s.logc + zf @ col_logq
-    del zf
+    z = s.z.astype(np.longdouble)
+    log_fact = gammaln(np.arange(d + 1) + 1.0).astype(np.longdouble)
+    llr = (z * col_l.astype(np.longdouble)).sum(axis=1)
+    logp = log_fact[d] - log_fact[s.z].sum(axis=1) + (z * col_logq.astype(np.longdouble)).sum(axis=1)
     e = 1.0 / (1.0 + np.exp(np.abs(llr)))
-    vals = np.exp(logp) * _apply_payoff(e, payoff)
-    return s.types, np.bincount(s.inv, weights=vals, minlength=s.types.shape[0])
+    p = np.exp(logp)
+    coefs = {}
+    for payoff in payoffs:
+        coefs[payoff] = np.zeros(s.types.shape[0], dtype=np.longdouble)
+        np.add.at(coefs[payoff], s.inv, p * _apply_payoff(e.astype(np.float64), payoff))
+    return s.types, coefs
 
 
 def bernstein_vector(coeffs, m: int) -> np.ndarray:
@@ -499,15 +506,16 @@ def bernstein_vector(coeffs, m: int) -> np.ndarray:
 
 
 def bernstein_terms(alphabet, d: int, payoff: str) -> np.ndarray:
-    """E_d's coefficients b_k of q^k (1-q)^(md-k), k = 0..md, from the
-    whole-lattice type terms: each term's coefficient convolved, row by row,
-    with each weight's Bernstein vector as often as the type counts that
+    """E_d's coefficients b_k of q^k (1-q)^(md-k), k = 0..md, in
+    ``np.longdouble``, from the whole-lattice type terms of
+    ``degree_terms_longdouble``: each term's coefficient convolved, row by
+    row, with each weight's Bernstein vector as often as the type counts that
     weight, and the rows added in order."""
     m = max(w.degree for _, w in alphabet.entries)
-    beta = [bernstein_vector(w.coeffs, m) for _, w in alphabet.entries]
-    types, coefs = _degree_terms(alphabet, d, payoff)
-    total = np.zeros(m * d + 1)
-    for row, coef in zip(types.astype(np.int64).tolist(), coefs.tolist()):
+    beta = [bernstein_vector(w.coeffs, m).astype(np.longdouble) for _, w in alphabet.entries]
+    types, coefs = degree_terms_longdouble(alphabet, d, (payoff,))
+    total = np.zeros(m * d + 1, dtype=np.longdouble)
+    for row, coef in zip(types.astype(np.int64).tolist(), coefs[payoff]):
         poly = np.array([coef])
         for j, count in enumerate(row):
             for _ in range(count):

@@ -64,11 +64,9 @@ def test_compositions_match_stars_and_bars():
     sizes = [(d, K) for d in range(15) for K in range(1, 14) if comb(d + K - 1, K - 1) <= 200_000]
     for d, K in sizes + [(10, 13)]:
         z = efun._lattice(d, K)
-        logc = efun._log_multinomial(d, z)
-        z_ref, logc_ref = compositions_itertools(d, K)
+        z_ref = compositions_itertools(d, K)
         assert z.dtype == z_ref.dtype and z.shape == z_ref.shape, (d, K)
         assert np.array_equal(z, z_ref), (d, K)
-        assert logc.tobytes() == logc_ref.tobytes(), (d, K)
     efun._lattice.cache_clear()  # drop the large lattices the library never asks for
 
 

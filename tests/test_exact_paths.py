@@ -193,23 +193,34 @@ def test_one_bsc_evaluation_builds_each_crossover_once(monkeypatch):
 
 
 def test_lattice_structure_is_built_once_per_layout(monkeypatch):
-    # every chunk of a lattice takes its log-multinomial weights once, and
-    # each of these lattices is one chunk
+    # every LDMC3 degree up to 14 is split once, and a table's chunks are
+    # built once for every payoff and BSC crossover
     built = []
-    log_multinomial = efun._log_multinomial
-    monkeypatch.setattr(efun, "_log_multinomial", lambda d, z: built.append((d, z.shape[1])) or log_multinomial(d, z))
+    split = efun._split
+    def counted(d, owners):
+        if (d, owners) not in efun._LATTICE_CACHE:
+            built.append((d, len(owners)))
+        return split(d, owners)
+
+    monkeypatch.setattr(efun, "_split", counted)
     monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
     # fresh alphabets: their tables are not cached yet
     ldmc3 = MessageAlphabet("BEC", f_alphabet("ldmc3_bec").entries)
     efun._table(ldmc3, "error", 10)
     assert built == [(d, 5) for d in range(11)]
-    efun._table(ldmc3, "chi2", 10)
-    assert len(built) == 11  # the second payoff reuses the structure
+    efun._table(MessageAlphabet("BEC", ldmc3.entries), "chi2", 10)
+    assert len(built) == 11  # the second table reuses the chunks
     for p in (0.1, 0.2, 0.3):  # so do the BSC crossovers, after the first
         bsc = MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries)
         efun._table(bsc, "error", 10)
     assert built[11:] == [(d, 6) for d in range(11)]
-    assert sorted(efun._LATTICE_CACHE) == sorted((d, c) for d in range(11) for c in (ldmc3._cols[2], bsc._cols[2]))
+    for p in (0.1, 0.2):  # a larger truncation splits only its new degrees
+        efun._table(MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries), "error", 14)
+    efun._table(ldmc3, "error", 14)
+    assert sorted(built[22:]) == [(d, c) for d in range(11, 15) for c in (5, 6)]
+    owners = (ldmc3._cols[2], bsc._cols[2])
+    tables = [(tuple(range(11)), c) for c in owners] + [(tuple(range(15)), owners[1]), (tuple(range(11, 15)), owners[0])]
+    assert sorted(efun._LATTICE_CACHE, key=str) == sorted([(d, c) for d in range(15) for c in owners] + tables, key=str)
 
 
 @pytest.mark.parametrize("payoff", ["error", "chi2"])

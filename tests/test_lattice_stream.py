@@ -1,18 +1,19 @@
-"""The streamed E-function lattice gives the whole-lattice build's bits.
+"""The streamed E-function lattice gives the whole-lattice terms.
 
-``efun._degree_terms`` streams E_d's composition lattice in fixed chunks and
-never holds it whole.  Its type terms (types and coefficients) must be
-byte-equal to the whole-lattice build it replaced (``_oracles._degree_terms``:
-one lattice, the types from ``np.unique``, one ``np.bincount`` per payoff),
-with the production 2^14-row chunks and with 1000-row ones.  Not every chunk
-size keeps the bits: OpenBLAS gives a row its whole-lattice bits only on its
-own block grid, and 1001-row chunks move some coefficients.  The table keeps
-only each degree's Bernstein coefficients, which must match the oracle's
+``efun._degree_terms`` streams the composition lattices of a call's degrees
+in fixed chunks and never holds one whole.  A row's log-ratio and
+log-probability are the sums of a head part and a tail part, so its type
+terms do not have the bits of the whole-lattice build with BLAS products
+that it replaced.  They must lie within 4e-15 relative of the same sums in
+extended precision (``_oracles.degree_terms_longdouble``), and their bits
+must not depend on the chunk size.  The table keeps only each degree's
+Bernstein coefficients, which must match the oracle's extended-precision
 collapse of those terms (``_oracles.bernstein_terms``, one convolution per
-weight and row) to 1e-15 relative.  The production size must also hold every
-LDMC3 lattice in one chunk, so that the lattice cache serves every BSC
-crossover.  A degree too large for that oracle is guarded by a golden and by
-the peak memory of a child process.
+weight and row) to 5e-15 relative: every term and every Bernstein factor is
+nonnegative, so a coefficient is as close as its terms, up to the collapse's
+own rounding.  Every LDMC3 lattice must be split once and its
+rows kept, so that every BSC crossover reuses them.  A degree too large for
+the oracles is guarded by a golden and by the peak memory of a child process.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ ALPHABETS = {
     "ldmc5_bec": (f_alphabet("ldmc5_bec"), 10),
     "ragged": (RAGGED, 10),
 }
+# the largest relative distance of a type term from the longdouble sums; the
+# BLAS build before the head and tail sums came within 2.9e-15 of them
+TERMS_RTOL = 4e-15
+TABLE_RTOL = TERMS_RTOL + 1e-15
 
 
 @pytest.fixture(autouse=True)
@@ -51,12 +56,13 @@ def assert_same_terms(alphabet, dmax: int) -> None:
     first = 0
     for d, got_types in enumerate(types):
         rows = slice(first, first + got_types.shape[0])
+        want_types, want = _oracles.degree_terms_longdouble(alphabet, d, PAYOFFS)
+        assert got_types.shape == want_types.shape, d
+        assert got_types.astype(np.float64).tobytes() == want_types.tobytes(), d
         for payoff in PAYOFFS:
-            want_types, want = _oracles._degree_terms(alphabet, d, payoff)
-            assert got_types.shape == want_types.shape, (d, payoff)
-            assert got_types.astype(np.float64).tobytes() == want_types.tobytes(), (d, payoff)
-            assert coefs[payoff].dtype == want.dtype and coefs[payoff][rows].shape == want.shape, (d, payoff)
-            assert coefs[payoff][rows].tobytes() == want.tobytes(), (d, payoff)
+            got = coefs[payoff][rows]
+            assert got.dtype == np.float64 and got.shape == want[payoff].shape, (d, payoff)
+            assert np.all(np.abs(got - want[payoff]) <= TERMS_RTOL * want[payoff]), (d, payoff)
         first = rows.stop
     assert all(c.shape[0] == first for c in coefs.values())
 
@@ -71,7 +77,7 @@ def assert_same_bernstein(alphabet, dmax: int) -> None:
         for d in range(dmax + 1):
             want = _oracles.bernstein_terms(alphabet, d, payoff)
             got = b[starts[d] : starts[d + 1]]
-            assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * want), (d, payoff)
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= TABLE_RTOL * want), (d, payoff)
 
 
 @pytest.mark.parametrize("name", sorted(ALPHABETS))
@@ -81,23 +87,33 @@ def test_tables_match_the_whole_lattice_build(name):
 
 
 def test_chunk_size_does_not_move_a_bit(monkeypatch):
-    monkeypatch.setattr(efun, "_CHUNK_ROWS", 1000)
-    monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
-    ldmc5 = f_alphabet("ldmc5_bec")
-    sizes = [z.shape[0] for z, _, _ in efun._lattice_chunks(8, ldmc5._cols[2])]
-    assert sizes[:-1] == [1000] * (len(sizes) - 1) and sum(sizes) == 125_970
-    assert_same_terms(ldmc5, 10)  # degrees 4-10 take more than one chunk
-    assert sorted(d for d, _ in efun._LATTICE_CACHE) == [0, 1, 2, 3]
+    alphabets = [(f_alphabet("ldmc5_bec"), 10, 1_144_066), (f_alphabet("ldmc3_bsc", 0.11), 14, 38_760)]
+    want = [efun._degree_terms(a, range(dmax + 1), PAYOFFS)[1] for a, dmax, _ in alphabets]
+    for rows in (1000, 1001, 4097):
+        monkeypatch.setattr(efun, "_CHUNK_ROWS", rows)
+        monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
+        for (alphabet, dmax, total), coefs in zip(alphabets, want):
+            chunks = efun._lattice_chunks(range(dmax + 1), alphabet._cols[2])[2]
+            sizes = [h.shape[0] for h, _, _ in chunks]
+            assert sizes[:-1] == [rows] * (len(sizes) - 1) and sum(sizes) == total, rows
+            got = efun._degree_terms(alphabet, range(dmax + 1), PAYOFFS)[1]
+            assert all(got[p].tobytes() == coefs[p].tobytes() for p in PAYOFFS), (rows, dmax)
 
 
 @pytest.mark.parametrize("name", sorted(ALPHABETS))
 def test_rank_is_the_unique_inverse(name):
     owners = ALPHABETS[name][0]._cols[2]
-    for d in range(8):  # LDMC5 streams degrees 6 and 7 in 2 and 4 chunks
-        z, logc, rank = map(np.concatenate, zip(*efun._lattice_chunks(d, owners)))
+    for d in range(8):  # LDMC5 streams degree 7 in 4 chunks
+        (heads, head_share), (tails, tail_share), chunks = efun._lattice_chunks((d,), owners)
+        h, i, rank = map(np.concatenate, zip(*chunks))
         want = _oracles._structure(d, owners)
-        assert z.tobytes() == want.z.tobytes() and logc.tobytes() == want.logc.tobytes(), d
+        z = np.concatenate([heads[:, h], tails[:, i]]).T
+        assert z.dtype == want.z.dtype and np.array_equal(z, want.z), d
         assert rank.dtype.kind == "i" and np.array_equal(rank, want.inv), d
+        # the sides' shares add up to the log-multinomial weight, each rounded once
+        log_fact = efun._log_factorials(d)[1].astype(np.longdouble)
+        exact = log_fact[d] - log_fact[want.z].sum(axis=1)
+        assert np.all(np.abs(head_share[h] + tail_share[i] - exact) <= 2.0**-52 * (np.abs(head_share[h]) + np.abs(tail_share[i]))), d
 
 
 def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
@@ -105,10 +121,16 @@ def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
     ldmc3, ldmc3_bsc, ldmc5 = (f_alphabet(*a)._cols[2] for a in [("ldmc3_bec",), ("ldmc3_bsc", 0.11), ("ldmc5_bec",)])
     for owners, dmax in [(ldmc3, 14), (ldmc3_bsc, 14), (ldmc5, 5)]:
         for d in range(dmax + 1):
-            chunks = list(efun._lattice_chunks(d, owners))
-            assert len(chunks) == 1 and efun._LATTICE_CACHE[d, owners] is chunks[0], (owners, d)
+            lattice = efun._lattice_chunks((d,), owners)
+            assert len(lattice[2]) == 1 and efun._lattice_chunks((d,), owners) is lattice, (owners, d)
+            assert efun._split(d, owners) is efun._LATTICE_CACHE[d, owners], (owners, d)
+        # the table of degrees 0..dmax keeps its chunks too
+        table = efun._lattice_chunks(range(dmax + 1), owners)
+        assert efun._LATTICE_CACHE[tuple(range(dmax + 1)), owners] is table
     # a larger lattice streams in several chunks and is not kept
-    assert len(list(efun._lattice_chunks(6, ldmc5))) > 1 and (6, ldmc5) not in efun._LATTICE_CACHE
+    chunks = efun._lattice_chunks(range(8), ldmc5)[2]
+    assert len(list(chunks)) > 1 and (tuple(range(8)), ldmc5) not in efun._LATTICE_CACHE
+    assert (8, ldmc5) not in efun._LATTICE_CACHE
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):
