@@ -21,9 +21,10 @@ the degrees and on which entry owns each lattice column.  A row's
 log-ratio and log-probability are the sums of a head part and a tail part,
 each summed column by column once per head or tail from the alphabet's
 magnitudes, so a row costs two gathers and two adds and no sum takes a BLAS
-product; a table is cached on the alphabet itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
-``EFunctionFamily`` calls it with its degree laws (on the BSC once per
-distinct crossover of a call, whose alphabet is built for that call).
+product; a table is cached on the alphabet itself.  ``eval_degree`` is the
+one-degree case of ``_averager`` and ``EFunctionFamily`` calls it with its
+degree laws (on the BSC once per distinct crossover of a call, whose
+alphabet is built for that call).
 ``_mixed_at`` multiplies the XOR closed form with the Poisson families of
 the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
@@ -329,16 +330,19 @@ def _check_degree(d: int) -> None:
         raise ValueError(f"degree must lie in [0, {_MAX_DEGREE}]")
 
 
-def _rank(counts: np.ndarray, total, d: int, parts: int) -> np.ndarray:
-    """How many compositions of ``total`` (at most d) into ``parts`` parts
-    precede, in lexicographic order, those that start with a row of ``counts``."""
-    after = total - np.cumsum(counts, axis=1)  # what the later parts share
-    j = np.arange(counts.shape[1])
-    # below[j, s]: the compositions of s into parts - j parts; those whose
-    # first part is at least c are the compositions of s - c
-    below = np.array([[math.comb(s + parts - 1 - i, s) for s in range(d + 1)] for i in j], dtype=np.int64)
-    below = below.reshape(j.shape[0], d + 1)  # also with no parts left
-    return (below[j, after + counts] - below[j, after]).sum(axis=1)
+def _rank(counts, total: np.ndarray, d: int, parts: int) -> np.ndarray:
+    """How many compositions of ``total`` (at most d, one per row) into
+    ``parts`` parts precede, in lexicographic order, those that start with
+    the given parts: ``counts`` holds one array per leading part, if any."""
+    rank = np.zeros(total.shape[0], dtype=np.int64)
+    after = total  # what the later parts share
+    for j, count in enumerate(counts):
+        after = after - count
+        # the compositions of s into parts - j parts; those whose first part
+        # is at least c are the compositions of s - c
+        below = np.array([math.comb(s + parts - 1 - j, s) for s in range(d + 1)], dtype=np.int64)
+        rank += below[after + count] - below[after]
+    return rank
 
 
 def _split(d: int, owners: tuple):
@@ -355,8 +359,9 @@ def _split(d: int, owners: tuple):
     coefficient, so no share cancels a large log d! against the other side.
     log k! is a multiple of 2^-53 below 2^5, so a share is an exact int64
     sum in these units, rounded once.  In lexicographic order head h has
-    ``rows[h]`` rows, and its row g of the lattice is tail g + ``skip[h]``.  Cached per (d,
-    owners) up to ``_CACHED_ROWS`` rows, so each LDMC3 degree is split once.
+    ``rows[h]`` rows, and row g of the lattice, if it is one of them, is tail
+    g + ``skip[h]``.  Cached per (d, owners) up to ``_CACHED_ROWS`` rows, so
+    each LDMC3 degree is split once.
     """
     hit = _LATTICE_CACHE.get((d, owners))
     if hit is not None:
@@ -364,7 +369,6 @@ def _split(d: int, owners: tuple):
     K, n = len(owners), owners[-1] + 1
     P = owners.index(owners[K // 2 - 1]) + owners.count(owners[K // 2 - 1])
     e = owners[P - 1] + 1
-    of_entry = np.equal.outer(owners, np.arange(n)).astype(np.int64)  # (K, n)
     units = (_log_factorials(d)[1] * 2.0**53).astype(np.int64)
     heads = _lattice(d, P + 1)  # the head, then the total t it leaves
     t, heads = heads[:, P], heads[:, :P]
@@ -372,9 +376,12 @@ def _split(d: int, owners: tuple):
     left, tails = d - tails[:, 0].astype(np.int64), tails[:, 1:]
     sizes = np.bincount(left, minlength=d + 1)  # the tails of each t
     first = np.cumsum(sizes[::-1])[::-1] - sizes  # where the tails of t start
+    # an entry's type count is the sum of its columns
+    head_counts = [sum(heads[:, c].astype(np.int64) for c in range(P) if owners[c] == j) for j in range(e)]
+    tail_counts = [sum(tails[:, c - P].astype(np.int64) for c in range(P, K) if owners[c] == j) for j in range(e, n)]
     sides = []
-    for z, share, rank in ((heads, units[d] - units[t], _rank(heads @ of_entry[:P, :e], d, d, n)),
-                           (tails, units[left], _rank(tails @ of_entry[P:, e:], left[:, None], d, n - e))):  # fmt: skip
+    for z, share, rank in ((heads, units[d] - units[t], _rank(head_counts, np.full(t.shape[0], d), d, n)),
+                           (tails, units[left], _rank(tail_counts, left, d, n - e))):  # fmt: skip
         for column in z.T:
             share = share - units[column]
         sides.append((np.ascontiguousarray(z.T), share * 2.0**-53, rank))

@@ -31,9 +31,12 @@ DEVO = [*CLI, "devo", "--alpha-grid", "0.25:1.5:0.25", "--ell", "10", "--dmax", 
 RUNS = [
     # about 33 MB; 55 MB when the degree laws imported scipy.special
     ("devo --family ldmc3", 40, [*DEVO, "--family", "ldmc3", "--out", "devo3.csv"]),
-    # about 42 MB; 62 MB when the lattice streamed in chunks of 2^16 rows
+    # about 39 MB and 0.3 s; 42 MB when every lattice row was materialized,
+    # 62 MB when the lattice streamed in chunks of 2^16 rows
     ("devo --family ldmc5", 50, [*DEVO, "--family", "ldmc5", "--out", "devo5.csv"]),
-    # about 65 MB; the 400 MB bound dated from the whole-lattice build (1.6 GB)
+    # about 79 MB and 1.2 s, with the head and tail parts of all 15 degrees
+    # held at once; 64 MB and 4.8 s when a build held one degree's rows at a
+    # time; the 400 MB bound dated from the whole-lattice build (1.6 GB)
     ("devo --family ldmc5 --dmax 14", 100,
      [*CLI, "devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "14", "--out", "devo.csv"]),
     # about 61 MB
