@@ -409,14 +409,15 @@ def _lattice_chunks(degrees, owners: tuple):
     lattices (an LDMC5 table beyond degree 6) are streamed by the one BEC
     build that reads them.
     """
-    key = (tuple(degrees), owners)
+    degrees = tuple(degrees)
+    key = (degrees, owners)
     hit = _LATTICE_CACHE.get(key)
     if hit is not None:
         return hit
     heads, tails, rows, skip = zip(*(_split(d, owners) for d in degrees))
     n = owners[-1] + 1
     # each degree's first type, tail and row in the stack
-    first_type = accumulate((math.comb(d + n - 1, d) for d in key[0][:-1]), initial=0)
+    first_type = accumulate((math.comb(d + n - 1, d) for d in degrees[:-1]), initial=0)
     first_tail = accumulate((share.shape[0] for _, share, _ in tails[:-1]), initial=0)
     first_row = accumulate((int(r.sum()) for r in rows[:-1]), initial=0)
     head_rank = np.concatenate([rank + t for (_, _, rank), t in zip(heads, first_type)])

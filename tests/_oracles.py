@@ -505,17 +505,16 @@ def bernstein_vector(coeffs, m: int) -> np.ndarray:
                      for k in range(m + 1)])  # fmt: skip
 
 
-def bernstein_terms(alphabet, d: int, payoff: str) -> np.ndarray:
-    """E_d's coefficients b_k of q^k (1-q)^(md-k), k = 0..md, in
-    ``np.longdouble``, from the whole-lattice type terms of
-    ``degree_terms_longdouble``: each term's coefficient convolved, row by
-    row, with each weight's Bernstein vector as often as the type counts that
-    weight, and the rows added in order."""
+def bernstein_terms(alphabet, types, coefs) -> np.ndarray:
+    """A degree's coefficients b_k of q^k (1-q)^(md-k), k = 0..md, from its
+    type terms (type rows and coefficients): each term's coefficient
+    convolved, row by row, with each weight's Bernstein vector as often as
+    the type counts that weight, and the rows added in order."""
     m = max(w.degree for _, w in alphabet.entries)
-    beta = [bernstein_vector(w.coeffs, m).astype(np.longdouble) for _, w in alphabet.entries]
-    types, coefs = degree_terms_longdouble(alphabet, d, (payoff,))
-    total = np.zeros(m * d + 1, dtype=np.longdouble)
-    for row, coef in zip(types.astype(np.int64).tolist(), coefs[payoff]):
+    beta = [bernstein_vector(w.coeffs, m) for _, w in alphabet.entries]
+    d = int(types[0].sum())
+    total = np.zeros(m * d + 1)
+    for row, coef in zip(types.astype(np.int64).tolist(), coefs.tolist()):
         poly = np.array([coef])
         for j, count in enumerate(row):
             for _ in range(count):

@@ -7,11 +7,9 @@ terms do not have the bits of the whole-lattice build with BLAS products
 that it replaced.  They must lie within 4e-15 relative of the same sums in
 extended precision (``_oracles.degree_terms_longdouble``), and their bits
 must not depend on the chunk size.  The table keeps only each degree's
-Bernstein coefficients, which must match the oracle's extended-precision
-collapse of those terms (``_oracles.bernstein_terms``, one convolution per
-weight and row) to 5e-15 relative: every term and every Bernstein factor is
-nonnegative, so a coefficient is as close as its terms, up to the collapse's
-own rounding.  Every LDMC3 lattice must be split once and its
+Bernstein coefficients, which must match the oracle's collapse of those
+terms (``_oracles.bernstein_terms``, one convolution per weight and row) to
+1e-15 relative.  Every LDMC3 lattice must be split once and its
 rows kept, so that every BSC crossover reuses them.  A degree too large for
 the oracles is guarded by a golden and by the peak memory of a child process.
 """
@@ -42,7 +40,6 @@ ALPHABETS = {
 # the largest relative distance of a type term from the longdouble sums; the
 # BLAS build before the head and tail sums came within 2.9e-15 of them
 TERMS_RTOL = 4e-15
-TABLE_RTOL = TERMS_RTOL + 1e-15
 
 
 @pytest.fixture(autouse=True)
@@ -70,14 +67,16 @@ def assert_same_terms(alphabet, dmax: int) -> None:
 def assert_same_bernstein(alphabet, dmax: int) -> None:
     fresh = MessageAlphabet(alphabet.channel, alphabet.entries)  # no table cached yet
     m = fresh._bernstein.shape[1] - 1
+    types, coefs = efun._degree_terms(alphabet, range(dmax + 1), PAYOFFS)  # checked by assert_same_terms
+    firsts = np.cumsum([0] + [t.shape[0] for t in types])
     for payoff in PAYOFFS:
         b, starts = efun._table(fresh, payoff, dmax)
         assert starts.tolist() == np.cumsum([0] + [m * d + 1 for d in range(dmax + 1)]).tolist()
         assert b.dtype == np.float64 and b.shape[0] == starts[-1] and np.all(b >= 0.0), payoff
         for d in range(dmax + 1):
-            want = _oracles.bernstein_terms(alphabet, d, payoff)
+            want = _oracles.bernstein_terms(alphabet, types[d], coefs[payoff][firsts[d] : firsts[d + 1]])
             got = b[starts[d] : starts[d + 1]]
-            assert got.shape == want.shape and np.all(np.abs(got - want) <= TABLE_RTOL * want), (d, payoff)
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-15 * want), (d, payoff)
 
 
 @pytest.mark.parametrize("name", sorted(ALPHABETS))
