@@ -385,9 +385,9 @@ def term_rep_plain(alphabet, d: int, payoff: str):
     return (keys[:, None] // radix % (d + 1)).astype(np.int16), coefs
 
 
-# The whole-lattice term build that the chunked stream of ``efun._degree_terms``
-# replaced: one lattice and its types from ``np.unique``, here with every sum
-# in ``np.longdouble``, which the library's coefficients must match to a few
+# A whole-lattice term build for the chunked stream of ``efun._degree_terms``:
+# one lattice and its types from ``np.unique``, with every sum in
+# ``np.longdouble``, which the library's coefficients must match to a few
 # ulps.  It holds its own copies of the helpers it shares with the library
 # (``_with_first_part`` here, ``_apply_payoff`` above), so it runs none of
 # the code it checks.
@@ -433,7 +433,6 @@ class _Structure(NamedTuple):
     """The part of E_d's term representation that no magnitude or payoff moves."""
 
     z: np.ndarray  # the lattice, int16 (rows, columns)
-    logc: np.ndarray  # each row's log-multinomial weight
     inv: np.ndarray  # each row's type: its row of ``types``
     types: np.ndarray  # the entries' type counts as floats (types, entries)
 
@@ -450,7 +449,7 @@ def _structure(d: int, owners: tuple) -> _Structure:
     hit = _STRUCTURE_CACHE.get(key)
     if hit is not None:
         return hit
-    z, logc = _compositions(d, len(owners))
+    z, _ = _compositions(d, len(owners))
     # an entry's type count sums its columns; the counts of a row sum to d, so
     # their base-(d+1) number orders the rows as np.unique(axis=0) would
     radix = (d + 1) ** np.arange(owners[-1], -1, -1)  # owners[-1] + 1 entries
@@ -459,7 +458,7 @@ def _structure(d: int, owners: tuple) -> _Structure:
         keys += z[:, c] * radix[j]
     keys, inv = np.unique(keys, return_inverse=True)
     types = (keys[:, None] // radix % (d + 1)).astype(np.float64)
-    out = _Structure(z, logc, inv.astype(np.min_scalar_type(keys.shape[0])), types)
+    out = _Structure(z, inv.astype(np.min_scalar_type(keys.shape[0])), types)
     for a in out:
         a.setflags(write=False)
     if z.shape[0] <= _LATTICE_CACHE_MAX_ROWS:

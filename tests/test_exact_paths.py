@@ -197,6 +197,7 @@ def test_lattice_structure_is_built_once_per_layout(monkeypatch):
     # built once for every payoff and BSC crossover
     built = []
     split = efun._split
+
     def counted(d, owners):
         if (d, owners) not in efun._LATTICE_CACHE:
             built.append((d, len(owners)))

@@ -9,9 +9,9 @@ extended precision (``_oracles.degree_terms_longdouble``), and their bits
 must not depend on the chunk size.  The table keeps only each degree's
 Bernstein coefficients, which must match the oracle's collapse of those
 terms (``_oracles.bernstein_terms``, one convolution per weight and row) to
-1e-15 relative.  Every LDMC3 lattice must be split once and its
-rows kept, so that every BSC crossover reuses them.  A degree too large for
-the oracles is guarded by a golden and by the peak memory of a child process.
+1e-15 relative.  Every LDMC3 lattice must be split once and its rows kept,
+so that every BSC crossover reuses them.  A degree too large for the
+oracles is guarded by a golden and by the peak memory of a child process.
 """
 
 from __future__ import annotations
