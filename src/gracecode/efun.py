@@ -350,8 +350,8 @@ def _split(d: int, owners: tuple):
     ``owners[c]``, split into heads, the first P columns (whole entries), and
     tails, the compositions of what a head leaves: (heads, tails, rows, skip).
 
-    ``heads`` and ``tails`` are each (int16 columns as rows, log-factorial
-    share, rank).  A row [head | tail] has the log-multinomial weight
+    ``heads`` and ``tails`` are each (int16 rows, log-factorial share,
+    rank).  A row [head | tail] has the log-multinomial weight
     log(d! / prod_c z_c!) of the sum of its sides' shares and the type, as a
     row of ``_lattice(d, entries)``, of the sum of their ranks.  A head that
     leaves t to its tail has the share log(d! / (t! prod z_c!)) and a tail
@@ -384,7 +384,7 @@ def _split(d: int, owners: tuple):
                            (tails, units[left], _rank(tail_counts, left, d, n - e))):  # fmt: skip
         for column in z.T:
             share = share - units[column]
-        sides.append((np.ascontiguousarray(z.T), share * 2.0**-53, rank))
+        sides.append((z, share * 2.0**-53, rank))
     rows = sizes[t]
     out = (*sides, rows, first[t] - (np.cumsum(rows) - rows))
     if int(rows.sum()) <= _CACHED_ROWS:
@@ -397,7 +397,7 @@ def _split(d: int, owners: tuple):
 def _lattice_chunks(degrees, owners: tuple):
     """The lattices of the degrees for an alphabet whose lattice column c
     belongs to entry ``owners[c]``: (heads, tails, chunks), each side the
-    (int16 columns as rows, log-factorial share) of ``_split`` stacked in
+    (int16 rows, log-factorial share) of ``_split`` stacked in
     increasing degree order.
 
     ``chunks`` yields the lattice rows in order as (h, i, rank) index arrays
@@ -422,8 +422,8 @@ def _lattice_chunks(degrees, owners: tuple):
     first_row = accumulate((int(r.sum()) for r in rows[:-1]), initial=0)
     head_rank = np.concatenate([rank + t for (_, _, rank), t in zip(heads, first_type)])
     skip = np.concatenate([s + i - g for s, i, g in zip(skip, first_tail, first_row)])
-    head_cols, head_share, _ = (np.concatenate(x, axis=-1) for x in zip(*heads))
-    tail_cols, tail_share, tail_rank = (np.concatenate(x, axis=-1) for x in zip(*tails))
+    head_cols, head_share, _ = map(np.concatenate, zip(*heads))
+    tail_cols, tail_share, tail_rank = map(np.concatenate, zip(*tails))
     ends = np.cumsum(np.concatenate(rows))
     total = int(ends[-1])
 
@@ -445,9 +445,9 @@ def _lattice_chunks(degrees, owners: tuple):
 
 
 def _add_columns(total: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """total + z[0] x[0] + z[1] x[1] + ..., added in that order: a lattice
-    side's sums take no BLAS product, so no block grid moves their bits."""
-    for column, value in zip(z, x.tolist()):
+    """total + z[:, 0] x[0] + z[:, 1] x[1] + ..., added in that order: a
+    lattice side's sums take no BLAS product, so no block grid moves their bits."""
+    for column, value in zip(z.T, x.tolist()):
         total = total + column * value
     return total
 
@@ -469,7 +469,7 @@ def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     col_l, col_logq, owners = alphabet._cols
     types = [_lattice(d, len(alphabet.entries)) for d in degrees]
     (heads, head_share), (tails, tail_share), chunks = _lattice_chunks(degrees, owners)
-    P = heads.shape[0]
+    P = heads.shape[1]
     head_l = _add_columns(np.zeros(head_share.shape[0]), heads, col_l[:P])
     tail_l = _add_columns(np.zeros(tail_share.shape[0]), tails, col_l[P:])
     head_q, tail_q = _add_columns(head_share, heads, col_logq[:P]), _add_columns(tail_share, tails, col_logq[P:])

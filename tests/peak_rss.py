@@ -34,7 +34,7 @@ RUNS = [
     # about 39 MB and 0.3 s; 42 MB when every lattice row was materialized,
     # 62 MB when the lattice streamed in chunks of 2^16 rows
     ("devo --family ldmc5", 50, [*DEVO, "--family", "ldmc5", "--out", "devo5.csv"]),
-    # about 79 MB and 1.2 s, with the head and tail parts of all 15 degrees
+    # about 75 MB and 1.0 s, with the head and tail parts of all 15 degrees
     # held at once; 64 MB and 4.8 s when a build held one degree's rows at a
     # time; the 400 MB bound dated from the whole-lattice build (1.6 GB)
     ("devo --family ldmc5 --dmax 14", 100,

@@ -106,7 +106,7 @@ def test_rank_is_the_unique_inverse(name):
         (heads, head_share), (tails, tail_share), chunks = efun._lattice_chunks((d,), owners)
         h, i, rank = map(np.concatenate, zip(*chunks))
         want = _oracles._structure(d, owners)
-        z = np.concatenate([heads[:, h], tails[:, i]]).T
+        z = np.concatenate([heads[h], tails[i]], axis=1)
         assert z.dtype == want.z.dtype and np.array_equal(z, want.z), d
         assert rank.dtype.kind == "i" and np.array_equal(rank, want.inv), d
         # the sides' shares add up to the log-multinomial weight, each rounded once
@@ -133,7 +133,7 @@ def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):
-    # about 51 MB (46 MB when a build held one degree's rows at a time); the
+    # about 49 MB (46 MB when a build held one degree's rows at a time); the
     # whole-lattice build peaked at 519-522 MB here
     out = tmp_path / "devo.csv"
     argv = ["devo", "--family", "ldmc5", "--alpha-grid", "1.0", "--ell", "2", "--dmax", "12", "--out", str(out)]
