@@ -135,15 +135,14 @@ def _obs_sign(obs):
     return np.where(obs == 1, -1.0, 1.0)
 
 
-def _maj_group_update(lam, obs, out, sign=None) -> bool:
+def _maj_group_update(lam, sign, out) -> bool:
     """Majority update of a (d, C) block of incoming LLRs into ``out``;
-    True if some check saw a contradiction.  ``sign`` is ``_obs_sign(obs)``,
-    which ``run_bp`` computes once per call.  Every degree runs over blocks
-    of ``_MAJ_BLOCK`` columns, each through every step while it is in cache;
-    the columns are independent, so blocks change no bit."""
+    True if some check saw a contradiction.  ``sign`` is the checks'
+    ``_obs_sign``, which ``run_bp`` computes once per call.  Every degree
+    runs over blocks of ``_MAJ_BLOCK`` columns, each through every step while
+    it is in cache; the columns are independent, so blocks change no bit."""
     d, C = lam.shape
     thr = (d - 1) // 2
-    sign = _obs_sign(obs) if sign is None else sign
     update = _maj_closed_form if d in (3, 5) else _maj_sweep
     work = np.empty(d * min(C, _MAJ_BLOCK))
     bad = False
@@ -279,7 +278,7 @@ def _check_update(plan, lam, c2v, lam_code, c2v_code) -> bool:
         if sign is None:
             _xor_group_update(lam_code[blk].reshape(shape), obs, c2v_code[blk].reshape(shape))
         else:
-            contradiction |= _maj_group_update(lam[blk].reshape(shape), obs, c2v[blk].reshape(shape), sign)
+            contradiction |= _maj_group_update(lam[blk].reshape(shape), sign, c2v[blk].reshape(shape))
     return contradiction
 
 

@@ -15,16 +15,16 @@ payoff, and ``_averager`` sums pmf[d] * E_d(q) over a degree pmf of degrees
 coefficient per message type, that is per count of each entry), which
 ``_collapse`` multiplies out in the weights' Bernstein coefficients.  A
 lattice row is a head (its first columns, whole entries) and a tail (the
-rest): ``_lattice_chunks`` streams the rows of all the degrees of a build
-as (head, tail, type) index triples in fixed chunks, which depend only on
-the degrees and on which entry owns each lattice column.  A row's
-log-ratio and log-probability are the sums of a head part and a tail part,
-each summed column by column once per head or tail from the alphabet's
-magnitudes, so a row costs two gathers and two adds and no sum takes a BLAS
-product; a table is cached on the alphabet itself.  ``eval_degree`` is the
-one-degree case of ``_averager`` and ``EFunctionFamily`` calls it with its
-degree laws (on the BSC once per distinct crossover of a call, whose
-alphabet is built for that call).
+rest): ``_lattice_chunks`` builds one record per build, which depends only
+on the degrees and on which entry owns each lattice column: their stacked
+heads and tails, their type rows, and the rows as (head, tail, type) index
+triples in fixed chunks.  A row's log-ratio and log-probability are the
+sums of a head part and a tail part, each summed column by column once per
+head or tail from the alphabet's magnitudes, so a row costs two gathers and
+two adds and no sum takes a BLAS product; a table is cached on the alphabet
+itself.  ``eval_degree`` is the one-degree case of ``_averager`` and
+``EFunctionFamily`` calls it with its degree laws (on the BSC once per
+distinct crossover of a call, whose alphabet is built for that call).
 ``_mixed_at`` multiplies the XOR closed form with the Poisson families of
 the MAJ components; an LDGM(d) ensemble is the profile ``XOR:d``.
 ``ClosedFormFamily`` wraps it and the systematic-regular binomial-law family,
@@ -236,10 +236,9 @@ _PAYOFFS = ("error", "chi2", "entropy")
 # rows.  A row's terms are elementwise, so no chunk size moves a bit; a
 # chunk's work takes about 1 MB, and larger chunks run slower
 _CHUNK_ROWS = 1 << 14
-# (d, owners) -> the ``_split`` of E_d's lattice and (degrees, owners) -> the
-# ``_lattice_chunks`` of a call, each kept if it holds at most _CACHED_ROWS
-# rows: every LDMC3 BEC and BSC degree and table up to degree 14 (38,760
-# rows at most), LDMC5 degrees up to 7 and tables up to degree 6
+# (degrees, owners) -> the lattice record of a call (``_lattice_chunks``),
+# kept if it holds at most _CACHED_ROWS rows: every LDMC3 BEC and BSC table
+# up to degree 14 (38,760 rows at most) and LDMC5 tables up to degree 6
 _CACHED_ROWS = 1 << 16
 _LATTICE_CACHE: dict = {}
 
@@ -345,86 +344,67 @@ def _rank(counts, total: np.ndarray, d: int, parts: int) -> np.ndarray:
     return rank
 
 
-def _split(d: int, owners: tuple):
-    """E_d's lattice for an alphabet whose lattice column c belongs to entry
-    ``owners[c]``, split into heads, the first P columns (whole entries), and
-    tails, the compositions of what a head leaves: (heads, tails, rows, skip).
-
-    ``heads`` and ``tails`` are each (int16 rows, log-factorial share,
-    rank).  A row [head | tail] has the log-multinomial weight
-    log(d! / prod_c z_c!) of the sum of its sides' shares and the type, as a
-    row of ``_lattice(d, entries)``, of the sum of their ranks.  A head that
-    leaves t to its tail has the share log(d! / (t! prod z_c!)) and a tail
-    the share log(t! / prod z_c!): each is the log of a multinomial
-    coefficient, so no share cancels a large log d! against the other side.
-    log k! is a multiple of 2^-53 below 2^5, so a share is an exact int64
-    sum in these units, rounded once.  In lexicographic order head h has
-    ``rows[h]`` rows, and row g of the lattice, if it is one of them, is tail
-    g + ``skip[h]``.  Cached per (d, owners) up to ``_CACHED_ROWS`` rows, so
-    each LDMC3 degree is split once.
-    """
-    hit = _LATTICE_CACHE.get((d, owners))
-    if hit is not None:
-        return hit
-    K, n = len(owners), owners[-1] + 1
-    P = owners.index(owners[K // 2 - 1]) + owners.count(owners[K // 2 - 1])
-    e = owners[P - 1] + 1
-    units = (_log_factorials(d)[1] * 2.0**53).astype(np.int64)
-    heads = _lattice(d, P + 1)  # the head, then the total t it leaves
-    t, heads = heads[:, P], heads[:, :P]
-    tails = _lattice(d, K - P + 1)  # [d - t | a tail of t], t = d, d-1, .., 0
-    left, tails = d - tails[:, 0].astype(np.int64), tails[:, 1:]
-    sizes = np.bincount(left, minlength=d + 1)  # the tails of each t
-    first = np.cumsum(sizes[::-1])[::-1] - sizes  # where the tails of t start
-    # an entry's type count is the sum of its columns
-    head_counts = [sum(heads[:, c].astype(np.int64) for c in range(P) if owners[c] == j) for j in range(e)]
-    tail_counts = [sum(tails[:, c - P].astype(np.int64) for c in range(P, K) if owners[c] == j) for j in range(e, n)]
-    sides = []
-    for z, share, rank in ((heads, units[d] - units[t], _rank(head_counts, np.full(t.shape[0], d), d, n)),
-                           (tails, units[left], _rank(tail_counts, left, d, n - e))):  # fmt: skip
-        for column in z.T:
-            share = share - units[column]
-        sides.append((z, share * 2.0**-53, rank))
-    rows = sizes[t]
-    out = (*sides, rows, first[t] - (np.cumsum(rows) - rows))
-    if int(rows.sum()) <= _CACHED_ROWS:
-        for x in (*sides[0], *sides[1], *out[2:]):
-            x.setflags(write=False)
-        _LATTICE_CACHE[(d, owners)] = out
-    return out
-
-
 def _lattice_chunks(degrees, owners: tuple):
-    """The lattices of the degrees for an alphabet whose lattice column c
-    belongs to entry ``owners[c]``: (heads, tails, chunks), each side the
-    (int16 rows, log-factorial share) of ``_split`` stacked in
-    increasing degree order.
+    """The lattice record of a call: the lattices of the degrees for an
+    alphabet whose lattice column c belongs to entry ``owners[c]``, as
+    (heads, tails, chunks, types).
+
+    A degree's lattice rows split into heads, their first P columns (whole
+    entries), and tails, the compositions of what a head leaves.  ``heads``
+    and ``tails`` are each the (int16 rows, log-factorial share) of every
+    degree's side, stacked in increasing degree order; ``types`` holds each
+    degree's ``_lattice(d, entries)``.  A row [head | tail] has the
+    log-multinomial weight log(d! / prod_c z_c!) of the sum of its sides'
+    shares.  A head that leaves t to its tail has the share
+    log(d! / (t! prod z_c!)) and a tail the share log(t! / prod z_c!): each
+    is the log of a multinomial coefficient, so no share cancels a large
+    log d! against the other side.  log k! is a multiple of 2^-53 below 2^5,
+    so a share is an exact int64 sum in these units, rounded once.
 
     ``chunks`` yields the lattice rows in order as (h, i, rank) index arrays
     of ``_CHUNK_ROWS`` rows, the last one shorter, which may cross degree
     boundaries: a row is stacked head h and stacked tail i, and its type is
-    row ``rank`` of the stacked ``_lattice(d, entries)`` of the degrees.
-    Only the chunks of a call of at most ``_CACHED_ROWS`` rows are cached,
-    per (degrees, owners): a new BSC crossover reuses them, and larger
-    lattices (an LDMC5 table beyond degree 6) are streamed by the one BEC
-    build that reads them.
+    row ``rank`` of the stacked ``types``, the sum of a head rank and a tail
+    rank.  A record of at most ``_CACHED_ROWS`` rows is cached, per
+    (degrees, owners): a new BSC crossover reuses it, and larger lattices
+    (an LDMC5 table beyond degree 6) are streamed by the one BEC build that
+    reads them.
     """
     degrees = tuple(degrees)
     key = (degrees, owners)
     hit = _LATTICE_CACHE.get(key)
     if hit is not None:
         return hit
-    heads, tails, rows, skip = zip(*(_split(d, owners) for d in degrees))
-    n = owners[-1] + 1
-    # each degree's first type, tail and row in the stack
-    first_type = accumulate((math.comb(d + n - 1, d) for d in degrees[:-1]), initial=0)
-    first_tail = accumulate((share.shape[0] for _, share, _ in tails[:-1]), initial=0)
-    first_row = accumulate((int(r.sum()) for r in rows[:-1]), initial=0)
-    head_rank = np.concatenate([rank + t for (_, _, rank), t in zip(heads, first_type)])
-    skip = np.concatenate([s + i - g for s, i, g in zip(skip, first_tail, first_row)])
-    head_cols, head_share, _ = map(np.concatenate, zip(*heads))
+    K, n = len(owners), owners[-1] + 1
+    P = owners.index(owners[K // 2 - 1]) + owners.count(owners[K // 2 - 1])
+    e = owners[P - 1] + 1
+    units = (_log_factorials(degrees[-1])[1] * 2.0**53).astype(np.int64)
+    heads, tails, rows, tail_ends = [], [], [], []
+    types = tuple(_lattice(d, n) for d in degrees)
+    first_type = first_tail = 0  # the types and tails of the degrees before
+    for d, z in zip(degrees, types):
+        head = _lattice(d, P + 1)  # the head, then the total t it leaves
+        t, head = head[:, P], head[:, :P]
+        tail = _lattice(d, K - P + 1)  # [d - t | a tail of t], t = d, d-1, .., 0
+        left, tail = d - tail[:, 0].astype(np.int64), tail[:, 1:]
+        sizes = np.bincount(left, minlength=d + 1)  # the tails of each t
+        last = np.cumsum(sizes[::-1])[::-1]  # where the tails of t end
+        # an entry's type count is the sum of its columns
+        head_counts = [sum(head[:, c].astype(np.int64) for c in range(P) if owners[c] == j) for j in range(e)]
+        tail_counts = [sum(tail[:, c - P].astype(np.int64) for c in range(P, K) if owners[c] == j) for j in range(e, n)]
+        for side, y, share, rank in ((heads, head, units[d] - units[t], _rank(head_counts, np.full(t.shape[0], d), d, n) + first_type),
+                                     (tails, tail, units[left], _rank(tail_counts, left, d, n - e))):  # fmt: skip
+            for column in y.T:
+                share = share - units[column]
+            side.append((y, share * 2.0**-53, rank))
+        rows.append(sizes[t])  # in lexicographic order head h has rows[h] rows,
+        tail_ends.append(last[t] + first_tail)  # on the tails that end here in the stack
+        first_type, first_tail = first_type + z.shape[0], first_tail + tail.shape[0]
+    head_cols, head_share, head_rank = map(np.concatenate, zip(*heads))
     tail_cols, tail_share, tail_rank = map(np.concatenate, zip(*tails))
+    del heads, tails  # each degree's sides, now stacked, go before skip adds to the peak
     ends = np.cumsum(np.concatenate(rows))
+    skip = np.concatenate(tail_ends) - ends  # row g, if head h's, is stacked tail g + skip[h]
     total = int(ends[-1])
 
     def chunks():
@@ -435,13 +415,13 @@ def _lattice_chunks(degrees, owners: tuple):
             i = np.arange(a, b) + skip[h]
             yield h, i, head_rank[h] + tail_rank[i]
 
-    out = (head_cols, head_share), (tail_cols, tail_share), chunks()
-    if total <= _CACHED_ROWS:
-        out = (*out[:2], tuple(out[2]))
-        for x in (head_cols, head_share, tail_cols, tail_share, *(x for chunk in out[2] for x in chunk)):
-            x.setflags(write=False)
-        _LATTICE_CACHE[key] = out
-    return out
+    if total > _CACHED_ROWS:
+        return (head_cols, head_share), (tail_cols, tail_share), chunks(), types
+    record = (head_cols, head_share), (tail_cols, tail_share), tuple(chunks()), types
+    for x in (head_cols, head_share, tail_cols, tail_share, *(x for chunk in record[2] for x in chunk)):
+        x.setflags(write=False)
+    _LATTICE_CACHE[key] = record
+    return record
 
 
 def _add_columns(total: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -467,8 +447,7 @@ def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     over a degree's whole lattice adds them.
     """
     col_l, col_logq, owners = alphabet._cols
-    types = [_lattice(d, len(alphabet.entries)) for d in degrees]
-    (heads, head_share), (tails, tail_share), chunks = _lattice_chunks(degrees, owners)
+    (heads, head_share), (tails, tail_share), chunks, types = _lattice_chunks(degrees, owners)
     P = heads.shape[1]
     head_l = _add_columns(np.zeros(head_share.shape[0]), heads, col_l[:P])
     tail_l = _add_columns(np.zeros(tail_share.shape[0]), tails, col_l[P:])

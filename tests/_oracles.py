@@ -169,6 +169,37 @@ def rank_forced_per_coordinate(G: BitMatrix, keep) -> tuple:
     return len(pivot_of), forced
 
 
+def rank_forced_left_null(G: BitMatrix, keep) -> tuple:
+    """Rank of the kept columns and the forced mask from their left null space.
+
+    The kept columns' rows become bitsets; each row is eliminated by its
+    lowest set bit, together with the bitset of the original rows it sums.
+    A row that reduces to zero gives a left-null vector y (y A = 0), and
+    coordinate j is forced exactly when no such vector holds j: e_j lies in
+    the column span exactly when it is orthogonal to the left null space.
+    The sparsest rows go first, which halves the eliminations.
+    """
+    rows = [0] * G.k
+    for bit, c in enumerate(np.flatnonzero(keep).tolist()):
+        for r in G.column(c).tolist():
+            rows[r] |= 1 << bit
+    pivot_of: dict = {}  # lowest bit -> (row, the original rows it sums)
+    null = 0  # the union of the left-null vectors
+    for i in sorted(range(G.k), key=lambda i: rows[i].bit_count()):
+        v, held = rows[i], 1 << i
+        while v:
+            low = (v & -v).bit_length() - 1
+            pivot = pivot_of.get(low)
+            if pivot is None:
+                pivot_of[low] = (v, held)
+                break
+            v, held = v ^ pivot[0], held ^ pivot[1]
+        else:
+            null |= held
+    forced = np.array([not (null >> j) & 1 for j in range(G.k)], dtype=np.uint8)
+    return len(pivot_of), forced
+
+
 def exit_counts_per_pattern(G: BitMatrix) -> np.ndarray:
     """EXIT counts with a fresh elimination per (coordinate, erasure pattern)."""
     m = G.m

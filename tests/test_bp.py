@@ -14,6 +14,7 @@ from gracecode.bp import (
     _check_update,
     _layout,
     _maj_group_update,
+    _obs_sign,
     _var_step,
     _xor_group_update,
     measure,
@@ -88,11 +89,12 @@ def test_check_message_validation():
         check_message(MAJ3, 0, [-1.0, 1.0])
 
 
-def _by_rows(update, lam, obs):
+def _by_rows(update, lam, per_check):
     """Run a group kernel, which reads and writes (d, C) blocks of one
-    dtype, on C rows."""
+    dtype, on C rows; ``per_check`` is its per-check argument (the XOR
+    observations, the majority signs)."""
     out = np.empty(lam.shape[::-1], dtype=lam.dtype)
-    flag = update(np.ascontiguousarray(lam.T), obs, out)
+    flag = update(np.ascontiguousarray(lam.T), per_check, out)
     return out.T, flag
 
 
@@ -114,11 +116,11 @@ def test_maj_kernel_matches_check_message(d, observed):
     if observed == 1:  # the mirror image contradicts on +inf instead
         lam = -lam
     obs = np.full(C, observed, dtype=np.int8)
-    block, _ = _by_rows(_maj_group_update, lam, obs)
+    block, _ = _by_rows(_maj_group_update, lam, _obs_sign(obs))
     kind = CheckKind.maj(d)
     contradicted = 0
     for c in range(C):
-        row, flag = _by_rows(_maj_group_update, lam[c : c + 1], obs[c : c + 1])
+        row, flag = _by_rows(_maj_group_update, lam[c : c + 1], _obs_sign(obs[c : c + 1]))
         assert np.array_equal(row, block[c : c + 1])
         raised = False
         for i in range(d):

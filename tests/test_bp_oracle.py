@@ -34,6 +34,7 @@ from gracecode.bp import (
     _check_update,
     _layout,
     _maj_group_update,
+    _obs_sign,
     _var_step,
     _xor_group_update,
     run_bp,
@@ -364,7 +365,7 @@ def test_group_kernels_match_mask_versions(d, certain):
     assert as_llr(out).tobytes() == out_plain.tobytes()
     out = np.empty((d, C))
     if d % 2 == 1 and d < 100:
-        flag = _maj_group_update(lam, obs, out)
+        flag = _maj_group_update(lam, _obs_sign(obs), out)
         flag_plain = maj_group_update_plain(lam, obs, out_plain)
         assert flag == flag_plain and out.tobytes() == out_plain.tobytes()
 
@@ -394,7 +395,7 @@ def test_majority_update_across_column_blocks(d, where):
     assert not np.isinf(lam[:, :B]).any() and np.isinf(lam[:, B : B + 2 * d]).any()
     assert np.isinf(lam[:, 2 * B - 2 * d : 2 * B]).any() and np.isinf(lam[:, 2 * B : 2 * B + 2 * d]).any()
     out, out_plain = np.empty((d, C)), np.empty((d, C))
-    flag = _maj_group_update(lam, obs, out)
+    flag = _maj_group_update(lam, _obs_sign(obs), out)
     flag_plain = maj_group_update_plain(lam, obs, out_plain)
     assert flag == flag_plain == (where != "none")
     assert out.tobytes() == out_plain.tobytes()

@@ -193,35 +193,35 @@ def test_one_bsc_evaluation_builds_each_crossover_once(monkeypatch):
 
 
 def test_lattice_structure_is_built_once_per_layout(monkeypatch):
-    # every LDMC3 degree up to 14 is split once, and a table's chunks are
-    # built once for every payoff and BSC crossover
+    # every LDMC3 table's lattice record up to degree 14 is built once per
+    # (degrees, owners), for every payoff and BSC crossover
     built = []
-    split = efun._split
+    record = efun._lattice_chunks
 
-    def counted(d, owners):
-        if (d, owners) not in efun._LATTICE_CACHE:
-            built.append((d, len(owners)))
-        return split(d, owners)
+    def counted(degrees, owners):
+        if (tuple(degrees), owners) not in efun._LATTICE_CACHE:
+            built.append((tuple(degrees), len(owners)))
+        return record(degrees, owners)
 
-    monkeypatch.setattr(efun, "_split", counted)
+    monkeypatch.setattr(efun, "_lattice_chunks", counted)
     monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
     # fresh alphabets: their tables are not cached yet
     ldmc3 = MessageAlphabet("BEC", f_alphabet("ldmc3_bec").entries)
     efun._table(ldmc3, "error", 10)
-    assert built == [(d, 5) for d in range(11)]
+    assert built == [(tuple(range(11)), 5)]
     efun._table(MessageAlphabet("BEC", ldmc3.entries), "chi2", 10)
-    assert len(built) == 11  # the second table reuses the chunks
+    assert len(built) == 1  # the second table reuses the record
     for p in (0.1, 0.2, 0.3):  # so do the BSC crossovers, after the first
         bsc = MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries)
         efun._table(bsc, "error", 10)
-    assert built[11:] == [(d, 6) for d in range(11)]
-    for p in (0.1, 0.2):  # a larger truncation splits only its new degrees
+    assert built[1:] == [(tuple(range(11)), 6)]
+    for p in (0.1, 0.2):  # a larger truncation builds its record once too
         efun._table(MessageAlphabet("BSC", f_alphabet("ldmc3_bsc", p).entries), "error", 14)
-    efun._table(ldmc3, "error", 14)
-    assert sorted(built[22:]) == [(d, c) for d in range(11, 15) for c in (5, 6)]
+    efun._table(ldmc3, "error", 14)  # a grown table builds its new degrees' record
+    assert built[2:] == [(tuple(range(15)), 6), (tuple(range(11, 15)), 5)]
     owners = (ldmc3._cols[2], bsc._cols[2])
     tables = [(tuple(range(11)), c) for c in owners] + [(tuple(range(15)), owners[1]), (tuple(range(11, 15)), owners[0])]
-    assert sorted(efun._LATTICE_CACHE, key=str) == sorted([(d, c) for d in range(15) for c in owners] + tables, key=str)
+    assert sorted(efun._LATTICE_CACHE, key=str) == sorted(tables, key=str)
 
 
 @pytest.mark.parametrize("payoff", ["error", "chi2"])

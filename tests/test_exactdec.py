@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_marginals, exact_map_ber, forced_set_dense, gf2_rank_dense, rank_forced_per_coordinate
+from _oracles import (
+    brute_force_marginals,
+    exact_map_ber,
+    forced_set_dense,
+    gf2_rank_dense,
+    rank_forced_left_null,
+    rank_forced_per_coordinate,
+)
 from gracecode import _kernels
 from gracecode.channels import ChannelParam, ReceivedWord
 from gracecode.ensemble import CheckKind, DegreeProfile, EnsembleSpec, FactorGraph, sample_graph
@@ -80,18 +87,22 @@ def test_rank_forced_kernel_matches_dense_oracle_with_masks():
 @pytest.mark.parametrize("eps", [0.2, 0.4, 0.6])
 def test_rank_forced_kernel_matches_per_coordinate_reduction(eps):
     # 67 seeded LDGM3 erasure trials per eps at k = 2000, rate 1/2, against
-    # the reduction of every unit vector (201 trials in all)
+    # the left null space of the kept columns (201 trials in all), and each
+    # new graph's first trial against the reduction of every unit vector too
     rng = np.random.default_rng(int(eps * 10))
     spec = EnsembleSpec(k=2000, rate=0.5, profile=DegreeProfile.single(CheckKind.xor(3)))
     for t in range(67):
+        oracles = [rank_forced_left_null]
         if t % 17 == 0:
             G = BitMatrix.from_columns([idx for _, idx in sample_graph(spec, rng).checks], spec.k)
             cols = _kernels.gf2_columns(G.indptr, G.rowidx)
+            oracles.append(rank_forced_per_coordinate)
         keep = (rng.random(G.m) >= eps).astype(np.uint8)
         rank, forced = _kernels.gf2_rank_forced(cols, keep, G.k)
-        rank_ref, forced_ref = rank_forced_per_coordinate(G, keep)
-        assert rank == rank_ref, (eps, t)
-        assert np.array_equal(forced, forced_ref), (eps, t)
+        for oracle in oracles:
+            rank_ref, forced_ref = oracle(G, keep)
+            assert rank == rank_ref, (eps, t, oracle.__name__)
+            assert np.array_equal(forced, forced_ref), (eps, t, oracle.__name__)
 
 
 def test_component_elimination_matches_whole_matrix_elimination():

@@ -9,8 +9,8 @@ extended precision (``_oracles.degree_terms_longdouble``), and their bits
 must not depend on the chunk size.  The table keeps only each degree's
 Bernstein coefficients, which must match the oracle's collapse of those
 terms (``_oracles.bernstein_terms``, one convolution per weight and row) to
-1e-15 relative.  Every LDMC3 lattice must be split once and its rows kept,
-so that every BSC crossover reuses them.  A degree too large for the
+1e-15 relative.  Every LDMC3 table's lattice record must be built once and
+kept, so that every BSC crossover reuses it.  A degree too large for the
 oracles is guarded by a golden and by the peak memory of a child process.
 """
 
@@ -103,12 +103,13 @@ def test_chunk_size_does_not_move_a_bit(monkeypatch):
 def test_rank_is_the_unique_inverse(name):
     owners = ALPHABETS[name][0]._cols[2]
     for d in range(8):  # LDMC5 streams degree 7 in 4 chunks
-        (heads, head_share), (tails, tail_share), chunks = efun._lattice_chunks((d,), owners)
+        (heads, head_share), (tails, tail_share), chunks, (types,) = efun._lattice_chunks((d,), owners)
         h, i, rank = map(np.concatenate, zip(*chunks))
         want = _oracles._structure(d, owners)
         z = np.concatenate([heads[h], tails[i]], axis=1)
         assert z.dtype == want.z.dtype and np.array_equal(z, want.z), d
         assert rank.dtype.kind == "i" and np.array_equal(rank, want.inv), d
+        assert np.array_equal(types, efun._lattice(d, owners[-1] + 1)) and np.array_equal(types, want.types), d
         # the sides' shares add up to the log-multinomial weight, each rounded once
         log_fact = efun._log_factorials(d)[1].astype(np.longdouble)
         exact = log_fact[d] - log_fact[want.z].sum(axis=1)
@@ -122,14 +123,18 @@ def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
         for d in range(dmax + 1):
             lattice = efun._lattice_chunks((d,), owners)
             assert len(lattice[2]) == 1 and efun._lattice_chunks((d,), owners) is lattice, (owners, d)
-            assert efun._split(d, owners) is efun._LATTICE_CACHE[d, owners], (owners, d)
-        # the table of degrees 0..dmax keeps its chunks too
+            assert efun._LATTICE_CACHE[(d,), owners] is lattice, (owners, d)
+        # the table of degrees 0..dmax keeps its record too
         table = efun._lattice_chunks(range(dmax + 1), owners)
         assert efun._LATTICE_CACHE[tuple(range(dmax + 1)), owners] is table
     # a larger lattice streams in several chunks and is not kept
     chunks = efun._lattice_chunks(range(8), ldmc5)[2]
     assert len(list(chunks)) > 1 and (tuple(range(8)), ldmc5) not in efun._LATTICE_CACHE
-    assert (8, ldmc5) not in efun._LATTICE_CACHE
+    # every record is keyed by its degrees and its column owners: no degree
+    # has an entry of its own
+    for degrees, owners in efun._LATTICE_CACHE:
+        assert type(degrees) is tuple and all(type(d) is int for d in degrees), degrees
+        assert owners in (ldmc3, ldmc3_bsc, ldmc5), owners
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):
