@@ -22,6 +22,11 @@ def _h_b_float(x: float) -> float:
     return -x * float(np.log2(x)) - (1.0 - x) * float(np.log2(1.0 - x))
 
 
+def _h_b_open(x: np.ndarray) -> np.ndarray:
+    """``h_b`` of an array whose entries all lie in (0, 1)."""
+    return -x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x)
+
+
 def h_b(x):
     """Binary entropy in bits; accepts scalars or arrays, h_b(0)=h_b(1)=0.
 
@@ -32,13 +37,13 @@ def h_b(x):
     arr = np.asarray(x, dtype=float)
     out = np.where(np.isnan(arr), arr, 0.0)
     mask = (arr > 0.0) & (arr < 1.0)
-    xm = arr[mask]
-    out[mask] = -xm * np.log2(xm) - (1.0 - xm) * np.log2(1.0 - xm)
+    out[mask] = _h_b_open(arr[mask])
     return out
 
 
 def _check_entropy(y) -> None:
-    if not np.all((y >= -1e-9) & (y <= 1.0 + 1e-9)):  # also false for NaN
+    ok = -1e-9 <= y <= 1.0 + 1e-9 if isinstance(y, float) else np.all((y >= -1e-9) & (y <= 1.0 + 1e-9))
+    if not ok:  # ok is false for NaN
         raise ValueError("h_b_inv argument must lie in [0, 1]")
 
 
@@ -55,35 +60,106 @@ def bisect(below, lo: float, hi: float, tol: float):
 
 
 _H_B_INV_TOL = 1e-12
+# the bisection's last width, the widest power of 2 not above the tolerance
+_H_B_INV_LAST = 2.0 ** math.floor(math.log2(_H_B_INV_TOL))
+# Every term of h_b's series about 1/2 rises towards 1/2, so on [0, 1/2]
+# h_b(u) - h_b(u - w) >= (2 / ln 2) w (w + 2 (1/2 - u)).  A jump takes the
+# deepest level whose steps w keep that bound at 1e-13 or more (float h_b's
+# largest error measured is 2e-16) up to one step past its interval, where
+# u <= x + 5w/2 for the root estimate x.  With t = 1/2 - x that holds for
+# w >= K / t when w <= t / 4 (t^2 >= 8 K), and for w >= sqrt(K) always,
+# where K = (ln 2 / 2) 1e-13.
+_H_B_RISE = 0.5 * math.log(2.0) * 1e-13
+_NEWTON_STEPS = 5
+
+
+def _h_b_inv_jump(y: float):
+    """The dyadic interval of ``h_b_inv``'s bisection for ``y`` in (0, 1) at
+    the level that a Newton estimate of the root selects, or [0, 1/2] if
+    ``h_b`` at its ends contradicts the bisection's choices.
+
+    The level's grid point nearest the estimate is compared with ``y`` first,
+    and decides on which side of it the interval lies; then the interval's
+    other end is compared.  h_b(0) = 0 < y and h_b(1/2) = 1 > y, so the ends
+    of [0, 1/2] compare as the bisection takes them.
+    """
+    if y < 0.8:
+        x = y / (2.0 * (1.0 - math.log2(y)))
+    else:
+        x = 0.5 - math.sqrt((1.0 - y) * (0.5 * math.log(2.0)))
+    for _ in range(_NEWTON_STEPS):
+        if not 0.0 < x < 0.5:
+            break
+        l1x = math.log2(1.0 - x)  # h_b(x) = x h_b'(x) - l1x; l1x > log2(x)
+        x = (y + l1x) / (l1x - math.log2(x))
+    x = min(max(x, 0.0), 0.5)
+    t = 0.5 - x
+    w = _H_B_RISE / t if t * t >= 8.0 * _H_B_RISE else math.sqrt(_H_B_RISE)
+    w = max(math.ldexp(1.0, math.ceil(math.log2(w))), _H_B_INV_LAST)
+    b = round(x / w) * w
+    upper = _h_b_float(b) >= y
+    lo = b - w if upper else b
+    if (_h_b_float(lo if upper else b + w) >= y) != upper:
+        return lo, lo + w
+    return 0.0, 0.5
+
+
+def _h_b_inv_jumps(y: np.ndarray):
+    """``_h_b_inv_jump`` lane by lane, for ``y`` in (0, 1)."""
+    x = np.where(y < 0.8, y / (2.0 * (1.0 - np.log2(y))), 0.5 - np.sqrt((1.0 - y) * (0.5 * math.log(2.0))))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a lane leaving (0, 1/2) turns inf or NaN
+        for _ in range(_NEWTON_STEPS):
+            l1x = np.log2(1.0 - x)
+            x = (y + l1x) / (l1x - np.log2(x))
+    x = np.fmin(np.fmax(x, 0.0), 0.5)  # a NaN lane goes to 0
+    t = 0.5 - x
+    w = np.where(t * t >= 8.0 * _H_B_RISE, _H_B_RISE / np.maximum(t, math.sqrt(8.0 * _H_B_RISE)), math.sqrt(_H_B_RISE))
+    w = np.maximum(np.ldexp(1.0, np.ceil(np.log2(w)).astype(np.int64)), _H_B_INV_LAST)
+    b = np.round(x / w) * w
+    upper = h_b(b) >= y
+    lo = np.where(upper, b - w, b)
+    ok = (h_b(np.where(upper, lo, b + w)) >= y) != upper
+    return np.where(ok, lo, 0.0), np.where(ok, lo + w, 0.5)
 
 
 def h_b_inv(y):
     """Inverse of binary entropy on [0, 1/2] by bisection to 1e-12.
 
-    A scalar runs ``bisect`` on Python floats; an array takes the same steps
-    lane by lane, so both return the same bits.
+    The bisection halves [0, 1/2], moving ``lo`` to each midpoint whose
+    ``h_b`` is below ``y`` and ``hi`` to the others.  It starts from the
+    interval of one of its levels that a Newton estimate of the root selects
+    and ``h_b`` at both ends confirms (``_h_b_inv_jump``).  Across each
+    interval of that level ``h_b`` rises by 1e-13 or more, hundreds of times
+    its float error, so every comparison skipped would have chosen that
+    interval: the result has the bits of the bisection from [0, 1/2].  A
+    scalar runs ``bisect`` on Python floats; an array takes the same steps
+    lane by lane, each lane halved until it is 1e-12 wide.
     """
-    if np.ndim(y) == 0:
+    if isinstance(y, float) or np.ndim(y) == 0:
         yf = float(y)
         _check_entropy(yf)
         if yf >= 1.0:
             return 0.5
         if yf <= 0.0:
             return 0.0
-        lo, hi = bisect(lambda mid: _h_b_float(mid) < yf, 0.0, 0.5, _H_B_INV_TOL)
+        lo, hi = bisect(lambda mid: _h_b_float(mid) < yf, *_h_b_inv_jump(yf), _H_B_INV_TOL)
         return 0.5 * (lo + hi)
     y_arr = np.asarray(y, dtype=float)
     _check_entropy(y_arr)
     y_arr = np.clip(y_arr, 0.0, 1.0)
-    lo = np.zeros_like(y_arr)
-    hi = np.full_like(y_arr, 0.5)
-    for _ in range(64):
-        if np.all(hi - lo <= _H_B_INV_TOL):
-            break
-        mid = 0.5 * (lo + hi)
-        below = h_b(mid) < y_arr
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    y_in = np.where((y_arr > 0.0) & (y_arr < 1.0), y_arr, 0.5)  # 0 and 1 are set below
+    lo, hi = _h_b_inv_jumps(y_in)
+    width = hi - lo
+    lanes = np.flatnonzero(width > _H_B_INV_TOL)
+    lanes = lanes[np.argsort(-width[lanes], kind="stable")]  # widest first
+    a, w, y_open = lo[lanes], width[lanes], y_in[lanes]
+    n = lanes.size
+    while n:  # the first n lanes are still wider than the tolerance
+        w[:n] *= 0.5
+        mid = a[:n] + w[:n]  # the midpoint, exactly: a and w are dyadic
+        np.copyto(a[:n], mid, where=_h_b_open(mid) < y_open[:n])
+        n = np.count_nonzero(w[:n] > _H_B_INV_TOL)
+    lo[lanes], hi[lanes] = a, a + w
     out = 0.5 * (lo + hi)
     out = np.where(y_arr >= 1.0, 0.5, out)
     return np.where(y_arr <= 0.0, 0.0, out)

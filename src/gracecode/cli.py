@@ -3,11 +3,12 @@
 Sub-commands: simulate, devo, converse, efun, optimize, histogram.  Every
 output CSV is deterministic given the command line (12 significant digits,
 '.' decimal separator) and is accompanied by ``<out>.manifest.json``
-recording the argv, the gracecode, python, numpy and scipy versions and the
-wall time; ``simulate``, ``histogram`` and ``optimize`` add their seed, and
-``simulate`` and ``histogram`` the trial count, the count of failed BP trials
-and the ``perf_counter`` seconds spent per phase (``graph``: sampling, source
-draw and encoding; ``channel``; ``run_bp``; ``measure``).
+recording the argv, the gracecode, python, numpy and scipy versions, numpy's
+SIMD baseline and enabled dispatch targets, and the wall time; ``simulate``,
+``histogram`` and ``optimize`` add their seed, and ``simulate`` and
+``histogram`` the trial count, the count of failed BP trials and the
+``perf_counter`` seconds spent per phase (``graph``: sampling, source draw and
+encoding; ``channel``; ``run_bp``; ``measure``).
 """
 
 from __future__ import annotations
@@ -132,13 +133,27 @@ def _write_csv(path: str, header, rows) -> None:
             fh.writelines(map(line.__mod__, chain([first], rows)))
 
 
+def _numpy_simd() -> dict:
+    """numpy's SIMD baseline and the dispatch targets it enabled in this
+    process, as ``np.show_runtime()`` reports them.  The last bits of its
+    ``exp``, ``log``, ``log1p`` and ``log2`` kernels, and so of ``h_b``, the
+    E-function tables and BP, follow that level."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    return {"baseline": list(__cpu_baseline__), "found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}
+
+
 def _write_manifest(out: str, argv: list, started: float, fields: dict) -> None:
-    """Write the argv, versions, wall time and the command's ``fields`` to ``<out>.manifest.json``."""
+    """Write the argv, versions, numpy's SIMD level, wall time and the
+    command's ``fields`` to ``<out>.manifest.json``."""
     payload = {
         "argv": argv,
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_simd": _numpy_simd(),
         "scipy": scipy.__version__,
         "walltime_s": round(time.time() - started, 3),
         **fields,

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import bisect, h_b, h_b_inv
+from .channels import _h_b_float, bisect, h_b, h_b_inv
 from ._kernels import gf2_columns, gf2_reduce
 from .exactdec import BitMatrix
 
@@ -104,21 +104,31 @@ def linear_two_point(rho: float, delta1: float, eps1: float, eps2: float) -> flo
     return min(max(val, 0.0), 0.5)
 
 
-def _eta(delta_star: float, eps: float, tau: float, R: float) -> float:
-    """sup_q of [h_b_inv(clamped excess-rate expression) - q] / (1 - 2q)."""
-    if delta_star >= 0.5:
-        return 0.5
+def _eta_val(delta_star: float, eps: float, tau: float, R: float):
+    """q -> [h_b_inv(clamped excess-rate expression) - q] / (1 - 2q), on the
+    grid's array or on one Python float of the refinement (the same IEEE
+    operations, so a float gives the bits of its array lane)."""
     base = 1.0 - (1.0 - tau) / R
     scale = (1.0 - tau) / (1.0 - eps) if eps < 1.0 else 0.0
     hd = float(h_b(delta_star))
 
     def val(q):
         conv = q * (1.0 - delta_star) + (1.0 - q) * delta_star
-        arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
         # 1 - 2q vanishes at q = 1/2, where the ratio is no longer resolved
+        if isinstance(q, float):
+            arg = min(max(base + scale * (_h_b_float(conv) - hd), 0.0), 1.0)
+            return (h_b_inv(arg) - q) / (1.0 - 2.0 * q) if q < 0.5 - 1e-9 else -math.inf
+        arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
         return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
 
-    best = _sup(val, np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
+    return val
+
+
+def _eta(delta_star: float, eps: float, tau: float, R: float) -> float:
+    """sup_q of [h_b_inv(clamped excess-rate expression) - q] / (1 - 2q)."""
+    if delta_star >= 0.5:
+        return 0.5
+    best = _sup(_eta_val(delta_star, eps, tau, R), np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
     return min(max(best, 0.0), 0.5)
 
 

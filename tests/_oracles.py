@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
 
+from gracecode import channels
 from gracecode.bp import LLR_CLAMP, BeliefState, DecodeResult, run_bp
-from gracecode.channels import ERASED, ReceivedWord, h_b, h_b_inv
+from gracecode.channels import ERASED, ReceivedWord, h_b
 from gracecode.efun import f_alphabet
 from gracecode.ensemble import MAJ, XOR, CheckKind, DegreeProfile, FactorGraph, _check_observations, _offsets
 from gracecode.exactdec import BitMatrix, ContradictionError
@@ -615,9 +616,42 @@ def mixed_efun_plain(components, weights, alpha: float, q, D: int):
 
 
 # ---------------------------------------------------------------------------
-# The general two-point converse with every h_b / h_b_inv call on a 1-element
+# The inverse binary entropy as a bisection of [0, 1/2] with no jump, and the
+# general two-point converse with every h_b / h_b_inv call on a 1-element
 # array, as it ran before those functions had a Python-float path.
 # ---------------------------------------------------------------------------
+
+
+def h_b_inv_bisect(y):
+    """Inverse of binary entropy on [0, 1/2] by bisection to 1e-12.
+
+    A scalar runs ``bisect`` on Python floats; an array takes the same steps
+    lane by lane, so both return the same bits.
+    """
+    if np.ndim(y) == 0:
+        yf = float(y)
+        channels._check_entropy(yf)
+        if yf >= 1.0:
+            return 0.5
+        if yf <= 0.0:
+            return 0.0
+        lo, hi = channels.bisect(lambda mid: channels._h_b_float(mid) < yf, 0.0, 0.5, channels._H_B_INV_TOL)
+        return 0.5 * (lo + hi)
+    y_arr = np.asarray(y, dtype=float)
+    channels._check_entropy(y_arr)
+    y_arr = np.clip(y_arr, 0.0, 1.0)
+    lo = np.zeros_like(y_arr)
+    hi = np.full_like(y_arr, 0.5)
+    for _ in range(64):
+        if np.all(hi - lo <= channels._H_B_INV_TOL):
+            break
+        mid = 0.5 * (lo + hi)
+        below = h_b(mid) < y_arr
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = 0.5 * (lo + hi)
+    out = np.where(y_arr >= 1.0, 0.5, out)
+    return np.where(y_arr <= 0.0, 0.0, out)
 
 
 def _h_b_1(x) -> float:
@@ -625,7 +659,7 @@ def _h_b_1(x) -> float:
 
 
 def _h_b_inv_1(y) -> float:
-    return float(h_b_inv(np.array([y], dtype=float))[0])
+    return float(h_b_inv_bisect(np.array([y], dtype=float))[0])
 
 
 def _eta_plain(delta_star: float, eps: float, tau: float, R: float) -> float:
@@ -643,7 +677,7 @@ def _eta_plain(delta_star: float, eps: float, tau: float, R: float) -> float:
             arg = np.clip(base + scale * (_h_b_1(conv) - hd), 0.0, 1.0)
             return np.where(q < 0.5 - 1e-9, (_h_b_inv_1(arg) - q) / (1.0 - 2.0 * q), -np.inf)
         arg = np.clip(base + scale * (h_b(conv) - hd), 0.0, 1.0)
-        return np.where(q < 0.5 - 1e-9, (h_b_inv(arg) - q) / (1.0 - 2.0 * q), -np.inf)
+        return np.where(q < 0.5 - 1e-9, (h_b_inv_bisect(arg) - q) / (1.0 - 2.0 * q), -np.inf)
 
     best = _sup(val, np.linspace(0.0, 0.5, _GRID + 1)[:-1], 0.0, 0.5)
     return min(max(best, 0.0), 0.5)

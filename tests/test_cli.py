@@ -289,6 +289,27 @@ def test_simulate_manifest(tmp_path):
     assert sum(phases.values()) <= manifest["walltime_s"] + 0.01
 
 
+def test_manifest_records_numpy_simd_level(tmp_path, capsys):
+    argv = ["converse", "--bound", "linear1", "--rate", "0.5", "--eps-grid", "0.75"]
+    out = tmp_path / "simd.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    simd = json.loads(_read(str(out) + ".manifest.json"))["numpy_simd"]
+    capsys.readouterr()
+    np.show_runtime()
+    shown = capsys.readouterr().out
+    for key in ("baseline", "found"):
+        listed = re.search(rf"'{key}': \[([^\]]*)\]", shown).group(1)
+        assert simd[key] == re.findall(r"'(\w+)'", listed), key
+    if not simd["found"]:
+        return
+    # a process with its highest target disabled records the level it ran at
+    top = simd["found"][-1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": top, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = f"import sys; from gracecode.cli import main; sys.exit(main({[*argv, '--out', str(out)]!r}))"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    assert json.loads(_read(str(out) + ".manifest.json"))["numpy_simd"]["found"] == simd["found"][:-1]
+
+
 def test_simulate_eps_grid(tmp_path):
     out = tmp_path / "sim.csv"
     argv = [
@@ -433,7 +454,7 @@ def test_manifest_seed_only_where_taken(tmp_path, capsys):
 
 def test_manifest_keys_per_command(tmp_path):
     # the fields each command returns, and nothing a command does not set
-    common = {"argv", "version", "python", "numpy", "scipy", "walltime_s"}
+    common = {"argv", "version", "python", "numpy", "numpy_simd", "scipy", "walltime_s"}
     trials = {"seed", "trials", "failed_trials", "phase_s"}
     ensemble = ["--ensemble", "ldmc3", "--k", "20", "--rate", "0.5", "--bp-iters", "1", "--trials", "1"]
     runs = {

@@ -9,17 +9,19 @@ single LDMC5 degrees near 10, where the oracle's exp of a sum of logs is the
 less accurate side).  Byte equality of E-functions is checked between lanes
 and one-lane calls in ``test_lanes``.
 ``h_b``/``h_b_inv`` on a float are compared with the same call on a 1-element
-array, and ``general_two_point`` with a run whose every entropy call goes
-through such an array; those comparisons are ``==`` on the bytes.
+array, ``h_b_inv`` on both paths with the bisection from [0, 1/2] that its
+jump shortens (``h_b_inv_bisect``), and ``general_two_point`` with a run whose
+every entropy call goes through a 1-element array and that bisection; those
+comparisons are ``==`` on the bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from _oracles import average_plain, evaluate_plain, general_two_point_plain, mixed_efun_plain
+from _oracles import average_plain, evaluate_plain, general_two_point_plain, h_b_inv_bisect, mixed_efun_plain
 
-from gracecode import efun
+from gracecode import channels, converse, efun
 from gracecode.channels import h_b, h_b_inv
 from gracecode.converse import general_two_point
 from gracecode.efun import (
@@ -132,6 +134,70 @@ def test_h_b_inv_float_path_matches_array_path():
         got = h_b_inv(y)
         assert type(got) is float and same(got, float(h_b_inv(np.array([y]))[0])), y
     assert same(h_b_inv(ys), np.array([h_b_inv(y) for y in ys.tolist()]))
+
+
+def _entropy_sets(rng) -> dict:
+    """Arguments of ``h_b_inv`` that exercise every level of its jump."""
+    u = rng.random(20000)
+    j = rng.integers(1, 2**39, 4000).astype(float)
+    on_grid = h_b(j * 2.0**-40)  # the bisection compares equal at these
+    tiny = 10.0 ** -rng.uniform(11.0, 320.0, 2000)
+    return {
+        "uniform": u,
+        "u^8": u**8,
+        "1-1e-3u^4": 1.0 - 1e-3 * u**4,
+        "1-1e-12u": 1.0 - 1e-12 * u,
+        "tiny": np.concatenate([tiny, [5e-324, 1e-320, np.finfo(float).tiny, 1.0 - 2.0**-53]]),
+        "h_b(j 2^-40)": np.concatenate([on_grid, np.nextafter(on_grid, 0.0), np.nextafter(on_grid, 1.0)]),
+    }
+
+
+def test_h_b_inv_has_the_bits_of_the_full_bisection(monkeypatch):
+    # and on what one upgraded-side general_two_point point (the benchmark's,
+    # eps 0.70) passes to h_b_inv: its grids' arrays and its refinement's floats
+    arrays, floats = [], []
+
+    def record(y):
+        if np.ndim(y) == 0:
+            floats.append(float(y))
+        else:
+            arrays.append(np.array(y, dtype=float))
+        return h_b_inv(y)
+
+    monkeypatch.setattr(converse, "h_b_inv", record)
+    general_two_point(0.5, 0.2501, 0.75, 0.70)
+    monkeypatch.undo()
+    sets = {**_entropy_sets(np.random.default_rng(37)), "eta arrays": np.concatenate(arrays), "eta floats": np.array(floats)}
+    for name, ys in sets.items():
+        assert same(h_b_inv(ys), h_b_inv_bisect(ys)), name
+        # the float path on a spread of each set (all of the refinement's floats)
+        for y in ys[:: max(1, ys.size // 1500)].tolist():
+            assert same(h_b_inv(y), h_b_inv_bisect(y)), (name, y)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_h_b_inv_bits_hold_from_poor_root_estimates(steps, monkeypatch):
+    # fewer Newton steps leave estimates off by more than an interval: the
+    # checks must turn those lanes back to [0, 1/2], and the bits must hold
+    monkeypatch.setattr(channels, "_NEWTON_STEPS", steps)
+    ys = np.random.default_rng(39).random(3000)
+    lo, hi = channels._h_b_inv_jumps(ys)
+    assert np.any((lo == 0.0) & (hi == 0.5))
+    assert any(channels._h_b_inv_jump(y) == (0.0, 0.5) for y in ys.tolist())
+    assert same(h_b_inv(ys), h_b_inv_bisect(ys))
+    for y in ys[::10].tolist():
+        assert same(h_b_inv(y), h_b_inv_bisect(y)), y
+
+
+def test_eta_float_value_is_its_array_lane():
+    rng = np.random.default_rng(38)
+    for delta_star, eps, tau in ((0.05, 0.70, 0.75), (0.2501, 0.75, 0.70), (0.15, 0.6, 0.9), (0.3, 0.99, 0.5)):
+        val = converse._eta_val(delta_star, eps, tau, 0.5)
+        qs = np.concatenate([[0.0, 0.25, 0.5 - 2e-9, 0.5 - 1e-9, np.nextafter(0.5, 0.0)], rng.random(300) * 0.5])
+        lanes = val(qs)
+        for q, lane in zip(qs.tolist(), lanes.tolist()):
+            got = val(q)
+            assert type(got) is float and same(got, lane), (delta_star, eps, tau, q)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1, np.inf, -np.inf])
