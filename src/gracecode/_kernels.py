@@ -15,8 +15,10 @@ USING_NUMBA = False
 # ---------------------------------------------------------------------------
 #
 # Columns are vectors in F2^k held as Python-int bitsets (bit j of the column
-# is coordinate j).  The echelon basis is keyed by each vector's top bit,
-# ``v.bit_length()``, which allocates nothing.  A coordinate j is *forced* iff
+# is coordinate j).  The echelon basis is a list of k + 1 slots indexed by
+# each vector's top bit, ``v.bit_length()``, which allocates nothing: slot t
+# holds the basis vector whose top bit is t, or 0, so a reduction step is one
+# ``bit_length``, one list read and one XOR.  A coordinate j is *forced* iff
 # the unit vector e_j lies in the column span.  In the fully reduced basis
 # every vector is its pivot's unit vector plus non-pivot coordinates, and a
 # span element's pivot coordinates name the basis vectors it sums.  So a
@@ -26,15 +28,16 @@ USING_NUMBA = False
 # non-pivot part plus the projections of the lower pivots it contains.
 
 
-def gf2_reduce(v: int, pivot_of: dict) -> int:
-    """Reduce the bitset ``v`` against the echelon basis ``pivot_of``.
+def gf2_reduce(v: int, pivots: list) -> int:
+    """Reduce the bitset ``v`` against the echelon basis ``pivots``, whose
+    slot t holds the basis vector with top bit t or 0.
 
     Returns 0 when ``v`` lies in the span, else a residual ``r`` whose top bit
-    has no pivot yet; inserting it is ``pivot_of[r.bit_length()] = r``.
+    has no pivot yet; inserting it is ``pivots[r.bit_length()] = r``.
     """
     while v:
-        b = pivot_of.get(v.bit_length())
-        if b is None:
+        b = pivots[v.bit_length()]
+        if not b:
             return v
         v ^= b
     return 0
@@ -60,27 +63,27 @@ def gf2_rank_forced(cols, keep, k):
     ``cols``.  Returns ``(rank, forced)`` with ``forced`` a uint8 array of
     length ``k``.
     """
-    pivot_of: dict[int, int] = {}
+    pivots = [0] * (k + 1)
     for c in np.flatnonzero(keep).tolist():
-        v = gf2_reduce(cols[c], pivot_of)
+        v = gf2_reduce(cols[c], pivots)
         if v:
-            pivot_of[v.bit_length()] = v
-    tops = sorted(pivot_of)
-    pivots = sum(1 << (p - 1) for p in tops)
-    free = ((1 << k) - 1) ^ pivots
-    proj: dict[int, int] = {}
+            pivots[v.bit_length()] = v
+    tops = [p for p, v in enumerate(pivots) if v]
+    pivot_mask = sum(1 << (p - 1) for p in tops)
+    free = ((1 << k) - 1) ^ pivot_mask
+    proj = [0] * (k + 1)
     forced = np.zeros(k, dtype=np.uint8)
     for p in tops:
-        v = pivot_of[p]
+        v = pivots[p]
         acc = v & free
-        lower = (v & pivots) ^ (1 << (p - 1))
+        lower = (v & pivot_mask) ^ (1 << (p - 1))
         while lower:
             q = lower.bit_length()
             acc ^= proj[q]
             lower ^= 1 << (q - 1)
         proj[p] = acc
         forced[p - 1] = acc == 0
-    return len(pivot_of), forced
+    return len(tops), forced
 
 
 # Columns that share no row span independent subspaces, so the rank and the

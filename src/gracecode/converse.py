@@ -259,8 +259,10 @@ def exit_tools(G: BitMatrix) -> ExitResult:
     coordinates, with ``a`` of them erased, that leave coordinate i
     undetermined: column i lies outside the span of the kept columns S, i.e.
     rank(S + {i}) = rank(S) + 1.  The rank of every column subset comes from
-    one depth-first walk that extends a subset by one column at a time and
-    keeps one echelon basis per depth, so each subset costs one reduction.
+    one depth-first walk that extends a subset by one column at a time; the
+    echelon basis of the walk's path is one pivot list, whose slot the walk
+    sets on the way down and clears on the way back, so each subset costs one
+    reduction and nothing that grows with k.
     """
     k, m = G.k, G.m
     if m > 20:
@@ -268,16 +270,21 @@ def exit_tools(G: BitMatrix) -> ExitResult:
     if m == 0:
         raise ValueError("EXIT analysis needs a generator with at least one column")
     cols = gf2_columns(G.indptr, G.rowidx)
-    rank = np.zeros(1 << m, dtype=np.int8)  # rank[S]: bit j of S keeps column j
+    rank = bytearray(1 << m)  # rank[S]: bit j of S keeps column j
+    pivots = [0] * (k + 1)  # the basis of the subset on the walk's path
 
-    def walk(S: int, first: int, pivots: dict) -> None:
+    def walk(S: int, first: int, r: int) -> None:
         for j in range(first, m):
             v = gf2_reduce(cols[j], pivots)
-            deeper = {**pivots, v.bit_length(): v} if v else pivots
-            rank[S | 1 << j] = len(deeper)
-            walk(S | 1 << j, j + 1, deeper)
+            top = v.bit_length()  # 0 for a column in the span: no reduction reads slot 0
+            pivots[top] = v
+            deeper = S | 1 << j
+            rank[deeper] = r + (top > 0)
+            walk(deeper, j + 1, rank[deeper])
+            pivots[top] = 0
 
-    walk(0, 0, {})
+    walk(0, 0, 0)
+    rank = np.frombuffer(rank, dtype=np.int8)
     subsets = np.arange(1 << m)
     kept = np.zeros(1 << m, dtype=np.int64)
     for j in range(m):

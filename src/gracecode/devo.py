@@ -93,15 +93,13 @@ def _next(e: np.ndarray, surrogate: str, quantity: str) -> np.ndarray:
     return np.minimum(np.maximum(nxt, 0.0), _range_for(surrogate))
 
 
-def _trace(bind, x0: np.ndarray, ell: int, surrogate: str, quantity: str) -> np.ndarray:
+def _trace(efun, x0: np.ndarray, ell: int, surrogate: str, quantity: str) -> np.ndarray:
     """(ell + 1, L) values of L lanes of the recursion from the values x0.
 
-    ``bind(idx)`` gives the E-function of the lanes ``idx`` as a function of
-    their values q.
+    ``efun`` is the E-function of the lanes as a function of their values q.
     """
     vals = np.empty((ell + 1, x0.shape[0]))
     vals[0] = x0
-    efun = bind(np.arange(x0.shape[0]))
     for t in range(ell):
         vals[t + 1] = _next(np.asarray(efun(vals[t]), dtype=float), surrogate, quantity)
     return vals
@@ -154,7 +152,8 @@ def _check_start(family, x0: float, name: str, steps: int, surrogate: str, quant
 def _traces(family, alphas, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> np.ndarray:
     """The (ell + 1, L) traces of ``iterate`` at every load of ``alphas``, in one run."""
     _check_start(family, x0, "ell", ell, surrogate, quantity)
-    return _trace(_at_loads(family, alphas), np.full(len(alphas), float(x0)), ell, surrogate, quantity)
+    efun = partial(family.evaluate, np.asarray(alphas, dtype=float))
+    return _trace(efun, np.full(len(alphas), float(x0)), ell, surrogate, quantity)
 
 
 def iterate(family, alpha: float, x0: float, ell: int, surrogate: str = "BEC", quantity: str = "error") -> DETrace:

@@ -39,8 +39,9 @@ A family's ``_at`` and ``_mixed_at`` set up what a fixed set of loads needs
 once, for a DE recursion that evaluates them step after step; both families
 share one ``evaluate`` (``_Family``), which keeps the last loads' ``_at``.
 
-The lattice weights and the Poisson degree law take log k! from
-``_log_factorial``, which follows Cephes ``lgam`` at integer arguments, and
+The lattice weights and the Poisson degree law take log k! from one table
+per process (``_log_factorials``, extended on demand) of ``_log_factorial``,
+which follows Cephes ``lgam`` at integer arguments, and
 k log mu from libm's ``math.log``: the bits of ``scipy.special.gammaln`` and
 ``xlogy``, without importing ``scipy.special``.  Only the binomial law does,
 for ``xlog1py``.
@@ -289,9 +290,20 @@ def _log_factorial(k: int) -> float:
     return q + s / x
 
 
+# log k! for k = 0, 1, .., read-only: one table per process, which a call for
+# more values replaces with a longer one
+_LOG_FACTORIALS = np.zeros(0)
+
+
 def _log_factorials(n: int):
-    """(k, log k!) for k = 0..n."""
-    return np.arange(n + 1), np.array([_log_factorial(k) for k in range(n + 1)])
+    """(k, log k!) for k = 0..n, log k! a view of the process's table."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.shape[0] <= n:
+        table = np.concatenate([table, [_log_factorial(k) for k in range(table.shape[0], n + 1)]])
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return np.arange(n + 1), table[: n + 1]
 
 
 def _xlogy(ks: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -543,31 +555,49 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
     return tables[payoff]
 
 
+# (m, D) -> the layout of the table coefficients of degrees 0..D for an
+# alphabet of Bernstein degree m: each coefficient's power of q and of 1 - q,
+# and each degree's first index.  It depends on nothing else, so every
+# average over degrees 0..D shares it
+_POWERS: dict = {}
+
+
+def _powers(m: int, D: int):
+    """(power of q, power of 1 - q, degree starts) of the coefficients of E_0..E_D."""
+    hit = _POWERS.get((m, D))
+    if hit is None:
+        sizes = m * np.arange(D + 1) + 1
+        starts = np.cumsum(sizes) - sizes
+        k = np.arange(starts[-1] + sizes[-1], dtype=float) - np.repeat(starts, sizes)
+        hit = (k, np.repeat(sizes - 1, sizes) - k, starts)
+        for a in hit:
+            a.setflags(write=False)
+        _POWERS[(m, D)] = hit
+    return hit
+
+
 def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
     """q -> sum_d pmf[d] E_d(q) over the degrees d = 0..D, one value per lane.
 
     ``pmf`` is one degree law of shape (D+1,) for every lane or one per lane,
     of shape (D+1, L); the returned function takes a 0-d or 1-d q of L lanes.
     The coefficients of E_0..E_D are taken from the alphabet's table once,
-    with their exponents of q and 1 - q, so a recursion that evaluates the
-    same lanes at step after step pays for them once.  Every step of an
-    evaluation works element by element on lane-major arrays: a term
-    b q^k (1-q)^(md-k) takes two ``np.power`` calls and two products, each
-    degree's terms are a reduction over a contiguous segment, and the degrees
-    are added in increasing order (a degree without mass adds exactly 0).  A
-    lane's value is therefore the same bits whatever the other lanes are.
-    Every term is exact at q = 0 and 1, and at m = 0 (a BSC alphabet) it is
-    b itself.
+    with their exponents of q and 1 - q (``_powers``), so a recursion that
+    evaluates the same lanes at step after step pays for them once.  Every
+    step of an evaluation works element by element on lane-major arrays: a
+    term b q^k (1-q)^(md-k) takes two ``np.power`` calls and two products,
+    each degree's terms are a reduction over a contiguous segment, and the
+    degrees are added in increasing order (a degree without mass adds exactly
+    0).  A lane's value is therefore the same bits whatever the other lanes
+    are.  Every term is exact at q = 0 and 1, and at m = 0 (a BSC alphabet)
+    it is b itself.
     """
     weights = np.asarray(pmf, dtype=float)
     weights = weights.reshape(weights.shape[0], -1).T  # (1 or L, D+1)
+    mass = weights > 0.0
     D = weights.shape[1] - 1
-    b, starts = _table(alphabet, payoff, D)
-    b, starts = b[: starts[D + 1]], starts[: D + 2]  # the table may hold more degrees
-    sizes = starts[1:] - starts[:-1]
-    k = np.arange(b.shape[0], dtype=float) - np.repeat(starts[:-1], sizes)  # the power of q
-    rest = np.repeat(sizes - 1, sizes) - k  # the power of 1 - q
-    starts = starts[:-1]
+    k, rest, starts = _powers(alphabet._bernstein.shape[1] - 1, D)
+    b = _table(alphabet, payoff, D)[0][: k.shape[0]]  # the table may hold more degrees
 
     def average(q) -> np.ndarray:
         x = np.asarray(q, dtype=float).reshape(-1, 1)
@@ -576,7 +606,7 @@ def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
         terms *= b
         sums = np.add.reduceat(terms, starts, axis=1)  # (lanes, degrees)
         # a lane without mass at a degree adds exactly 0, as if it skipped it
-        return np.add.accumulate(np.where(weights > 0.0, sums * weights, 0.0), axis=1)[:, -1]
+        return np.add.accumulate(np.where(mass, sums * weights, 0.0), axis=1)[:, -1]
 
     return average
 
@@ -783,6 +813,7 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
     exponent factor or its Poisson laws) is set up once.
     """
     _check_load(loads)
+    _check_degree(D)
     columns = {}
     for j, ck in enumerate(components):
         columns.setdefault(ck, []).append(j)
@@ -804,7 +835,8 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
                 continue
             factors.append((lanes, scale, ck.arity - 1, None))
         elif ck.kind == "MAJ":
-            factors.append((lanes, None, None, build_family(f"ldmc{ck.arity}", D=D)._at(load)))
+            pmf = DegreeLaw.poisson(ck.arity).probabilities(load, D)[0]  # loads checked above
+            factors.append((lanes, None, None, _averager(f_alphabet(f"ldmc{ck.arity}_bec"), "error", pmf)))
         else:
             raise ValueError("Mixed profiles use XOR and MAJ components only")
 

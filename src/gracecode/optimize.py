@@ -5,7 +5,10 @@ by multistart projected gradient ascent over the component-weight simplex.
 The points the search needs together (finite-difference points, screening
 points, line-search candidates, pattern moves) are evaluated in one lane run
 of the recursion, one lane per (weight vector, target); a lane's endpoint is
-the bits of its one-lane run, so the search path is the one-point one.
+the bits of its one-lane run, so the search path is the one-point one.  The
+first line-search candidate, which nearly always passes, shares its run with
+its own finite-difference points, the next iteration's gradient; a candidate
+is projected onto the simplex only when it is evaluated.
 """
 
 from __future__ import annotations
@@ -76,15 +79,33 @@ class OptResult:
 
 
 def project_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    Raises ``ValueError`` for input that is not a non-empty 1-d vector of
+    finite numbers.
+    """
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.shape[0] + 1)
-    cond = u + (1.0 - css) / j > 0.0
-    rho = int(np.nonzero(cond)[0][-1])
-    theta = (1.0 - css[rho]) / (rho + 1)
-    return np.maximum(v + theta, 0.0)
+    if v.ndim != 1 or not v.shape[0] or not np.isfinite(v).all():
+        raise ValueError("project_simplex needs a non-empty 1-d vector of finite numbers")
+    return _project_rows(v[None, :])[0]
+
+
+def _project_rows(V: np.ndarray) -> np.ndarray:
+    """``project_simplex`` of every row of the finite (rows, n) array ``V``.
+
+    Each row takes the same operations in the same order as alone: its
+    descending sort, its running sum, the last index rho with
+    u_rho + (1 - css_rho) / (rho + 1) > 0 (index 0 always passes) and the
+    shift (1 - css_rho) / (rho + 1), so a row's bits do not depend on the
+    other rows.
+    """
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    n = V.shape[1]
+    cond = u + (1.0 - css) / np.arange(1, n + 1) > 0.0
+    rho = (n - 1) - np.argmax(cond[:, ::-1], axis=1)
+    theta = (1.0 - css[np.arange(V.shape[0]), rho]) / (rho + 1)
+    return np.maximum(V + theta[:, None], 0.0)
 
 
 def _objectives(ws, problem: OptProblem) -> np.ndarray:
@@ -100,14 +121,14 @@ def _objectives(ws, problem: OptProblem) -> np.ndarray:
     weights = np.repeat(ws, T, axis=0)  # lane p * T + t: row p at target t
     loads = np.tile(problem.targets, ws.shape[0])
 
-    def bind(idx):
+    def bind(idx):  # the lanes that have not settled
         return _mixed_at(problem.components, weights[idx], loads[idx], problem.D)
 
     x0 = np.zeros(loads.shape[0])
     if problem.ell is None:
         ends = _settle(bind, x0, _FP_TOL, _MAX_STEPS, "BEC", "error")[0]
     else:
-        ends = _trace(bind, x0, problem.ell, "BEC", "error")[-1]
+        ends = _trace(_mixed_at(problem.components, weights, loads, problem.D), x0, problem.ell, "BEC", "error")[-1]
     ends = ends.reshape(ws.shape[0], T)
     total = np.zeros(ws.shape[0])
     for t in range(T):
@@ -135,43 +156,61 @@ def objective(profile, problem: OptProblem) -> float:
     return _objective_raw(w, problem)
 
 
-def _first_passing(cands, problem: OptProblem, passes, batch: int = 1):
-    """(index, objective) of the first of ``cands`` whose objective passes, or (None, None).
+def _first_passing(points: np.ndarray, problem: OptProblem, passes, batch: int = 1):
+    """(index, projection, objective) of the first row of ``points`` whose
+    projection onto the simplex has a passing objective, or (None, None, None).
 
-    The candidates are evaluated in order, in lane runs of ``batch``
-    candidates and then of twice as many as the run before; none is
-    evaluated after the batch that holds the first one to pass.
+    The rows are projected and evaluated in order, in lane runs of ``batch``
+    rows and then of twice as many as the run before; no row after the batch
+    that holds the first one to pass is projected or evaluated.
     """
     a = 0
-    while a < len(cands):
-        fcs = _objectives(cands[a : a + batch], problem)
+    while a < points.shape[0]:
+        cands = _project_rows(points[a : a + batch])
+        fcs = _objectives(cands, problem)
         hit = np.flatnonzero(passes(fcs))
         if hit.size:
-            return a + int(hit[0]), float(fcs[hit[0]])
+            return a + int(hit[0]), cands[hit[0]], float(fcs[hit[0]])
         a, batch = a + batch, 2 * batch
-    return None, None
+    return None, None, None
+
+
+def _stencil(x: np.ndarray) -> np.ndarray:
+    """The rows x, x + h e_0, x - h e_0, x + h e_1, ...: a point and its 2n
+    finite-difference points."""
+    n = x.shape[0]
+    pts = np.repeat(x[None, :], 2 * n + 1, axis=0)
+    pts[1::2][np.arange(n), np.arange(n)] += _FD_STEP
+    pts[2::2][np.arange(n), np.arange(n)] -= _FD_STEP
+    return pts
 
 
 def _ascend(x: np.ndarray, f: float, problem: OptProblem):
     """Projected gradient ascent from ``x`` (objective ``f``); returns (point, value, history)."""
     history = [f]
-    n = x.shape[0]
+    steps = np.array(_STEPS)[:, None]
+    fs = None  # the objectives at the 2n finite-difference points around x
     converged = False
     for _ in range(_MAX_ITERS):
-        # the 2n finite-difference points x +- h e_i, in one lane run
-        pts = np.repeat(x[None, :], 2 * n, axis=0)
-        pts[0::2][np.arange(n), np.arange(n)] += _FD_STEP
-        pts[1::2][np.arange(n), np.arange(n)] -= _FD_STEP
-        fs = _objectives(pts, problem)
+        if fs is None:
+            fs = _objectives(_stencil(x)[1:], problem)
         g = (fs[0::2] - fs[1::2]) / (2.0 * _FD_STEP)
         # the backtracking line search: the first candidate, longest step
-        # first, that does not lose is taken
-        cands = [project_simplex(x + step * g) for step in _STEPS]
-        k, fc = _first_passing(cands, problem, lambda fcs: fcs >= f)
+        # first, that does not lose is taken.  The first one nearly always
+        # passes, so its finite-difference points, which the next iteration
+        # reads, go in its lane run
+        points = x + steps * g
+        first = _project_rows(points[:1])[0]
+        fcs = _objectives(_stencil(first), problem)
+        if fcs[0] >= f:
+            cand, fc, fs = first, float(fcs[0]), fcs[1:]
+        else:
+            _, cand, fc = _first_passing(points[1:], problem, lambda fcs: fcs >= f, 2)
+            fs = None
         improved = False
-        if k is not None:
+        if cand is not None:
             improved = fc > f + 1e-12
-            x, f = cands[k], fc
+            x, f = cand, fc
         else:
             # the endpoint can jump at threshold loads, stalling the gradient
             # step on a ridge; polish with simplex-coordinate pattern moves
@@ -192,18 +231,18 @@ def _pattern_polish(x: np.ndarray, f: float, problem: OptProblem):
     the new point.
     """
     n = x.shape[0]
-    moves = [(i, j) for i in range(n) for j in range(n) if i != j]
+    eye = np.eye(n)
+    moves = np.array([eye[i] - eye[j] for i in range(n) for j in range(n) if i != j])
     improved = False
     r = 0.1
     while r >= 1e-4:
         moved = False
         k = 0
-        while k < len(moves):
-            cands = [project_simplex(x + r * (np.eye(n)[i] - np.eye(n)[j])) for i, j in moves[k:]]
-            hit, fc = _first_passing(cands, problem, lambda fcs: fcs > f + 1e-12, len(cands))
+        while k < moves.shape[0]:
+            hit, cand, fc = _first_passing(x + r * moves[k:], problem, lambda fcs: fcs > f + 1e-12, moves.shape[0] - k)
             if hit is None:
                 break
-            x, f = cands[hit], fc
+            x, f = cand, fc
             moved = improved = True
             k += hit + 1
         if not moved:

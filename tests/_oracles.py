@@ -715,6 +715,19 @@ def general_two_point_plain(R: float, delta_a: float, eps_a: float, eps: float) 
 # ---------------------------------------------------------------------------
 
 
+def project_simplex_sort(v) -> np.ndarray:
+    """Euclidean projection of one vector onto the probability simplex, as the
+    library computed it before it projected rows together."""
+    v = np.asarray(v, dtype=float)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    j = np.arange(1, v.shape[0] + 1)
+    cond = u + (1.0 - css) / j > 0.0
+    rho = int(np.nonzero(cond)[0][-1])
+    theta = (1.0 - css[rho]) / (rho + 1)
+    return np.maximum(v + theta, 0.0)
+
+
 def ascend_plain(x: np.ndarray, problem: OptProblem):
     """Projected gradient ascent from ``x``; returns (point, value, history)."""
     f = _objective_raw(x, problem)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -252,3 +254,31 @@ def test_exit_counts_match_per_pattern_elimination():
         counts = exit_tools(G).counts
         ref = exit_counts_per_pattern(G)
         assert counts.dtype == ref.dtype and np.array_equal(counts, ref), (G.k, G.m)
+
+
+def _tall_generator(k: int = 2000, m: int = 12) -> BitMatrix:
+    # m columns that mix 7 sparse vectors of F2^k: rank 7, so that many
+    # erasure patterns leave a coordinate determined
+    rng = np.random.default_rng(38)
+    base = (rng.random((k, 7)) < 0.01).astype(np.uint8)
+    mix = (rng.random((7, m)) < 0.4).astype(np.uint8)
+    return BitMatrix.from_dense(base @ mix % 2)
+
+
+def test_exit_tools_on_a_tall_generator():
+    tall = _tall_generator()
+    counts = exit_tools(tall).counts
+    assert np.array_equal(counts, exit_counts_per_pattern(tall))
+    # the counts of the walk that copied a pivot dict per depth
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == "76a447766913cb4b77f189071c9aa88a9e7bec088a661a5e750e2dcb4dd995f8"
+    # the walk sets and clears one pivot list of k + 1 slots and never copies
+    # it, so k = 2000 costs about what k = 7 does at the same m
+    r = (np.random.default_rng(3).random((7, 5)) < 0.5).astype(np.uint8)
+    short = BitMatrix.from_dense(np.hstack([np.eye(7, dtype=np.uint8), r]))
+    best = {}
+    for _ in range(5):
+        for name, G in (("tall", tall), ("short", short)):
+            start = time.perf_counter()
+            exit_tools(G)
+            best[name] = min(best.get(name, np.inf), time.perf_counter() - start)
+    assert best["tall"] < 3.0 * best["short"], best

@@ -395,3 +395,14 @@ def test_brute_force_k_limit():
     received = ReceivedWord(np.array([0], dtype=np.int8), ChannelParam.bec(0.0))
     with pytest.raises(ValueError):
         brute_force_marginals(graph, received)
+
+
+def test_rank_forced_with_nothing_kept():
+    rng = np.random.default_rng(38)
+    k, m = 60, 90
+    G = BitMatrix.from_columns([rng.choice(k, 3, replace=False) for _ in range(m)], k)
+    nothing = np.zeros(m, dtype=np.uint8)
+    rank, forced = _kernels.gf2_rank_forced(_kernels.gf2_columns(G.indptr, G.rowidx), nothing, k)
+    assert rank == 0 and forced.dtype == np.uint8 and forced.shape == (k,) and not forced.any()
+    rank, forced = _kernels.gf2_rank_forced_components(_kernels.gf2_components(G.indptr, G.rowidx, k), nothing, k)
+    assert rank == 0 and forced.shape == (k,) and not forced.any()

@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from _oracles import optimize_profile_plain, pattern_polish_plain
+from _oracles import optimize_profile_plain, pattern_polish_plain, project_simplex_sort
 
 from gracecode.cli import EXIT_OK, main
 from gracecode.devo import fixed_point, iterate
 from gracecode.efun import ClosedFormFamily
 from gracecode.ensemble import CheckKind, DegreeProfile
-from gracecode.optimize import OptProblem, _objective_raw, _pattern_polish, objective, optimize_profile, project_simplex
+from gracecode import optimize
+from gracecode.optimize import (
+    _STEPS,
+    OptProblem,
+    _ascend,
+    _first_passing,
+    _objective_raw,
+    _pattern_polish,
+    _project_rows,
+    objective,
+    optimize_profile,
+    project_simplex,
+)
 
 XORS = (CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3))
 X1, X2, X3, M3 = CheckKind.xor(1), CheckKind.xor(2), CheckKind.xor(3), CheckKind.maj(3)
@@ -34,6 +46,51 @@ def test_project_simplex_is_projection():
         for _ in range(50):
             s = rng.dirichlet(np.ones(4))
             assert np.linalg.norm(v - p) <= np.linalg.norm(v - s) + 1e-9
+
+
+@pytest.mark.parametrize("v", [[], [np.nan, 1.0], [np.inf, 0.0], [0.3, -np.inf], [[0.2, 0.8]], 0.5])
+def test_project_simplex_rejects_what_it_cannot_project(v):
+    with pytest.raises(ValueError, match="non-empty 1-d vector of finite numbers"):
+        project_simplex(v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+def test_rows_project_as_each_row_alone(n):
+    rng = np.random.default_rng(38 + n)
+    rows = [
+        rng.normal(size=(60, n)) * rng.choice([1e-3, 0.3, 1.0, 50.0], size=(60, 1)),
+        rng.integers(-2, 3, size=(40, n)) / 4.0,  # ties, and exact zeros
+        np.repeat(rng.normal(size=(10, 1)), n, axis=1),  # every entry tied
+        rng.dirichlet(np.ones(n), size=20),  # already on the simplex
+        np.eye(n),
+        -np.abs(rng.normal(size=(20, n))) - 1e-3,  # all negative
+    ]
+    V = np.concatenate(rows)
+    got = _project_rows(V)
+    assert got.shape == V.shape
+    for v, p in zip(V, got):
+        assert p.tobytes() == project_simplex(v).tobytes() == project_simplex_sort(v).tobytes(), v
+
+
+def test_a_line_search_whose_first_candidate_passes_projects_one_row(monkeypatch):
+    projected = []
+
+    def counted(V):
+        projected.append(V.shape[0])
+        return _project_rows(V)
+
+    monkeypatch.setattr(optimize, "_project_rows", counted)
+    problem = OptProblem((X1, M3, X3), (0.9, 1.1), ell=5)
+    x = np.full(3, 1.0 / 3.0)
+    points = x + np.array(_STEPS)[:, None] * np.array([0.4, -0.1, -0.3])
+    hit, cand, fc = _first_passing(points, problem, lambda fcs: np.ones(fcs.shape, dtype=bool))
+    assert projected == [1] and hit == 0
+    assert cand.tobytes() == project_simplex(points[0]).tobytes() and fc == _objective_raw(cand, problem)
+    # a whole ascent: every line search takes its first candidate, so each
+    # one projects that candidate alone, and the pattern polish never runs
+    projected.clear()
+    _, _, history, converged = _ascend(x, _objective_raw(x, problem), problem)
+    assert converged and len(history) > 10 and projected == [1] * (len(history) - 1)
 
 
 def test_problem_validation():
