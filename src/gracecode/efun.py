@@ -11,8 +11,9 @@ terms q^j (1-q)^(m-j), j = 0..m, of one degree m (m = 0 for constants), so
 E_d(q) = sum_j b_{d,j} q^j (1-q)^(md-j) with every b_{d,j} >= 0.  Every
 E-function takes one path: ``_table`` keeps these b of E_0..E_D for one
 payoff, and ``_averager`` sums pmf[d] * E_d(q) over a degree pmf of degrees
-0..D from it.  A degree's b come from its type terms (``_degree_terms``: a
-coefficient per message type, that is per count of each entry), which
+0..D from it, both in the one layout of ``_powers`` (degree d's md + 1 b,
+stacked by degree).  A degree's b come from its type terms (``_degree_terms``:
+a coefficient per message type, that is per count of each entry), which
 ``_collapse`` multiplies out in the weights' Bernstein coefficients.  A
 lattice row is a head (its first columns, whole entries) and a tail (the
 rest): ``_lattice_chunks`` builds one record per build, which depends only
@@ -51,8 +52,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate
 from typing import ClassVar
 
 import numpy as np
@@ -251,9 +250,8 @@ def _with_first_part(blocks, t: int) -> np.ndarray:
     return np.column_stack((first, np.concatenate(rest)))
 
 
-@lru_cache(maxsize=256)
 def _lattice(d: int, K: int) -> np.ndarray:
-    """All weak compositions of d into K >= 1 parts, as read-only int16 rows.
+    """All weak compositions of d into K >= 1 parts, as new read-only int16 rows.
 
     Rows come in lexicographic order (the order of the stars-and-bars
     ``itertools.combinations`` enumeration).  They are built part by part:
@@ -397,7 +395,8 @@ def _lattice_chunks(degrees, owners: tuple):
     for d, z in zip(degrees, types):
         head = _lattice(d, P + 1)  # the head, then the total t it leaves
         t, head = head[:, P], head[:, :P]
-        tail = _lattice(d, K - P + 1)  # [d - t | a tail of t], t = d, d-1, .., 0
+        # [d - t | a tail of t], t = d, d-1, .., 0: the types, if they have as many parts
+        tail = z if K - P + 1 == n else _lattice(d, K - P + 1)
         left, tail = d - tail[:, 0].astype(np.int64), tail[:, 1:]
         sizes = np.bincount(left, minlength=d + 1)  # the tails of each t
         last = np.cumsum(sizes[::-1])[::-1]  # where the tails of t end
@@ -472,9 +471,40 @@ def _degree_terms(alphabet: MessageAlphabet, degrees, payoffs):
     return types, coefs
 
 
+# (m, D) -> the layout of the table coefficients of degrees 0..D for an
+# alphabet of Bernstein degree m: each coefficient's power of q and of 1 - q,
+# and the starts.  It depends on nothing else, so every table build and every
+# average over degrees 0..D shares it
+_POWERS: dict = {}
+
+
+def _powers(m: int, D: int):
+    """(power of q, power of 1 - q, starts) of the coefficients of E_0..E_D,
+    ``starts`` holding each degree's first index, then their count."""
+    hit = _POWERS.get((m, D))
+    if hit is None:
+        sizes = m * np.arange(D + 1) + 1
+        starts = np.concatenate([[0], np.cumsum(sizes)])
+        k = np.arange(starts[-1], dtype=float) - np.repeat(starts[:-1], sizes)
+        hit = (k, np.repeat(sizes - 1, sizes) - k, starts)
+        for a in hit:
+            a.setflags(write=False)
+        _POWERS[(m, D)] = hit
+    return hit
+
+
+def _convolution_powers(v: np.ndarray, n: int) -> list:
+    """[1, v, v*v, .., v^n]: the powers of a coefficient vector under convolution."""
+    powers = [np.ones(1)]
+    for _ in range(n):
+        powers.append(np.convolve(powers[-1], v))
+    return powers
+
+
 def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
-    """{payoff: the b_{d,k} of q^k (1-q)^(md-k), k = 0..md, of the degrees
-    stacked in increasing degree order} from their type terms (``_degree_terms``).
+    """{payoff: the b_{d,k} of q^k (1-q)^(md-k), k = 0..md, of the consecutive
+    degrees stacked in increasing degree order, as ``_powers`` lays them out}
+    from their type terms (``_degree_terms``).
 
     A type term coef_c prod_j w_j^c_j is coef_c times the product of the c_j-th
     powers of the weights' Bernstein coefficient vectors under convolution.
@@ -489,9 +519,9 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
     bernstein = alphabet._bernstein
     m = bernstein.shape[1] - 1
     z = np.concatenate(types)  # (type rows, entries)
-    widths = [m * d + 1 for d in degrees]
-    size = sum(widths)
-    at = np.repeat(list(accumulate(widths[:-1], initial=0)), [t.shape[0] for t in types])  # each row's degree in b
+    starts = _powers(m, degrees[-1])[2][degrees[0] :]  # the degrees' place in a table of E_0..
+    size = starts[-1] - starts[0]
+    at = np.repeat(starts[:-1] - starts[0], [t.shape[0] for t in types])  # each row's degree in b
     counts = np.arange(degrees[-1] + 1)
     value = np.ones(z.shape[0])
     several = []
@@ -506,9 +536,7 @@ def _collapse(alphabet: MessageAlphabet, degrees, types, coefs) -> dict:
             at += k * z[:, j]
     row = np.arange(z.shape[0])  # each term's type row
     for n, (beta, c) in enumerate((bernstein[j], z[:, j]) for j in several):
-        vectors = [np.ones(1)]  # the powers of beta
-        for _ in range(degrees[-1]):
-            vectors.append(np.convolve(vectors[-1], beta))
+        vectors = _convolution_powers(beta, degrees[-1])
         where = [np.flatnonzero(v) for v in vectors]
         sizes = np.array([ks.shape[0] for ks in where])
         first = np.cumsum(sizes) - sizes  # where each power's nonzero coefficients start
@@ -529,51 +557,27 @@ def _table(alphabet: MessageAlphabet, payoff: str, dmax: int):
     """E_0..E_dmax (at least) of one payoff in Bernstein coefficients: (b, starts).
 
     ``b`` stacks each degree's md + 1 coefficients b_{d,k} of q^k (1-q)^(md-k)
-    in increasing degree order and ``starts`` holds each degree's first index,
-    then their count.  Cached on the alphabet per payoff; a larger dmax
-    appends the missing degrees, whose type terms go when the build ends.  A
-    build fills all three payoffs of a BEC alphabet, which serves every payoff
-    for the process, and the one asked for of a BSC one.
+    in increasing degree order, and ``starts`` is the layout's (``_powers``).
+    Cached on the alphabet per payoff; a larger dmax appends the missing
+    degrees, whose type terms go when the build ends.  A build fills all three
+    payoffs of a BEC alphabet, which serves every payoff for the process, and
+    the one asked for of a BSC one.
     """
     if payoff not in _PAYOFFS:
         raise ValueError(f"unknown payoff {payoff!r}")
     tables = alphabet._tables
-    empty = (np.zeros(0), np.zeros(1, dtype=np.int64))
-    starts = tables.get(payoff, empty)[1]
-    if starts.shape[0] >= dmax + 2:
+    held = tables[payoff][1].shape[0] - 1 if payoff in tables else 0  # how many degrees
+    if held > dmax:
         return tables[payoff]
     payoffs = _PAYOFFS if alphabet.channel == "BEC" else (payoff,)
-    degrees = range(starts.shape[0] - 1, dmax + 1)
+    degrees = range(held, dmax + 1)
     new = _collapse(alphabet, degrees, *_degree_terms(alphabet, degrees, payoffs))
-    m = alphabet._bernstein.shape[1] - 1
-    starts = np.concatenate([starts, starts[-1] + np.cumsum([m * d + 1 for d in degrees])])
+    starts = _powers(alphabet._bernstein.shape[1] - 1, dmax)[2]
     for p in payoffs:
-        b = np.concatenate([tables.get(p, empty)[0], new[p]])
-        for a in (b, starts):
-            a.setflags(write=False)
+        b = np.concatenate([tables[p][0], new[p]]) if held else new[p]
+        b.setflags(write=False)
         tables[p] = (b, starts)
     return tables[payoff]
-
-
-# (m, D) -> the layout of the table coefficients of degrees 0..D for an
-# alphabet of Bernstein degree m: each coefficient's power of q and of 1 - q,
-# and each degree's first index.  It depends on nothing else, so every
-# average over degrees 0..D shares it
-_POWERS: dict = {}
-
-
-def _powers(m: int, D: int):
-    """(power of q, power of 1 - q, degree starts) of the coefficients of E_0..E_D."""
-    hit = _POWERS.get((m, D))
-    if hit is None:
-        sizes = m * np.arange(D + 1) + 1
-        starts = np.cumsum(sizes) - sizes
-        k = np.arange(starts[-1] + sizes[-1], dtype=float) - np.repeat(starts, sizes)
-        hit = (k, np.repeat(sizes - 1, sizes) - k, starts)
-        for a in hit:
-            a.setflags(write=False)
-        _POWERS[(m, D)] = hit
-    return hit
 
 
 def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
@@ -604,7 +608,7 @@ def _averager(alphabet: MessageAlphabet, payoff: str, pmf):
         terms = np.power(x, k)
         terms *= np.power(1.0 - x, rest)
         terms *= b
-        sums = np.add.reduceat(terms, starts, axis=1)  # (lanes, degrees)
+        sums = np.add.reduceat(terms, starts[:-1], axis=1)  # (lanes, degrees)
         # a lane without mass at a degree adds exactly 0, as if it skipped it
         return np.add.accumulate(np.where(mass, sums * weights, 0.0), axis=1)[:, -1]
 
@@ -626,21 +630,13 @@ def error_poly(alphabet: MessageAlphabet, d: int, payoff: str = "error") -> EPol
     coefficients is ill-conditioned (LDMC5 power coefficients reach 5e6)."""
     _check_degree(d)
     (types,), coefs = _degree_terms(alphabet, (d,), (payoff,))
-    entries = alphabet.entries
-    n = len(entries)
-    powers = [[np.array([1.0]), entries[j][1].as_array()] for j in range(n)]
-
-    def power(j: int, exp: int) -> np.ndarray:
-        while len(powers[j]) <= exp:
-            powers[j].append(np.convolve(powers[j][-1], powers[j][1]))
-        return powers[j][exp]
-
+    powers = [_convolution_powers(w.as_array(), d) for _, w in alphabet.entries]
     total = np.zeros(1)
     for row, cf in zip(types, coefs[payoff]):
         poly = np.array([cf])
-        for j in range(n):
-            if row[j]:
-                poly = np.convolve(poly, power(j, int(row[j])))
+        for j, c in enumerate(row.tolist()):
+            if c:
+                poly = np.convolve(poly, powers[j][c])
         if poly.shape[0] > total.shape[0]:
             total = np.concatenate([total, np.zeros(poly.shape[0] - total.shape[0])])
         total[: poly.shape[0]] += poly
@@ -802,9 +798,10 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
     length if L = 1); each lane gets the bits of its own one-lane call.
 
     XOR(d) components take the closed form 2E = e^{-alpha w d q^(d-1)}, and so
-    does MAJ(1), whose observed check is the bit itself; the other MAJ
-    components, the only ones with soft messages, take the truncated Poisson
-    family, and the product is exact only with at most one of them.  A
+    does MAJ(1), whose observed check is the bit itself; MAJ(3) and MAJ(5),
+    the only other components its callers take and the only ones with soft
+    messages, take the truncated Poisson family, and the product is exact
+    only with at most one of them.  A
     component with w <= 0 in a lane is off there: the weights need not lie on
     the simplex, because the profile optimizer evaluates finite-difference
     points just off it.  Components that compare equal are one component, in
@@ -834,11 +831,9 @@ def _mixed_at(components, weights: np.ndarray, loads: np.ndarray, D: int):
                 start[on] *= np.exp(scale)
                 continue
             factors.append((lanes, scale, ck.arity - 1, None))
-        elif ck.kind == "MAJ":
+        else:
             pmf = DegreeLaw.poisson(ck.arity).probabilities(load, D)[0]  # loads checked above
             factors.append((lanes, None, None, _averager(f_alphabet(f"ldmc{ck.arity}_bec"), "error", pmf)))
-        else:
-            raise ValueError("Mixed profiles use XOR and MAJ components only")
 
     def mixed(q: np.ndarray) -> np.ndarray:
         acc = np.empty(q.shape)
@@ -886,7 +881,8 @@ class ClosedFormFamily(_Family):
     """Closed-form BEC error function of a mixed or systematic-regular ensemble.
 
     Mixed(profile): the ``_mixed_at`` product, exact with at most one distinct
-    majority of arity >= 3 (LDGM(d) is ``XOR:d``).  SysRegular(d, R): (1 - alpha R) *
+    majority of arity >= 3 (LDGM(d) is ``XOR:d``); its components of positive
+    weight are XOR or MAJ 1, 3, 5, as in ``OptProblem``.  SysRegular(d, R): (1 - alpha R) *
     E[Bin(d(1-R)/R, alpha R)-degree error], with d(1-R)/R an integer.
     """
 
@@ -904,6 +900,9 @@ class ClosedFormFamily(_Family):
         if self.kind == "mixed":
             if self.profile is None:
                 raise ValueError("mixed requires a degree profile")
+            for ck, w in self.profile.entries:
+                if w > 0.0 and (ck.kind == "PARITY" or (ck.kind == "MAJ" and ck.arity not in (1, 3, 5))):
+                    raise ValueError(f"component {ck.kind} {ck.arity} of weight {w:g}: the mixed closed form takes XOR and MAJ 1, 3 or 5 only")
         elif self.kind == "sysregular":
             if self.d not in (3, 5) or self.rate is None or not 0.0 < self.rate <= 1.0:
                 raise ValueError("sysregular requires d in {3, 5} and a rate in (0, 1]")

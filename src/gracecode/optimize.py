@@ -156,7 +156,7 @@ def objective(profile, problem: OptProblem) -> float:
     return _objective_raw(w, problem)
 
 
-def _first_passing(points: np.ndarray, problem: OptProblem, passes, batch: int = 1):
+def _first_passing(points: np.ndarray, problem: OptProblem, passes, batch: int):
     """(index, projection, objective) of the first row of ``points`` whose
     projection onto the simplex has a passing objective, or (None, None, None).
 
@@ -186,7 +186,7 @@ def _stencil(x: np.ndarray) -> np.ndarray:
 
 
 def _ascend(x: np.ndarray, f: float, problem: OptProblem):
-    """Projected gradient ascent from ``x`` (objective ``f``); returns (point, value, history)."""
+    """Projected gradient ascent from ``x`` (objective ``f``); returns (point, value, history, converged)."""
     history = [f]
     steps = np.array(_STEPS)[:, None]
     fs = None  # the objectives at the 2n finite-difference points around x

@@ -130,7 +130,7 @@ def test_infeasible_exit_code(tmp_path, capsys):
     # any row is written
     base = ["--ensemble", "ldmc3", "--k", "10", "--rate", "0.5", "--out", str(out)]
     for name, text in [("short", "MAJ 3\n"), ("long", "MAJ 3 0.5 junk\n"), ("nan", "MAJ 3 nan\nXOR 1 1\n"),
-                       ("parity", "MAJ 3 0.8\nPARITY 2 0.2\n")]:
+                       ("parity", "MAJ 3 0.8\nPARITY 2 0.2\n"), ("maj7", "MAJ 7 1\n")]:
         (tmp_path / f"{name}.profile").write_text(text, encoding="utf-8")
     sim = ["simulate", "--k", "10", "--rate", "0.5", "--alpha-grid", "1.0", "--out", str(out), "--ensemble"]
     for argv, message in [
@@ -164,6 +164,12 @@ def test_infeasible_exit_code(tmp_path, capsys):
         ([*sim, str(tmp_path / "parity.profile")], "component PARITY 2 of weight 0.2"),
         (["histogram", *base[2:], "--ensemble", str(tmp_path / "parity.profile"), "--alpha", "1"],
          "component PARITY 2 of weight 0.2"),
+        # devo's mixed closed form has no PARITY factor and MAJ 1, 3 or 5 only,
+        # which it says before any step, also with --ell 0
+        *[(["devo", "--family", str(tmp_path / f"{name}.profile"), "--alpha-grid", "1.0", "--ell", ell, "--out", str(out)],
+           f"component {component}: the mixed closed form") for name, component in [("maj7", "MAJ 7 of weight 1"),
+                                                                                    ("parity", "PARITY 2 of weight 0.2")]
+          for ell in ("0", "3")],
         # a finite load whose mean degree 3 * alpha overflows is named, not returned as NaN
         (["devo", "--family", "ldgm3", "--alpha-grid", "1e308", "--ell", "2", "--out", str(out)],
          "load 1e+308: the mean degree 3 * load overflows"),

@@ -276,6 +276,12 @@ def test_closed_form_ldgm():
         ClosedFormFamily("ldgm", d=3)  # LDGM(d) is the profile XOR:d
 
 
+def test_closed_form_mixed_takes_any_component_of_weight_zero():
+    # a component of weight 0 is off: _mixed_at never evaluates it
+    off = ClosedFormFamily("mixed", profile=parse_profile("XOR 3 1\nMAJ 7 0\nPARITY 2 0\n"))
+    assert off.evaluate(0.9, 0.5) == ClosedFormFamily("mixed", profile=_xor(3)).evaluate(0.9, 0.5)
+
+
 def test_closed_form_mixed_reduces_to_components():
     # one XOR(d) component is the LDGM closed form (1/2) e^{-alpha d q^(d-1)}
     fam = ClosedFormFamily("mixed", profile=_xor(3))
@@ -325,6 +331,10 @@ def test_closed_form_sysregular_validation():
         ({"kind": "sysregular", "d": 3, "rate": float("nan")}, "a rate in (0, 1]"),
         ({"kind": "sysregular", "d": 3, "rate": 0.1}, "degree must lie in [0, 14]"),
         ({"kind": "ldgm"}, "unknown closed form kind"),
+        # the components OptProblem rejects, named when the family is built
+        ({"kind": "mixed", "profile": parse_profile("MAJ 7 1\n")}, "component MAJ 7 of weight 1: the mixed closed form"),
+        ({"kind": "mixed", "profile": parse_profile("MAJ 3 0.25\nMAJ 9 0.75\n")}, "component MAJ 9 of weight 0.75"),
+        ({"kind": "mixed", "profile": parse_profile("XOR 2 0.5\nPARITY 2 0.5\n")}, "component PARITY 2 of weight 0.5"),
     ],
 )
 def test_closed_form_validates_at_construction(kwargs, message):

@@ -24,11 +24,17 @@ import pytest
 
 from _rss import peak_rss_mb
 from gracecode import efun
-from gracecode.efun import MessageAlphabet, f_alphabet
+from gracecode.efun import EPolynomial, MessageAlphabet, f_alphabet
 from test_exact_paths import RAGGED
 
 GOLDEN = Path(__file__).with_name("golden")
 PAYOFFS = ("error", "chi2", "entropy")
+# four unit magnitudes and a split one: 6 lattice columns, the heads the first
+# 3, so the tails have 4 parts where the types have 5
+UNITS = MessageAlphabet(
+    "BEC",
+    ((1.0, EPolynomial((0.0, 0.2))), (1.0, 0.1), (1.0, EPolynomial((0.15, -0.15))), (1.0, 0.05), (2.0, EPolynomial((0.0, 0.0, 0.3)))),
+)
 ALPHABETS = {
     "ldmc3_bec": (f_alphabet("ldmc3_bec"), 14),
     "ldmc3_bsc_0.11": (f_alphabet("ldmc3_bsc", 0.11), 14),
@@ -36,6 +42,7 @@ ALPHABETS = {
     "ldmc3_bsc_0.5": (f_alphabet("ldmc3_bsc", 0.5), 14),
     "ldmc5_bec": (f_alphabet("ldmc5_bec"), 10),
     "ragged": (RAGGED, 10),
+    "units": (UNITS, 10),
 }
 # the largest relative distance of a type term from the longdouble sums; the
 # BLAS build before the head and tail sums came within 2.9e-15 of them
@@ -135,6 +142,19 @@ def test_every_ldmc3_lattice_is_one_cached_chunk(monkeypatch):
     for degrees, owners in efun._LATTICE_CACHE:
         assert type(degrees) is tuple and all(type(d) is int for d in degrees), degrees
         assert owners in (ldmc3, ldmc3_bsc, ldmc5), owners
+
+
+@pytest.mark.parametrize(("name", "parts"), [("ldmc5_bec", (7, 8)), ("units", (5, 4, 4))])
+def test_lattices_a_cold_table_builds_per_degree(monkeypatch, name, parts):
+    # a degree builds its types and its heads; its tails are its types when
+    # they have as many parts, as in every built-in layout (LDMC5: 7 and 7)
+    calls = []
+    lattice = efun._lattice
+    monkeypatch.setattr(efun, "_lattice", lambda d, K: calls.append((d, K)) or lattice(d, K))
+    monkeypatch.setattr(efun, "_LATTICE_CACHE", {})
+    alphabet = ALPHABETS[name][0]
+    efun._table(MessageAlphabet(alphabet.channel, alphabet.entries), "error", 10)
+    assert sorted(calls) == sorted((d, K) for d in range(11) for K in parts)
 
 
 def test_ldmc5_at_degree_12_in_bounded_memory(tmp_path):

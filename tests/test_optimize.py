@@ -83,7 +83,7 @@ def test_a_line_search_whose_first_candidate_passes_projects_one_row(monkeypatch
     problem = OptProblem((X1, M3, X3), (0.9, 1.1), ell=5)
     x = np.full(3, 1.0 / 3.0)
     points = x + np.array(_STEPS)[:, None] * np.array([0.4, -0.1, -0.3])
-    hit, cand, fc = _first_passing(points, problem, lambda fcs: np.ones(fcs.shape, dtype=bool))
+    hit, cand, fc = _first_passing(points, problem, lambda fcs: np.ones(fcs.shape, dtype=bool), 1)
     assert projected == [1] and hit == 0
     assert cand.tobytes() == project_simplex(points[0]).tobytes() and fc == _objective_raw(cand, problem)
     # a whole ascent: every line search takes its first candidate, so each
